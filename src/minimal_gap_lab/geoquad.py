@@ -10,6 +10,7 @@ chunked across workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 
@@ -18,13 +19,13 @@ import numpy as np
 from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.invariants import (
     B1_CROSS_TOL,
-    LAPLACE_DISAGREE_TOL,
     PointInvariants,
     b1_simons,
     point_invariants,
 )
 from minimal_gap_lab.surfaces import (
     CODAZZI_TOL,
+    JET_ORDER_MAX,
     SPHERE,
     ImmersionSpec,
     adapted_frame,
@@ -64,6 +65,11 @@ def build_grid(spec: ImmersionSpec, resolution=None) -> QuadratureGrid:
     if spec.chart == SPHERE:
         x, w = np.polynomial.legendre.leggauss(n_u)
         theta = np.arccos(x[::-1])             # ascending theta, never at a pole
+        if theta[0] < spec.pole_margin or theta[-1] > math.pi - spec.pole_margin:
+            raise DomainError(
+                f"{spec.name}: --resolution {n_u}x{n_v} puts Gauss-Legendre "
+                f"nodes within {spec.pole_margin:g} of a chart pole (polar "
+                f"angle {theta[0]:.3g}); use fewer polar nodes")
         w_theta = w[::-1] / np.sin(theta)      # d(theta) weight for f*sqrt(g)
         phi = np.arange(n_v) * (2.0 * math.pi / n_v)
         w_phi = np.full(n_v, 2.0 * math.pi / n_v)
@@ -114,8 +120,6 @@ class SurfaceFields:
     b1_cross: np.ndarray
     delta_S: np.ndarray
     codazzi_residual: np.ndarray
-    grad_fd_disagreement: np.ndarray
-    laplace_disagreement: np.ndarray
     flagged: np.ndarray
 
     @property
@@ -125,21 +129,17 @@ class SurfaceFields:
 
 def _fields_chunk(spec: ImmersionSpec, u: np.ndarray, v: np.ndarray,
                   codazzi_tol: float = CODAZZI_TOL,
-                  laplace_tol: float = LAPLACE_DISAGREE_TOL,
                   b1_cross_tol: float = B1_CROSS_TOL) -> SurfaceFields:
-    jet = eval_jet(spec, (u, v), order=2)
+    # one jet serves every layer: the frame, h and grad h read it to order 3,
+    # the Taylor series of S to order 4
+    jet = eval_jet(spec, (u, v), order=JET_ORDER_MAX)
     frame = adapted_frame(jet)
-    sp = second_fundamental_form(jet, frame)
-    inv = point_invariants(sp)
-
-    grad = covariant_grad_h(spec, (u, v))
-    simons = b1_simons(spec, (u, v), inv)
+    inv = point_invariants(second_fundamental_form(jet, frame))
+    grad = covariant_grad_h(spec, jet, frame)
+    del frame                     # free the frame series before the S pass
+    simons = b1_simons(spec, jet, inv)
     cross = np.abs(simons.b1 - grad.b1_direct)
-    flagged = (
-        (grad.codazzi_residual > codazzi_tol)
-        | (simons.fd_disagreement > laplace_tol)
-        | (cross > b1_cross_tol)
-    )
+    flagged = (grad.codazzi_residual > codazzi_tol) | (cross > b1_cross_tol)
     return SurfaceFields(
         inv=inv,
         b1_simons=simons.b1,
@@ -147,8 +147,6 @@ def _fields_chunk(spec: ImmersionSpec, u: np.ndarray, v: np.ndarray,
         b1_cross=cross,
         delta_S=simons.laplacian_S,
         codazzi_residual=grad.codazzi_residual,
-        grad_fd_disagreement=grad.fd_disagreement,
-        laplace_disagreement=simons.fd_disagreement,
         flagged=flagged,
     )
 
@@ -171,31 +169,32 @@ def _concat_fields(chunks: list[SurfaceFields]) -> SurfaceFields:
         b1_cross=cat(lambda c: c.b1_cross),
         delta_S=cat(lambda c: c.delta_S),
         codazzi_residual=cat(lambda c: c.codazzi_residual),
-        grad_fd_disagreement=cat(lambda c: c.grad_fd_disagreement),
-        laplace_disagreement=cat(lambda c: c.laplace_disagreement),
         flagged=cat(lambda c: c.flagged),
     )
+
+
+def pool_size(workers: int, chunks: int) -> int:
+    """Worker threads for `chunks` chunks: never more than the CPUs."""
+    return max(1, min(workers, os.cpu_count() or 1, chunks))
 
 
 def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
                     workers: int = 1,
                     codazzi_tol: float = CODAZZI_TOL,
-                    laplace_tol: float = LAPLACE_DISAGREE_TOL,
                     b1_cross_tol: float = B1_CROSS_TOL) -> SurfaceFields:
     """Evaluate every pointwise field at every grid node.
 
     Node evaluation is pure, so the grid may be chunked across any number of
     workers; chunks are merged back in node order, making the result
-    independent of the worker count.
+    independent of the worker count.  At most `pool_size` threads run them.
     """
     workers = max(1, int(workers))
-    tols = dict(codazzi_tol=codazzi_tol, laplace_tol=laplace_tol,
-                b1_cross_tol=b1_cross_tol)
+    tols = dict(codazzi_tol=codazzi_tol, b1_cross_tol=b1_cross_tol)
     if workers == 1 or grid.node_count < 2 * workers:
         return _fields_chunk(spec, grid.u, grid.v, **tols)
     bounds = np.linspace(0, grid.node_count, workers + 1).astype(int)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=pool_size(workers, len(slices))) as pool:
         chunks = list(pool.map(
             lambda s: _fields_chunk(spec, grid.u[s], grid.v[s], **tols), slices))
     return _concat_fields(chunks)

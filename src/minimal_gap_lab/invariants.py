@@ -6,6 +6,12 @@ vs its closed form, the closed-form eigenvalues vs a dense symmetric
 eigensolver, and the Simons-identity route to B1 vs the direct third-order
 norm.  Route disagreements are recorded as residuals, never hidden.
 
+The two B1 routes share only the jet.  The Simons route takes the chart
+Laplacian of the frame-free S from the degree-2 coefficients of its Taylor
+series; the direct route is |grad h|^2 from the frame's degree-1
+coefficients (`surfaces.covariant_grad_h`).  Both are exact up to rounding,
+so their disagreement measures rounding, not a step size.
+
 The eigenvalue gap is evaluated as sqrt((|a|^2-|b|^2)^2 + 4<a,b>^2), which is
 free of the catastrophic cancellation that the equivalent sqrt(S^2 - rho0)
 suffers near the DDVV equality case; S^2 - rho0 itself is kept only as the
@@ -19,23 +25,21 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from minimal_gap_lab.errors import InvariantViolation
-from minimal_gap_lab.numdiff import (
-    first_derivative,
-    mixed_derivative,
-    second_derivative,
-)
 from minimal_gap_lab.surfaces import (
+    JET_ORDER_MAX,
     ImmersionSpec,
+    Jet,
     ShapePair,
+    Taylor,
+    adapted_frame,
     covariant_grad_h,
-    eval_jet,
+    jet_at,
+    second_fundamental_form,
     second_norm_field,
 )
 
 S_EPS = 1e-12                 # below this, the surface point is totally geodesic
 DDVV_SLACK_TOL = -1e-10       # slack may be this negative from rounding only
-LAPLACE_STEP = 1e-3           # finest sample spacing; refinements descend to it
-LAPLACE_DISAGREE_TOL = 1e-4
 B1_CROSS_TOL = 1e-4
 
 
@@ -166,108 +170,67 @@ def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
 # Laplace-Beltrami of scalar fields and the Simons route to B1
 # ---------------------------------------------------------------------------
 
-def _metric_christoffel(spec: ImmersionSpec, u, v):
-    """Inverse metric and Christoffel symbols, exact from order-2 jets."""
-    jet = eval_jet(spec, (u, v), order=2)
-    Xc = np.stack([jet.d(1, 0), jet.d(0, 1)], axis=-2)
-    second = {(0, 0): jet.d(2, 0), (0, 1): jet.d(1, 1),
-              (1, 0): jet.d(1, 1), (1, 1): jet.d(0, 2)}
-    g = np.einsum("...cx,...dx->...cd", Xc, Xc)
-    ginv = np.linalg.inv(g)
-    lead = g.shape[:-2]
-    dg = np.empty(lead + (2, 2, 2))    # dg[e, c, d] = d_e g_cd
-    for e in (0, 1):
-        for c in (0, 1):
-            for d in (0, 1):
-                dg[..., e, c, d] = (
-                    np.einsum("...x,...x->...", second[e, c], Xc[..., d, :])
-                    + np.einsum("...x,...x->...", Xc[..., c, :], second[e, d]))
-    # T[c, d, f] = d_c g_fd + d_d g_fc - d_f g_cd, using the c<->d symmetry
-    # of dg's trailing axes
-    T = dg + np.moveaxis(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    gamma = 0.5 * np.einsum("...ef,...cdf->...ecd", ginv, T)
-    return ginv, gamma
+def _metric_christoffel(jet: Jet):
+    """Inverse metric g^cd and contracted Christoffel symbols
+    gamma^e = g^cd Gamma^e_cd (all the Laplacian needs), points last, exact
+    from a jet of order >= 2."""
+    Xu, Xv = jet.rows(1, 0), jet.rows(0, 1)
+    E = np.einsum("x...,x...->...", Xu, Xu)
+    F = np.einsum("x...,x...->...", Xu, Xv)
+    G = np.einsum("x...,x...->...", Xv, Xv)
+    ginv = np.stack([np.stack([G, -F]), np.stack([-F, E])]) / (E * G - F * F)
+    # g^cd Gamma_{f,cd} = <g^cd d_c d_d X, d_f X>
+    trace = (ginv[0, 0] * jet.rows(2, 0) + 2.0 * ginv[0, 1] * jet.rows(1, 1)
+             + ginv[1, 1] * jet.rows(0, 2))
+    first_kind = np.stack([np.einsum("x...,x...->...", trace, Xu),
+                           np.einsum("x...,x...->...", trace, Xv)])
+    return ginv, np.einsum("ef...,f...->e...", ginv, first_kind)
 
 
-def laplace_beltrami(spec: ImmersionSpec, scalar_field, u, v,
-                     step: float = LAPLACE_STEP, refinements: int = 2):
-    """Chart Laplace-Beltrami of a scalar field at (u, v).
+def laplace_beltrami(jet: Jet, field: Taylor) -> np.ndarray:
+    """Chart Laplace-Beltrami g^cd f_cd - gamma^e f_e of a scalar field.
 
-    Metric terms and Christoffel symbols come exactly from jets; only the
-    field derivatives are Richardson-extrapolated central differences, with
-    `step` the finest sample spacing (the table starts at step * 2^refinements
-    and halves down to it, which keeps roundoff amplification at the 1/step^2
-    of the nominal step rather than of a finer one).
-    Returns (laplacian, fd_disagreement).
+    `field` is the field's degree-2 Taylor series at the jet's points: its
+    degree-1 coefficients are f_u, f_v and its degree-2 ones f_uu / 2, f_uv,
+    f_vv / 2.  The metric terms come exactly from the jet, so no step size
+    or truncation error enters.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    step = step * 2 ** refinements
-    ginv, gamma = _metric_christoffel(spec, u, v)
-
-    d1 = np.empty(u.shape + (2,))
-    d2 = np.empty(u.shape + (2, 2))
-    disagree = np.zeros(u.shape)
-
-    du_first, gap = first_derivative(lambda h: scalar_field(u + h, v), step,
-                                     refinements)
-    d1[..., 0] = du_first
-    disagree = np.maximum(disagree, gap)
-    dv_first, gap = first_derivative(lambda h: scalar_field(u, v + h), step,
-                                     refinements)
-    d1[..., 1] = dv_first
-    disagree = np.maximum(disagree, gap)
-
-    duu, gap = second_derivative(lambda h: scalar_field(u + h, v), step,
-                                 refinements)
-    d2[..., 0, 0] = duu
-    disagree = np.maximum(disagree, gap)
-    dvv, gap = second_derivative(lambda h: scalar_field(u, v + h), step,
-                                 refinements)
-    d2[..., 1, 1] = dvv
-    disagree = np.maximum(disagree, gap)
-    duv, gap = mixed_derivative(lambda hu, hv: scalar_field(u + hu, v + hv),
-                                step, refinements)
-    d2[..., 0, 1] = d2[..., 1, 0] = duv
-    disagree = np.maximum(disagree, gap)
-
-    lap = (np.einsum("...cd,...cd->...", ginv, d2)
-           - np.einsum("...cd,...ecd,...e->...", ginv, gamma, d1))
-    return lap, disagree
+    f = field.c
+    ginv, gamma = _metric_christoffel(jet)
+    # f_uu = 2 f[3], f_uv = f[4], f_vv = 2 f[5]
+    return (2.0 * (ginv[0, 0] * f[3] + ginv[0, 1] * f[4] + ginv[1, 1] * f[5])
+            - gamma[0] * f[1] - gamma[1] * f[2])
 
 
 @dataclass
 class SimonsB1:
-    """B1 recovered from the Simons identity, with its accuracy guard."""
+    """B1 recovered from the Simons identity."""
 
     b1: np.ndarray
     laplacian_S: np.ndarray
-    fd_disagreement: np.ndarray
-    trusted: np.ndarray            # disagreement below tolerance
 
 
-def b1_simons(spec: ImmersionSpec, point, invariants: PointInvariants | None = None,
-              step: float = LAPLACE_STEP) -> SimonsB1:
-    """B1 = (1/2) Lap S - 2 S + |A|^2 + rho0 via the chart Laplacian of S."""
-    u = np.asarray(point[0], dtype=float)
-    v = np.asarray(point[1], dtype=float)
+def b1_simons(spec: ImmersionSpec, point,
+              invariants: PointInvariants | None = None) -> SimonsB1:
+    """B1 = (1/2) Lap S - 2 S + |A|^2 + rho0 via the chart Laplacian of S.
+
+    `point` is (u, v) or a Jet of order JET_ORDER_MAX evaluated there; Lap S
+    comes from the degree-2 series of the frame-free S, never from grad h.
+    """
+    jet = jet_at(spec, point, JET_ORDER_MAX)
     if invariants is None:
-        from minimal_gap_lab.surfaces import adapted_frame, second_fundamental_form
-
-        jet = eval_jet(spec, (u, v), order=2)
         sp = second_fundamental_form(jet, adapted_frame(jet))
         invariants = point_invariants(sp, eig_check=False)
-    lap, disagree = laplace_beltrami(
-        spec, lambda uu, vv: second_norm_field(spec, uu, vv), u, v, step=step)
+    lap = laplace_beltrami(jet, second_norm_field(spec, jet, degree=2))
     b1 = 0.5 * lap - 2.0 * invariants.S + invariants.normA2 + invariants.rho0
-    return SimonsB1(b1=b1, laplacian_S=lap, fd_disagreement=disagree,
-                    trusted=disagree <= LAPLACE_DISAGREE_TOL)
+    return SimonsB1(b1=b1, laplacian_S=lap)
 
 
 def b1_cross_check(spec: ImmersionSpec, point) -> np.ndarray:
     """|B1(Simons route) - 4(|a1|^2 + |a2|^2)|; threshold B1_CROSS_TOL."""
-    grad = covariant_grad_h(spec, point)
+    jet = jet_at(spec, point, JET_ORDER_MAX)
+    grad = covariant_grad_h(spec, jet)
     direct = 4.0 * (np.einsum("...a,...a->...", grad.a1, grad.a1)
                     + np.einsum("...a,...a->...", grad.a2, grad.a2))
-    simons = b1_simons(spec, point)
+    simons = b1_simons(spec, jet)
     return np.abs(simons.b1 - direct)

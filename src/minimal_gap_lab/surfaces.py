@@ -1,12 +1,16 @@
-"""Immersion catalog, spec parsing, exact jets, adapted frames, and the
-second fundamental form with its first covariant derivative.
+"""Immersion catalog, spec parsing, exact jets, truncated Taylor series, adapted
+frames, and the second fundamental form with its first covariant derivative.
 
 Immersions are analytic: polynomial in (x, y, z) restricted to the unit
 2-sphere chart, or trigonometric polynomials in the torus chart angles.  All
 chart derivatives up to order 4 are therefore exact calculus (the only
-floating-point ingredient is coefficient rounding); finite differences enter
-only one layer up, when the frame construction itself is differentiated for
-the covariant gradient of h.
+floating-point ingredient is coefficient rounding).  Everything built on top
+of the jets is differentiated the same way: the frame construction, h and the
+frame-free S run on `Taylor` series in the chart offsets whose coefficients
+come straight from the jets.  The degree-1 coefficients give the chart
+derivatives of the frame and of h that the covariant gradient of h needs, and
+the degree-2 coefficients of S give its Laplacian; no finite difference is
+taken anywhere.
 
 Every array-valued operation is batch-native: chart parameters may be scalars
 or arrays of any shape, and all returned fields carry the same leading shape.
@@ -14,10 +18,13 @@ or arrays of any shape, and all returned fields carry the same leading shape.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +35,6 @@ from minimal_gap_lab.errors import (
     ValidationError,
 )
 from minimal_gap_lab.harmonics import unit_immersion_components
-from minimal_gap_lab.numdiff import richardson
 
 SPHERE, TORUS = "sphere", "torus"
 DEFAULT_POLE_MARGIN = 1e-3
@@ -62,29 +68,25 @@ class TrigPoly4:
             terms[key] = terms.get(key, 0.0) + float(coeff)
         return cls(terms)
 
-    def _apply_pair(self, slot_sin, slot_cos):
+    def _apply_pair(self, slot_sin):
+        """d/dangle for the (sin, cos) exponent pair at slot_sin, slot_sin + 1."""
         out = {}
         for exps, coeff in self.terms.items():
-            s, c = exps[slot_sin], exps[slot_cos]
+            s, c = exps[slot_sin], exps[slot_sin + 1]
+            head, tail = exps[:slot_sin], exps[slot_sin + 2:]
             if s:
-                e = list(exps)
-                e[slot_sin] -= 1
-                e[slot_cos] += 1
-                key = tuple(e)
+                key = head + (s - 1, c + 1) + tail
                 out[key] = out.get(key, 0.0) + coeff * s
             if c:
-                e = list(exps)
-                e[slot_cos] -= 1
-                e[slot_sin] += 1
-                key = tuple(e)
+                key = head + (s + 1, c - 1) + tail
                 out[key] = out.get(key, 0.0) - coeff * c
         return TrigPoly4(out)
 
     def diff_u(self):
-        return self._apply_pair(0, 1)
+        return self._apply_pair(0)
 
     def diff_v(self):
-        return self._apply_pair(2, 3)
+        return self._apply_pair(2)
 
     def eval(self, pows):
         """Evaluate on power tables pows[axis][exponent] -> array."""
@@ -92,9 +94,6 @@ class TrigPoly4:
         for (e0, e1, e2, e3), coeff in self.terms.items():
             total = total + coeff * pows[0][e0] * pows[1][e1] * pows[2][e2] * pows[3][e3]
         return total
-
-    def max_exp(self):
-        return tuple(max((e[i] for e in self.terms), default=0) for i in range(4))
 
 
 class TrigSeries:
@@ -146,34 +145,34 @@ class ImmersionSpec:
     euler_char: int
     components: list                # xyz monomial dicts (sphere) or term lists (torus)
     pole_margin: float = DEFAULT_POLE_MARGIN
-    _tables: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # every table up to JET_ORDER_MAX is built here, once, so evaluation
+        # (possibly from several worker threads) only ever reads them
+        if self.chart == SPHERE:
+            tables = {(0, 0): [TrigPoly4.from_xyz(c) for c in self.components]}
+        else:
+            tables = {(0, 0): [TrigSeries(c) for c in self.components]}
+        for total in range(1, JET_ORDER_MAX + 1):
+            for i in range(total, -1, -1):
+                j = total - i
+                if i > 0:
+                    tables[i, j] = [f.diff_u() for f in tables[i - 1, j]]
+                else:
+                    tables[i, j] = [f.diff_v() for f in tables[i, j - 1]]
+        self._tables = tables
 
     @property
     def codim(self) -> int:
         """Codimension q of the surface in S^N, N = ambient_dim - 1."""
         return self.ambient_dim - 3
 
-    def _base_functions(self):
-        if self.chart == SPHERE:
-            return [TrigPoly4.from_xyz(c) for c in self.components]
-        return [TrigSeries(c) for c in self.components]
-
     def derivative_table(self, order: int):
-        """Cached exact chart-derivatives: {(i, j): [per-component function]}."""
+        """Exact chart-derivatives {(i, j): [per-component function]}, all
+        orders up to JET_ORDER_MAX; `order` is only checked against it."""
         if order > JET_ORDER_MAX:
             raise DomainError(f"jet order {order} exceeds maximum {JET_ORDER_MAX}")
-        key = (0, 0)
-        if key not in self._tables:
-            self._tables[key] = self._base_functions()
-        for total in range(1, order + 1):
-            for i in range(total, -1, -1):
-                j = total - i
-                if (i, j) in self._tables:
-                    continue
-                if i > 0:
-                    self._tables[i, j] = [f.diff_u() for f in self._tables[i - 1, j]]
-                else:
-                    self._tables[i, j] = [f.diff_v() for f in self._tables[i, j - 1]]
         return self._tables
 
 
@@ -185,14 +184,19 @@ class Jet:
     u: np.ndarray
     v: np.ndarray
     order: int
-    derivs: dict                    # {(i, j): array (..., ambient_dim)}
+    derivs: dict                    # {(i, j): array (ambient_dim, ...)}, points last
 
     def d(self, i: int, j: int) -> np.ndarray:
+        """d_u^i d_v^j X with the points first: shape (..., ambient_dim)."""
+        return np.moveaxis(self.derivs[i, j], 0, -1)
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """d_u^i d_v^j X with the points last: shape (ambient_dim, ...)."""
         return self.derivs[i, j]
 
     @property
     def position(self) -> np.ndarray:
-        return self.derivs[0, 0]
+        return self.d(0, 0)
 
 
 def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
@@ -210,10 +214,10 @@ def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
     tables = spec.derivative_table(order)
     derivs = {}
     if spec.chart == SPHERE:
-        maxe = 0
-        for fs in tables.values():
-            for f in fs:
-                maxe = max(maxe, *f.max_exp())
+        # differentiation trades sin for cos powers of one angle, so no table
+        # has a power above the base table's sin + cos degree
+        maxe = max((max(e[0] + e[1], e[2] + e[3]) for f in tables[0, 0] for e in f.terms),
+                   default=0)
         base = [np.sin(u), np.cos(u), np.sin(v), np.cos(v)]
         pows = [[np.ones_like(b)] for b in base]
         for axis, b in enumerate(base):
@@ -223,14 +227,183 @@ def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
             if i + j > order:
                 continue
             vals = [np.broadcast_to(f.eval(pows), u.shape) for f in funcs]
-            derivs[i, j] = np.stack(vals, axis=-1).astype(float)
+            derivs[i, j] = np.stack(vals).astype(float)
     else:
         for (i, j), funcs in tables.items():
             if i + j > order:
                 continue
             vals = [np.broadcast_to(f.eval(u, v), u.shape) for f in funcs]
-            derivs[i, j] = np.stack(vals, axis=-1).astype(float)
+            derivs[i, j] = np.stack(vals).astype(float)
     return Jet(spec, u, v, order, derivs)
+
+
+def jet_at(spec: ImmersionSpec, point, order: int) -> Jet:
+    """`point` itself if it is already a Jet of at least `order`, else the
+    jet of that order at the chart parameters `point` = (u, v)."""
+    if isinstance(point, Jet):
+        if point.order < order:
+            raise DomainError(f"needs a jet of order >= {order}, got {point.order}")
+        return point
+    return eval_jet(spec, point, order=order)
+
+
+# ---------------------------------------------------------------------------
+# truncated bivariate Taylor series in the chart offsets
+# ---------------------------------------------------------------------------
+
+# exponents (a, b) of the monomials du^a dv^b, in coefficient-axis order
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_SIZE = (1, 3, 6)            # coefficient count of a series of degree 0, 1, 2
+
+
+@functools.lru_cache(maxsize=None)
+def _product_terms(is_series: tuple, size: int) -> tuple:
+    """For each output coefficient, the coefficient-index tuples whose
+    monomials multiply to it; a constant operand contributes index 0 only."""
+    degree = _SIZE.index(size)
+    terms = [[] for _ in range(size)]
+    for combo in itertools.product(*(range(size) if s else (0,) for s in is_series)):
+        a = sum(MONOMIALS[i][0] for i in combo)
+        b = sum(MONOMIALS[i][1] for i in combo)
+        if a + b <= degree:
+            terms[MONOMIALS.index((a, b))].append(combo)
+    return tuple(tuple(t) for t in terms)
+
+
+def _product(combine, *operands) -> "Taylor":
+    """combine(*operands) (a multilinear map) truncated at the series degree."""
+    is_series = tuple(isinstance(op, Taylor) for op in operands)
+    sizes = {len(op.c) for op, s in zip(operands, is_series) if s}
+    if len(sizes) != 1:
+        raise ValueError(f"Taylor operands of mixed degree: sizes {sorted(sizes)}")
+    size = sizes.pop()
+    out = None
+    for k, combos in enumerate(_product_terms(is_series, size)):
+        for n, combo in enumerate(combos):
+            args = [op.c[i] if s else op for op, s, i in zip(operands, is_series, combo)]
+            if out is None:
+                first = combine(*args)
+                out = np.empty((size,) + np.shape(first))
+                out[0] = first
+            elif n == 0:
+                combine(*args, out=out[k, ...])
+            else:
+                out[k] += combine(*args)
+    return Taylor(out)
+
+
+class Taylor:
+    """A field truncated at degree <= 2 in the chart offsets (du, dv).
+
+    `c[k]` is the coefficient of the k-th monomial of MONOMIALS (1, du, dv,
+    du^2, du dv, dv^2), so c[1] and c[2] are the first chart derivatives and
+    c[3], c[4], c[5] are f_uu / 2, f_uv and f_vv / 2.  `c` has the shape
+    (1, 3 or 6 coefficients, *value axes, *point axes): the points come last,
+    so every operation runs over long contiguous rows even when the value
+    axes are tiny.  Indexing and `einsum` subscripts address the value axes,
+    with a trailing `...` for the points.  numpy arrays and scalars enter as
+    constants, and every product is truncated at the series' own degree
+    (truncated Taylor arithmetic; Griewank & Walther, Evaluating
+    Derivatives, ch. 13).
+    """
+
+    __slots__ = ("c",)
+    __array_ufunc__ = None           # ndarray operators defer to ours
+
+    def __init__(self, c):
+        self.c = c
+
+    @classmethod
+    def lift(cls, jet: Jet, i: int, j: int, degree: int) -> "Taylor":
+        """The series of the chart derivative d_u^i d_v^j X read from the jet,
+        which must have order >= i + j + degree; value axis: the component."""
+        if degree == 0:
+            return cls(jet.rows(i, j)[None])
+        return cls(np.stack([
+            jet.rows(i + a, j + b) / (math.factorial(a) * math.factorial(b))
+            for a, b in MONOMIALS[:_SIZE[degree]]]))
+
+    @staticmethod
+    def einsum(subscripts: str, *operands) -> "Taylor":
+        return _product(functools.partial(np.einsum, subscripts), *operands)
+
+    @staticmethod
+    def stack(series) -> "Taylor":
+        """Stack along a new first value axis."""
+        return Taylor(np.stack([s.c for s in series], axis=1))
+
+    def truncate(self, degree: int) -> "Taylor":
+        return Taylor(self.c[:_SIZE[degree]])
+
+    def take(self, k: np.ndarray) -> "Taylor":
+        """Entry k[p] along the last value axis at each point p."""
+        axis = self.c.ndim - k.ndim - 1
+        index = k.reshape((1,) * (axis + 1) + k.shape)
+        return Taylor(np.take_along_axis(self.c, index, axis=axis).squeeze(axis))
+
+    def __getitem__(self, index) -> "Taylor":
+        if not isinstance(index, tuple):
+            index = (index,)
+        return Taylor(self.c[(slice(None),) + index])
+
+    def __neg__(self) -> "Taylor":
+        return Taylor(-self.c)
+
+    def __add__(self, other) -> "Taylor":
+        if isinstance(other, Taylor):
+            return Taylor(self.c + other.c)
+        head = self.c[0] + other
+        out = np.empty((len(self.c),) + head.shape)
+        out[0] = head
+        out[1:] = self.c[1:]
+        return Taylor(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Taylor":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "Taylor":
+        return (-self) + other
+
+    def __mul__(self, other) -> "Taylor":
+        return _product(np.multiply, self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Taylor":
+        if isinstance(other, Taylor):
+            return _quotient(self, other)
+        return _product(np.divide, self, other)
+
+    def __rtruediv__(self, other) -> "Taylor":
+        return _quotient(other, self)
+
+    def sqrt(self) -> "Taylor":
+        """r with r * r = self, coefficient by coefficient (self.c[0] > 0)."""
+        pairs = _product_terms((True, True), len(self.c))
+        r = [np.sqrt(self.c[0])]
+        for k in range(1, len(self.c)):
+            acc = self.c[k]
+            for i, j in pairs[k]:
+                if i != k and j != k:
+                    acc = acc - r[i] * r[j]
+            r.append(acc / (2.0 * r[0]))
+        return Taylor(np.stack(r))
+
+
+def _quotient(num, den: Taylor) -> Taylor:
+    """q = num / den from sum over i + j = k of q_i den_j = num_k; `num` may
+    be a constant."""
+    pairs = _product_terms((True, True), len(den.c))
+    q = []
+    for k in range(len(den.c)):
+        acc = num.c[k] if isinstance(num, Taylor) else (num if k == 0 else 0.0)
+        for i, j in pairs[k]:
+            if i != k:
+                acc = acc - q[i] * den.c[j]
+        q.append(acc / den.c[0])
+    return Taylor(np.stack(q))
 
 
 # -- catalog ------------------------------------------------------------------
@@ -434,13 +607,26 @@ def load_immersion(source, validate: bool = True) -> ImmersionSpec:
 # adapted frames
 # ---------------------------------------------------------------------------
 
+class FrameSeries(NamedTuple):
+    """The frame fields as Taylor series in the chart offsets, points last."""
+
+    e1: Taylor
+    e2: Taylor
+    xi: Taylor                      # value axes (q, C)
+    chart_to_frame: Taylor          # value axes (2, 2)
+
+
 @dataclass
 class FrameData:
     """Adapted orthonormal frame {X, e1, e2, xi_1..xi_q} plus connection data.
 
-    `chart_to_frame` is the 2x2 matrix L with e_i = L[i, c] d_c X; `omega12`
-    holds the Levi-Civita coefficients omega_12(e_k) and `omega_normal[k, b, a]`
-    the normal connection <D_{e_k} xi_b, xi_a>, both exact from the jets.
+    `chart_to_frame` is the 2x2 matrix L with e_i = L[i, c] d_c X.  `series`
+    holds the frame fields as Taylor series of degree min(jet order - 1, 1),
+    built with the pivot order frozen at their degree-0 coefficients, which
+    are the array fields.  From a jet of order >= 2, `omega12` holds the
+    Levi-Civita coefficients omega_12(e_k) and `omega_normal[k, b, a]` the
+    normal connection <D_{e_k} xi_b, xi_a>, both read exactly from the
+    degree-1 coefficients.
     """
 
     X: np.ndarray
@@ -451,160 +637,133 @@ class FrameData:
     metric: np.ndarray              # (..., 2, 2)
     sqrt_det_g: np.ndarray
     pivot_idx: np.ndarray           # (..., q) ambient axes used for the normals
+    series: FrameSeries
     omega12: np.ndarray | None = None         # (..., 2)
     omega_normal: np.ndarray | None = None    # (..., 2, q, q)
-    # chart derivatives of the frame fields, for downstream exact use
-    d_e1: np.ndarray | None = None          # (..., 2, C)
-    d_e2: np.ndarray | None = None
-    d_xi: np.ndarray | None = None          # (..., q, 2, C)
 
 
-def _dot(x, y):
-    return np.einsum("...c,...c->...", x, y)
+def _dot(x: Taylor, y: Taylor) -> Taylor:
+    return Taylor.einsum("c...,c...->...", x, y)
 
 
-def _normal_frame(X, e1, e2, q, pivot_idx=None,
-                  dX=None, d_e1=None, d_e2=None):
+def _points_first(a: np.ndarray, rank: int) -> np.ndarray:
+    """A points-last array with `rank` value axes, as a contiguous array with
+    the points first (the layout of every public field)."""
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(rank)), tuple(range(-rank, 0))))
+
+
+def _chart_hessian(jet: Jet, degree: int) -> Taylor:
+    """The series of d_c d_d X, value axes (c, d, C); needs order >= 2 + degree."""
+    Xuu, Xuv, Xvv = (Taylor.lift(jet, i, j, degree) for i, j in ((2, 0), (1, 1), (0, 2)))
+    return Taylor.stack([Taylor.stack([Xuu, Xuv]), Taylor.stack([Xuv, Xvv])])
+
+
+def _normal_frame(X: Taylor, e1: Taylor, e2: Taylor, q: int, pivot_idx=None):
     """Deterministic pivoted orthonormalization of the ambient complement.
 
-    With derivative arguments given (each (..., 2, C)), the chart derivatives
-    of the normal vectors are propagated exactly through the construction.
-    The pivot order may be frozen by passing `pivot_idx` so the frame field
-    stays smooth across a finite-difference stencil.
+    The pivot axes are chosen from the degree-0 coefficients, or given as
+    `pivot_idx` (points first), and frozen for the higher ones, so the
+    normal fields are smooth series in the chart offsets.
     """
-    lead = X.shape[:-1]
-    C = X.shape[-1]
-    with_d = dX is not None
-    basis = [X, e1, e2]
-    dbasis = [dX, d_e1, d_e2] if with_d else None
-    chosen = np.zeros(lead + (q,), dtype=np.int64)
-    xi = np.zeros(lead + (q, C))
-    dxi = np.zeros(lead + (q, 2, C)) if with_d else None
-    used = np.zeros(lead + (C,), dtype=bool)
-
+    C = X.c.shape[1]
+    points = X.c.shape[2:]
+    basis = np.empty(X.c.shape[:1] + (3 + q,) + X.c.shape[1:])
+    basis[:, 0], basis[:, 1], basis[:, 2] = X.c, e1.c, e2.c
+    chosen = np.zeros(points + (q,), dtype=np.int64)
+    used = np.zeros((C,) + points, dtype=bool)
     for slot in range(q):
+        done = Taylor(basis[:, :3 + slot])          # orthonormal so far
         if pivot_idx is None:
             # residual^2 of axis k against the current orthonormal basis
-            proj2 = sum(b[..., :] ** 2 for b in basis)
-            resid2 = 1.0 - proj2
-            resid2 = np.where(used, -np.inf, resid2)
-            k = np.argmax(resid2, axis=-1)
+            resid2 = 1.0 - np.sum(done.c[0] ** 2, axis=0)
+            k = np.argmax(np.where(used, -np.inf, resid2), axis=0)
         else:
             k = np.asarray(pivot_idx)[..., slot]
         chosen[..., slot] = k
-        np.put_along_axis(used, k[..., None], True, axis=-1)
+        np.put_along_axis(used, k[None], True, axis=0)
 
-        onehot = np.zeros(lead + (C,))
-        np.put_along_axis(onehot, k[..., None], 1.0, axis=-1)
-        v = onehot.copy()
-        dv = np.zeros(lead + (2, C)) if with_d else None
-        for idx, b in enumerate(basis):
-            coef = np.take_along_axis(b, k[..., None], axis=-1)[..., 0]
-            v = v - coef[..., None] * b
-            if with_d:
-                db = dbasis[idx]
-                dcoef = np.take_along_axis(db, k[..., None, None], axis=-1)[..., 0]
-                dv = dv - dcoef[..., None] * b[..., None, :] \
-                       - coef[..., None, None] * db
-        norm = np.sqrt(_dot(v, v))
-        if np.any(norm < 1e-8):
+        onehot = np.zeros((C,) + points)
+        np.put_along_axis(onehot, k[None], 1.0, axis=0)
+        v = onehot - Taylor.einsum("b...,bc...->c...", done.take(k), done)
+        norm = _dot(v, v).sqrt()
+        if np.any(norm.c[0] < 1e-8):
             raise FrameError("normal-frame orthonormalization degenerated")
-        vn = v / norm[..., None]
-        xi[..., slot, :] = vn
-        basis.append(vn)
-        if with_d:
-            vdv = np.einsum("...c,...kc->...k", v, dv)
-            dvn = dv / norm[..., None, None] \
-                - v[..., None, :] * (vdv / norm[..., None] ** 3)[..., None]
-            dxi[..., slot, :, :] = dvn
-            dbasis.append(dvn)
-    return xi, chosen, dxi
+        basis[:, 3 + slot] = (v / norm[None]).c
+    return Taylor(basis[:, 3:]), chosen
+
+
+def _connection_forms(series: FrameSeries):
+    """omega_t[k, m, i] = <D_{e_k} e_m, e_i> and omega_n[k, b, a] =
+    <D_{e_k} xi_b, xi_a> (points last) from the degree-1 coefficients, which
+    are the chart derivatives d_u, d_v of the frame; exactly skew."""
+    L = series.chart_to_frame.c[0]
+    de = np.stack([series.e1.c[1:], series.e2.c[1:]], axis=1)    # [c, m, C]
+    ee = np.stack([series.e1.c[0], series.e2.c[0]])              # [i, C]
+    omega_t = np.einsum("kc...,cmi...->kmi...", L,
+                        np.einsum("cmx...,ix...->cmi...", de, ee))
+    omega_n = np.einsum("kc...,cba...->kba...", L,
+                        np.einsum("cbx...,ax...->cba...", series.xi.c[1:],
+                                  series.xi.c[0]))
+    return (0.5 * (omega_t - np.swapaxes(omega_t, 1, 2)),
+            0.5 * (omega_n - np.swapaxes(omega_n, 1, 2)))
 
 
 def adapted_frame(jet: Jet, pivot_idx=None, rotate_tangent: float = 0.0) -> FrameData:
     """Orthonormal adapted frame from a jet of order >= 1.
 
-    Connection coefficients (omega12, omega_normal) and frame derivatives are
-    filled when the jet has order >= 2; they are exact, obtained by
-    differentiating the frame construction in closed form with the pivot
-    order frozen.
+    The construction runs once, on Taylor series of degree
+    min(jet order - 1, 1); a plain frame is its degree-0 case.  The
+    connection coefficients (omega12, omega_normal) are filled when the jet
+    has order >= 2: they come from the degree-1 coefficients of the
+    construction itself with the pivot order frozen, so they are exact.
     """
     if jet.order < 1:
         raise DomainError("adapted_frame needs a jet of order >= 1")
-    X = jet.d(0, 0)
-    Xu, Xv = jet.d(1, 0), jet.d(0, 1)
-    q = jet.spec.codim
+    degree = min(jet.order - 1, 1)
+    X = Taylor.lift(jet, 0, 0, degree)
+    Xu = Taylor.lift(jet, 1, 0, degree)
+    Xv = Taylor.lift(jet, 0, 1, degree)
 
     E = _dot(Xu, Xu)
     F = _dot(Xu, Xv)
     G = _dot(Xv, Xv)
-    detg = E * G - F * F
+    detg = E.c[0] * G.c[0] - F.c[0] * F.c[0]
     if np.any(detg <= 1e-14):
         raise FrameError("chart basis degenerate (metric determinant <= 1e-14)")
 
-    sqrtE = np.sqrt(E)
-    e1 = Xu / sqrtE[..., None]
+    sqrtE = E.sqrt()
+    e1 = Xu / sqrtE[None]
     proj = F / sqrtE                      # <Xv, e1>
-    w = Xv - proj[..., None] * e1
-    nw = np.sqrt(np.maximum(_dot(w, w), 0.0))
-    e2 = w / nw[..., None]
+    w = Xv - proj[None] * e1
+    nw = _dot(w, w).sqrt()
+    e2 = w / nw[None]
 
-    lead = X.shape[:-1]
-    L = np.zeros(lead + (2, 2))
-    L[..., 0, 0] = 1.0 / sqrtE
-    L[..., 1, 0] = -F / (E * nw)
-    L[..., 1, 1] = 1.0 / nw
-
-    with_d = jet.order >= 2
-    d_e1 = d_e2 = d_xi = omega12 = omega_normal = None
-    dX = None
-    if with_d:
-        Xuu, Xuv, Xvv = jet.d(2, 0), jet.d(1, 1), jet.d(0, 2)
-        dXu = np.stack([Xuu, Xuv], axis=-2)     # (..., 2, C): d_c Xu
-        dXv = np.stack([Xuv, Xvv], axis=-2)
-        dX = np.stack([Xu, Xv], axis=-2)
-
-        dE = 2.0 * np.einsum("...kc,...c->...k", dXu, Xu)
-        d_e1 = dXu / sqrtE[..., None, None] \
-            - Xu[..., None, :] * (dE / (2.0 * E * sqrtE)[..., None])[..., None]
-        dproj = np.einsum("...kc,...c->...k", dXv, e1) \
-            + np.einsum("...c,...kc->...k", Xv, d_e1)
-        dw = dXv - dproj[..., None] * e1[..., None, :] \
-            - proj[..., None, None] * d_e1
-        dnw = np.einsum("...c,...kc->...k", w, dw) / nw[..., None]
-        d_e2 = dw / nw[..., None, None] \
-            - w[..., None, :] * (dnw / nw[..., None] ** 2)[..., None]
+    inv_sqrtE = 1.0 / sqrtE
+    L = Taylor.stack([Taylor.stack([inv_sqrtE, 0.0 * inv_sqrtE]),
+                      Taylor.stack([-F / (E * nw), 1.0 / nw])])
 
     if rotate_tangent:
         ct, st = math.cos(rotate_tangent), math.sin(rotate_tangent)
         e1, e2 = ct * e1 + st * e2, -st * e1 + ct * e2
         rot = np.array([[ct, st], [-st, ct]])
-        L = np.einsum("ij,...jc->...ic", rot, L)
-        if with_d:
-            d_e1, d_e2 = ct * d_e1 + st * d_e2, -st * d_e1 + ct * d_e2
+        L = Taylor.einsum("ij,jc...->ic...", rot, L)
 
-    xi, chosen, d_xi = _normal_frame(
-        X, e1, e2, q, pivot_idx=pivot_idx,
-        dX=dX if with_d else None, d_e1=d_e1, d_e2=d_e2)
+    xi, chosen = _normal_frame(X, e1, e2, jet.spec.codim, pivot_idx=pivot_idx)
+    series = FrameSeries(e1, e2, xi, L)
 
-    if with_d:
-        # chart-direction coefficients, then convert to frame directions
-        omega12_chart = np.einsum("...kc,...c->...k", d_e1, e2)
-        omega12 = np.einsum("...ik,...k->...i", L, omega12_chart)
-        om_chart = np.einsum("...bkc,...ac->...kba", d_xi, xi)
-        omega_normal = np.einsum("...ik,...kba->...iba", L, om_chart)
-        # exact skew-symmetry of the connection of an orthonormal frame
-        omega_normal = 0.5 * (omega_normal - np.swapaxes(omega_normal, -1, -2))
+    omega12 = omega_normal = None
+    if degree:
+        omega_t, omega_n = _connection_forms(series)
+        omega12 = _points_first(omega_t[:, 0, 1], 1)
+        omega_normal = _points_first(omega_n, 3)
 
-    metric = np.zeros(lead + (2, 2))
-    metric[..., 0, 0] = E
-    metric[..., 0, 1] = metric[..., 1, 0] = F
-    metric[..., 1, 1] = G
+    metric = np.stack([np.stack([E.c[0], F.c[0]], axis=-1),
+                       np.stack([F.c[0], G.c[0]], axis=-1)], axis=-2)
     return FrameData(
-        X=X, e1=e1, e2=e2, xi=xi, chart_to_frame=L, metric=metric,
-        sqrt_det_g=np.sqrt(detg), pivot_idx=chosen,
+        X=_points_first(X.c[0], 1), e1=_points_first(e1.c[0], 1), e2=_points_first(e2.c[0], 1),
+        xi=_points_first(xi.c[0], 2), chart_to_frame=_points_first(L.c[0], 2),
+        metric=metric, sqrt_det_g=np.sqrt(detg), pivot_idx=chosen, series=series,
         omega12=omega12, omega_normal=omega_normal,
-        d_e1=d_e1, d_e2=d_e2, d_xi=d_xi,
     )
 
 
@@ -632,26 +791,22 @@ class ShapePair:
         return out
 
 
-def _h_components(jet: Jet, frame: FrameData) -> np.ndarray:
-    """h[..., i, j, alpha] = <D^2 X (e_i, e_j), xi_alpha> from exact jets."""
-    Xuu, Xuv, Xvv = jet.d(2, 0), jet.d(1, 1), jet.d(0, 2)
-    lead = Xuu.shape[:-1]
-    T = np.empty(lead + (2, 2) + Xuu.shape[-1:])
-    T[..., 0, 0, :] = Xuu
-    T[..., 0, 1, :] = T[..., 1, 0, :] = Xuv
-    T[..., 1, 1, :] = Xvv
-    normal_part = np.einsum("...cdx,...qx->...cdq", T, frame.xi)
-    L = frame.chart_to_frame
-    return np.einsum("...ic,...jd,...cdq->...ijq", L, L, normal_part)
+def _h_series(jet: Jet, frame: FrameData, degree: int) -> Taylor:
+    """h[i, j, alpha] = <D^2 X (e_i, e_j), xi_alpha> in the frozen-pivot
+    frame, as a series of the given degree (the jet needs order >= 2 + degree)."""
+    normal_part = Taylor.einsum("cdx...,ax...->cda...", _chart_hessian(jet, degree),
+                                frame.series.xi.truncate(degree))
+    L = frame.series.chart_to_frame.truncate(degree)
+    return Taylor.einsum("ic...,jd...,cda...->ija...", L, L, normal_part)
 
 
 def second_fundamental_form(jet: Jet, frame: FrameData) -> ShapePair:
     if jet.order < 2:
         raise DomainError("second fundamental form needs a jet of order >= 2")
-    h = _h_components(jet, frame)
-    residual = np.max(np.abs(h[..., 0, 0, :] + h[..., 1, 1, :]), axis=-1) \
-        if h.shape[-1] else np.zeros(h.shape[:-3])
-    return ShapePair(a=h[..., 0, 0, :], b=h[..., 0, 1, :],
+    h = _h_series(jet, frame, 0).c[0]
+    residual = np.max(np.abs(h[0, 0] + h[1, 1]), axis=0) \
+        if h.shape[2] else np.zeros(h.shape[3:])
+    return ShapePair(a=_points_first(h[0, 0], 1), b=_points_first(h[0, 1], 1),
                      minimality_residual=residual)
 
 
@@ -664,121 +819,86 @@ class CovariantGradH:
     grad3: np.ndarray              # (..., 2, 2, 2, q) all components h_ijk
     b1_direct: np.ndarray          # sum_ijk |h_ijk|^2
     codazzi_residual: np.ndarray
-    sym_residual: np.ndarray       # includes differentiated-trace residual
-    fd_disagreement: np.ndarray    # Richardson accuracy guard
 
 
 CODAZZI_TOL = 1e-6
 
 
-def covariant_grad_h(spec: ImmersionSpec, point, step: float = 1e-4,
-                     refinements: int = 2) -> CovariantGradH:
-    """Assemble h_ijk from Richardson-extrapolated chart derivatives of the
-    gauge-frozen frame construction plus connection correction terms.
+def covariant_grad_h(spec: ImmersionSpec, point, frame: FrameData | None = None
+                     ) -> CovariantGradH:
+    """Assemble h_ijk from the chart derivatives of h in the gauge-frozen frame
+    plus connection correction terms, all from one jet of order >= 3.
 
-    `step` is the finest sample spacing; the Richardson table descends to it.
+    `point` is (u, v) or such a Jet, and `frame` its adapted frame if the
+    caller already has it.  The chart derivatives of h, e_1, e_2 and xi are
+    the degree-1 coefficients of their Taylor series.
     """
-    step = step * 2 ** refinements
-    base_jet = eval_jet(spec, point, order=2)
-    base = adapted_frame(base_jet)
-    h0 = _h_components(base_jet, base)
-    q = spec.codim
-    lead = base.X.shape[:-1]
-    u, v = base_jet.u, base_jet.v
+    jet = jet_at(spec, point, 3)
+    if frame is None:
+        frame = adapted_frame(jet)
+    h = _h_series(jet, frame, 1)
+    h0 = h.c[0]                                        # [i, j, a]
+    L = frame.series.chart_to_frame.c[0]
+    omega_t, omega_n = _connection_forms(frame.series)
 
-    def fields_at(du, dv):
-        jet = eval_jet(spec, (u + du, v + dv), order=2)
-        fr = adapted_frame(jet, pivot_idx=base.pivot_idx)
-        return _h_components(jet, fr), fr.e1, fr.e2, fr.xi
-
-    steps = [step / 2 ** k for k in range(refinements + 1)]
-    d_h = np.zeros(lead + (2, 2, 2, q))       # [c, i, j, alpha]
-    d_e = {}
-    d_xi = np.zeros(lead + (2, q) + base.X.shape[-1:])
-    disagreement = np.zeros(lead)
-    for c in (0, 1):
-        plus, minus = [], []
-        for hstep in steps:
-            off = (hstep, 0.0) if c == 0 else (0.0, hstep)
-            plus.append(fields_at(*off))
-            minus.append(fields_at(-off[0], -off[1]))
-        for slot in range(4):
-            ests = [(p[slot] - m[slot]) / (2 * hstep)
-                    for p, m, hstep in zip(plus, minus, steps)]
-            val, gap = richardson(ests)
-            extra_axes = tuple(range(len(lead), gap.ndim))
-            gmax = np.max(np.abs(gap), axis=extra_axes, initial=0.0) \
-                if extra_axes else np.abs(gap)
-            disagreement = np.maximum(disagreement, gmax)
-            if slot == 0:
-                d_h[..., c, :, :, :] = val
-            elif slot in (1, 2):
-                d_e[c, slot] = val
-            else:
-                d_xi[..., c, :, :] = val
-
-    L = base.chart_to_frame
-    # tangential connection omega_t[k, m, i] = <D_{e_k} e_m, e_i>
-    d_e1 = np.stack([d_e[0, 1], d_e[1, 1]], axis=-2)   # (..., c, C)
-    d_e2 = np.stack([d_e[0, 2], d_e[1, 2]], axis=-2)
-    de = np.stack([d_e1, d_e2], axis=-3)               # (..., m, c, C)
-    ee = np.stack([base.e1, base.e2], axis=-2)         # (..., i, C)
-    omega_chart = np.einsum("...mkc,...ic->...kmi", de, ee)
-    omega_t = np.einsum("...lk,...kmi->...lmi", L, omega_chart)
-    omega_t = 0.5 * (omega_t - np.swapaxes(omega_t, -1, -2))
-
-    om_chart = np.einsum("...cbx,...ax->...cba", d_xi, base.xi)
-    omega_n = np.einsum("...lc,...cba->...lba", L, om_chart)
-    omega_n = 0.5 * (omega_n - np.swapaxes(omega_n, -1, -2))
-
-    ekh = np.einsum("...kc,...cija->...ijka", L, d_h)
+    ekh = np.einsum("kc...,cija...->ijka...", L, h.c[1:])
     grad3 = (
         ekh
-        + np.einsum("...mja,...kmi->...ijka", h0, omega_t)
-        + np.einsum("...ima,...kmj->...ijka", h0, omega_t)
-        + np.einsum("...ijb,...kba->...ijka", h0, omega_n)
+        + np.einsum("mja...,kmi...->ijka...", h0, omega_t)
+        + np.einsum("ima...,kmj...->ijka...", h0, omega_t)
+        + np.einsum("ijb...,kba...->ijka...", h0, omega_n)
     )
 
-    if q:
+    if spec.codim:
         codazzi = np.maximum(
-            np.max(np.abs(grad3 - np.swapaxes(grad3, -4, -2)), axis=(-4, -3, -2, -1)),
-            np.max(np.abs(grad3 - np.swapaxes(grad3, -3, -2)), axis=(-4, -3, -2, -1)),
+            np.max(np.abs(grad3 - np.swapaxes(grad3, 0, 2)), axis=(0, 1, 2, 3)),
+            np.max(np.abs(grad3 - np.swapaxes(grad3, 1, 2)), axis=(0, 1, 2, 3)),
         )
-        trace_res = np.max(
-            np.abs(grad3[..., 0, 0, :, :] + grad3[..., 1, 1, :, :]), axis=(-2, -1))
     else:
-        codazzi = np.zeros(lead)
-        trace_res = np.zeros(lead)
-    b1_direct = np.einsum("...ijka,...ijka->...", grad3, grad3)
+        codazzi = np.zeros(h0.shape[3:])
+    b1_direct = np.einsum("ijka...,ijka...->...", grad3, grad3)
+    grad3 = _points_first(grad3, 4)
     return CovariantGradH(
         a1=grad3[..., 0, 0, 0, :],
         a2=grad3[..., 0, 0, 1, :],
         grad3=grad3,
         b1_direct=b1_direct,
         codazzi_residual=codazzi,
-        sym_residual=np.maximum(codazzi, trace_res),
-        fd_disagreement=disagreement,
     )
 
 
 # ---------------------------------------------------------------------------
-# frame-free scalar fields (fast paths used by the Laplacian stencils)
+# the frame-free scalar field S
 # ---------------------------------------------------------------------------
 
-def second_norm_field(spec: ImmersionSpec, u, v) -> np.ndarray:
-    """S = |h|^2 without constructing a normal frame (gauge-free route)."""
-    jet = eval_jet(spec, (u, v), order=2)
-    X = jet.d(0, 0)
-    Xc = np.stack([jet.d(1, 0), jet.d(0, 1)], axis=-2)       # (..., c, C)
-    T = np.stack([
-        np.stack([jet.d(2, 0), jet.d(1, 1)], axis=-2),
-        np.stack([jet.d(1, 1), jet.d(0, 2)], axis=-2),
-    ], axis=-3)                                              # (..., c, d, C)
-    g = np.einsum("...cx,...dx->...cd", Xc, Xc)
-    ginv = np.linalg.inv(g)
+def _inverse2(g: Taylor) -> Taylor:
+    """Inverse of a field of 2x2 matrices, by the adjugate."""
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    adj = Taylor.stack([Taylor.stack([g[1, 1], -g[0, 1]]),
+                        Taylor.stack([-g[1, 0], g[0, 0]])])
+    return adj / det[None, None]
+
+
+def second_norm_field(spec: ImmersionSpec, point, degree: int = 0) -> Taylor:
+    """S = |h|^2 without constructing a normal frame (gauge-free route), as a
+    Taylor series of the given degree in the chart offsets.
+
+    `point` is (u, v) or a Jet of order >= 2 + degree.  The value at the
+    points is `.c[0]`; degree 2 carries all the Laplacian of S needs.
+    """
+    jet = jet_at(spec, point, 2 + degree)
+    X = Taylor.lift(jet, 0, 0, degree)
+    Xc = Taylor.stack([Taylor.lift(jet, 1, 0, degree),
+                       Taylor.lift(jet, 0, 1, degree)])                # [c, C]
+    T = _chart_hessian(jet, degree)                                  # [c, d, C]
+    ginv = _inverse2(Taylor.einsum("cx...,dx...->cd...", Xc, Xc))
     # project out position and tangential parts
-    t_coeff = np.einsum("...cdx,...ex->...cde", T, Xc)       # <X_cd, X_e>
+    t_coeff = Taylor.einsum("cdx...,ex...->cde...", T, Xc)          # <X_cd, X_e>
+    radial = Taylor.einsum("cdx...,x...->cd...", T, X)
     K = (T
-         - np.einsum("...cdx,...x->...cd", T, X)[..., None] * X[..., None, None, :]
-         - np.einsum("...cde,...ef,...fx->...cdx", t_coeff, ginv, Xc))
-    return np.einsum("...ik,...jl,...ijx,...klx->...", ginv, ginv, K, K)
+         - Taylor.einsum("cd...,x...->cdx...", radial, X)
+         - Taylor.einsum("cdf...,fx...->cdx...",
+                         Taylor.einsum("cde...,ef...->cdf...", t_coeff, ginv), Xc))
+    # S = g^ik g^jl <K_ij, K_kl> = sum_ij <A_ij, A_ji> with A = g^-1 K
+    A = Taylor.einsum("ik...,kjx...->ijx...", ginv, K)
+    return Taylor.einsum("ijx...,jix...->...", A, A)

@@ -40,6 +40,29 @@ def mixed_torus():
 
 
 @pytest.fixture(scope="session")
+def rotated_mixed_torus():
+    """The mixed torus with its components mixed by a seeded Haar O(4)
+    rotation, so every component carries all eight trigonometric terms."""
+    import numpy as np
+
+    from minimal_gap_lab.surfaces import parse_spec_dict
+
+    rng = np.random.default_rng(2601)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    rotation = q * np.sign(np.diag(r))
+    components = []
+    for row in rotation:
+        merged = {}
+        for weight, comp in zip(row, MIXED_TORUS_DOC["components"]):
+            for term in comp:
+                key = (term["type"], tuple(term["freq"]))
+                merged[key] = merged.get(key, 0.0) + float(weight) * term["coeff"]
+        components.append([{"coeff": c, "type": kind, "freq": list(freq)}
+                           for (kind, freq), c in sorted(merged.items())])
+    return parse_spec_dict(dict(MIXED_TORUS_DOC, components=components))
+
+
+@pytest.fixture(scope="session")
 def bundle(mixed_torus):
     """Per-surface (spec, grid, fields, report, certificate), computed once."""
     from minimal_gap_lab.gaps import certify

@@ -53,6 +53,15 @@ def test_identities_corrupted_coefficient_exits_one(capsys, monkeypatch):
     assert "1  1" in err        # dump of S - 1: "1  1" then "-1  0"
 
 
+def test_verify_fine_polar_grid_near_the_pole_margin(capsys):
+    # the nodes nearest the poles sit ~4.7e-3 from them, a few multiples of
+    # the 1e-3 pole margin; nothing may step across the margin
+    code, out, err = run_cli(capsys, "verify", "--surface", "veronese",
+                             "--resolution", "512x8")
+    assert code == 0, err
+    assert "nodes: 4096" in out
+
+
 def test_verify_calabi3_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--surface", "calabi3",
                            "--resolution", "16x32")

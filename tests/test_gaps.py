@@ -210,8 +210,7 @@ def test_main5_coupled_synthetic_coverage():
     zeros = np.zeros(n)
     fields = SurfaceFields(
         inv=inv, b1_simons=zeros, b1_direct=zeros, b1_cross=zeros,
-        delta_S=zeros, codazzi_residual=zeros, grad_fd_disagreement=zeros,
-        laplace_disagreement=zeros, flagged=zeros.astype(bool))
+        delta_S=zeros, codazzi_residual=zeros, flagged=zeros.astype(bool))
     spec = SimpleNamespace(chart="torus", euler_char=0, name="synthetic")
     report = SimpleNamespace(bound_445=1.5, area=10.0)
     cert = certify(spec, fields, report, raise_on_violation=False)
@@ -235,8 +234,7 @@ def test_bryant_exclusion_violation_detected():
     zeros = np.zeros(n)
     fields = SurfaceFields(
         inv=inv, b1_simons=zeros, b1_direct=zeros, b1_cross=zeros,
-        delta_S=zeros, codazzi_residual=zeros, grad_fd_disagreement=zeros,
-        laplace_disagreement=zeros, flagged=zeros.astype(bool))
+        delta_S=zeros, codazzi_residual=zeros, flagged=zeros.astype(bool))
     spec = SimpleNamespace(chart="torus", euler_char=0, name="impossible")
     report = SimpleNamespace(bound_445=1.0, area=10.0)
     cert = certify(spec, fields, report, raise_on_violation=False)

@@ -1,16 +1,18 @@
 """Tests for quadrature grids, integration, and the integral identities."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from minimal_gap_lab.errors import InvariantViolation
+from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.geoquad import (
     build_grid,
     evaluate_fields,
     integral_report,
     integrate,
+    pool_size,
 )
 from minimal_gap_lab.invariants import PointInvariants
 from minimal_gap_lab.surfaces import catalog_entry
@@ -46,10 +48,31 @@ def test_weights_positive_and_nodes_inside_margin():
 
 
 def test_resolution_gate():
-    from minimal_gap_lab.errors import DomainError
-
     with pytest.raises(DomainError):
         build_grid(catalog_entry("clifford"), (4, 64))
+
+
+def test_polar_nodes_inside_pole_margin_rejected(monkeypatch):
+    # at the default margin 1e-3, 2400 Gauss-Legendre nodes still clear the
+    # poles and 2500 do not; the grid must be refused before any jet is taken
+    spec = catalog_entry("veronese")
+    assert build_grid(spec, (2400, 8)).node_count == 2400 * 8
+
+    def no_jets(*args, **kwargs):
+        raise AssertionError("a jet was evaluated")
+
+    monkeypatch.setattr("minimal_gap_lab.geoquad.eval_jet", no_jets)
+    with pytest.raises(DomainError) as err:
+        build_grid(spec, (2500, 8))
+    assert "--resolution" in str(err.value)
+
+
+def test_pool_size_is_bounded():
+    cpus = os.cpu_count() or 1
+    assert pool_size(10 ** 6, 3) == min(cpus, 3)
+    assert pool_size(10 ** 6, 10 ** 6) == cpus
+    assert pool_size(1, 8) == 1
+    assert pool_size(0, 8) == 1
 
 
 def test_integrate_rejects_nan():
@@ -136,6 +159,14 @@ def test_fields_worker_chunking_is_exact(mixed_torus):
     assert np.array_equal(f1.flagged, f3.flagged)
 
 
+@pytest.mark.parametrize("name", ["equator", "veronese", "calabi3", "calabi4",
+                                  "clifford"])
+def test_b1_routes_agree_to_rounding(name, bundle):
+    # both routes are exact up to rounding, so they agree far below the
+    # b1_cross guard of 1e-4
+    assert np.max(bundle(name).fields.b1_cross) <= 1e-9
+
+
 def test_quadrature_convergence_on_synthetic_field():
     # a smooth non-polynomial integrand on the veronese chart; halving the
     # mesh must cut the error at least 4x until the floor
@@ -184,8 +215,7 @@ def test_nonnegativity_guard_trips_on_forged_fields():
 
     forged = SurfaceFields(
         inv=inv, b1_simons=zeros, b1_direct=zeros, b1_cross=zeros,
-        delta_S=zeros, codazzi_residual=zeros, grad_fd_disagreement=zeros,
-        laplace_disagreement=zeros, flagged=zeros.astype(bool))
+        delta_S=zeros, codazzi_residual=zeros, flagged=zeros.astype(bool))
     with pytest.raises(InvariantViolation) as err:
         integral_report(spec, grid, forged)
     assert "nonnegativity" in str(err.value)

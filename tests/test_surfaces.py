@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from minimal_gap_lab.errors import DomainError, ParseError, ValidationError
-from minimal_gap_lab.invariants import laplace_beltrami
 from minimal_gap_lab.surfaces import (
     CATALOG_NAMES,
+    JET_ORDER_MAX,
+    Taylor,
     adapted_frame,
     catalog_entry,
     covariant_grad_h,
@@ -21,6 +22,8 @@ from minimal_gap_lab.surfaces import (
     serialize_spec,
     validate_spec,
 )
+
+from fd_oracle import frozen_frame_grad3, laplace_beltrami
 
 SPHERE_PTS = (np.array([0.6, 1.4, 2.3]), np.array([0.3, 2.0, 5.1]))
 TORUS_PTS = (np.array([0.5, 3.0, 5.5]), np.array([1.0, 2.2, 4.4]))
@@ -86,6 +89,21 @@ def test_unit_image_on_dense_grid(name):
     assert np.max(np.abs(np.einsum("...c,...c->...", X, X) - 1.0)) < 1e-12
 
 
+def test_derivative_tables_complete_at_construction(mixed_torus):
+    for spec in (catalog_entry("calabi4"), mixed_torus):
+        tables = spec.derivative_table(0)
+        expected = {(i, n - i) for n in range(JET_ORDER_MAX + 1) for i in range(n + 1)}
+        assert set(tables) == expected
+        before = {key: list(funcs) for key, funcs in tables.items()}
+        eval_jet(spec, _points(spec), order=JET_ORDER_MAX)
+        after = spec.derivative_table(JET_ORDER_MAX)
+        assert after is tables
+        assert set(after) == expected
+        assert all(after[key] == funcs for key, funcs in before.items())
+    with pytest.raises(DomainError):
+        catalog_entry("clifford").derivative_table(JET_ORDER_MAX + 1)
+
+
 # ---------------------------------------------------------------- jets
 
 def test_clifford_first_derivatives_have_norm_inv_sqrt2():
@@ -131,6 +149,47 @@ def test_veronese_jets_satisfy_eigenmap_identity():
 
         lap, _ = laplace_beltrami(spec, f, u, v)
         assert np.max(np.abs(lap + 2.0 * f(u, v))) < 1e-9
+
+
+# ---------------------------------------------------------- Taylor series
+
+def _series(rng, shape, degree):
+    """A random series with positive values, so it can be divided and rooted."""
+    c = rng.standard_normal(((1, 3, 6)[degree],) + shape)
+    c[0] = 1.0 + np.abs(c[0])
+    return Taylor(c)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_taylor_field_operations(degree):
+    rng = np.random.default_rng(degree)
+    a = _series(rng, (3, 5), degree)
+    b = _series(rng, (3, 5), degree)
+    one = (a * (1.0 / a)).c
+    assert np.max(np.abs(one[0] - 1.0)) < 1e-14
+    assert np.max(np.abs(one[1:]), initial=0.0) < 1e-13
+    assert np.max(np.abs((a / b * b - a).c)) < 1e-12
+    assert np.max(np.abs((a.sqrt() * a.sqrt() - a).c)) < 1e-12
+    assert np.max(np.abs((a - b + b - a).c)) < 1e-14
+    dot = Taylor.einsum("c...,c...->...", a, b)
+    assert np.max(np.abs(dot.c - (a * b).c.sum(axis=1))) < 1e-13
+
+
+def test_taylor_product_coefficients_are_its_derivatives():
+    # x = u^2 + 3 v and y = u v - 1 around (u, v) = (2, 1); their product
+    # f = u^3 v + 3 u v^2 - u^2 - 3 v has coefficients f, f_u, f_v,
+    # f_uu / 2, f_uv, f_vv / 2
+    u0, v0 = 2.0, 1.0
+    x = Taylor(np.array([u0 ** 2 + 3 * v0, 2 * u0, 3.0, 1.0, 0.0, 0.0]))
+    y = Taylor(np.array([u0 * v0 - 1, v0, u0, 0.0, 1.0, 0.0]))
+    assert np.allclose((x * y).c, [
+        u0 ** 3 * v0 + 3 * u0 * v0 ** 2 - u0 ** 2 - 3 * v0,
+        3 * u0 ** 2 * v0 + 3 * v0 ** 2 - 2 * u0,
+        u0 ** 3 + 6 * u0 * v0 - 3,
+        (6 * u0 * v0 - 2) / 2,
+        3 * u0 ** 2 + 6 * v0,
+        6 * u0 / 2,
+    ], rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------- frames
@@ -189,7 +248,7 @@ def test_equator_totally_geodesic():
     jet = eval_jet(spec, SPHERE_PTS, order=2)
     sp = second_fundamental_form(jet, adapted_frame(jet))
     assert sp.a.shape[-1] == 0
-    assert np.max(second_norm_field(spec, *SPHERE_PTS)) < 1e-12
+    assert np.max(second_norm_field(spec, SPHERE_PTS).c[0]) < 1e-12
 
 
 @pytest.mark.parametrize("name,S_expected", [
@@ -235,7 +294,7 @@ def test_second_norm_field_matches_frame_route():
         sp = second_fundamental_form(jet, adapted_frame(jet))
         S_frame = 2.0 * (np.einsum("nq,nq->n", sp.a, sp.a)
                          + np.einsum("nq,nq->n", sp.b, sp.b))
-        assert np.max(np.abs(S_frame - second_norm_field(spec, *pts))) < 1e-12
+        assert np.max(np.abs(S_frame - second_norm_field(spec, pts).c[0])) < 1e-12
 
 
 # ------------------------------------------------- covariant gradient of h
@@ -265,10 +324,18 @@ def test_calabi3_b1_value():
     assert np.all(grad.b1_direct >= 0.0)
 
 
+@pytest.mark.parametrize("name", ["calabi3", "mixed_torus"])
+def test_taylor_grad3_matches_fd_of_frozen_frame(name, mixed_torus):
+    spec = mixed_torus if name == "mixed_torus" else catalog_entry(name)
+    pts = (np.array([0.25, 1.3, 2.9]), np.array([0.6, 2.1, 5.2]))
+    grad3 = covariant_grad_h(spec, pts).grad3
+    assert np.max(np.abs(grad3)) > 0.1
+    assert np.max(np.abs(grad3 - frozen_frame_grad3(spec, pts))) < 1e-9
+
+
 def test_fd_connection_matches_exact_connection():
-    # the analytic omega12 from the jet agrees with what the h_ijk assembly
-    # recovers by finite differences, as evidenced by Codazzi closure; here
-    # check omega12 itself against a direct finite difference of e1
+    # the exact omega12, read from the frame's degree-1 Taylor coefficients,
+    # agrees with a direct finite difference of e1 in the frozen-pivot frame
     spec = catalog_entry("calabi3")
     u0, v0 = 1.2, 0.9
     jet = eval_jet(spec, (u0, v0), order=2)
@@ -368,7 +435,7 @@ def test_mixed_frequency_minimal_torus_validates(mixed_torus):
     # non-constant on it, unlike every catalog entry
     residuals = validate_spec(mixed_torus)
     assert residuals["minimality_residual"] < 1e-12
-    S = second_norm_field(mixed_torus, *TORUS_PTS)
+    S = second_norm_field(mixed_torus, TORUS_PTS).c[0]
     assert np.max(S) - np.min(S) > 0.5
 
 
