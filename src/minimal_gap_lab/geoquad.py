@@ -36,6 +36,7 @@ from minimal_gap_lab.surfaces import (
 
 DEFAULT_RESOLUTION = {"sphere": (64, 128), "torus": (64, 64)}
 GAP_NONNEG_TOL = 1e-6
+NODE_CHUNK = 16384      # nodes per chunk at most: bounds the per-chunk arrays
 
 
 @dataclass
@@ -178,22 +179,30 @@ def pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, chunks))
 
 
+def chunk_slices(nodes: int, workers: int) -> list[slice]:
+    """The chunks of a grid of `nodes` nodes, as contiguous node ranges: at
+    most `NODE_CHUNK` nodes each, and at least one per worker thread."""
+    chunks = max(math.ceil(nodes / NODE_CHUNK), pool_size(workers, nodes))
+    bounds = np.linspace(0, nodes, chunks + 1).astype(int)
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
 def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
                     workers: int = 1,
                     codazzi_tol: float = CODAZZI_TOL,
                     b1_cross_tol: float = B1_CROSS_TOL) -> SurfaceFields:
     """Evaluate every pointwise field at every grid node.
 
-    Node evaluation is pure, so the grid may be chunked across any number of
-    workers; chunks are merged back in node order, making the result
-    independent of the worker count.  At most `pool_size` threads run them.
+    Node evaluation is pure, so the grid is split by `chunk_slices`, which
+    bounds the memory of one chunk whatever the worker count; chunks are
+    merged back in node order, making the result independent of the split.
+    At most `pool_size` threads run them.
     """
     workers = max(1, int(workers))
     tols = dict(codazzi_tol=codazzi_tol, b1_cross_tol=b1_cross_tol)
-    if workers == 1 or grid.node_count < 2 * workers:
+    slices = chunk_slices(grid.node_count, workers)
+    if len(slices) == 1:
         return _fields_chunk(spec, grid.u, grid.v, **tols)
-    bounds = np.linspace(0, grid.node_count, workers + 1).astype(int)
-    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ThreadPoolExecutor(max_workers=pool_size(workers, len(slices))) as pool:
         chunks = list(pool.map(
             lambda s: _fields_chunk(spec, grid.u[s], grid.v[s], **tols), slices))

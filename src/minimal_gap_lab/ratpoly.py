@@ -4,6 +4,14 @@ This is the kernel under every symbolic identity check: all coefficients are
 `fractions.Fraction` (arbitrary precision, always in lowest terms, positive
 denominator), so a polynomial is zero if and only if its term map is empty.
 Zero-testing is a structural decision, never a probabilistic one.
+
+Only the public constructor `RatPoly(vars, terms)` validates: it is the input
+boundary, and it checks every exponent tuple and coefficient.  Arithmetic
+builds its results in canonical form directly and wraps them unchecked.  A sum
+goes back through the constructor only when a coefficient cancelled, since a
+variable may then be unused.  A product of nonzero factors never loses a
+variable: the rationals are an integral domain, so deg_x(pq) = deg_x p +
+deg_x q, and a product is zero only when a factor is.
 """
 
 from __future__ import annotations
@@ -28,9 +36,9 @@ class RatPoly:
     """Sparse polynomial with rational coefficients in canonical form.
 
     Canonical form: variables are sorted by name, variables that occur in no
-    term are dropped, no term has a zero coefficient, and iteration order is
-    graded lexicographic (highest total degree first).  Two RatPoly values are
-    mathematically equal iff they are structurally equal.
+    term are dropped, and no term has a zero coefficient; `sorted_terms` lists
+    the terms in graded lexicographic order (highest total degree first).  Two
+    RatPoly values are mathematically equal iff they are structurally equal.
     """
 
     __slots__ = ("vars", "terms")
@@ -55,6 +63,15 @@ class RatPoly:
         order = sorted(used, key=lambda i: variables[i])
         self.vars = tuple(variables[i] for i in order)
         self.terms = {tuple(e[i] for i in order): c for e, c in cleaned.items()}
+
+    @classmethod
+    def _canonical(cls, variables: tuple, terms: dict) -> "RatPoly":
+        """Wrap terms already in canonical form, unchecked: nonzero `Fraction`
+        coefficients, sorted `variables`, each one used by some term."""
+        poly = object.__new__(cls)
+        poly.vars = variables
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -90,13 +107,16 @@ class RatPoly:
 
     @staticmethod
     def _aligned(p: "RatPoly", q: "RatPoly"):
-        """Remap both term maps onto the union variable tuple."""
+        """Remap both term maps onto the union variable tuple; an operand
+        already on it is passed through uncopied."""
         if p.vars == q.vars:
             return p.vars, p.terms, q.terms
         union = tuple(sorted(set(p.vars) | set(q.vars)))
         index = {name: i for i, name in enumerate(union)}
 
         def remap(poly):
+            if poly.vars == union:
+                return poly.terms
             pos = [index[name] for name in poly.vars]
             out = {}
             for exps, coeff in poly.terms.items():
@@ -116,15 +136,26 @@ class RatPoly:
     def __add__(self, other):
         other = self._coerce(other)
         union, a, b = self._aligned(self, other)
+        if len(a) < len(b):
+            a, b = b, a
         out = dict(a)
+        cancelled = False
         for exps, coeff in b.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return RatPoly(union, out)
+            acc = out.get(exps)
+            if acc is not None:
+                coeff += acc
+                if not coeff:
+                    del out[exps]
+                    cancelled = True
+                    continue
+            out[exps] = coeff
+        # a cancelled term may have used the last power of some variable
+        return RatPoly(union, out) if cancelled else RatPoly._canonical(union, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return RatPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -134,6 +165,8 @@ class RatPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if not self.terms or not other.terms:
+            return RatPoly.zero()
         union, a, b = self._aligned(self, other)
         out = {}
         for e1, c1 in a.items():
@@ -141,13 +174,15 @@ class RatPoly:
                 key = tuple(x + y for x, y in zip(e1, e2))
                 acc = out.get(key)
                 out[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return RatPoly(union, out)
+        # terms may cancel, but no variable vanishes from a nonzero product
+        return RatPoly._canonical(union, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         scalar = _as_rational(scalar)
-        return RatPoly(self.vars, {e: c / scalar for e, c in self.terms.items()})
+        return RatPoly._canonical(self.vars,
+                                  {e: c / scalar for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -163,10 +198,14 @@ class RatPoly:
 
     def __eq__(self, other):
         if not isinstance(other, RatPoly):
+            if not isinstance(other, (int, _RationalABC)):
+                return NotImplemented
             other = RatPoly.constant(other)
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        if not self.vars:        # a constant equals, so hashes as, its value
+            return hash(self.terms.get((), 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- calculus / evaluation ----------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.geoquad import (
+    NODE_CHUNK,
     build_grid,
+    chunk_slices,
     evaluate_fields,
     integral_report,
     integrate,
@@ -73,6 +75,27 @@ def test_pool_size_is_bounded():
     assert pool_size(10 ** 6, 10 ** 6) == cpus
     assert pool_size(1, 8) == 1
     assert pool_size(0, 8) == 1
+
+
+def _chunk_sizes(nodes, workers):
+    slices = chunk_slices(nodes, workers)
+    # contiguous, in node order, covering every node once
+    assert slices[0].start == 0 and slices[-1].stop == nodes
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    return [s.stop - s.start for s in slices]
+
+
+def test_chunk_slices_follow_the_node_budget():
+    cpus = os.cpu_count() or 1
+    # 96x192 at two workers: two chunks of 9216 nodes, as before the budget
+    assert _chunk_sizes(96 * 192, 2) == [9216, 9216]
+    assert _chunk_sizes(NODE_CHUNK, 1) == [NODE_CHUNK]
+    # one worker no longer means one chunk: memory stays bounded
+    sizes = _chunk_sizes(192 * 384, 1)
+    assert len(sizes) == 5 and max(sizes) <= NODE_CHUNK
+    # many workers on a small grid: one chunk per thread, not per worker
+    assert len(_chunk_sizes(32 * 64, 400)) == min(cpus, 400)
+    assert len(_chunk_sizes(3, 10 ** 6)) == min(cpus, 3)
 
 
 def test_integrate_rejects_nan():
@@ -149,14 +172,19 @@ def test_main6_specialization_on_two_spheres(bundle):
         assert abs(b.report.max_u - bound) < 1e-6   # attained on this catalog
 
 
-def test_fields_worker_chunking_is_exact(mixed_torus):
+def test_fields_worker_chunking_is_exact(mixed_torus, monkeypatch):
     grid = build_grid(mixed_torus, (16, 16))
     f1 = evaluate_fields(mixed_torus, grid, workers=1)
     f3 = evaluate_fields(mixed_torus, grid, workers=3)
-    assert np.array_equal(f1.inv.S, f3.inv.S)
-    assert np.array_equal(f1.b1_direct, f3.b1_direct)
-    assert np.array_equal(f1.b1_simons, f3.b1_simons)
-    assert np.array_equal(f1.flagged, f3.flagged)
+    # one worker, three chunks of the node budget
+    monkeypatch.setattr("minimal_gap_lab.geoquad.NODE_CHUNK", 100)
+    assert len(chunk_slices(grid.node_count, 1)) == 3
+    fb = evaluate_fields(mixed_torus, grid, workers=1)
+    for f in (f3, fb):
+        assert np.array_equal(f1.inv.S, f.inv.S)
+        assert np.array_equal(f1.b1_direct, f.b1_direct)
+        assert np.array_equal(f1.b1_simons, f.b1_simons)
+        assert np.array_equal(f1.flagged, f.flagged)
 
 
 @pytest.mark.parametrize("name", ["equator", "veronese", "calabi3", "calabi4",

@@ -23,6 +23,7 @@ from minimal_gap_lab.identities import (
     check_third_order_contractions,
     dot,
     norm2,
+    run_identity_suite,
 )
 from minimal_gap_lab.ratpoly import RatPoly
 
@@ -271,6 +272,14 @@ def test_suite_shape_and_verdicts(identity_suite):
     assert len(reports) == 6 * 13
     assert all_proved(reports)
     assert {r.q for r in reports} == {1, 2, 3, 4, 5, 6}
+
+
+def test_suite_proves_all_91_identities_to_q7():
+    # the `identities --qmax 7` workload of the benchmark
+    reports = run_identity_suite(qmax=7)
+    assert len(reports) == 7 * 13 == 91
+    assert all_proved(reports)
+    assert {r.q for r in reports} == set(range(1, 8))
 
 
 def test_failure_reporting_carries_residual():

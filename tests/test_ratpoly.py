@@ -74,6 +74,48 @@ def test_exponent_length_mismatch_rejected():
         RatPoly(("x", "y"), {(1,): Fraction(1)})
 
 
+def test_constructor_rejects_bad_terms():
+    with pytest.raises(TypeError):
+        RatPoly(("x",), {(1,): 0.5})
+    with pytest.raises(ValueError):
+        RatPoly(("x",), {(-1,): 1})
+    with pytest.raises(TypeError):
+        x / 0.5
+
+
+def test_cancellation_drops_variables():
+    assert (x + y - x).vars == ("y",)
+    assert x + y - x == y
+    assert (x * y + z - x * y).vars == ("z",)
+    assert (x - x).vars == ()
+    assert x - x == RatPoly.zero()
+
+
+def test_zero_product_has_no_variables():
+    for r in (0 * x, x * 0, RatPoly.zero() * (x + y), x * (y - y)):
+        assert r == RatPoly.zero()
+        assert r.vars == ()
+
+
+def test_equality_with_inexact_operands_is_false():
+    assert not x == None          # noqa: E711 -- the operator is under test
+    assert x != None              # noqa: E711
+    assert not x == 0.5
+    assert x != 0.5
+    assert x not in [None, 0.5, "x"]
+    assert not RatPoly.constant(1) == 1.0
+
+
+def test_constant_hashes_as_its_value():
+    for value in (0, 2, -7, Fraction(3, 4)):
+        c = RatPoly.constant(value)
+        assert c == value
+        assert hash(c) == hash(value)
+    assert {RatPoly.constant(2): "two"}[2] == "two"
+    assert {Fraction(1, 2)} == {RatPoly.constant(Fraction(1, 2))}
+    assert hash(RatPoly.zero()) == hash(0)
+
+
 def test_dump_format_golden():
     p = Fraction(3, 2) * x ** 2 * y - z + 5
     assert p.dump() == "3/2  2  1  0\n-1  0  0  1\n5  0  0  0"
@@ -89,17 +131,50 @@ def _random_poly(rng, names=("x", "y", "z"), max_terms=4, max_exp=3):
 
 
 small_coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-small_poly = st.builds(
-    lambda pairs: RatPoly(("x", "y"), dict(pairs)),
-    st.lists(
-        st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), small_coeff),
-        max_size=4,
-    ),
-)
+
+
+@st.composite
+def small_poly(draw):
+    """A polynomial in a random subset of {x, y, z}, listed in random order,
+    so operands are remapped onto their union; zero and constants included."""
+    names = draw(st.lists(st.sampled_from("xyz"), unique=True, max_size=3))
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    return RatPoly(names, dict(draw(st.lists(st.tuples(exps, small_coeff),
+                                             max_size=4))))
+
+
+def assert_canonical(r):
+    assert r == RatPoly(r.vars, r.terms)
+    assert list(r.vars) == sorted(r.vars)
+    assert all(len(e) == len(r.vars) for e in r.terms)
+    assert all(any(e[i] for e in r.terms) for i in range(len(r.vars)))
+    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+
+
+def _to_sympy(p):
+    syms = sympy.symbols(p.vars) if p.vars else ()
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
+                for exps, c in p.terms.items()), sympy.Integer(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_poly(), small_poly(), st.integers(0, 3),
+       small_coeff.filter(lambda c: c != 0))
+def test_arithmetic_results_are_canonical(p, q, n, c):
+    results = [p + q, p - q, q - p, p + q - p, p * q, (p + q) * (p - q),
+               -p, 2 * p, p + 1, 1 - p, p ** n, p / c, q / 3]
+    for r in results:
+        assert_canonical(r)
+    assert p + q - p == q
+    assert p - p == RatPoly.zero()
+    # an independent engine: sympy's expansion of the same sum and product
+    assert sympy.expand(_to_sympy(p + q) - _to_sympy(p) - _to_sympy(q)) == 0
+    assert sympy.expand(_to_sympy(p * q) - _to_sympy(p) * _to_sympy(q)) == 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_poly, small_poly, small_poly)
+@given(small_poly(), small_poly(), small_poly())
 def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
@@ -107,7 +182,7 @@ def test_ring_axioms(p, q, r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_poly, small_poly)
+@given(small_poly(), small_poly())
 def test_product_rule(p, q):
     lhs = poly_diff(poly_combine(p, q, "mul"), "x")
     rhs = p * poly_diff(q, "x") + q * poly_diff(p, "x")
