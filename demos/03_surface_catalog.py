@@ -47,9 +47,10 @@ for name in CATALOG_NAMES:
     jet = eval_jet(spec, pts, order=2)
     frame = adapted_frame(jet)
     sp = second_fundamental_form(jet, frame)
-    full = np.concatenate([frame.X[:, None, :], frame.e1[:, None, :],
-                           frame.e2[:, None, :], frame.xi], axis=1)
-    gram = np.einsum("nic,njc->nij", full, full)
+    # X, e1, e2, xi_1..xi_q stacked along the first axis, points last
+    full = np.concatenate([jet.derivs[0, 0][None], frame.e1.c[0][None],
+                           frame.e2.c[0][None], frame.xi.c[0]])
+    gram = np.einsum("icn,jcn->nij", full, full)
     worst_gram = max(worst_gram,
                      float(np.max(np.abs(gram - np.eye(gram.shape[-1])))))
     worst_min = max(worst_min, float(np.max(sp.minimality_residual)))

@@ -13,6 +13,7 @@ deliberately not echoed into the report).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -83,9 +84,14 @@ def _parse_tols(pairs) -> dict:
                 "--tol", f"unknown tolerance {key!r}; known keys: "
                 + ", ".join(sorted(TOLERANCE_DEFAULTS)))
         try:
-            out[key] = float(val)
+            value = float(val)
         except ValueError as exc:
             raise ParseError("--tol", f"{key}: not a number: {val!r}") from exc
+        # a NaN tolerance fails every comparison, so it would switch its check off
+        if not 0.0 <= value < math.inf:
+            raise ParseError(f"--tol {key}",
+                             f"must be a finite number >= 0, got {val!r}")
+        out[key] = value
     return out
 
 

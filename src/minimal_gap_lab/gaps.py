@@ -41,10 +41,6 @@ class CalabiConstants:
     ambient_dim: int               # N = 2 s (sphere S^N)
     area: float                    # 2 pi s (s + 1) for r = 1
 
-    @property
-    def area_over_2pi(self):
-        return self.s * (self.s + 1)
-
 
 def calabi_constants(s: int, r: float = 1.0) -> CalabiConstants:
     if s < 1:
@@ -80,7 +76,7 @@ def threshold_T(tau: float):
     the discriminant (8 tau^2 - 9/2)^2 - 45/4 is nonnegative.
     """
     disc = (8.0 * tau * tau - 4.5) ** 2 - 11.25
-    if tau > 1.0 + 1e-12 or disc < -1e-9:
+    if not (tau <= 1.0 + 1e-12 and disc >= -1e-9):      # NaN fails too
         raise DomainError(
             f"tau={tau!r} outside [{TAU_STAR!r}, 1]: discriminant "
             f"(8 tau^2 - 9/2)^2 - 45/4 = {disc!r} must be nonnegative")
@@ -116,6 +112,8 @@ class ThresholdTable:
 def threshold_table(n: int = 1000, lo: float = TAU_STAR, hi: float = 1.0) -> ThresholdTable:
     if n < 2:
         raise DomainError("threshold table needs at least 2 grid points")
+    for end in (lo, hi):          # an infinite end would reach the grid as NaN
+        threshold_T(end)
     taus = np.linspace(lo, hi, n)
     rows = [threshold_T(float(t)) for t in taus]
     cols = list(zip(*rows))

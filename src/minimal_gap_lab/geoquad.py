@@ -31,6 +31,7 @@ from minimal_gap_lab.surfaces import (
     adapted_frame,
     covariant_grad_h,
     eval_jet,
+    first_fundamental_form,
     second_fundamental_form,
 )
 
@@ -83,11 +84,7 @@ def build_grid(spec: ImmersionSpec, resolution=None) -> QuadratureGrid:
     U, V = np.meshgrid(theta, phi, indexing="ij")
     W = np.outer(w_theta, w_phi)
     u, v, weight = U.ravel(), V.ravel(), W.ravel()
-    jet = eval_jet(spec, (u, v), order=1)
-    Xu, Xv = jet.d(1, 0), jet.d(0, 1)
-    E = np.einsum("nc,nc->n", Xu, Xu)
-    F = np.einsum("nc,nc->n", Xu, Xv)
-    G = np.einsum("nc,nc->n", Xv, Xv)
+    E, F, G = first_fundamental_form(eval_jet(spec, (u, v), order=1))
     return QuadratureGrid(
         spec_name=spec.name, chart=spec.chart, resolution=(n_u, n_v),
         u=u, v=v, weight=weight, sqrt_det_g=np.sqrt(E * G - F * F))

@@ -399,13 +399,13 @@ def run_identity_group(group: str, q: int) -> list[IdentityReport]:
     raise ValueError(f"unknown identity group {group!r}")
 
 
-def run_identity_suite(qmax: int = 6, groups=GROUPS) -> list[IdentityReport]:
+def run_identity_suite(qmax: int = 6) -> list[IdentityReport]:
     """All identity groups for q = 1..qmax, in deterministic order."""
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
     reports = []
     for q in range(1, qmax + 1):
-        for group in groups:
+        for group in GROUPS:
             reports.extend(run_identity_group(group, q))
     return reports
 

@@ -20,7 +20,7 @@ reported DDVV slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from minimal_gap_lab.surfaces import (
     Taylor,
     adapted_frame,
     covariant_grad_h,
+    first_fundamental_form,
     jet_at,
     second_fundamental_form,
     second_norm_field,
@@ -47,33 +48,20 @@ B1_CROSS_TOL = 1e-4
 class FundamentalMatrix:
     """The q x q Gram matrix of shape operators, by both displayed routes."""
 
-    matrix: np.ndarray            # (..., q, q) outer-product form
+    matrix: np.ndarray            # (q, q, *points) outer-product form
     gram_residual: np.ndarray     # max |outer form - <S_alpha, S_beta>| entrywise
 
     @property
     def trace(self) -> np.ndarray:
-        return np.einsum("...aa->...", self.matrix)
-
-
-def shape_operators(sp: ShapePair) -> np.ndarray:
-    """S_alpha as a stack of symmetric traceless 2x2 matrices (..., q, 2, 2)."""
-    lead = sp.a.shape[:-1]
-    q = sp.a.shape[-1]
-    out = np.empty(lead + (q, 2, 2))
-    out[..., 0, 0] = sp.a
-    out[..., 0, 1] = out[..., 1, 0] = sp.b
-    out[..., 1, 1] = -sp.a
-    return out
+        return np.einsum("aa...->...", self.matrix)
 
 
 def fundamental_matrix(sp: ShapePair) -> FundamentalMatrix:
-    outer = 2.0 * (np.einsum("...a,...b->...ab", sp.a, sp.a)
-                   + np.einsum("...a,...b->...ab", sp.b, sp.b))
-    ops = shape_operators(sp)
-    gram = np.einsum("...aij,...bij->...ab", ops, ops)
-    lead = sp.a.shape[:-1]
-    residual = np.max(np.abs(outer - gram), axis=(-2, -1), initial=0.0) \
-        if sp.a.shape[-1] else np.zeros(lead)
+    outer = 2.0 * (np.einsum("a...,b...->ab...", sp.a, sp.a)
+                   + np.einsum("a...,b...->ab...", sp.b, sp.b))
+    h = sp.h
+    gram = np.einsum("ija...,ijb...->ab...", h, h)
+    residual = np.max(np.abs(outer - gram), axis=(0, 1), initial=0.0)
     return FundamentalMatrix(matrix=outer, gram_residual=residual)
 
 
@@ -99,27 +87,26 @@ class PointInvariants:
     gram_residual: np.ndarray
     minimality_residual: np.ndarray
 
-    def summary_fields(self):
-        return [f.name for f in dc_fields(self)]
-
 
 def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
+    """Every field has the shape of the points; `sp` is points last."""
     a, b = sp.a, sp.b
-    lead = a.shape[:-1]
-    q = a.shape[-1]
-    na = np.einsum("...a,...a->...", a, a)
-    nb = np.einsum("...a,...a->...", b, b)
-    ab = np.einsum("...a,...a->...", a, b)
+    q = a.shape[0]
+    lead = a.shape[1:]
+    na = np.einsum("a...,a...->...", a, a)
+    nb = np.einsum("a...,a...->...", b, b)
+    ab = np.einsum("a...,a...->...", a, b)
 
     S = 2.0 * (na + nb)
     normA2 = 4.0 * na ** 2 + 4.0 * nb ** 2 + 8.0 * ab ** 2
     rho0 = 16.0 * (na * nb - ab ** 2)
 
     # independent route: sum of squared commutator norms over ordered pairs
-    ops = shape_operators(sp)
-    comm = (np.einsum("...aij,...bjk->...abik", ops, ops)
-            - np.einsum("...bij,...ajk->...abik", ops, ops))
-    rho0_comm = np.einsum("...abik,...abik->...", comm, comm)
+    # of the shape operators S_alpha = h[:, :, alpha]
+    h = sp.h
+    comm = (np.einsum("ija...,jkb...->abik...", h, h)
+            - np.einsum("ijb...,jka...->abik...", h, h))
+    rho0_comm = np.einsum("abik...,abik...->...", comm, comm)
     rho0_residual = np.abs(rho0 - rho0_comm)
 
     slack = S ** 2 - rho0
@@ -142,7 +129,8 @@ def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
 
     fm = fundamental_matrix(sp)
     if eig_check and q:
-        lam = np.linalg.eigvalsh(fm.matrix)        # ascending
+        # ascending, with the points first: eigvalsh wants the matrix axes last
+        lam = np.linalg.eigvalsh(np.moveaxis(fm.matrix, (0, 1), (-2, -1)))
         top = lam[..., ::-1][..., :2] if q >= 2 else None
         if q == 1:
             eig_residual = np.abs(lambda1 - lam[..., 0]) + np.abs(lambda2)
@@ -174,14 +162,12 @@ def _metric_christoffel(jet: Jet):
     """Inverse metric g^cd and contracted Christoffel symbols
     gamma^e = g^cd Gamma^e_cd (all the Laplacian needs), points last, exact
     from a jet of order >= 2."""
-    Xu, Xv = jet.rows(1, 0), jet.rows(0, 1)
-    E = np.einsum("x...,x...->...", Xu, Xu)
-    F = np.einsum("x...,x...->...", Xu, Xv)
-    G = np.einsum("x...,x...->...", Xv, Xv)
+    Xu, Xv = jet.derivs[1, 0], jet.derivs[0, 1]
+    E, F, G = first_fundamental_form(jet)
     ginv = np.stack([np.stack([G, -F]), np.stack([-F, E])]) / (E * G - F * F)
     # g^cd Gamma_{f,cd} = <g^cd d_c d_d X, d_f X>
-    trace = (ginv[0, 0] * jet.rows(2, 0) + 2.0 * ginv[0, 1] * jet.rows(1, 1)
-             + ginv[1, 1] * jet.rows(0, 2))
+    trace = (ginv[0, 0] * jet.derivs[2, 0] + 2.0 * ginv[0, 1] * jet.derivs[1, 1]
+             + ginv[1, 1] * jet.derivs[0, 2])
     first_kind = np.stack([np.einsum("x...,x...->...", trace, Xu),
                            np.einsum("x...,x...->...", trace, Xv)])
     return ginv, np.einsum("ef...,f...->e...", ginv, first_kind)
@@ -230,7 +216,7 @@ def b1_cross_check(spec: ImmersionSpec, point) -> np.ndarray:
     """|B1(Simons route) - 4(|a1|^2 + |a2|^2)|; threshold B1_CROSS_TOL."""
     jet = jet_at(spec, point, JET_ORDER_MAX)
     grad = covariant_grad_h(spec, jet)
-    direct = 4.0 * (np.einsum("...a,...a->...", grad.a1, grad.a1)
-                    + np.einsum("...a,...a->...", grad.a2, grad.a2))
+    direct = 4.0 * (np.einsum("a...,a...->...", grad.a1, grad.a1)
+                    + np.einsum("a...,a...->...", grad.a2, grad.a2))
     simons = b1_simons(spec, jet)
     return np.abs(simons.b1 - direct)

@@ -7,9 +7,9 @@ Zero-testing is a structural decision, never a probabilistic one.
 
 Only the public constructor `RatPoly(vars, terms)` validates: it is the input
 boundary, and it checks every exponent tuple and coefficient.  Arithmetic
-builds its results in canonical form directly and wraps them unchecked.  A sum
-goes back through the constructor only when a coefficient cancelled, since a
-variable may then be unused.  A product of nonzero factors never loses a
+builds its results in canonical form directly and wraps them unchecked.  When
+a coefficient of a sum cancelled, a variable may be unused, and the sum drops
+it from its own exponent tuples.  A product of nonzero factors never loses a
 variable: the rationals are an integral domain, so deg_x(pq) = deg_x p +
 deg_x q, and a product is zero only when a factor is.
 """
@@ -149,8 +149,13 @@ class RatPoly:
                     cancelled = True
                     continue
             out[exps] = coeff
-        # a cancelled term may have used the last power of some variable
-        return RatPoly(union, out) if cancelled else RatPoly._canonical(union, out)
+        if cancelled:
+            # a cancelled term may have used the last power of some variable
+            used = [i for i, column in enumerate(zip(*out)) if any(column)]
+            if len(used) < len(union):
+                union = tuple(union[i] for i in used)
+                out = {tuple(e[i] for i in used): c for e, c in out.items()}
+        return RatPoly._canonical(union, out)
 
     __radd__ = __add__
 

@@ -13,7 +13,11 @@ the degree-2 coefficients of S give its Laplacian; no finite difference is
 taken anywhere.
 
 Every array-valued operation is batch-native: chart parameters may be scalars
-or arrays of any shape, and all returned fields carry the same leading shape.
+or arrays of any shape, and every per-node array has one layout, points last:
+its value axes (component, frame slot, normal index, ...) come first and the
+shape of the chart parameters last, from the jet through the frame, h and
+grad h to the invariants.  Small contractions then run over long contiguous
+rows of points even when the value axes are tiny.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -184,19 +187,7 @@ class Jet:
     u: np.ndarray
     v: np.ndarray
     order: int
-    derivs: dict                    # {(i, j): array (ambient_dim, ...)}, points last
-
-    def d(self, i: int, j: int) -> np.ndarray:
-        """d_u^i d_v^j X with the points first: shape (..., ambient_dim)."""
-        return np.moveaxis(self.derivs[i, j], 0, -1)
-
-    def rows(self, i: int, j: int) -> np.ndarray:
-        """d_u^i d_v^j X with the points last: shape (ambient_dim, ...)."""
-        return self.derivs[i, j]
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.d(0, 0)
+    derivs: dict                    # {(i, j): d_u^i d_v^j X, shape (ambient_dim, *points)}
 
 
 def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
@@ -235,6 +226,14 @@ def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
             vals = [np.broadcast_to(f.eval(u, v), u.shape) for f in funcs]
             derivs[i, j] = np.stack(vals).astype(float)
     return Jet(spec, u, v, order, derivs)
+
+
+def first_fundamental_form(jet: Jet):
+    """E, F, G = <X_u, X_u>, <X_u, X_v>, <X_v, X_v> at the jet's points."""
+    Xu, Xv = jet.derivs[1, 0], jet.derivs[0, 1]
+    return (np.einsum("x...,x...->...", Xu, Xu),
+            np.einsum("x...,x...->...", Xu, Xv),
+            np.einsum("x...,x...->...", Xv, Xv))
 
 
 def jet_at(spec: ImmersionSpec, point, order: int) -> Jet:
@@ -318,9 +317,9 @@ class Taylor:
         """The series of the chart derivative d_u^i d_v^j X read from the jet,
         which must have order >= i + j + degree; value axis: the component."""
         if degree == 0:
-            return cls(jet.rows(i, j)[None])
+            return cls(jet.derivs[i, j][None])
         return cls(np.stack([
-            jet.rows(i + a, j + b) / (math.factorial(a) * math.factorial(b))
+            jet.derivs[i + a, j + b] / (math.factorial(a) * math.factorial(b))
             for a, b in MONOMIALS[:_SIZE[degree]]]))
 
     @staticmethod
@@ -568,9 +567,8 @@ def validate_spec(spec: ImmersionSpec,
                   minimality_grid=(8, 12)) -> dict:
     """Check |X| = 1 and |H| = 0 on validation grids; reject on failure."""
     U, V = _validation_points(spec, *unit_grid)
-    jet = eval_jet(spec, (U, V), order=0)
-    unit_residual = float(np.max(np.abs(
-        np.einsum("...c,...c->...", jet.position, jet.position) - 1.0)))
+    X = eval_jet(spec, (U, V), order=0).derivs[0, 0]
+    unit_residual = float(np.max(np.abs(np.einsum("c...,c...->...", X, X) - 1.0)))
     if unit_residual > unit_tol:
         raise ValidationError(
             f"{spec.name}: image not on the unit sphere "
@@ -607,49 +605,29 @@ def load_immersion(source, validate: bool = True) -> ImmersionSpec:
 # adapted frames
 # ---------------------------------------------------------------------------
 
-class FrameSeries(NamedTuple):
-    """The frame fields as Taylor series in the chart offsets, points last."""
+@dataclass
+class FrameData:
+    """Adapted orthonormal frame {e1, e2, xi_1..xi_q} at a jet's points; the
+    position X is the jet's own `derivs[0, 0]`.
 
-    e1: Taylor
+    Every field is a Taylor series of degree min(jet order - 1, 1) in the
+    chart offsets, built with the pivot order frozen at the degree-0
+    coefficients: `e1.c[0]` is the frame vector and `e1.c[1:]` its chart
+    derivatives.  Points last, like every per-node array: the value axes
+    come first and the jet's point axes after them.  `chart_to_frame` is the
+    2x2 matrix L with e_i = L[i, c] d_c X, and `pivot_idx[alpha]` the
+    ambient axis that seeded the normal xi_alpha.
+    """
+
+    e1: Taylor                      # value axes (C,)
     e2: Taylor
     xi: Taylor                      # value axes (q, C)
     chart_to_frame: Taylor          # value axes (2, 2)
-
-
-@dataclass
-class FrameData:
-    """Adapted orthonormal frame {X, e1, e2, xi_1..xi_q} plus connection data.
-
-    `chart_to_frame` is the 2x2 matrix L with e_i = L[i, c] d_c X.  `series`
-    holds the frame fields as Taylor series of degree min(jet order - 1, 1),
-    built with the pivot order frozen at their degree-0 coefficients, which
-    are the array fields.  From a jet of order >= 2, `omega12` holds the
-    Levi-Civita coefficients omega_12(e_k) and `omega_normal[k, b, a]` the
-    normal connection <D_{e_k} xi_b, xi_a>, both read exactly from the
-    degree-1 coefficients.
-    """
-
-    X: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    xi: np.ndarray                  # (..., q, C)
-    chart_to_frame: np.ndarray      # (..., 2, 2)
-    metric: np.ndarray              # (..., 2, 2)
-    sqrt_det_g: np.ndarray
-    pivot_idx: np.ndarray           # (..., q) ambient axes used for the normals
-    series: FrameSeries
-    omega12: np.ndarray | None = None         # (..., 2)
-    omega_normal: np.ndarray | None = None    # (..., 2, q, q)
+    pivot_idx: np.ndarray           # (q, *points)
 
 
 def _dot(x: Taylor, y: Taylor) -> Taylor:
     return Taylor.einsum("c...,c...->...", x, y)
-
-
-def _points_first(a: np.ndarray, rank: int) -> np.ndarray:
-    """A points-last array with `rank` value axes, as a contiguous array with
-    the points first (the layout of every public field)."""
-    return np.ascontiguousarray(np.moveaxis(a, tuple(range(rank)), tuple(range(-rank, 0))))
 
 
 def _chart_hessian(jet: Jet, degree: int) -> Taylor:
@@ -662,14 +640,14 @@ def _normal_frame(X: Taylor, e1: Taylor, e2: Taylor, q: int, pivot_idx=None):
     """Deterministic pivoted orthonormalization of the ambient complement.
 
     The pivot axes are chosen from the degree-0 coefficients, or given as
-    `pivot_idx` (points first), and frozen for the higher ones, so the
+    `pivot_idx` (shape (q, *points)), and frozen for the higher ones, so the
     normal fields are smooth series in the chart offsets.
     """
     C = X.c.shape[1]
     points = X.c.shape[2:]
     basis = np.empty(X.c.shape[:1] + (3 + q,) + X.c.shape[1:])
     basis[:, 0], basis[:, 1], basis[:, 2] = X.c, e1.c, e2.c
-    chosen = np.zeros(points + (q,), dtype=np.int64)
+    chosen = np.zeros((q,) + points, dtype=np.int64)
     used = np.zeros((C,) + points, dtype=bool)
     for slot in range(q):
         done = Taylor(basis[:, :3 + slot])          # orthonormal so far
@@ -678,8 +656,8 @@ def _normal_frame(X: Taylor, e1: Taylor, e2: Taylor, q: int, pivot_idx=None):
             resid2 = 1.0 - np.sum(done.c[0] ** 2, axis=0)
             k = np.argmax(np.where(used, -np.inf, resid2), axis=0)
         else:
-            k = np.asarray(pivot_idx)[..., slot]
-        chosen[..., slot] = k
+            k = np.asarray(pivot_idx)[slot]
+        chosen[slot] = k
         np.put_along_axis(used, k[None], True, axis=0)
 
         onehot = np.zeros((C,) + points)
@@ -692,18 +670,19 @@ def _normal_frame(X: Taylor, e1: Taylor, e2: Taylor, q: int, pivot_idx=None):
     return Taylor(basis[:, 3:]), chosen
 
 
-def _connection_forms(series: FrameSeries):
+def _connection_forms(frame: FrameData):
     """omega_t[k, m, i] = <D_{e_k} e_m, e_i> and omega_n[k, b, a] =
-    <D_{e_k} xi_b, xi_a> (points last) from the degree-1 coefficients, which
-    are the chart derivatives d_u, d_v of the frame; exactly skew."""
-    L = series.chart_to_frame.c[0]
-    de = np.stack([series.e1.c[1:], series.e2.c[1:]], axis=1)    # [c, m, C]
-    ee = np.stack([series.e1.c[0], series.e2.c[0]])              # [i, C]
+    <D_{e_k} xi_b, xi_a> from the degree-1 coefficients of the frame (from a
+    jet of order >= 2), which are its chart derivatives d_u, d_v; exactly
+    skew, points last."""
+    L = frame.chart_to_frame.c[0]
+    de = np.stack([frame.e1.c[1:], frame.e2.c[1:]], axis=1)      # [c, m, C]
+    ee = np.stack([frame.e1.c[0], frame.e2.c[0]])                # [i, C]
     omega_t = np.einsum("kc...,cmi...->kmi...", L,
                         np.einsum("cmx...,ix...->cmi...", de, ee))
     omega_n = np.einsum("kc...,cba...->kba...", L,
-                        np.einsum("cbx...,ax...->cba...", series.xi.c[1:],
-                                  series.xi.c[0]))
+                        np.einsum("cbx...,ax...->cba...", frame.xi.c[1:],
+                                  frame.xi.c[0]))
     return (0.5 * (omega_t - np.swapaxes(omega_t, 1, 2)),
             0.5 * (omega_n - np.swapaxes(omega_n, 1, 2)))
 
@@ -712,10 +691,10 @@ def adapted_frame(jet: Jet, pivot_idx=None, rotate_tangent: float = 0.0) -> Fram
     """Orthonormal adapted frame from a jet of order >= 1.
 
     The construction runs once, on Taylor series of degree
-    min(jet order - 1, 1); a plain frame is its degree-0 case.  The
-    connection coefficients (omega12, omega_normal) are filled when the jet
-    has order >= 2: they come from the degree-1 coefficients of the
-    construction itself with the pivot order frozen, so they are exact.
+    min(jet order - 1, 1); a plain frame is its degree-0 case.  From a jet
+    of order >= 2 the degree-1 coefficients are the exact chart derivatives
+    of the frame, with the pivot order frozen, which `_connection_forms`
+    turns into the connection coefficients.
     """
     if jet.order < 1:
         raise DomainError("adapted_frame needs a jet of order >= 1")
@@ -727,8 +706,7 @@ def adapted_frame(jet: Jet, pivot_idx=None, rotate_tangent: float = 0.0) -> Fram
     E = _dot(Xu, Xu)
     F = _dot(Xu, Xv)
     G = _dot(Xv, Xv)
-    detg = E.c[0] * G.c[0] - F.c[0] * F.c[0]
-    if np.any(detg <= 1e-14):
+    if np.any(E.c[0] * G.c[0] - F.c[0] * F.c[0] <= 1e-14):
         raise FrameError("chart basis degenerate (metric determinant <= 1e-14)")
 
     sqrtE = E.sqrt()
@@ -749,22 +727,7 @@ def adapted_frame(jet: Jet, pivot_idx=None, rotate_tangent: float = 0.0) -> Fram
         L = Taylor.einsum("ij,jc...->ic...", rot, L)
 
     xi, chosen = _normal_frame(X, e1, e2, jet.spec.codim, pivot_idx=pivot_idx)
-    series = FrameSeries(e1, e2, xi, L)
-
-    omega12 = omega_normal = None
-    if degree:
-        omega_t, omega_n = _connection_forms(series)
-        omega12 = _points_first(omega_t[:, 0, 1], 1)
-        omega_normal = _points_first(omega_n, 3)
-
-    metric = np.stack([np.stack([E.c[0], F.c[0]], axis=-1),
-                       np.stack([F.c[0], G.c[0]], axis=-1)], axis=-2)
-    return FrameData(
-        X=_points_first(X.c[0], 1), e1=_points_first(e1.c[0], 1), e2=_points_first(e2.c[0], 1),
-        xi=_points_first(xi.c[0], 2), chart_to_frame=_points_first(L.c[0], 2),
-        metric=metric, sqrt_det_g=np.sqrt(detg), pivot_idx=chosen, series=series,
-        omega12=omega12, omega_normal=omega_normal,
-    )
+    return FrameData(e1=e1, e2=e2, xi=xi, chart_to_frame=L, pivot_idx=chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -773,21 +736,27 @@ def adapted_frame(jet: Jet, pivot_idx=None, rotate_tangent: float = 0.0) -> Fram
 
 @dataclass
 class ShapePair:
-    """a = (h_11^alpha), b = (h_12^alpha) in the adapted frame."""
+    """a = (h_11^alpha), b = (h_12^alpha) in the adapted frame, points last:
+    both have shape (q, *points)."""
 
-    a: np.ndarray                  # (..., q)
-    b: np.ndarray                  # (..., q)
-    minimality_residual: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    minimality_residual: np.ndarray   # (*points)
+
+    def __post_init__(self):
+        shape = np.shape(self.a)
+        if np.shape(self.b) != shape or np.shape(self.minimality_residual) != shape[1:]:
+            raise ValueError("ShapePair needs a, b of shape (q, *points) and a "
+                             "minimality residual of shape (*points)")
 
     @property
     def h(self) -> np.ndarray:
-        """Full component array h[..., i, j, alpha] (traceless symmetric)."""
-        lead = self.a.shape[:-1]
-        q = self.a.shape[-1]
-        out = np.empty(lead + (2, 2, q))
-        out[..., 0, 0, :] = self.a
-        out[..., 0, 1, :] = out[..., 1, 0, :] = self.b
-        out[..., 1, 1, :] = -self.a
+        """Full component array h[i, j, alpha, *points] (traceless symmetric);
+        h[:, :, alpha] is the shape operator S_alpha."""
+        out = np.empty((2, 2) + self.a.shape)
+        out[0, 0] = self.a
+        out[0, 1] = out[1, 0] = self.b
+        out[1, 1] = -self.a
         return out
 
 
@@ -795,8 +764,8 @@ def _h_series(jet: Jet, frame: FrameData, degree: int) -> Taylor:
     """h[i, j, alpha] = <D^2 X (e_i, e_j), xi_alpha> in the frozen-pivot
     frame, as a series of the given degree (the jet needs order >= 2 + degree)."""
     normal_part = Taylor.einsum("cdx...,ax...->cda...", _chart_hessian(jet, degree),
-                                frame.series.xi.truncate(degree))
-    L = frame.series.chart_to_frame.truncate(degree)
+                                frame.xi.truncate(degree))
+    L = frame.chart_to_frame.truncate(degree)
     return Taylor.einsum("ic...,jd...,cda...->ija...", L, L, normal_part)
 
 
@@ -804,19 +773,18 @@ def second_fundamental_form(jet: Jet, frame: FrameData) -> ShapePair:
     if jet.order < 2:
         raise DomainError("second fundamental form needs a jet of order >= 2")
     h = _h_series(jet, frame, 0).c[0]
-    residual = np.max(np.abs(h[0, 0] + h[1, 1]), axis=0) \
-        if h.shape[2] else np.zeros(h.shape[3:])
-    return ShapePair(a=_points_first(h[0, 0], 1), b=_points_first(h[0, 1], 1),
-                     minimality_residual=residual)
+    residual = np.max(np.abs(h[0, 0] + h[1, 1]), axis=0, initial=0.0)
+    return ShapePair(a=h[0, 0], b=h[0, 1], minimality_residual=residual)
 
 
 @dataclass
 class CovariantGradH:
-    """First covariant derivative of h: a1 = (h_111^alpha), a2 = (h_112^alpha)."""
+    """First covariant derivative of h, points last: grad3[i, j, k, alpha] =
+    h_ijk^alpha, with a1 = h_111 and a2 = h_112 (shape (q, *points))."""
 
-    a1: np.ndarray                 # (..., q)
+    a1: np.ndarray
     a2: np.ndarray
-    grad3: np.ndarray              # (..., 2, 2, 2, q) all components h_ijk
+    grad3: np.ndarray              # (2, 2, 2, q, *points)
     b1_direct: np.ndarray          # sum_ijk |h_ijk|^2
     codazzi_residual: np.ndarray
 
@@ -838,8 +806,8 @@ def covariant_grad_h(spec: ImmersionSpec, point, frame: FrameData | None = None
         frame = adapted_frame(jet)
     h = _h_series(jet, frame, 1)
     h0 = h.c[0]                                        # [i, j, a]
-    L = frame.series.chart_to_frame.c[0]
-    omega_t, omega_n = _connection_forms(frame.series)
+    L = frame.chart_to_frame.c[0]
+    omega_t, omega_n = _connection_forms(frame)
 
     ekh = np.einsum("kc...,cija...->ijka...", L, h.c[1:])
     grad3 = (
@@ -849,20 +817,15 @@ def covariant_grad_h(spec: ImmersionSpec, point, frame: FrameData | None = None
         + np.einsum("ijb...,kba...->ijka...", h0, omega_n)
     )
 
-    if spec.codim:
-        codazzi = np.maximum(
-            np.max(np.abs(grad3 - np.swapaxes(grad3, 0, 2)), axis=(0, 1, 2, 3)),
-            np.max(np.abs(grad3 - np.swapaxes(grad3, 1, 2)), axis=(0, 1, 2, 3)),
-        )
-    else:
-        codazzi = np.zeros(h0.shape[3:])
-    b1_direct = np.einsum("ijka...,ijka...->...", grad3, grad3)
-    grad3 = _points_first(grad3, 4)
+    codazzi = np.maximum(
+        np.max(np.abs(grad3 - np.swapaxes(grad3, 0, 2)), axis=(0, 1, 2, 3), initial=0.0),
+        np.max(np.abs(grad3 - np.swapaxes(grad3, 1, 2)), axis=(0, 1, 2, 3), initial=0.0),
+    )
     return CovariantGradH(
-        a1=grad3[..., 0, 0, 0, :],
-        a2=grad3[..., 0, 0, 1, :],
+        a1=grad3[0, 0, 0],
+        a2=grad3[0, 0, 1],
         grad3=grad3,
-        b1_direct=b1_direct,
+        b1_direct=np.einsum("ijka...,ijka...->...", grad3, grad3),
         codazzi_residual=codazzi,
     )
 

@@ -69,7 +69,7 @@ def test_criterion_03_ddvv(bundle):
     for q in range(1, 9):
         a = rng.standard_normal((1000, q))
         b = rng.standard_normal((1000, q))
-        sp = ShapePair(a=a, b=b, minimality_residual=np.zeros(1000))
+        sp = ShapePair(a=a.T, b=b.T, minimality_residual=np.zeros(1000))
         inv = point_invariants(sp, eig_check=False)
         worst = max(worst, float(np.max(-inv.ddvv_slack)))
     for name in CATALOG:

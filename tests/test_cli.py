@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from minimal_gap_lab import identities
 from minimal_gap_lab.cli import main
 from minimal_gap_lab.ratpoly import RatPoly
@@ -107,6 +109,29 @@ def test_verify_unknown_tolerance_key(capsys):
     assert "unknown tolerance" in err
 
 
+@pytest.mark.parametrize("override", [
+    "minimality=nan", "minimality=inf", "codazzi=nan", "b1_cross=nan",
+    "b1_cross=-inf", "flagged_budget=-0.5",
+])
+def test_verify_rejects_non_finite_or_negative_tolerance(capsys, tmp_path, override):
+    # the non-minimal torus of test_non_minimal_immersion_rejected: a NaN or
+    # infinite minimality tolerance would let it through to the integrals
+    doc = {"name": "rect_torus", "chart": "torus", "ambient_dim": 4,
+           "euler_char": 0, "components": [
+               [{"coeff": 0.8, "type": "cos", "freq": [1, 0]}],
+               [{"coeff": 0.8, "type": "sin", "freq": [1, 0]}],
+               [{"coeff": 0.6, "type": "cos", "freq": [0, 1]}],
+               [{"coeff": 0.6, "type": "sin", "freq": [0, 1]}]]}
+    path = tmp_path / "rect.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                             "--resolution", "8x8", "--tol", override)
+    assert code == 2
+    assert out == ""
+    assert f"--tol {override.partition('=')[0]}" in err
+    assert "finite" in err
+
+
 def test_verify_tolerance_override_echoed(capsys):
     code, out, _ = run_cli(capsys, "verify", "--surface", "clifford",
                            "--resolution", "8x8", "--tol", "b1_cross=0.001")
@@ -142,6 +167,16 @@ def test_thresholds_domain_error(capsys):
     code, _, err = run_cli(capsys, "thresholds", "--tau-lo", "0.9")
     assert code == 2
     assert "discriminant" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tau-hi", "nan"), ("--tau-lo", "nan"), ("--tau-hi", "inf"),
+])
+def test_thresholds_rejects_non_finite_tau(capsys, flag, value):
+    code, out, err = run_cli(capsys, "thresholds", "--tau-points", "10", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "outside" in err
 
 
 def test_catalog_list(capsys):

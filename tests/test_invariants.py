@@ -16,6 +16,7 @@ from minimal_gap_lab.surfaces import (
     ShapePair,
     adapted_frame,
     catalog_entry,
+    covariant_grad_h,
     eval_jet,
     second_fundamental_form,
     second_norm_field,
@@ -25,9 +26,10 @@ from fd_oracle import laplace_beltrami
 
 
 def _pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return ShapePair(a=a, b=b, minimality_residual=np.zeros(a.shape[:-1]))
+    """A ShapePair from a, b given as (q,) or (points, q); stored points last."""
+    a = np.asarray(a, dtype=float).T
+    b = np.asarray(b, dtype=float).T
+    return ShapePair(a=a, b=b, minimality_residual=np.zeros(a.shape[1:]))
 
 
 def _catalog_invariants(name, pts=None):
@@ -38,6 +40,44 @@ def _catalog_invariants(name, pts=None):
     jet = eval_jet(spec, pts, order=2)
     sp = second_fundamental_form(jet, adapted_frame(jet))
     return spec, pts, point_invariants(sp)
+
+
+# ------------------------------------------------------ array layout
+
+def test_every_per_node_array_ends_in_the_point_axes():
+    # value axes first, points last, from the frame to the fundamental matrix;
+    # a (3, 5) array of points gives the same numbers as the 15 points flat
+    spec = catalog_entry("calabi3")
+    q, C = spec.codim, spec.ambient_dim
+    u = np.linspace(0.4, 2.6, 15)
+    v = np.linspace(0.1, 6.0, 15)
+    layouts = {}
+    for shape in ((3, 5), (15,)):
+        jet = eval_jet(spec, (u.reshape(shape), v.reshape(shape)))
+        frame = adapted_frame(jet)
+        sp = second_fundamental_form(jet, frame)
+        layouts[shape] = {
+            "e1": (frame.e1.c, (3, C)), "e2": (frame.e2.c, (3, C)),
+            "xi": (frame.xi.c, (3, q, C)),
+            "chart_to_frame": (frame.chart_to_frame.c, (3, 2, 2)),
+            "pivot_idx": (frame.pivot_idx, (q,)),
+            "a": (sp.a, (q,)), "b": (sp.b, (q,)), "h": (sp.h, (2, 2, q)),
+            "grad3": (covariant_grad_h(spec, jet, frame).grad3, (2, 2, 2, q)),
+            "matrix": (fundamental_matrix(sp).matrix, (q, q)),
+            "S": (point_invariants(sp).S, ()),
+        }
+    for name, (grid, value_axes) in layouts[3, 5].items():
+        flat, _ = layouts[15, ][name]
+        assert grid.shape == value_axes + (3, 5), name
+        assert np.array_equal(grid.reshape(flat.shape), flat), name
+
+
+def test_shape_pair_rejects_points_first_arrays():
+    a = np.zeros((1000, 3))
+    with pytest.raises(ValueError):
+        ShapePair(a=a, b=a, minimality_residual=np.zeros(1000))
+    with pytest.raises(ValueError):
+        ShapePair(a=a.T, b=a, minimality_residual=np.zeros(1000))
 
 
 # ------------------------------------------------------ fundamental matrix
