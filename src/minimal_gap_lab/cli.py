@@ -349,6 +349,9 @@ def main(argv=None) -> int:
                                json_path=args.json_path)
             if config.qmax < 1:
                 raise DomainError("--qmax must be >= 1")
+            if config.qmax > identities.QMAX_LIMIT:
+                raise DomainError(f"--qmax {config.qmax} is above the limit "
+                                  f"{identities.QMAX_LIMIT}")
             return cmd_identities(config)
         if args.command == "verify":
             config = RunConfig(

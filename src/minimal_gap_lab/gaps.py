@@ -72,14 +72,16 @@ def calabi_S(s: int) -> Fraction:
 def threshold_T(tau: float):
     """(T_A, T_B, That_A, That_B, sigma) at pinching parameter tau.
 
-    Domain: tau_star <= tau <= 1 with tau_star = sqrt(9 + 3 sqrt 5)/4, where
-    the discriminant (8 tau^2 - 9/2)^2 - 45/4 is nonnegative.
+    Domain: tau_star <= tau <= 1 with tau_star = sqrt(9 + 3 sqrt 5)/4, the
+    largest root of the discriminant (8 tau^2 - 9/2)^2 - 45/4.  The
+    discriminant is nonnegative again for tau <= ~0.378, so the domain is
+    tested on tau itself, not on the sign of the discriminant.
     """
-    disc = (8.0 * tau * tau - 4.5) ** 2 - 11.25
-    if not (tau <= 1.0 + 1e-12 and disc >= -1e-9):      # NaN fails too
+    if not (TAU_STAR - 1e-12 <= tau <= 1.0 + 1e-12):      # NaN fails too
         raise DomainError(
-            f"tau={tau!r} outside [{TAU_STAR!r}, 1]: discriminant "
-            f"(8 tau^2 - 9/2)^2 - 45/4 = {disc!r} must be nonnegative")
+            f"tau={tau!r} outside [{TAU_STAR!r}, 1], whose lower end is the "
+            f"largest root of the discriminant (8 tau^2 - 9/2)^2 - 45/4")
+    disc = (8.0 * tau * tau - 4.5) ** 2 - 11.25
     root = math.sqrt(max(disc, 0.0))
     den = 18.0 - 9.0 * tau * tau
     mid = 27.0 - 8.0 * tau * tau

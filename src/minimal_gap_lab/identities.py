@@ -281,17 +281,17 @@ def check_third_order_contractions(q: int) -> list[IdentityReport]:
                              - h[k, t][beta] * h[t, m][alpha])
         return total
 
+    # sum_ijkm,ab 2 h_ijk^a h_ijm^b R(b,a,k,m); R does not depend on i, j
     contraction = ZERO
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                for m in (0, 1):
-                    for alpha in range(q):
-                        for beta in range(q):
-                            contraction = contraction + (
-                                2 * hg[i, j, k][alpha] * hg[i, j, m][beta]
-                                * r_perp(beta, alpha, k, m)
-                            )
+    for k in (0, 1):
+        for m in (0, 1):
+            for alpha in range(q):
+                for beta in range(q):
+                    hg_hg = ZERO
+                    for i in (0, 1):
+                        for j in (0, 1):
+                            hg_hg = hg_hg + hg[i, j, k][alpha] * hg[i, j, m][beta]
+                    contraction = contraction + 2 * r_perp(beta, alpha, k, m) * hg_hg
     closed = 32 * (dot(a, a2) * dot(b, a1) - dot(a, a1) * dot(b, a2))
     reports.append(_report("normal_curvature_contraction", q, contraction - closed))
 
@@ -373,6 +373,11 @@ def check_gap_factorizations() -> list[IdentityReport]:
 
 
 # -- suite driver ------------------------------------------------------------
+
+# The largest `identities --qmax` the CLI accepts.  The suite's time grows
+# about 1.4-1.9x per q and `poly_det` memoizes up to 2**q minors: qmax = 14
+# took 3.3 s at 45 MB peak RSS on a 2-vCPU x86-64 box, qmax = 18 took 28 s.
+QMAX_LIMIT = 14
 
 GROUPS = (
     "invariant_identities",

@@ -1,27 +1,87 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-This is the kernel under every symbolic identity check: all coefficients are
-`fractions.Fraction` (arbitrary precision, always in lowest terms, positive
-denominator), so a polynomial is zero if and only if its term map is empty.
-Zero-testing is a structural decision, never a probabilistic one.
+This is the kernel under every symbolic identity check.  Coefficients are
+exact rationals in lowest terms with a positive denominator, so a polynomial
+is zero if and only if its term map is empty.  Zero-testing is a structural
+decision, never a probabilistic one.
+
+Packed monomials.  A monomial is one Python int: the exponent of each
+variable occupies its own `EXP_BITS`-wide field, at the bit offset of the
+variable's slot.  Slots come from one process-wide registry that gives each
+new variable name the next free slot; inserts are locked, so threads that
+meet fresh names at once still get distinct slots.  A product of monomials
+is then one int addition, operands over different variables need no
+alignment, and a variable that no term uses is simply absent from every key.
+
+Exponent limit.  Each polynomial carries an upper bound on its total degree,
+which bounds every field of every key.  An operation whose result could have
+total degree above `MAX_DEGREE` (2**EXP_BITS - 1) raises `OverflowError`
+naming the limit; a field never carries into the next one.
+
+Coefficients.  A coefficient is stored as an `int` when it is integral and
+as a `Fraction` otherwise: the two compare and hash alike, and integer
+arithmetic is several times faster.  The public views are decoded on demand:
+`vars` lists the used variables sorted by name, and `terms` maps exponent
+tuples (in `vars` order) to `Fraction` coefficients.
 
 Only the public constructor `RatPoly(vars, terms)` validates: it is the input
-boundary, and it checks every exponent tuple and coefficient.  Arithmetic
-builds its results in canonical form directly and wraps them unchecked.  When
-a coefficient of a sum cancelled, a variable may be unused, and the sum drops
-it from its own exponent tuples.  A product of nonzero factors never loses a
-variable: the rationals are an integral domain, so deg_x(pq) = deg_x p +
-deg_x q, and a product is zero only when a factor is.
+boundary, and it checks every name, exponent tuple and coefficient.
+Arithmetic builds its results in canonical form directly and wraps them
+unchecked.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
 Rational = Fraction
 
+EXP_BITS = 16
+MAX_DEGREE = (1 << EXP_BITS) - 1      # also the mask of one exponent field
+
 _COMBINE_OPS = ("add", "sub", "mul")
+
+# the slot registry: name -> slot, and slot -> name
+_slot_of: dict[str, int] = {}
+_slot_names: list[str] = []
+_registry_lock = threading.Lock()
+
+
+def _offset(name: str) -> int:
+    """Bit offset of `name`'s exponent field; registers a new name."""
+    slot = _slot_of.get(name)
+    if slot is None:
+        with _registry_lock:
+            slot = _slot_of.get(name)
+            if slot is None:
+                slot = len(_slot_names)
+                _slot_names.append(name)
+                _slot_of[name] = slot
+    return slot * EXP_BITS
+
+
+def _fields(key: int):
+    """(slot, exponent) for each nonzero exponent field of a packed key."""
+    slot = 0
+    while key:
+        exp = key & MAX_DEGREE
+        if exp:
+            yield slot, exp
+        key >>= EXP_BITS
+        slot += 1
+
+
+def _key_degree(key: int) -> int:
+    return sum(exp for _, exp in _fields(key))
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise OverflowError(
+            f"total degree {degree} exceeds the exponent limit MAX_DEGREE = "
+            f"{MAX_DEGREE} ({EXP_BITS}-bit fields)")
 
 
 def _as_rational(value) -> Fraction:
@@ -32,20 +92,31 @@ def _as_rational(value) -> Fraction:
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
+def _stored(c):
+    """The storage form of a nonzero coefficient: int when integral."""
+    if c.__class__ is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
+
+
 class RatPoly:
     """Sparse polynomial with rational coefficients in canonical form.
 
-    Canonical form: variables are sorted by name, variables that occur in no
-    term are dropped, and no term has a zero coefficient; `sorted_terms` lists
-    the terms in graded lexicographic order (highest total degree first).  Two
-    RatPoly values are mathematically equal iff they are structurally equal.
+    Canonical form: no term has a zero coefficient, and every coefficient is
+    in its storage form (see `_stored`).  `vars` is sorted by name and lists
+    only variables that occur in some term; `sorted_terms` lists the terms in
+    graded lexicographic order (highest total degree first).  Two RatPoly
+    values are mathematically equal iff their packed term maps are equal.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("_terms", "_deg")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
-        cleaned = {}
+        if len(set(variables)) != len(variables):
+            raise ValueError("duplicate variable name")
+        offsets = [_offset(name) for name in variables]
+        packed = {}
         for exps, coeff in terms.items():
             coeff = _as_rational(coeff)
             if coeff == 0:
@@ -55,29 +126,26 @@ class RatPoly:
                 raise ValueError("exponent tuple length does not match variable count")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            cleaned[exps] = cleaned.get(exps, Fraction(0)) + coeff
-        cleaned = {e: c for e, c in cleaned.items() if c != 0}
-
-        used = [i for i, _ in enumerate(variables)
-                if any(e[i] for e in cleaned)]
-        order = sorted(used, key=lambda i: variables[i])
-        self.vars = tuple(variables[i] for i in order)
-        self.terms = {tuple(e[i] for i in order): c for e, c in cleaned.items()}
+            _check_degree(sum(exps))
+            key = sum(e << off for e, off in zip(exps, offsets))
+            packed[key] = packed.get(key, 0) + coeff
+        self._terms = {k: _stored(c) for k, c in packed.items() if c}
+        self._deg = max(map(_key_degree, self._terms), default=0)
 
     @classmethod
-    def _canonical(cls, variables: tuple, terms: dict) -> "RatPoly":
-        """Wrap terms already in canonical form, unchecked: nonzero `Fraction`
-        coefficients, sorted `variables`, each one used by some term."""
+    def _canonical(cls, terms: dict, degree: int) -> "RatPoly":
+        """Wrap a packed term map already in canonical form, unchecked;
+        `degree` bounds its total degree from above."""
         poly = object.__new__(cls)
-        poly.vars = variables
-        poly.terms = terms
+        poly._terms = terms
+        poly._deg = degree
         return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "RatPoly":
-        return cls((), {})
+        return cls._canonical({}, 0)
 
     @classmethod
     def constant(cls, value) -> "RatPoly":
@@ -85,11 +153,28 @@ class RatPoly:
 
     @classmethod
     def variable(cls, name: str) -> "RatPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def variables(cls, names) -> list["RatPoly"]:
         return [cls.variable(n) for n in names]
+
+    # -- decoded views ---------------------------------------------------------
+
+    @property
+    def vars(self) -> tuple:
+        """The variables some term uses, sorted by name."""
+        used = 0
+        for key in self._terms:
+            used |= key
+        return tuple(sorted(_slot_names[slot] for slot, _ in _fields(used)))
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple in `vars` order: Fraction coefficient}, a copy."""
+        offsets = [_slot_of[name] * EXP_BITS for name in self.vars]
+        return {tuple((key >> off) & MAX_DEGREE for off in offsets): Fraction(c)
+                for key, c in self._terms.items()}
 
     # -- canonical term order ----------------------------------------------
 
@@ -98,69 +183,43 @@ class RatPoly:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(_key_degree, self._terms), default=0)
 
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
-    def _aligned(p: "RatPoly", q: "RatPoly"):
-        """Remap both term maps onto the union variable tuple; an operand
-        already on it is passed through uncopied."""
-        if p.vars == q.vars:
-            return p.vars, p.terms, q.terms
-        union = tuple(sorted(set(p.vars) | set(q.vars)))
-        index = {name: i for i, name in enumerate(union)}
-
-        def remap(poly):
-            if poly.vars == union:
-                return poly.terms
-            pos = [index[name] for name in poly.vars]
-            out = {}
-            for exps, coeff in poly.terms.items():
-                full = [0] * len(union)
-                for slot, e in zip(pos, exps):
-                    full[slot] = e
-                out[tuple(full)] = coeff
-            return out
-
-        return union, remap(p), remap(q)
-
-    def _coerce(self, other):
+    def _coerce(other):
         if isinstance(other, RatPoly):
             return other
+        if other.__class__ is int:
+            return RatPoly._canonical({0: other} if other else {}, 0)
         return RatPoly.constant(other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        union, a, b = self._aligned(self, other)
+        a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        cancelled = False
-        for exps, coeff in b.items():
-            acc = out.get(exps)
+        for key, coeff in b.items():
+            acc = out.get(key)
             if acc is not None:
                 coeff += acc
                 if not coeff:
-                    del out[exps]
-                    cancelled = True
+                    del out[key]
                     continue
-            out[exps] = coeff
-        if cancelled:
-            # a cancelled term may have used the last power of some variable
-            used = [i for i, column in enumerate(zip(*out)) if any(column)]
-            if len(used) < len(union):
-                union = tuple(union[i] for i in used)
-                out = {tuple(e[i] for i in used): c for e, c in out.items()}
-        return RatPoly._canonical(union, out)
+                if coeff.__class__ is not int:
+                    coeff = _stored(coeff)
+            out[key] = coeff
+        return RatPoly._canonical(out, max(self._deg, other._deg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
+        return RatPoly._canonical({k: -c for k, c in self._terms.items()}, self._deg)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -170,28 +229,41 @@ class RatPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if not self.terms or not other.terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return RatPoly.zero()
-        union, a, b = self._aligned(self, other)
+        degree = self._deg + other._deg
+        if degree > MAX_DEGREE:        # the bounds may be loose after a cancellation
+            degree = self.total_degree() + other.total_degree()
+            _check_degree(degree)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # one term: keys shift injectively and nothing cancels
+            (k2, c2), = b.items()
+            return RatPoly._canonical(
+                {k1 + k2: _stored(c1 * c2) for k1, c1 in a.items()}, degree)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                key = k1 + k2
                 acc = out.get(key)
                 out[key] = c1 * c2 if acc is None else acc + c1 * c2
-        # terms may cancel, but no variable vanishes from a nonzero product
-        return RatPoly._canonical(union, {e: c for e, c in out.items() if c})
+        return RatPoly._canonical(
+            {k: _stored(c) for k, c in out.items() if c}, degree)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         scalar = _as_rational(scalar)
-        return RatPoly._canonical(self.vars,
-                                  {e: c / scalar for e, c in self.terms.items()})
+        return RatPoly._canonical(
+            {k: _stored(c / scalar) for k, c in self._terms.items()}, self._deg)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
+        if n * self._deg > MAX_DEGREE:     # fail before expanding anything
+            _check_degree(n * self.total_degree())
         result = RatPoly.constant(1)
         base = self
         while n:
@@ -206,12 +278,13 @@ class RatPoly:
             if not isinstance(other, (int, _RationalABC)):
                 return NotImplemented
             other = RatPoly.constant(other)
-        return self.vars == other.vars and self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        if not self.vars:        # a constant equals, so hashes as, its value
-            return hash(self.terms.get((), 0))
-        return hash((self.vars, frozenset(self.terms.items())))
+        terms = self._terms
+        if not terms or (len(terms) == 1 and 0 in terms):
+            return hash(terms.get(0, 0))   # a constant equals, so hashes as, its value
+        return hash(frozenset(terms.items()))
 
     # -- calculus / evaluation ----------------------------------------------
 
@@ -219,15 +292,13 @@ class RatPoly:
         """Exact partial derivative; zero if `var` is absent."""
         if var not in self.vars:
             return RatPoly.zero()
-        i = self.vars.index(var)
+        off = _slot_of[var] * EXP_BITS
         out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-        return RatPoly(self.vars, out)
+        for key, coeff in self._terms.items():
+            e = (key >> off) & MAX_DEGREE
+            if e:
+                out[key - (1 << off)] = _stored(coeff * e)
+        return RatPoly._canonical(out, self._deg - 1)
 
     def evaluate(self, assignment: dict) -> Fraction:
         """Exact evaluation; every variable of the polynomial must be assigned."""
@@ -248,7 +319,7 @@ class RatPoly:
 
     def dump(self) -> str:
         """One term per line: "coeff  e1 e2 ... en", graded-lex order."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         lines = []
         for exps, coeff in self.sorted_terms():
@@ -256,13 +327,14 @@ class RatPoly:
         return "\n".join(lines)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "RatPoly(0)"
+        names = self.vars
         bits = []
         for exps, coeff in self.sorted_terms():
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.vars, exps) if e
+                for v, e in zip(names, exps) if e
             )
             bits.append(f"{coeff}" if not mono else f"{coeff}*{mono}")
         return "RatPoly(" + " + ".join(bits) + ")"

@@ -139,6 +139,19 @@ def test_verify_tolerance_override_echoed(capsys):
     assert "b1_cross: 0.001" in out
 
 
+def test_identities_qmax_above_limit_exits_two(capsys, monkeypatch):
+    def not_started(qmax):
+        raise AssertionError("the suite must not start")
+
+    monkeypatch.setattr(identities, "run_identity_suite", not_started)
+    code, out, err = run_cli(capsys, "identities", "--qmax",
+                             str(identities.QMAX_LIMIT + 1))
+    assert code == 2
+    assert out == ""
+    assert "--qmax" in err
+    assert str(identities.QMAX_LIMIT) in err
+
+
 def test_verify_distrust_exit_code(capsys):
     # an absurdly tight cross-route tolerance flags every node -> exit 3
     code, out, _ = run_cli(capsys, "verify", "--surface", "clifford",
@@ -167,6 +180,19 @@ def test_thresholds_domain_error(capsys):
     code, _, err = run_cli(capsys, "thresholds", "--tau-lo", "0.9")
     assert code == 2
     assert "discriminant" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tau-lo", "0.3", "--tau-hi", "0.3"),
+    ("--tau-lo", "0.1", "--tau-hi", "0.3"),
+])
+def test_thresholds_rejects_tau_below_tau_star(capsys, argv):
+    # the discriminant is nonnegative again for tau <= ~0.378
+    code, out, err = run_cli(capsys, "thresholds", "--tau-points", "10", *argv)
+    assert code == 2
+    assert out == ""
+    assert "outside" in err and "discriminant" in err
+    assert f"tau={float(argv[1])!r}" in err
 
 
 @pytest.mark.parametrize("flag,value", [

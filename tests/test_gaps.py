@@ -85,6 +85,16 @@ def test_threshold_domain_error_names_discriminant():
         threshold_T(1.2)
 
 
+@pytest.mark.parametrize("tau", [0.3, 0.1, 0.378, 0.0])
+def test_threshold_domain_excludes_low_tau_branch(tau):
+    # (8 tau^2 - 9/2)^2 - 45/4 >= 0 here too, but tau is below tau_star
+    assert (8 * tau * tau - 4.5) ** 2 - 11.25 >= 0
+    with pytest.raises(DomainError, match="outside"):
+        threshold_T(tau)
+    with pytest.raises(DomainError, match="outside"):
+        threshold_table(10, lo=min(tau, 0.1), hi=0.3)
+
+
 def test_threshold_table_monotone_10k():
     table = threshold_table(10_000)
     assert np.all(np.diff(table.That_A) >= -1e-12)

@@ -1,6 +1,7 @@
 """Tests for the exact polynomial kernel."""
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimal_gap_lab.ratpoly import RatPoly, poly_combine, poly_diff, poly_is_zero
+from minimal_gap_lab.ratpoly import EXP_BITS, MAX_DEGREE
 
 x, y, z = RatPoly.variables("xyz")
 
@@ -210,3 +212,87 @@ def test_is_zero_agrees_with_random_evaluation():
 def test_evaluate_exact():
     p = Fraction(1, 3) * x ** 2 - y
     assert p.evaluate({"x": Fraction(3, 2), "y": Fraction(1, 4)}) == Fraction(1, 2)
+
+
+# -- packed-monomial kernel --------------------------------------------------
+
+def test_vars_sorted_whatever_the_registration_order():
+    late = RatPoly.variable("zz_first")      # registered first, sorts last
+    early = RatPoly.variable("aa_second")
+    p = 3 * late ** 2 * early - early + Fraction(1, 2)
+    assert p.vars == ("aa_second", "zz_first")
+    assert p.terms == {(1, 2): Fraction(3), (1, 0): Fraction(-1),
+                       (0, 0): Fraction(1, 2)}
+    same = RatPoly(("aa_second", "zz_first"),
+                   {(1, 2): 3, (1, 0): -1, (0, 0): Fraction(1, 2)})
+    assert p == same
+    assert hash(p) == hash(same)
+    assert p.dump() == same.dump() == "3  1  2\n-1  1  0\n1/2  0  0"
+    assert repr(p) == repr(same) == \
+        "RatPoly(3*aa_second*zz_first^2 + -1*aa_second + 1/2)"
+    assert RatPoly(("zz_first", "aa_second"), {(2, 1): 3}) == 3 * late ** 2 * early
+
+
+def test_constructor_rejects_duplicate_variable_names():
+    with pytest.raises(ValueError, match="duplicate"):
+        RatPoly(("x", "x"), {(1, 1): 1})
+
+
+def test_exponent_past_the_field_width_raises():
+    top = MAX_DEGREE
+    edge = RatPoly(("x",), {(top,): 1})
+    assert edge.total_degree() == top
+    assert edge.diff("x") == top * RatPoly(("x",), {(top - 1,): 1})
+    with pytest.raises(OverflowError, match=str(MAX_DEGREE)):
+        RatPoly(("x",), {(top + 1,): 1})
+    with pytest.raises(OverflowError, match=str(MAX_DEGREE)):
+        RatPoly(("x", "y"), {(top, 1): 1})       # no single field overflows
+    with pytest.raises(OverflowError, match=str(MAX_DEGREE)):
+        edge * x
+    with pytest.raises(OverflowError, match=str(MAX_DEGREE)):
+        (x + 1) ** (top + 1)
+    with pytest.raises(OverflowError, match=str(MAX_DEGREE)):
+        RatPoly(("y",), {(1 << EXP_BITS - 1,): 1}) ** 2
+
+
+def test_loose_degree_bound_after_cancellation_does_not_raise():
+    big = RatPoly(("x",), {(MAX_DEGREE - 1,): 1})
+    p = big + y - big                   # its degree bound is still MAX_DEGREE - 1
+    assert p == y
+    assert p * x * y == x * y ** 2
+
+
+def test_integral_fraction_coefficients():
+    half = x / 2
+    assert half * 2 == x
+    assert (x * Fraction(1, 3)) * 3 == x
+    assert hash(half * 2) == hash(x)
+    assert half + half == x
+    assert hash(half + half) == hash(x)
+    assert RatPoly(("x",), {(1,): Fraction(4, 2)}) == 2 * x
+    assert hash(RatPoly.constant(Fraction(6, 3))) == hash(2)
+    for p in (half * 2, half + half, half, x * y / Fraction(1, 2)):
+        assert all(type(c) is Fraction for c in p.terms.values())
+    assert (half * 2).terms == {(1,): Fraction(1)}
+
+
+def test_threads_register_fresh_names_in_distinct_slots():
+    barrier = threading.Barrier(2)
+    made = [[], []]
+
+    def register(t):
+        barrier.wait(timeout=10)
+        made[t] = [RatPoly.variable(f"fresh_{t}_{i}") for i in range(20)]
+
+    threads = [threading.Thread(target=register, args=(t,)) for t in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    product = RatPoly.constant(1)
+    for v in made[0] + made[1]:
+        product = product * v
+    # names sharing a slot would collapse into one variable of degree 2
+    assert len(product.vars) == 40
+    assert product.terms == {(1,) * 40: Fraction(1)}
