@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from minimal_gap_lab import geoquad, identities, surfaces
+from minimal_gap_lab import gaps, geoquad, identities, surfaces
 from minimal_gap_lab.errors import (
     DomainError,
     InvariantViolation,
@@ -25,7 +25,6 @@ from minimal_gap_lab.errors import (
     ParseError,
     ValidationError,
 )
-from minimal_gap_lab.gaps import certify, pinching_table, threshold_table
 from minimal_gap_lab.report import render_tree, summary, write_csv, write_json
 
 EXIT_OK = 0
@@ -164,7 +163,7 @@ def _verify_surface(source, config: RunConfig, tols: dict):
         codazzi_tol=tols["codazzi"], b1_cross_tol=tols["b1_cross"])
     report = geoquad.integral_report(spec, grid, fields,
                                      nonneg_tol=tols["gap_nonneg"])
-    cert = certify(spec, fields, report)
+    cert = gaps.certify(spec, fields, report)
 
     inv_tree = {name: summary(getattr(fields.inv, name))
                 for name in _INVARIANT_SUMMARY_FIELDS}
@@ -251,17 +250,17 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_thresholds(config: RunConfig) -> int:
-    from minimal_gap_lab.gaps import TAU_STAR, threshold_T
-
-    lo = TAU_STAR if config.tau_lo is None else config.tau_lo
-    table = threshold_table(config.tau_points, lo=lo, hi=config.tau_hi)
+    lo = gaps.TAU_STAR if config.tau_lo is None else config.tau_lo
+    table = gaps.threshold_table(config.tau_points, lo=lo, hi=config.tau_hi)
     table.check_monotone()
-    roots = pinching_table(config.gamma_points)
+    roots = gaps.pinching_table(config.gamma_points)
 
+    at_1 = gaps.threshold_T(1.0)
+    at_tau_star = gaps.threshold_T(gaps.TAU_STAR)
     checks = {
-        "That_A_at_1": threshold_T(1.0)[2],
-        "That_B_at_1": threshold_T(1.0)[3],
-        "That_gap_at_tau_star": threshold_T(TAU_STAR)[2] - threshold_T(TAU_STAR)[3],
+        "That_A_at_1": at_1[2],
+        "That_B_at_1": at_1[3],
+        "That_gap_at_tau_star": at_tau_star[2] - at_tau_star[3],
         "sigma_first_row": float(table.sigma[0]),
         "S0_first": roots[0].S0,
         "S0_last": roots[-1].S0,
@@ -371,6 +370,11 @@ def main(argv=None) -> int:
                 tau_hi=args.tau_hi, gamma_points=args.gamma_points,
                 csv_prefix=args.csv_prefix, json_path=args.json_path,
             )
+            for flag, points in (("--tau-points", config.tau_points),
+                                 ("--gamma-points", config.gamma_points)):
+                if points > gaps.TABLE_POINTS_MAX:
+                    raise DomainError(f"{flag} {points} is above the limit "
+                                      f"{gaps.TABLE_POINTS_MAX}")
             return cmd_thresholds(config)
         if args.command == "catalog":
             return cmd_catalog_list()

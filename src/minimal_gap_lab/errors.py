@@ -14,7 +14,8 @@ class ParseError(MinimalGapError):
 
 
 class ValidationError(MinimalGapError):
-    """Immersion spec rejected (unit-image or minimality residual too large)."""
+    """Immersion spec rejected: unit-image or minimality residual too large,
+    or a declared Euler characteristic that Gauss-Bonnet contradicts."""
 
 
 class DomainError(MinimalGapError):

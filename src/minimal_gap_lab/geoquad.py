@@ -16,7 +16,12 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from minimal_gap_lab.errors import DomainError, InvariantViolation
+# The package loads its submodules lazily, and on Python 3.11 a lazy module
+# is not thread-safe while it loads.  These `from ... import` lines load
+# every module that the `evaluate_fields` pool threads reach (`surfaces`,
+# `invariants`, `harmonics`, `errors`) here, in the importing thread, before
+# any pool starts.  Keep them as name imports.
+from minimal_gap_lab.errors import DomainError, InvariantViolation, ValidationError
 from minimal_gap_lab.invariants import (
     B1_CROSS_TOL,
     PointInvariants,
@@ -266,6 +271,14 @@ def integral_report(spec: ImmersionSpec, grid: QuadratureGrid,
                 f"{spec.name}: the {label} gap integrand integrated to "
                 f"{value:.6e} (area-normalized {value / area:.3e}), but "
                 "nonnegativity is a theorem for closed minimal surfaces")
+
+    # Gauss-Bonnet: int K = 2 pi chi.  A declared chi it contradicts is a bad
+    # input, and `certify` would build its bounds from it (NaN fails too).
+    chi = int_K / (2.0 * math.pi)
+    if not abs(chi - spec.euler_char) < 0.5:
+        raise ValidationError(
+            f"euler_char: {spec.name} declares {spec.euler_char}, but "
+            f"Gauss-Bonnet gives int K / 2 pi = {chi:.6g}")
 
     int_rho2 = integrate(inv.rho_perp ** 2, grid)
     return IntegralReport(

@@ -3,21 +3,30 @@
 Reports are nested key-value trees rendered to UTF-8 text with a fixed field
 order and every float printed at 17 significant digits, so identical configs
 produce byte-identical reports across runs and worker counts.
+
+numpy is imported only by `summary`, so rendering the exact engine's reports
+never loads it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
-import numpy as np
+
+def _is_numpy(value, kind: str) -> bool:
+    """isinstance(value, numpy.<kind>), without importing numpy: before
+    numpy is imported, no numpy value can exist."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, getattr(np, kind))
 
 
 def fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int) or _is_numpy(value, "integer"):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) or _is_numpy(value, "floating"):
         x = float(value)
         if x == 0.0:
             return "0"
@@ -45,11 +54,11 @@ def jsonable(tree):
         return {k: jsonable(v) for k, v in tree.items()}
     if isinstance(tree, (list, tuple)):
         return [jsonable(v) for v in tree]
-    if isinstance(tree, (np.integer,)):
+    if _is_numpy(tree, "integer"):
         return int(tree)
-    if isinstance(tree, (np.floating,)):
+    if _is_numpy(tree, "floating"):
         return float(tree)
-    if isinstance(tree, (np.bool_,)):
+    if _is_numpy(tree, "bool_"):
         return bool(tree)
     return tree
 
@@ -68,7 +77,9 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.write(",".join(fmt(x) for x in row) + "\n")
 
 
-def summary(values: np.ndarray) -> dict:
+def summary(values) -> dict:
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     return {
         "min": float(np.min(values)),

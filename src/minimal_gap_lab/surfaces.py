@@ -456,7 +456,13 @@ def _expect(cond, path, msg):
 def _as_number(value, path):
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             path, f"expected number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:           # an int beyond the float range
+        number = math.inf
+    # json reads NaN and Infinity; either would fail only deep in the pipeline
+    _expect(math.isfinite(number), path, f"must be a finite number, got {number!r}")
+    return number
 
 
 def parse_spec_dict(data: dict) -> ImmersionSpec:
@@ -523,6 +529,8 @@ def parse_spec_text(text: str) -> ImmersionSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}", exc.msg) from exc
+    except ValueError as exc:       # an int literal above Python's digit limit
+        raise ParseError("$", str(exc)) from exc
     return parse_spec_dict(data)
 
 
@@ -569,7 +577,7 @@ def validate_spec(spec: ImmersionSpec,
     U, V = _validation_points(spec, *unit_grid)
     X = eval_jet(spec, (U, V), order=0).derivs[0, 0]
     unit_residual = float(np.max(np.abs(np.einsum("c...,c...->...", X, X) - 1.0)))
-    if unit_residual > unit_tol:
+    if not unit_residual <= unit_tol:      # NaN fails too
         raise ValidationError(
             f"{spec.name}: image not on the unit sphere "
             f"(max ||X|^2 - 1| = {unit_residual:.3e} > {unit_tol:g})")
@@ -579,7 +587,7 @@ def validate_spec(spec: ImmersionSpec,
     frame = adapted_frame(jet)
     sp = second_fundamental_form(jet, frame)
     minimality_residual = float(np.max(sp.minimality_residual))
-    if minimality_residual > minimality_tol:
+    if not minimality_residual <= minimality_tol:
         raise ValidationError(
             f"{spec.name}: immersion is not minimal "
             f"(max |H| residual = {minimality_residual:.3e} > {minimality_tol:g})")

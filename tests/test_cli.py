@@ -1,10 +1,11 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 
 import json
+import math
 
 import pytest
 
-from minimal_gap_lab import identities
+from minimal_gap_lab import gaps, identities
 from minimal_gap_lab.cli import main
 from minimal_gap_lab.ratpoly import RatPoly
 from minimal_gap_lab.surfaces import catalog_entry, serialize_spec
@@ -132,6 +133,36 @@ def test_verify_rejects_non_finite_or_negative_tolerance(capsys, tmp_path, overr
     assert "finite" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("coeff", math.nan), ("coeff", math.inf), ("coeff", -math.inf),
+    ("freq", [math.nan, 1]), ("freq", [1, math.inf]),
+])
+def test_verify_rejects_non_finite_spec_number(capsys, tmp_path, field, value):
+    # json reads NaN and Infinity; a NaN coeff once got through to "field
+    # evaluation failed at node 0" and exit 1
+    doc = json.loads(serialize_spec(catalog_entry("clifford")))
+    doc["components"][0][0][field] = value
+    path = tmp_path / "clifford_bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                             "--resolution", "16x16")
+    assert code == 2
+    assert out == ""
+    assert f"components[0][0].{field}" in err
+
+
+def test_verify_rejects_euler_char_contradicted_by_gauss_bonnet(capsys, tmp_path):
+    doc = json.loads(serialize_spec(catalog_entry("clifford")))
+    doc["euler_char"] = 2
+    path = tmp_path / "clifford_chi2.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                             "--resolution", "16x16")
+    assert code == 2
+    assert out == ""
+    assert "euler_char" in err and "Gauss-Bonnet" in err
+
+
 def test_verify_tolerance_override_echoed(capsys):
     code, out, _ = run_cli(capsys, "verify", "--surface", "clifford",
                            "--resolution", "8x8", "--tol", "b1_cross=0.001")
@@ -205,6 +236,29 @@ def test_thresholds_rejects_non_finite_tau(capsys, flag, value):
     assert "outside" in err
 
 
+def test_thresholds_rejects_reversed_tau_interval(capsys):
+    code, out, err = run_cli(capsys, "thresholds", "--tau-points", "10",
+                             "--tau-lo", "1", "--tau-hi", "0.995")
+    assert code == 2
+    assert out == ""
+    assert "[1.0, 0.995] is reversed" in err
+
+
+@pytest.mark.parametrize("flag", ["--tau-points", "--gamma-points"])
+def test_thresholds_points_above_limit_exit_two(capsys, monkeypatch, flag):
+    def not_started(*args, **kwargs):
+        raise AssertionError("no table may be built")
+
+    monkeypatch.setattr(gaps, "threshold_table", not_started)
+    monkeypatch.setattr(gaps, "pinching_table", not_started)
+    code, out, err = run_cli(capsys, "thresholds", flag,
+                             str(gaps.TABLE_POINTS_MAX + 1))
+    assert code == 2
+    assert out == ""
+    assert f"{flag} {gaps.TABLE_POINTS_MAX + 1}" in err
+    assert f"limit {gaps.TABLE_POINTS_MAX}" in err
+
+
 def test_catalog_list(capsys):
     code, out, _ = run_cli(capsys, "catalog", "list")
     assert code == 0
@@ -221,3 +275,12 @@ def test_report_float_formatting():
     assert fmt(1.0 / 3.0) == "0.33333333333333331"
     assert fmt(True) == "true"
     assert fmt(17) == "17"
+    # numpy scalars render as at the eager-numpy report module
+    import numpy as np
+
+    assert fmt(np.float64(0.1)) == "0.10000000000000001"
+    assert fmt(np.float64(-0.0)) == "0"
+    assert fmt(np.float32(0.1)) == "0.10000000149011612"
+    assert fmt(np.int64(-7)) == "-7"
+    assert fmt(np.bool_(True)) == "True"
+    assert fmt(2 ** 70) == "1180591620717411303424"

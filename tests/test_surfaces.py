@@ -384,6 +384,12 @@ def test_clifford_round_trip(tmp_path):
     (lambda d: d["components"][0][0].update(coeff="x"), "components[0][0].coeff"),
     (lambda d: d["components"][0][0].update(exps=[1, 2]), "components[0][0].exps"),
     (lambda d: d["components"][0].append({"bad": 1}), "components[0][1]"),
+    pytest.param(lambda d: d["components"][0][0].update(coeff=math.nan),
+                 "components[0][0].coeff", id="coeff-nan"),
+    pytest.param(lambda d: d["components"][0][0].update(coeff=math.inf),
+                 "components[0][0].coeff", id="coeff-inf"),
+    pytest.param(lambda d: d["components"][0][0].update(coeff=-10 ** 400),
+                 "components[0][0].coeff", id="coeff-int-beyond-float"),
 ])
 def test_parse_errors_cite_field_path(mutate, path_bit):
     doc = json.loads(serialize_spec(catalog_entry("equator")))
@@ -393,6 +399,14 @@ def test_parse_errors_cite_field_path(mutate, path_bit):
 
         parse_spec_dict(doc)
     assert path_bit in str(err.value)
+
+
+def test_int_literal_beyond_the_digit_limit_is_a_parse_error():
+    text = serialize_spec(catalog_entry("equator"))
+    assert '"coeff": 1.0' in text
+    with pytest.raises(ParseError) as err:
+        parse_spec_text(text.replace('"coeff": 1.0', '"coeff": 1' + "0" * 5000, 1))
+    assert "digits" in str(err.value)
 
 
 def test_component_count_must_match_ambient_dim():
@@ -413,6 +427,19 @@ def test_non_unit_image_rejected():
 
         validate_spec(parse_spec_dict(doc))
     assert "unit sphere" in str(err.value)
+
+
+def test_overflowing_coefficient_sums_rejected():
+    # every coefficient is finite, but the repeated terms sum to +-inf and
+    # the image to NaN, which a `>` comparison with the tolerance lets pass
+    doc = json.loads(serialize_spec(catalog_entry("equator")))
+    doc["components"][0] += ([{"coeff": 1e308, "exps": [1, 0, 0]}] * 2
+                             + [{"coeff": -1e308, "exps": [0, 1, 0]}] * 2)
+    spec = parse_spec_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError) as err:
+            validate_spec(spec)
+    assert "unit sphere" in str(err.value) and "nan" in str(err.value)
 
 
 def test_non_minimal_immersion_rejected():
