@@ -362,6 +362,8 @@ def main(argv=None) -> int:
                 json_path=args.json_path,
                 tolerances=_parse_tols(args.tol),
             )
+            if config.workers < 1:
+                raise DomainError(f"--workers must be >= 1, got {config.workers}")
             return cmd_verify(config)
         if args.command == "thresholds":
             config = RunConfig(

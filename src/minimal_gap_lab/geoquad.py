@@ -37,12 +37,13 @@ from minimal_gap_lab.surfaces import (
     covariant_grad_h,
     eval_jet,
     first_fundamental_form,
-    second_fundamental_form,
 )
 
 DEFAULT_RESOLUTION = {"sphere": (64, 128), "torus": (64, 64)}
 GAP_NONNEG_TOL = 1e-6
 NODE_CHUNK = 16384      # nodes per chunk at most: bounds the per-chunk arrays
+MAX_NODES = 2 ** 20     # grid nodes at most (1024x1024): bounds the grid arrays
+BESSEL_J0_ZERO = 2.404825557695773     # j_{0,1}, the first zero of J_0
 
 
 @dataclass
@@ -69,14 +70,27 @@ def build_grid(spec: ImmersionSpec, resolution=None) -> QuadratureGrid:
     n_u, n_v = resolution
     if n_u < 8 or n_v < 8:
         raise DomainError("resolution must be at least 8 nodes per axis")
+    if n_u * n_v > MAX_NODES:
+        raise DomainError(f"--resolution {n_u}x{n_v} has {n_u * n_v} nodes, above "
+                          f"the limit {MAX_NODES}")
+
+    def too_polar(angle):
+        return DomainError(
+            f"{spec.name}: --resolution {n_u}x{n_v} puts Gauss-Legendre "
+            f"nodes within {spec.pole_margin:g} of a chart pole (polar "
+            f"angle {angle}); use fewer polar nodes")
+
     if spec.chart == SPHERE:
+        # the first node has theta_1 < j_{0,1} / (n_u + 1/2) (Szego,
+        # Orthogonal Polynomials, sec. 6.3), within ~1e-8 relative near the
+        # limit: refuse from it before leggauss spends seconds on a large n_u
+        theta_bound = BESSEL_J0_ZERO / (n_u + 0.5)
+        if theta_bound < spec.pole_margin:
+            raise too_polar(f"below {theta_bound:.3g}")
         x, w = np.polynomial.legendre.leggauss(n_u)
         theta = np.arccos(x[::-1])             # ascending theta, never at a pole
         if theta[0] < spec.pole_margin or theta[-1] > math.pi - spec.pole_margin:
-            raise DomainError(
-                f"{spec.name}: --resolution {n_u}x{n_v} puts Gauss-Legendre "
-                f"nodes within {spec.pole_margin:g} of a chart pole (polar "
-                f"angle {theta[0]:.3g}); use fewer polar nodes")
+            raise too_polar(f"{theta[0]:.3g}")
         w_theta = w[::-1] / np.sin(theta)      # d(theta) weight for f*sqrt(g)
         phi = np.arange(n_v) * (2.0 * math.pi / n_v)
         w_phi = np.full(n_v, 2.0 * math.pi / n_v)
@@ -136,10 +150,8 @@ def _fields_chunk(spec: ImmersionSpec, u: np.ndarray, v: np.ndarray,
     # one jet serves every layer: the frame, h and grad h read it to order 3,
     # the Taylor series of S to order 4
     jet = eval_jet(spec, (u, v), order=JET_ORDER_MAX)
-    frame = adapted_frame(jet)
-    inv = point_invariants(second_fundamental_form(jet, frame))
-    grad = covariant_grad_h(spec, jet, frame)
-    del frame                     # free the frame series before the S pass
+    grad = covariant_grad_h(spec, jet, adapted_frame(jet))
+    inv = point_invariants(grad.shape)
     simons = b1_simons(spec, jet, inv)
     cross = np.abs(simons.b1 - grad.b1_direct)
     flagged = (grad.codazzi_residual > codazzi_tol) | (cross > b1_cross_tol)

@@ -777,19 +777,27 @@ def _h_series(jet: Jet, frame: FrameData, degree: int) -> Taylor:
     return Taylor.einsum("ic...,jd...,cda...->ija...", L, L, normal_part)
 
 
+def _shape_pair(h: np.ndarray) -> ShapePair:
+    """The ShapePair of h[i, j, alpha, *points]; a and b are copies, so they
+    keep no larger series alive."""
+    residual = np.max(np.abs(h[0, 0] + h[1, 1]), axis=0, initial=0.0)
+    return ShapePair(a=h[0, 0].copy(), b=h[0, 1].copy(), minimality_residual=residual)
+
+
 def second_fundamental_form(jet: Jet, frame: FrameData) -> ShapePair:
     if jet.order < 2:
         raise DomainError("second fundamental form needs a jet of order >= 2")
-    h = _h_series(jet, frame, 0).c[0]
-    residual = np.max(np.abs(h[0, 0] + h[1, 1]), axis=0, initial=0.0)
-    return ShapePair(a=h[0, 0], b=h[0, 1], minimality_residual=residual)
+    return _shape_pair(_h_series(jet, frame, 0).c[0])
 
 
 @dataclass
 class CovariantGradH:
     """First covariant derivative of h, points last: grad3[i, j, k, alpha] =
-    h_ijk^alpha, with a1 = h_111 and a2 = h_112 (shape (q, *points))."""
+    h_ijk^alpha, with a1 = h_111 and a2 = h_112 (shape (q, *points)).
+    `shape` is h itself, the degree-0 coefficient of the series that was
+    differentiated, equal to `second_fundamental_form` on the same frame."""
 
+    shape: ShapePair
     a1: np.ndarray
     a2: np.ndarray
     grad3: np.ndarray              # (2, 2, 2, q, *points)
@@ -830,6 +838,7 @@ def covariant_grad_h(spec: ImmersionSpec, point, frame: FrameData | None = None
         np.max(np.abs(grad3 - np.swapaxes(grad3, 1, 2)), axis=(0, 1, 2, 3), initial=0.0),
     )
     return CovariantGradH(
+        shape=_shape_pair(h0),
         a1=grad3[0, 0, 0],
         a2=grad3[0, 0, 1],
         grad3=grad3,
@@ -856,20 +865,30 @@ def second_norm_field(spec: ImmersionSpec, point, degree: int = 0) -> Taylor:
 
     `point` is (u, v) or a Jet of order >= 2 + degree.  The value at the
     points is `.c[0]`; degree 2 carries all the Laplacian of S needs.
+
+    The Hessian slots X_uu, X_uv, X_vv are projected onto the normal space
+    one at a time, so no series carries two chart axes and the ambient axis
+    at once; S then needs only the six inner products of the normal parts.
+    The vectors are projected before any inner product is taken: subtracting
+    the radial and tangential parts from Gram entries of the raw jet instead
+    cancels catastrophically near the poles.
     """
     jet = jet_at(spec, point, 2 + degree)
     X = Taylor.lift(jet, 0, 0, degree)
     Xc = Taylor.stack([Taylor.lift(jet, 1, 0, degree),
                        Taylor.lift(jet, 0, 1, degree)])                # [c, C]
-    T = _chart_hessian(jet, degree)                                  # [c, d, C]
     ginv = _inverse2(Taylor.einsum("cx...,dx...->cd...", Xc, Xc))
-    # project out position and tangential parts
-    t_coeff = Taylor.einsum("cdx...,ex...->cde...", T, Xc)          # <X_cd, X_e>
-    radial = Taylor.einsum("cdx...,x...->cd...", T, X)
-    K = (T
-         - Taylor.einsum("cd...,x...->cdx...", radial, X)
-         - Taylor.einsum("cdf...,fx...->cdx...",
-                         Taylor.einsum("cde...,ef...->cdf...", t_coeff, ginv), Xc))
-    # S = g^ik g^jl <K_ij, K_kl> = sum_ij <A_ij, A_ji> with A = g^-1 K
-    A = Taylor.einsum("ik...,kjx...->ijx...", ginv, K)
-    return Taylor.einsum("ijx...,jix...->...", A, A)
+    K = []
+    for i, j in ((2, 0), (1, 1), (0, 2)):
+        T = Taylor.lift(jet, i, j, degree)                           # [C]
+        coeff = Taylor.einsum("e...,ef...->f...",                   # <T, X_e> g^ef
+                              Taylor.einsum("x...,ex...->e...", T, Xc), ginv)
+        K.append(T - _dot(T, X)[None] * X - Taylor.einsum("f...,fx...->x...", coeff, Xc))
+    Kuu, Kuv, Kvv = K
+    # S = g^ik g^jl <K_ij, K_kl> with K symmetric, written out in the entries
+    # p, r, s of the symmetric g^-1
+    p, r, s = ginv[0, 0], ginv[0, 1], ginv[1, 1]
+    return (p * p * _dot(Kuu, Kuu) + s * s * _dot(Kvv, Kvv)
+            + 2.0 * (p * s + r * r) * _dot(Kuv, Kuv)
+            + 4.0 * (p * r * _dot(Kuu, Kuv) + r * s * _dot(Kuv, Kvv))
+            + 2.0 * r * r * _dot(Kuu, Kvv))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from minimal_gap_lab import gaps, identities
+from minimal_gap_lab import gaps, geoquad, identities
 from minimal_gap_lab.cli import main
 from minimal_gap_lab.ratpoly import RatPoly
 from minimal_gap_lab.surfaces import catalog_entry, serialize_spec
@@ -243,6 +243,19 @@ def test_thresholds_rejects_reversed_tau_interval(capsys):
     assert out == ""
     assert "[1.0, 0.995] is reversed" in err
 
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_nonpositive_workers_exit_two(capsys, monkeypatch, workers):
+    def not_started(*args, **kwargs):
+        raise AssertionError("no grid may be built")
+
+    monkeypatch.setattr(geoquad, "build_grid", not_started)
+    code, out, err = run_cli(capsys, "verify", "--surface", "clifford",
+                             "--resolution", "8x8", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert f"--workers must be >= 1, got {workers}" in err
 
 @pytest.mark.parametrize("flag", ["--tau-points", "--gamma-points"])
 def test_thresholds_points_above_limit_exit_two(capsys, monkeypatch, flag):

@@ -1,5 +1,6 @@
 """Tests for quadrature grids, integration, and the integral identities."""
 
+import functools
 import math
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.geoquad import (
+    MAX_NODES,
     NODE_CHUNK,
     build_grid,
     chunk_slices,
@@ -54,19 +56,42 @@ def test_resolution_gate():
         build_grid(catalog_entry("clifford"), (4, 64))
 
 
+def _refuse(name, *args, **kwargs):
+    raise AssertionError(f"{name} was called for a refused grid")
+
+
 def test_polar_nodes_inside_pole_margin_rejected(monkeypatch):
     # at the default margin 1e-3, 2400 Gauss-Legendre nodes still clear the
-    # poles and 2500 do not; the grid must be refused before any jet is taken
+    # poles and 2405 do not; the grid must be refused from the node bound,
+    # before the nodes themselves or any jet is computed
     spec = catalog_entry("veronese")
     assert build_grid(spec, (2400, 8)).node_count == 2400 * 8
 
-    def no_jets(*args, **kwargs):
-        raise AssertionError("a jet was evaluated")
+    monkeypatch.setattr("minimal_gap_lab.geoquad.eval_jet",
+                        functools.partial(_refuse, "eval_jet"))
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        functools.partial(_refuse, "leggauss"))
+    for n_u in (2405, 2500, 10 ** 5):
+        with pytest.raises(DomainError) as err:
+            build_grid(spec, (n_u, 8))
+        assert "--resolution" in str(err.value)
+        assert "pole" in str(err.value)
 
-    monkeypatch.setattr("minimal_gap_lab.geoquad.eval_jet", no_jets)
+
+@pytest.mark.parametrize("name,resolution", [
+    ("veronese", (64, 10 ** 9)),
+    ("clifford", (10 ** 9, 64)),
+    ("clifford", (2048, 1024)),
+])
+def test_node_count_above_limit_rejected(monkeypatch, name, resolution):
+    monkeypatch.setattr("minimal_gap_lab.geoquad.eval_jet",
+                        functools.partial(_refuse, "eval_jet"))
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        functools.partial(_refuse, "leggauss"))
     with pytest.raises(DomainError) as err:
-        build_grid(spec, (2500, 8))
+        build_grid(catalog_entry(name), resolution)
     assert "--resolution" in str(err.value)
+    assert f"limit {MAX_NODES}" in str(err.value)
 
 
 def test_pool_size_is_bounded():

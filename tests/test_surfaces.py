@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,34 @@ def test_second_norm_field_matches_frame_route():
         S_frame = 2.0 * (np.einsum("qn,qn->n", sp.a, sp.a)
                          + np.einsum("qn,qn->n", sp.b, sp.b))
         assert np.max(np.abs(S_frame - second_norm_field(spec, pts).c[0])) < 1e-12
+
+
+def test_second_norm_field_memory_is_a_few_jets():
+    # one Hessian slot at a time: the working set stays a small multiple of
+    # the jet itself (about 10x while all three slots were built at once)
+    spec = catalog_entry("calabi4")
+    rng = np.random.default_rng(4)
+    pts = (rng.uniform(0.1, math.pi - 0.1, 2048), rng.uniform(0.0, 2 * math.pi, 2048))
+    jet = eval_jet(spec, pts, order=JET_ORDER_MAX)
+    jet_bytes = sum(d.nbytes for d in jet.derivs.values())
+    tracemalloc.start()
+    try:
+        second_norm_field(spec, jet, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * jet_bytes, f"peak {peak / jet_bytes:.2f}x the jet"
+
+
+def test_covariant_grad_h_carries_h():
+    for name in CATALOG_NAMES:
+        spec = catalog_entry(name)
+        jet = eval_jet(spec, _points(spec), order=3)
+        frame = adapted_frame(jet)
+        sp = second_fundamental_form(jet, frame)
+        carried = covariant_grad_h(spec, jet, frame).shape
+        for field in ("a", "b", "minimality_residual"):
+            assert np.array_equal(getattr(carried, field), getattr(sp, field))
 
 
 # ------------------------------------------------- covariant gradient of h
