@@ -2,9 +2,10 @@
 
 Sphere charts get Gauss-Legendre nodes in cos(theta) tensored with a uniform
 phi grid; torus charts get the uniform tensor grid (spectrally accurate for
-trigonometric integrands).  The reduction is an exactly-rounded fixed-order
-sum, so integrals are bit-identical regardless of how node evaluation is
-chunked across workers.
+trigonometric integrands).  Every per-node layer runs on tiles of the grid:
+blocks of whole u-rows, which the resolution alone fixes, each evaluated from
+its 1-D axes.  The reduction is an exactly-rounded fixed-order sum, so
+integrals are bit-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from minimal_gap_lab.surfaces import (
     JET_ORDER_MAX,
     SPHERE,
     ImmersionSpec,
+    Jet,
     adapted_frame,
     covariant_grad_h,
     eval_jet,
@@ -41,18 +43,24 @@ from minimal_gap_lab.surfaces import (
 
 DEFAULT_RESOLUTION = {"sphere": (64, 128), "torus": (64, 64)}
 GAP_NONNEG_TOL = 1e-6
-NODE_CHUNK = 16384      # nodes per chunk at most: bounds the per-chunk arrays
+NODE_CHUNK = 3072       # nodes per tile at most: bounds the per-tile arrays
 MAX_NODES = 2 ** 20     # grid nodes at most (1024x1024): bounds the grid arrays
 BESSEL_J0_ZERO = 2.404825557695773     # j_{0,1}, the first zero of J_0
 
 
 @dataclass
 class QuadratureGrid:
-    """Flattened tensor-product nodes with chart-measure weights."""
+    """Tensor-product nodes with chart-measure weights.
+
+    `u_axis` and `v_axis` are the 1-D axes; every per-node array is
+    flattened row-major, so node i * n_v + j sits at (u_axis[i], v_axis[j]).
+    """
 
     spec_name: str
     chart: str
     resolution: tuple            # (n_u, n_v)
+    u_axis: np.ndarray           # (n_u,)
+    v_axis: np.ndarray           # (n_v,)
     u: np.ndarray                # (n,)
     v: np.ndarray
     weight: np.ndarray           # chart weight; area element kept separately
@@ -100,13 +108,15 @@ def build_grid(spec: ImmersionSpec, resolution=None) -> QuadratureGrid:
         phi = np.arange(n_v) * (2.0 * math.pi / n_v)
         w_phi = np.full(n_v, 2.0 * math.pi / n_v)
 
-    U, V = np.meshgrid(theta, phi, indexing="ij")
-    W = np.outer(w_theta, w_phi)
-    u, v, weight = U.ravel(), V.ravel(), W.ravel()
-    E, F, G = first_fundamental_form(eval_jet(spec, (u, v), order=1))
+    sqrt_det_g = np.empty((n_u, n_v))
+    for rows, cols in grid_tiles((n_u, n_v)):
+        E, F, G = first_fundamental_form(
+            eval_jet(spec, (theta[rows, None], phi[None, cols]), order=1))
+        sqrt_det_g[rows, cols] = np.sqrt(E * G - F * F)
     return QuadratureGrid(
         spec_name=spec.name, chart=spec.chart, resolution=(n_u, n_v),
-        u=u, v=v, weight=weight, sqrt_det_g=np.sqrt(E * G - F * F))
+        u_axis=theta, v_axis=phi, u=np.repeat(theta, n_v), v=np.tile(phi, n_u),
+        weight=np.outer(w_theta, w_phi).ravel(), sqrt_det_g=sqrt_det_g.ravel())
 
 
 def integrate(values, grid: QuadratureGrid) -> float:
@@ -144,12 +154,15 @@ class SurfaceFields:
         return float(np.mean(self.flagged))
 
 
-def _fields_chunk(spec: ImmersionSpec, u: np.ndarray, v: np.ndarray,
+def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray, v_cols: np.ndarray,
                   codazzi_tol: float = CODAZZI_TOL,
                   b1_cross_tol: float = B1_CROSS_TOL) -> SurfaceFields:
+    """The fields on the tile u_rows x v_cols, its nodes in row-major order."""
     # one jet serves every layer: the frame, h and grad h read it to order 3,
     # the Taylor series of S to order 4
-    jet = eval_jet(spec, (u, v), order=JET_ORDER_MAX)
+    tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=JET_ORDER_MAX)
+    jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
+              {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
     grad = covariant_grad_h(spec, jet, adapted_frame(jet))
     inv = point_invariants(grad.shape)
     simons = b1_simons(spec, jet, inv)
@@ -193,12 +206,27 @@ def pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, chunks))
 
 
-def chunk_slices(nodes: int, workers: int) -> list[slice]:
-    """The chunks of a grid of `nodes` nodes, as contiguous node ranges: at
-    most `NODE_CHUNK` nodes each, and at least one per worker thread."""
-    chunks = max(math.ceil(nodes / NODE_CHUNK), pool_size(workers, nodes))
-    bounds = np.linspace(0, nodes, chunks + 1).astype(int)
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def _even_split(n: int, parts: int) -> list[slice]:
+    bounds = [n * k // parts for k in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def grid_tiles(resolution) -> list[tuple[slice, slice]]:
+    """The tiles of an (n_u, n_v) grid as (rows, cols) slices, in node order.
+
+    A tile is a block of whole u-rows, or one row cut into column segments
+    when a row alone exceeds the budget; either way it has at most
+    `NODE_CHUNK` nodes.  The resolution alone fixes the tiles, never the
+    worker or CPU count, so each node is computed in the same tile whatever
+    runs it.
+    """
+    n_u, n_v = resolution
+    if n_v <= NODE_CHUNK:
+        rows_per_tile = NODE_CHUNK // n_v
+        return [(rows, slice(0, n_v))
+                for rows in _even_split(n_u, math.ceil(n_u / rows_per_tile))]
+    segments = _even_split(n_v, math.ceil(n_v / NODE_CHUNK))
+    return [(slice(i, i + 1), cols) for i in range(n_u) for cols in segments]
 
 
 def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
@@ -207,20 +235,24 @@ def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
                     b1_cross_tol: float = B1_CROSS_TOL) -> SurfaceFields:
     """Evaluate every pointwise field at every grid node.
 
-    Node evaluation is pure, so the grid is split by `chunk_slices`, which
-    bounds the memory of one chunk whatever the worker count; chunks are
-    merged back in node order, making the result independent of the split.
-    At most `pool_size` threads run them.
+    Node evaluation is pure, so the grid is evaluated tile by tile
+    (`grid_tiles`), which bounds the memory of one tile whatever the grid;
+    tiles are merged back in node order, and at most `pool_size` threads run
+    them.  The tiles do not depend on the worker count, so neither does the
+    result.
     """
-    workers = max(1, int(workers))
-    tols = dict(codazzi_tol=codazzi_tol, b1_cross_tol=b1_cross_tol)
-    slices = chunk_slices(grid.node_count, workers)
-    if len(slices) == 1:
-        return _fields_chunk(spec, grid.u, grid.v, **tols)
-    with ThreadPoolExecutor(max_workers=pool_size(workers, len(slices))) as pool:
-        chunks = list(pool.map(
-            lambda s: _fields_chunk(spec, grid.u[s], grid.v[s], **tols), slices))
-    return _concat_fields(chunks)
+    tiles = grid_tiles(grid.resolution)
+    threads = pool_size(max(1, int(workers)), len(tiles))
+
+    def run(tile):
+        rows, cols = tile
+        return _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols],
+                             codazzi_tol=codazzi_tol, b1_cross_tol=b1_cross_tol)
+
+    if threads == 1:
+        return _concat_fields([run(tile) for tile in tiles])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _concat_fields(list(pool.map(run, tiles)))
 
 
 # ---------------------------------------------------------------------------

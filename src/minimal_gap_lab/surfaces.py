@@ -56,12 +56,18 @@ class TrigPoly4:
 
     Hosts sphere-chart components x = st*cp, y = st*sp, z = ct; formal
     differentiation in the angles is exact calculus on the exponent tuples.
+    `groups` holds the same terms grouped by their u-part (st, ct), built
+    once here, so evaluation (possibly from several threads) only reads it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "groups")
 
     def __init__(self, terms: dict):
         self.terms = {e: c for e, c in terms.items() if c != 0.0}
+        groups = {}
+        for (e0, e1, e2, e3), coeff in self.terms.items():
+            groups.setdefault((e0, e1), []).append((e2, e3, coeff))
+        self.groups = tuple((u_exps, tuple(v_terms)) for u_exps, v_terms in groups.items())
 
     @classmethod
     def from_xyz(cls, monomials: dict) -> "TrigPoly4":
@@ -92,10 +98,21 @@ class TrigPoly4:
         return self._apply_pair(2)
 
     def eval(self, pows):
-        """Evaluate on power tables pows[axis][exponent] -> array."""
+        """Evaluate on power tables pows[axis][exponent] -> array, as
+        sum_ab U_ab * (sum_cd c * V_cd) with U_ab = st^a ct^b, V_cd = sp^c cp^d.
+
+        The u tables (axes 0, 1) and the v tables (axes 2, 3) may have
+        different shapes that broadcast, e.g. a column of rows and a row of
+        columns: the inner sums then run over the v shape alone, and each
+        u-group costs one product over the full broadcast shape (sum
+        factorization; Orszag, J. Comput. Phys. 37, 1980).
+        """
         total = 0.0
-        for (e0, e1, e2, e3), coeff in self.terms.items():
-            total = total + coeff * pows[0][e0] * pows[1][e1] * pows[2][e2] * pows[3][e3]
+        for (a, b), v_terms in self.groups:
+            inner = 0.0
+            for c, d, coeff in v_terms:
+                inner = inner + coeff * (pows[2][c] * pows[3][d])
+            total = total + (pows[0][a] * pows[1][b]) * inner
         return total
 
 
@@ -191,10 +208,16 @@ class Jet:
 
 
 def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
-    """Exact-calculus jet at chart parameters; no finite differencing here."""
+    """Exact-calculus jet at chart parameters; no finite differencing here.
+
+    `point` = (u, v) may be scalars or arrays whose shapes broadcast, and
+    the jet has their broadcast shape.  A tile of a tensor grid is passed as
+    (u_rows[:, None], v_cols[None, :]): every power table of the sphere
+    chart is then built on the rows or on the columns alone.
+    """
     u0, v0 = point
-    u, v = np.broadcast_arrays(np.asarray(u0, dtype=float),
-                               np.asarray(v0, dtype=float))
+    u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    shape = np.broadcast_shapes(u.shape, v.shape)
     if spec.chart == SPHERE:
         lo, hi = spec.pole_margin, math.pi - spec.pole_margin
         if np.any(u < lo) or np.any(u > hi):
@@ -203,7 +226,6 @@ def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
                 f"{spec.name}: polar angle within {spec.pole_margin:g} of a chart "
                 f"pole (margin violated by {worst:g})")
     tables = spec.derivative_table(order)
-    derivs = {}
     if spec.chart == SPHERE:
         # differentiation trades sin for cos powers of one angle, so no table
         # has a power above the base table's sin + cos degree
@@ -214,18 +236,17 @@ def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
         for axis, b in enumerate(base):
             for _ in range(maxe):
                 pows[axis].append(pows[axis][-1] * b)
-        for (i, j), funcs in tables.items():
-            if i + j > order:
-                continue
-            vals = [np.broadcast_to(f.eval(pows), u.shape) for f in funcs]
-            derivs[i, j] = np.stack(vals).astype(float)
+        args = (pows,)
     else:
-        for (i, j), funcs in tables.items():
-            if i + j > order:
-                continue
-            vals = [np.broadcast_to(f.eval(u, v), u.shape) for f in funcs]
-            derivs[i, j] = np.stack(vals).astype(float)
-    return Jet(spec, u, v, order, derivs)
+        args = (u, v)
+    derivs = {}
+    for (i, j), funcs in tables.items():
+        if i + j > order:
+            continue
+        derivs[i, j] = np.empty((len(funcs),) + shape)
+        for k, f in enumerate(funcs):
+            derivs[i, j][k] = f.eval(*args)
+    return Jet(spec, *np.broadcast_arrays(u, v), order, derivs)
 
 
 def first_fundamental_form(jet: Jet):
@@ -318,9 +339,15 @@ class Taylor:
         which must have order >= i + j + degree; value axis: the component."""
         if degree == 0:
             return cls(jet.derivs[i, j][None])
-        return cls(np.stack([
-            jet.derivs[i + a, j + b] / (math.factorial(a) * math.factorial(b))
-            for a, b in MONOMIALS[:_SIZE[degree]]]))
+        monomials = MONOMIALS[:_SIZE[degree]]
+        out = np.empty((len(monomials),) + jet.derivs[i, j].shape)
+        for k, (a, b) in enumerate(monomials):
+            scale = math.factorial(a) * math.factorial(b)
+            if scale == 1:
+                out[k] = jet.derivs[i + a, j + b]
+            else:
+                np.divide(jet.derivs[i + a, j + b], scale, out=out[k])
+        return cls(out)
 
     @staticmethod
     def einsum(subscripts: str, *operands) -> "Taylor":
@@ -348,22 +375,31 @@ class Taylor:
     def __neg__(self) -> "Taylor":
         return Taylor(-self.c)
 
+    def _with_head(self, head, negate_tail: bool = False) -> "Taylor":
+        """The series with coefficient 0 replaced by `head` (its shape may
+        broadcast the value axes) and the others kept, or negated."""
+        out = np.empty((len(self.c),) + np.shape(head))
+        out[0] = head
+        if negate_tail:
+            np.negative(self.c[1:], out=out[1:])
+        else:
+            out[1:] = self.c[1:]
+        return Taylor(out)
+
     def __add__(self, other) -> "Taylor":
         if isinstance(other, Taylor):
             return Taylor(self.c + other.c)
-        head = self.c[0] + other
-        out = np.empty((len(self.c),) + head.shape)
-        out[0] = head
-        out[1:] = self.c[1:]
-        return Taylor(out)
+        return self._with_head(self.c[0] + other)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Taylor":
-        return self + (-other)
+        if isinstance(other, Taylor):
+            return Taylor(self.c - other.c)
+        return self._with_head(self.c[0] - other)
 
     def __rsub__(self, other) -> "Taylor":
-        return (-self) + other
+        return self._with_head(other - self.c[0], negate_tail=True)
 
     def __mul__(self, other) -> "Taylor":
         return _product(np.multiply, self, other)

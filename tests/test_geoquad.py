@@ -1,8 +1,10 @@
 """Tests for quadrature grids, integration, and the integral identities."""
 
+import dataclasses
 import functools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.geoquad import (
     MAX_NODES,
     NODE_CHUNK,
+    _fields_chunk,
     build_grid,
-    chunk_slices,
     evaluate_fields,
+    grid_tiles,
     integral_report,
     integrate,
     pool_size,
@@ -66,6 +69,9 @@ def test_polar_nodes_inside_pole_margin_rejected(monkeypatch):
     # before the nodes themselves or any jet is computed
     spec = catalog_entry("veronese")
     assert build_grid(spec, (2400, 8)).node_count == 2400 * 8
+    # 2404 is the largest accepted count: its first node, 1.000135e-3, still
+    # clears the margin, so leggauss must run for it
+    assert build_grid(spec, (2404, 8)).u_axis[0] > spec.pole_margin
 
     monkeypatch.setattr("minimal_gap_lab.geoquad.eval_jet",
                         functools.partial(_refuse, "eval_jet"))
@@ -102,25 +108,76 @@ def test_pool_size_is_bounded():
     assert pool_size(0, 8) == 1
 
 
-def _chunk_sizes(nodes, workers):
-    slices = chunk_slices(nodes, workers)
-    # contiguous, in node order, covering every node once
-    assert slices[0].start == 0 and slices[-1].stop == nodes
-    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
-    return [s.stop - s.start for s in slices]
+@pytest.mark.parametrize("resolution", [
+    (8, 8), (96, 192), (64, 128), (192, 384), (1024, 1024), (8, NODE_CHUNK),
+    (9, NODE_CHUNK + 1), (8, 3 * NODE_CHUNK - 1), (4000, 8),
+])
+def test_grid_tiles_cover_the_grid_within_the_budget(resolution):
+    n_u, n_v = resolution
+    tiles = grid_tiles(resolution)
+    # each tile is whole rows or a column segment of one row, so its nodes
+    # are one contiguous range of the row-major order; the ranges follow
+    # one another and cover every node once
+    start = 0
+    for rows, cols in tiles:
+        assert 0 <= rows.start < rows.stop <= n_u and 0 <= cols.start < cols.stop <= n_v
+        assert cols == slice(0, n_v) or rows.stop == rows.start + 1
+        assert rows.start * n_v + cols.start == start
+        size = (rows.stop - rows.start) * (cols.stop - cols.start)
+        assert size <= NODE_CHUNK
+        start += size
+    assert start == n_u * n_v
+    # no more tiles than the budget needs, and even ones
+    if n_v <= NODE_CHUNK:
+        assert len(tiles) == math.ceil(n_u / (NODE_CHUNK // n_v))
+    assert max(rows.stop - rows.start for rows, _ in tiles) \
+        - min(rows.stop - rows.start for rows, _ in tiles) <= 1
 
 
-def test_chunk_slices_follow_the_node_budget():
-    cpus = os.cpu_count() or 1
-    # 96x192 at two workers: two chunks of 9216 nodes, as before the budget
-    assert _chunk_sizes(96 * 192, 2) == [9216, 9216]
-    assert _chunk_sizes(NODE_CHUNK, 1) == [NODE_CHUNK]
-    # one worker no longer means one chunk: memory stays bounded
-    sizes = _chunk_sizes(192 * 384, 1)
-    assert len(sizes) == 5 and max(sizes) <= NODE_CHUNK
-    # many workers on a small grid: one chunk per thread, not per worker
-    assert len(_chunk_sizes(32 * 64, 400)) == min(cpus, 400)
-    assert len(_chunk_sizes(3, 10 ** 6)) == min(cpus, 3)
+def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
+    # the tiles are fixed by the resolution, never by --workers or the CPU
+    # count, so the per-node fields are bitwise the same for every split
+    spec = catalog_entry("calabi4")
+    grid = build_grid(spec, (96, 192))
+    expected = sorted((grid.u_axis[rows].tobytes(), grid.v_axis[cols].tobytes())
+                      for rows, cols in grid_tiles(grid.resolution))
+    assert [rows.stop - rows.start for rows, _ in grid_tiles(grid.resolution)] == [16] * 6
+    calls = []
+
+    def recording_chunk(spec, u_rows, v_cols, **tols):
+        calls.append((u_rows.tobytes(), v_cols.tobytes()))
+        return _fields_chunk(spec, u_rows, v_cols, **tols)
+
+    monkeypatch.setattr("minimal_gap_lab.geoquad._fields_chunk", recording_chunk)
+    results = {}
+    for workers, cpus in ((1, None), (2, None), (8, None), (400, None), (2, 1), (400, 64)):
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        calls.clear()
+        results[workers, cpus] = evaluate_fields(spec, grid, workers=workers)
+        assert sorted(calls) == expected, (workers, cpus)
+    base = results[1, None]
+    for fields in results.values():
+        for name in (f.name for f in dataclasses.fields(PointInvariants)):
+            assert np.array_equal(getattr(base.inv, name), getattr(fields.inv, name)), name
+        for name in ("b1_simons", "b1_direct", "b1_cross", "delta_S", "codazzi_residual",
+                     "flagged"):
+            assert np.array_equal(getattr(base, name), getattr(fields, name)), name
+
+
+def test_build_grid_memory_is_a_few_arrays_per_node():
+    # build_grid keeps u, v, the weight and sqrt(det g) per node (32 bytes)
+    # and takes the metric tile by tile; a jet over the whole grid would
+    # alone cost 3 * ambient_dim * 8 = 216 bytes per node on calabi4
+    spec = catalog_entry("calabi4")
+    build_grid(spec, (16, 32))          # loads the lazy modules untraced
+    tracemalloc.start()
+    try:
+        grid = build_grid(spec, (512, 1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.node_count < 48.0
 
 
 def test_integrate_rejects_nan():
@@ -203,9 +260,13 @@ def test_fields_worker_chunking_is_exact(mixed_torus, monkeypatch):
     f3 = evaluate_fields(mixed_torus, grid, workers=3)
     # one worker, three chunks of the node budget
     monkeypatch.setattr("minimal_gap_lab.geoquad.NODE_CHUNK", 100)
-    assert len(chunk_slices(grid.node_count, 1)) == 3
+    assert len(grid_tiles(grid.resolution)) == 3
     fb = evaluate_fields(mixed_torus, grid, workers=1)
-    for f in (f3, fb):
+    # one worker, each row cut into two column segments
+    monkeypatch.setattr("minimal_gap_lab.geoquad.NODE_CHUNK", 10)
+    assert len(grid_tiles(grid.resolution)) == 32
+    fc = evaluate_fields(mixed_torus, grid, workers=1)
+    for f in (f3, fb, fc):
         assert np.array_equal(f1.inv.S, f.inv.S)
         assert np.array_equal(f1.b1_direct, f.b1_direct)
         assert np.array_equal(f1.b1_simons, f.b1_simons)

@@ -3,7 +3,7 @@
 A rotation of the ambient space R^(N+1) maps the sphere to itself and the
 surface to a congruent one, and appending a zero component embeds S^N as a
 great sphere of S^(N+1) (codimension q -> q + 1).  Neither may move a
-pointwise field beyond rounding, nor any certificate verdict.
+pointwise field or an integral beyond rounding, nor any certificate verdict.
 """
 
 from dataclasses import replace
@@ -19,6 +19,11 @@ from minimal_gap_lab.surfaces import CATALOG_NAMES, SPHERE, ImmersionSpec, catal
 RESOLUTION = (16, 32)
 INVARIANT_FIELDS = ("S", "u", "rho_perp", "lambda1", "lambda2", "rho0", "normA2")
 B1_FIELDS = ("b1_simons", "b1_direct", "delta_S")
+INTEGRALS = ("area", "int_S", "gap1_lhs", "gap1_rhs", "gap2_form1", "gap2_form2",
+             "bound_445")
+# measured worst over 12 rotation seeds per surface on the 16x32 grids:
+# 1.3e-14 of max(|integral|, area), for calabi4's second gap forms
+INTEGRAL_REL = 1e-12
 
 
 def _haar_rotation(seed: int, n: int) -> np.ndarray:
@@ -54,13 +59,15 @@ def _padded(spec: ImmersionSpec) -> ImmersionSpec:
 def _evaluate(spec: ImmersionSpec):
     grid = build_grid(spec, RESOLUTION)
     fields = evaluate_fields(spec, grid)
-    cert = certify(spec, fields, integral_report(spec, grid, fields))
-    return fields, [(e.theorem, e.verdict) for e in cert.entries]
+    report = integral_report(spec, grid, fields)
+    cert = certify(spec, fields, report)
+    return fields, [(e.theorem, e.verdict) for e in cert.entries], report
 
 
 @pytest.fixture(scope="module")
 def base_results(mixed_torus):
-    """(spec, fields, verdicts) of each unchanged surface, evaluated once."""
+    """(spec, fields, verdicts, report) of each unchanged surface, evaluated
+    once."""
     cache = {}
 
     def get(name):
@@ -82,13 +89,23 @@ def _assert_same_fields(base, other):
             assert np.max(np.abs(got - ref)) <= rel * scale, name
 
 
+def _assert_same_integrals(base, other):
+    """Each integral within INTEGRAL_REL of the base's, relative to its size
+    or, for an integral near 0 (the gaps of the veronese and clifford), to
+    the area."""
+    for name in INTEGRALS:
+        ref, got = getattr(base, name), getattr(other, name)
+        assert abs(got - ref) <= INTEGRAL_REL * max(abs(ref), base.area), name
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES + ("mixed_torus",))
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_invariants_unchanged_by_rotation_and_padding(name, base_results, seed):
-    spec, base_fields, base_verdicts = base_results(name)
+    spec, base_fields, base_verdicts, base_report = base_results(name)
     rotated = _rotated(spec, _haar_rotation(seed, spec.ambient_dim))
     for changed in (rotated, _padded(spec), _padded(rotated)):
-        fields, verdicts = _evaluate(changed)
+        fields, verdicts, report = _evaluate(changed)
         _assert_same_fields(base_fields, fields)
+        _assert_same_integrals(base_report, report)
         assert verdicts == base_verdicts

@@ -139,6 +139,34 @@ def test_jet_pole_margin_enforced():
         eval_jet(spec, (math.pi - 1e-4, 0.0), order=1)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("rotated_mixed_torus",))
+def test_tile_jet_matches_flat_points(name, rotated_mixed_torus):
+    # on a tile (u_rows[:, None], v_cols[None, :]) the sphere chart builds its
+    # power tables on the rows and the columns alone; every node must still
+    # get the value of the flattened points, and of the plain sum of terms
+    spec = rotated_mixed_torus if name == "rotated_mixed_torus" else catalog_entry(name)
+    u = np.linspace(0.1, math.pi - 0.1, 13)
+    v = np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    tile = eval_jet(spec, (u[:, None], v[None, :]), order=JET_ORDER_MAX)
+    flat = eval_jet(spec, (U.ravel(), V.ravel()), order=JET_ORDER_MAX)
+    assert set(tile.derivs) == set(flat.derivs)
+    for key, d in flat.derivs.items():
+        got = tile.derivs[key].reshape(d.shape)
+        if spec.chart == "torus":
+            assert np.array_equal(got, d), key
+        else:
+            assert np.max(np.abs(got - d)) <= 1e-13 * max(1.0, np.max(np.abs(d))), key
+    if spec.chart == "sphere":
+        base = (np.sin(U), np.cos(U), np.sin(V), np.cos(V))
+        for key, funcs in spec.derivative_table(JET_ORDER_MAX).items():
+            ref = np.array([sum((c * np.prod([b ** e for b, e in zip(base, exps)], axis=0)
+                                 for exps, c in f.terms.items()), np.zeros_like(U))
+                            for f in funcs])
+            err = np.max(np.abs(tile.derivs[key] - ref))
+            assert err <= 1e-13 * max(1.0, np.max(np.abs(ref))), key
+
+
 def test_veronese_jets_satisfy_eigenmap_identity():
     # Delta_M X = -2 X, checked with the independent finite-difference
     # Laplace-Beltrami oracle (surface dimension 2)
@@ -175,6 +203,25 @@ def test_taylor_field_operations(degree):
     assert np.max(np.abs((a - b + b - a).c)) < 1e-14
     dot = Taylor.einsum("c...,c...->...", a, b)
     assert np.max(np.abs(dot.c - (a * b).c.sum(axis=1))) < 1e-13
+
+
+def test_taylor_subtraction_and_lift_are_bitwise_the_plain_formulas():
+    # a - b is one np.subtract pass; it must equal a + (-b) bit for bit,
+    # with series and constant operands on either side
+    rng = np.random.default_rng(11)
+    a, b = _series(rng, (3, 5), 2), _series(rng, (3, 5), 2)
+    k = rng.standard_normal((3, 5))
+    assert np.array_equal((a - b).c, (a + (-b)).c)
+    assert np.array_equal((a - k).c, (a + (-k)).c)
+    assert np.array_equal((k - a).c, ((-a) + k).c)
+    assert np.array_equal((2.5 - a).c, ((-a) + 2.5).c)
+    # lift skips the division where a! b! = 1, which must not change a bit
+    jet = eval_jet(catalog_entry("calabi3"), SPHERE_PTS, order=JET_ORDER_MAX)
+    for degree in (1, 2):
+        series = Taylor.lift(jet, 1, 1, degree).c
+        for k, (p, q) in enumerate(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))[:len(series)]):
+            expected = jet.derivs[1 + p, 1 + q] / (math.factorial(p) * math.factorial(q))
+            assert np.array_equal(series[k], expected)
 
 
 def test_taylor_product_coefficients_are_its_derivatives():
