@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -31,6 +32,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_DISTRUST = 3
+
+# the thread-count variables of the BLAS builds numpy ships with or links to
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 TOLERANCE_DEFAULTS = {
     "unit_norm": 1e-12,        # |X|^2 - 1 on the validation grid
@@ -339,7 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """Start numpy with one BLAS thread, so `--workers` sets the only pool.
+
+    A BLAS reads these variables once, when numpy loads it, so this acts only
+    before numpy is imported, and never when the caller has set any of them.
+    """
+    if "numpy" in sys.modules or any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

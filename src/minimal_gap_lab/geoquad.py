@@ -46,6 +46,47 @@ GAP_NONNEG_TOL = 1e-6
 NODE_CHUNK = 3072       # nodes per tile at most: bounds the per-tile arrays
 MAX_NODES = 2 ** 20     # grid nodes at most (1024x1024): bounds the grid arrays
 BESSEL_J0_ZERO = 2.404825557695773     # j_{0,1}, the first zero of J_0
+NEWTON_MAX = 16         # Newton steps per Gauss-Legendre solve; 4-5 suffice
+NEWTON_STEP_TOL = 1e-15  # a Newton step this small leaves a node exact to rounding
+
+
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / ((x - 1) * (x + 1))
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the Legendre recurrence finds the negative nodes from
+    cos(pi (k - 1/4) / (n + 1/2)); the positive ones are their mirror images,
+    and 0 is the middle node of an odd n, so the nodes are exactly symmetric.
+    The weights are 2 / ((1 - x^2) P_n'(x)^2).  The work runs in long double
+    (extended precision on x86), which keeps the weights to an ulp or two
+    near the ends, where the recurrence in double loses two digits.  Memory
+    is O(n), and no LAPACK routine runs.
+    """
+    k = np.arange(1, n // 2 + 1, dtype=np.longdouble)
+    x = -np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    for _ in range(NEWTON_MAX):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step), initial=0.0) <= NEWTON_STEP_TOL:
+            break
+    else:
+        raise InvariantViolation(
+            f"Gauss-Legendre nodes for n = {n} did not converge in "
+            f"{NEWTON_MAX} Newton steps")
+    if n % 2:
+        x = np.append(x, 0.0)
+    w = 2 / ((1 - x) * (1 + x) * _legendre(n, x)[1] ** 2)
+    x, w = x.astype(float), w.astype(float)
+    return (np.concatenate([x, -x[: n // 2][::-1]]),
+            np.concatenate([w, w[: n // 2][::-1]]))
 
 
 @dataclass
@@ -91,11 +132,11 @@ def build_grid(spec: ImmersionSpec, resolution=None) -> QuadratureGrid:
     if spec.chart == SPHERE:
         # the first node has theta_1 < j_{0,1} / (n_u + 1/2) (Szego,
         # Orthogonal Polynomials, sec. 6.3), within ~1e-8 relative near the
-        # limit: refuse from it before leggauss spends seconds on a large n_u
+        # limit: refuse from it before the nodes are computed
         theta_bound = BESSEL_J0_ZERO / (n_u + 0.5)
         if theta_bound < spec.pole_margin:
             raise too_polar(f"below {theta_bound:.3g}")
-        x, w = np.polynomial.legendre.leggauss(n_u)
+        x, w = gauss_legendre(n_u)
         theta = np.arccos(x[::-1])             # ascending theta, never at a pole
         if theta[0] < spec.pole_margin or theta[-1] > math.pi - spec.pole_margin:
             raise too_polar(f"{theta[0]:.3g}")
@@ -201,9 +242,16 @@ def _concat_fields(chunks: list[SurfaceFields]) -> SurfaceFields:
     )
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_size(workers: int, chunks: int) -> int:
-    """Worker threads for `chunks` chunks: never more than the CPUs."""
-    return max(1, min(workers, os.cpu_count() or 1, chunks))
+    """Worker threads for `chunks` chunks: never more than the usable CPUs."""
+    return max(1, min(workers, usable_cpus(), chunks))
 
 
 def _even_split(n: int, parts: int) -> list[slice]:

@@ -102,10 +102,11 @@ def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
     rho0 = 16.0 * (na * nb - ab ** 2)
 
     # independent route: sum of squared commutator norms over ordered pairs
-    # of the shape operators S_alpha = h[:, :, alpha]
+    # of the shape operators S_alpha = h[:, :, alpha]; with P[a, b] = S_a S_b,
+    # the commutator [S_a, S_b] is P[a, b] - P[b, a]
     h = sp.h
-    comm = (np.einsum("ija...,jkb...->abik...", h, h)
-            - np.einsum("ijb...,jka...->abik...", h, h))
+    products = np.einsum("ija...,jkb...->abik...", h, h)
+    comm = products - np.swapaxes(products, 0, 1)
     rho0_comm = np.einsum("abik...,abik...->...", comm, comm)
     rho0_residual = np.abs(rho0 - rho0_comm)
 

@@ -6,9 +6,11 @@ import math
 import os
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
+from minimal_gap_lab import geoquad
 from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.geoquad import (
     MAX_NODES,
@@ -16,6 +18,7 @@ from minimal_gap_lab.geoquad import (
     _fields_chunk,
     build_grid,
     evaluate_fields,
+    gauss_legendre,
     grid_tiles,
     integral_report,
     integrate,
@@ -59,6 +62,58 @@ def test_resolution_gate():
         build_grid(catalog_entry("clifford"), (4, 64))
 
 
+# gauss_legendre works in long double; where that is no wider than double
+# (not x86), the recurrence loses about two digits near the ends
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def _mp_gauss_legendre(n, start):
+    """Nodes and weights at 40 digits: Newton on P_n in mpmath from `start`."""
+    def legendre(x):
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    with mpmath.workdps(40):
+        nodes, weights = [], []
+        for x in map(mpmath.mpf, start):
+            for _ in range(6):
+                p, dp = legendre(x)
+                x -= p / dp
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * legendre(x)[1] ** 2))
+        return nodes, weights
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 96, 201])
+def test_gauss_legendre_matches_mpmath(n):
+    x, w = gauss_legendre(n)
+    nodes, weights = _mp_gauss_legendre(n, x.tolist())
+    assert max(abs(float(a - b)) for a, b in zip(nodes, x)) < 1e-15
+    assert max(abs(float((b - a) / a)) for a, b in zip(weights, w)) \
+        < (1e-13 if EXTENDED else 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 64, 96, 97, 201])
+def test_gauss_legendre_is_symmetric_and_exact(n):
+    x, w = gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= (4e-16 if EXTENDED else 2e-15)
+    # x^k integrates exactly for k <= 2n - 1: 2 / (k + 1) for even k, 0 for odd
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum((w * x ** k).tolist()) - exact) < 1e-14, k
+
+
+def test_gauss_legendre_raises_when_newton_does_not_converge(monkeypatch):
+    monkeypatch.setattr(geoquad, "NEWTON_MAX", 1)
+    with pytest.raises(InvariantViolation, match="did not converge"):
+        gauss_legendre(96)
+
+
 def _refuse(name, *args, **kwargs):
     raise AssertionError(f"{name} was called for a refused grid")
 
@@ -70,13 +125,13 @@ def test_polar_nodes_inside_pole_margin_rejected(monkeypatch):
     spec = catalog_entry("veronese")
     assert build_grid(spec, (2400, 8)).node_count == 2400 * 8
     # 2404 is the largest accepted count: its first node, 1.000135e-3, still
-    # clears the margin, so leggauss must run for it
+    # clears the margin, so its nodes must be computed
     assert build_grid(spec, (2404, 8)).u_axis[0] > spec.pole_margin
 
     monkeypatch.setattr("minimal_gap_lab.geoquad.eval_jet",
                         functools.partial(_refuse, "eval_jet"))
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        functools.partial(_refuse, "leggauss"))
+    monkeypatch.setattr("minimal_gap_lab.geoquad.gauss_legendre",
+                        functools.partial(_refuse, "gauss_legendre"))
     for n_u in (2405, 2500, 10 ** 5):
         with pytest.raises(DomainError) as err:
             build_grid(spec, (n_u, 8))
@@ -92,20 +147,49 @@ def test_polar_nodes_inside_pole_margin_rejected(monkeypatch):
 def test_node_count_above_limit_rejected(monkeypatch, name, resolution):
     monkeypatch.setattr("minimal_gap_lab.geoquad.eval_jet",
                         functools.partial(_refuse, "eval_jet"))
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        functools.partial(_refuse, "leggauss"))
+    monkeypatch.setattr("minimal_gap_lab.geoquad.gauss_legendre",
+                        functools.partial(_refuse, "gauss_legendre"))
     with pytest.raises(DomainError) as err:
         build_grid(catalog_entry(name), resolution)
     assert "--resolution" in str(err.value)
     assert f"limit {MAX_NODES}" in str(err.value)
 
 
-def test_pool_size_is_bounded():
-    cpus = os.cpu_count() or 1
+def test_largest_polar_count_builds_in_linear_memory():
+    # 2404 polar nodes: the eigensolver route held an n x n matrix (a 44 MB
+    # peak); the recurrence holds a few arrays of n / 2 nodes
+    spec = catalog_entry("veronese")
+    build_grid(spec, (16, 8))           # loads the lazy modules untraced
+    tracemalloc.start()
+    try:
+        build_grid(spec, (2404, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    cpus = geoquad.usable_cpus()
     assert pool_size(10 ** 6, 3) == min(cpus, 3)
     assert pool_size(10 ** 6, 10 ** 6) == cpus
     assert pool_size(1, 8) == 1
     assert pool_size(0, 8) == 1
+    for cpus in (1, 64):
+        monkeypatch.setattr(geoquad, "usable_cpus", lambda cpus=cpus: cpus)
+        assert pool_size(10 ** 6, 10 ** 6) == cpus
+        assert pool_size(2, 6) == min(2, cpus)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    # `taskset -c 0 ... --workers 2` runs one tile thread, however many
+    # CPUs the machine has
+    assert geoquad.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert pool_size(2, 6) == 1
 
 
 @pytest.mark.parametrize("resolution", [
@@ -152,7 +236,7 @@ def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
     results = {}
     for workers, cpus in ((1, None), (2, None), (8, None), (400, None), (2, 1), (400, 64)):
         if cpus is not None:
-            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(geoquad, "usable_cpus", lambda cpus=cpus: cpus)
         calls.clear()
         results[workers, cpus] = evaluate_fields(spec, grid, workers=workers)
         assert sorted(calls) == expected, (workers, cpus)

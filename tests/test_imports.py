@@ -4,6 +4,7 @@ The package registers its submodules lazily, so a command imports only the
 layers it runs; the exact engine never imports numpy.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,9 +19,17 @@ from minimal_gap_lab.report import jsonable
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _python(*args):
-    """Run a fresh interpreter on the checkout's package; it must exit 0."""
+def _python(*args, env_vars=None):
+    """Run a fresh interpreter on the checkout's package; it must exit 0.
+
+    `env_vars` sets environment variables for it, and removes those it maps
+    to None.
+    """
     env = dict(os.environ)
+    for name, value in (env_vars or {}).items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
@@ -63,6 +72,56 @@ def test_verify_reports_identical_across_workers_in_fresh_interpreters():
             for workers in ("2", "1")]
     assert outs[0] == outs[1]
     assert b"exit_status: 0" in outs[0]
+
+
+# Runs `verify` in a fresh interpreter and prints, as its last line, the BLAS
+# thread variables as numpy saw them when it was imported, as they are after
+# the run, and the threads the process has left (None without /proc).
+_THREAD_PROBE = """
+import json, os, sys
+from minimal_gap_lab.cli import BLAS_THREAD_VARS, main
+
+at_import = {}
+
+def audit(event, args):
+    if event == "import" and args[0] == "numpy" and not at_import:
+        at_import.update((var, os.environ.get(var)) for var in BLAS_THREAD_VARS)
+
+sys.addaudithook(audit)
+assert "numpy" not in sys.modules
+code = main(["verify", "--surface", "calabi3", "--resolution", "96x32"])
+assert code == 0, code
+tasks = "/proc/self/task"
+print(json.dumps({
+    "at_import": at_import,
+    "after": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+"""
+
+_UNSET = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None,
+          "MKL_NUM_THREADS": None}
+
+
+def test_cli_starts_numpy_with_one_blas_thread():
+    # --workers sets the only thread pool: a BLAS pool would busy-wait
+    # beside it after each LAPACK call
+    done = _python("-c", _THREAD_PROBE, env_vars=_UNSET)
+    probe = json.loads(done.stdout.decode().splitlines()[-1])
+    ones = dict.fromkeys(_UNSET, "1")
+    assert probe["at_import"] == ones
+    assert probe["after"] == ones
+    if probe["threads"] is not None:
+        assert probe["threads"] == 1
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_leaves_a_callers_blas_threads_alone(var):
+    done = _python("-c", _THREAD_PROBE, env_vars={**_UNSET, var: "2"})
+    probe = json.loads(done.stdout.decode().splitlines()[-1])
+    given = {**_UNSET, var: "2"}
+    assert probe["at_import"] == given
+    assert probe["after"] == given
 
 
 def test_every_exported_name_resolves():

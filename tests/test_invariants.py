@@ -162,6 +162,20 @@ def test_rho0_routes_agree_on_population(random_pairs):
         assert np.max(inv.rho0_commutator_residual / scale) < 1e-10
 
 
+def test_commutator_route_equals_the_two_product_formula_bitwise():
+    # [S_a, S_b] = S_a S_b - S_b S_a, the second product taken as the
+    # transpose of the first: the residual must be bitwise what the two
+    # separate products give
+    rng = np.random.default_rng(7)
+    sp = _pair(rng.standard_normal((3072, 6)), rng.standard_normal((3072, 6)))
+    inv = point_invariants(sp)
+    h = sp.h
+    comm = (np.einsum("ija...,jkb...->abik...", h, h)
+            - np.einsum("ijb...,jka...->abik...", h, h))
+    rho0_comm = np.einsum("abik...,abik...->...", comm, comm)
+    assert np.array_equal(inv.rho0_commutator_residual, np.abs(inv.rho0 - rho0_comm))
+
+
 def test_eigen_routes_agree_on_population(random_pairs):
     for a, b in random_pairs:
         inv = point_invariants(_pair(a, b))
