@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from minimal_gap_lab import gaps, geoquad, identities, surfaces
@@ -98,6 +99,37 @@ def _parse_tols(pairs) -> dict:
     return out
 
 
+CSV_TABLES = ("thresholds", "pinching")
+
+
+def _output_paths(config: RunConfig) -> list[tuple[str, str]]:
+    """(flag, path) for every file the command will write."""
+    paths = [("--json", config.json_path)] if config.json_path else []
+    if config.csv_prefix:
+        paths += [("--csv", f"{config.csv_prefix}{table}.csv") for table in CSV_TABLES]
+    return paths
+
+
+def _check_output_paths(config: RunConfig) -> None:
+    """Refuse, before any work, an output path that cannot be written: its
+    directory must exist and the path must not be a directory."""
+    for flag, path in _output_paths(config):
+        if os.path.isdir(path):
+            raise ParseError(flag, f"{path!r} is a directory")
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ParseError(flag, f"directory {directory!r} of {path!r} does not exist")
+
+
+@contextmanager
+def _writing(flag: str, path: str):
+    """An OSError while writing `path` becomes exit 2 naming `flag`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(flag, f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _config_tree(config: RunConfig) -> dict:
     tree = {"command": config.command}
     if config.surfaces:
@@ -138,7 +170,8 @@ def cmd_identities(config: RunConfig) -> int:
               file=sys.stderr)
         print(rep.residual.dump(), file=sys.stderr)
     if config.json_path:
-        write_json(tree, config.json_path)
+        with _writing("--json", config.json_path):
+            write_json(tree, config.json_path)
     return EXIT_OK if not failed else EXIT_FAILURE
 
 
@@ -245,7 +278,8 @@ def cmd_verify(config: RunConfig) -> int:
     }
     print(render_tree(tree))
     if config.json_path:
-        write_json(tree, config.json_path)
+        with _writing("--json", config.json_path):
+            write_json(tree, config.json_path)
     return exit_code
 
 
@@ -280,15 +314,20 @@ def cmd_thresholds(config: RunConfig) -> int:
     }
     print(render_tree(tree))
     if config.csv_prefix:
-        write_csv(f"{config.csv_prefix}thresholds.csv",
-                  ["tau", "T_A", "T_B", "That_A", "That_B", "sigma"],
-                  zip(table.tau, table.T_A, table.T_B,
-                      table.That_A, table.That_B, table.sigma))
-        write_csv(f"{config.csv_prefix}pinching.csv",
-                  ["gamma", "S0", "S0_prime", "gamma_bound"],
-                  ((r.gamma, r.S0, r.S0_prime, r.gamma_bound) for r in roots))
+        tables = {
+            "thresholds": (["tau", "T_A", "T_B", "That_A", "That_B", "sigma"],
+                           zip(table.tau, table.T_A, table.T_B,
+                               table.That_A, table.That_B, table.sigma)),
+            "pinching": (["gamma", "S0", "S0_prime", "gamma_bound"],
+                         ((r.gamma, r.S0, r.S0_prime, r.gamma_bound) for r in roots)),
+        }
+        for name in CSV_TABLES:
+            path = f"{config.csv_prefix}{name}.csv"
+            with _writing("--csv", path):
+                write_csv(path, *tables[name])
     if config.json_path:
-        write_json(tree, config.json_path)
+        with _writing("--json", config.json_path):
+            write_json(tree, config.json_path)
     return EXIT_OK
 
 
@@ -368,6 +407,7 @@ def main(argv=None) -> int:
             if config.qmax > identities.QMAX_LIMIT:
                 raise DomainError(f"--qmax {config.qmax} is above the limit "
                                   f"{identities.QMAX_LIMIT}")
+            _check_output_paths(config)
             return cmd_identities(config)
         if args.command == "verify":
             config = RunConfig(
@@ -381,6 +421,7 @@ def main(argv=None) -> int:
             )
             if config.workers < 1:
                 raise DomainError(f"--workers must be >= 1, got {config.workers}")
+            _check_output_paths(config)
             return cmd_verify(config)
         if args.command == "thresholds":
             config = RunConfig(
@@ -394,6 +435,7 @@ def main(argv=None) -> int:
                 if points > gaps.TABLE_POINTS_MAX:
                     raise DomainError(f"{flag} {points} is above the limit "
                                       f"{gaps.TABLE_POINTS_MAX}")
+            _check_output_paths(config)
             return cmd_thresholds(config)
         if args.command == "catalog":
             return cmd_catalog_list()

@@ -12,7 +12,7 @@ expands to the structurally zero polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from minimal_gap_lab.ratpoly import RatPoly
@@ -60,14 +60,17 @@ def _report(name: str, q: int, residual: RatPoly, note: str = "") -> IdentityRep
 
 # -- small polynomial linear algebra ---------------------------------------
 
-ZERO = RatPoly.zero()
+ONE = RatPoly.constant(1)
+sum_of_products = RatPoly.sum_of_products
+
+
+def poly_sum(polys):
+    """Sum of polynomials, accumulated in one term map."""
+    return sum_of_products((p, 1) for p in polys)
 
 
 def dot(u, v):
-    total = ZERO
-    for x, y in zip(u, v, strict=True):
-        total = total + x * y
-    return total
+    return sum_of_products(zip(u, v, strict=True))
 
 
 def norm2(u):
@@ -79,69 +82,62 @@ def shape_matrix(a_alpha, b_alpha):
     return [[a_alpha, b_alpha], [b_alpha, -a_alpha]]
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
+def commutator(A, B):
+    """AB - BA for square matrices, each entry one sum of products."""
+    n = len(A)
+    neg_B = [[-x for x in row] for row in B]
     return [
-        [dot(A[i], [B[t][j] for t in range(k)]) for j in range(m)]
+        [sum_of_products([(A[i][t], B[t][j]) for t in range(n)]
+                         + [(neg_B[i][t], A[t][j]) for t in range(n)])
+         for j in range(n)]
         for i in range(n)
     ]
 
 
-def mat_sub(A, B):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def commutator(A, B):
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
-
-
 def frob2(A):
-    return sum((entry * entry for row in A for entry in row), ZERO)
+    return sum_of_products((entry, entry) for row in A for entry in row)
 
 
 def fundamental_matrix_sym(a, b):
     """A = 2 a a^T + 2 b b^T entrywise, as polynomials."""
     q = len(a)
-    return [[2 * a[i] * a[j] + 2 * b[i] * b[j] for j in range(q)] for i in range(q)]
+    a2, b2 = [2 * x for x in a], [2 * x for x in b]
+    return [[sum_of_products(((a2[i], a[j]), (b2[i], b[j]))) for j in range(q)]
+            for i in range(q)]
 
 
 def rho0_commutators(a, b):
     """Sum of squared commutator norms over all ordered pairs of normals."""
     mats = [shape_matrix(ai, bi) for ai, bi in zip(a, b)]
-    total = ZERO
-    for Sa in mats:
-        for Sb in mats:
-            total = total + frob2(commutator(Sa, Sb))
-    return total
+    return sum_of_products((entry, entry) for Sa in mats for Sb in mats
+                           for row in commutator(Sa, Sb) for entry in row)
 
 
 def poly_det(M):
     """Determinant of a square polynomial matrix by memoized Laplace expansion."""
     n = len(M)
     if n == 0:
-        return RatPoly.constant(1)
+        return ONE
+    neg_M = [[-x for x in row] for row in M]
     memo = {}
 
     def minor(row, colmask):
         if row == n:
-            return RatPoly.constant(1)
-        key = colmask
-        hit = memo.get(key)
+            return ONE
+        hit = memo.get(colmask)
         if hit is not None:
             return hit
-        total = ZERO
+        cofactors = []
         sign = 1
         for j in range(n):
             bit = 1 << j
             if not colmask & bit:
                 continue
-            entry = M[row][j]
-            if entry.is_zero():
-                sign = -sign
-                continue
-            total = total + sign * entry * minor(row + 1, colmask & ~bit)
+            if not M[row][j].is_zero():
+                signed = M if sign > 0 else neg_M
+                cofactors.append((signed[row][j], minor(row + 1, colmask & ~bit)))
             sign = -sign
-        memo[key] = total
+        total = memo[colmask] = sum_of_products(cofactors)
         return total
 
     return minor(0, (1 << n) - 1)
@@ -169,21 +165,74 @@ def h_table(a, b):
     return {(0, 0): a, (0, 1): b, (1, 0): b, (1, 1): neg_a}
 
 
+# -- raw sides shared between groups -----------------------------------------
+
+class SharedSides:
+    """Raw sides that more than one identity group expands, each built once.
+
+    `run_identity_suite` makes one for its whole run and passes it to every
+    group; a check called alone makes its own.  Entries are keyed by the
+    codimension q, and nothing outlives the object.
+    """
+
+    def __init__(self):
+        self._built = {}
+
+    def _once(self, key, build):
+        value = self._built.get(key)
+        if value is None:
+            value = self._built[key] = build()
+        return value
+
+    def vector(self, family: str, q: int) -> list[RatPoly]:
+        """The components of a symbol family, e.g. (a_1, ..., a_q)."""
+        return self._once((family, q), lambda: SymbolFamily(family, q).components())
+
+    def matrix(self, q: int) -> list[list[RatPoly]]:
+        """The matrix A = 2 a a^T + 2 b b^T."""
+        return self._once(("A", q), lambda: fundamental_matrix_sym(
+            self.vector("a", q), self.vector("b", q)))
+
+    def rho0(self, q: int) -> RatPoly:
+        """The commutator sum rho0, expanded from the shape operators."""
+        return self._once(("rho0", q), lambda: rho0_commutators(
+            self.vector("a", q), self.vector("b", q)))
+
+    def norms(self, q: int) -> tuple[RatPoly, RatPoly, RatPoly]:
+        """(|a|^2, |b|^2, <a, b>)."""
+        a, b = self.vector("a", q), self.vector("b", q)
+        return self._once(("norms", q), lambda: (norm2(a), norm2(b), dot(a, b)))
+
+    def gap_factorizations(self) -> list[IdentityReport]:
+        """The q-free group's reports."""
+        return self._once("gap_factorizations", check_gap_factorizations)
+
+
+def _gradient_closed_forms(a, b, a1, a2):
+    """Closed forms of the two components of grad S and of |grad S|^2."""
+    d11, d22, d12, d21 = dot(a, a1), dot(b, a2), dot(a, a2), dot(b, a1)
+    s1 = 4 * (d11 + d22)
+    s2 = 4 * (d12 - d21)
+    grad2 = 16 * (
+        d11 ** 2 + d22 ** 2 + d12 ** 2 + d21 ** 2 + 2 * d11 * d22 - 2 * d12 * d21
+    )
+    return s1, s2, grad2
+
+
 # -- the identity checks ----------------------------------------------------
 
-def check_invariant_identities(q: int) -> list[IdentityReport]:
+def check_invariant_identities(q: int, sides: SharedSides | None = None
+                               ) -> list[IdentityReport]:
     """The four pointwise invariant identities, raw matrix side vs closed form."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    a = SymbolFamily("a", q).components()
-    b = SymbolFamily("b", q).components()
-
-    A = fundamental_matrix_sym(a, b)
+    sides = SharedSides() if sides is None else sides
+    A = sides.matrix(q)
     normA2_raw = frob2(A)
-    trace_raw = sum((A[i][i] for i in range(q)), ZERO)
-    rho0_raw = rho0_commutators(a, b)
+    trace_raw = poly_sum(A[i][i] for i in range(q))
+    rho0_raw = sides.rho0(q)
 
-    na, nb, ab = norm2(a), norm2(b), dot(a, b)
+    na, nb, ab = sides.norms(q)
 
     reports = [
         _report("A_norm_closed_form", q,
@@ -192,14 +241,8 @@ def check_invariant_identities(q: int) -> list[IdentityReport]:
                 rho0_raw - (16 * na * nb - 16 * ab ** 2)),
     ]
 
-    a1 = SymbolFamily("a1", q).components()
-    a2 = SymbolFamily("a2", q).components()
-    s1 = 4 * (dot(a, a1) + dot(b, a2))
-    s2 = 4 * (dot(a, a2) - dot(b, a1))
-    grad_closed = 16 * (
-        dot(a, a1) ** 2 + dot(b, a2) ** 2 + dot(a, a2) ** 2 + dot(b, a1) ** 2
-        + 2 * dot(a, a1) * dot(b, a2) - 2 * dot(a, a2) * dot(b, a1)
-    )
+    s1, s2, grad_closed = _gradient_closed_forms(
+        *(sides.vector(family, q) for family in FAMILY_NAMES))
     reports.append(_report("gradS_squared_expansion", q,
                            s1 ** 2 + s2 ** 2 - grad_closed))
 
@@ -208,7 +251,7 @@ def check_invariant_identities(q: int) -> list[IdentityReport]:
     return reports
 
 
-def check_eigen_charpoly(q: int) -> IdentityReport:
+def check_eigen_charpoly(q: int, sides: SharedSides | None = None) -> IdentityReport:
     """det(lam I - A) = lam^(q-2) (lam^2 - S lam + rho0/4) as polynomials.
 
     For q = 1 the statement degenerates to det = lam - S together with
@@ -216,14 +259,13 @@ def check_eigen_charpoly(q: int) -> IdentityReport:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    sides = SharedSides() if sides is None else sides
     lam = RatPoly.variable("lam")
-    a = SymbolFamily("a", q).components()
-    b = SymbolFamily("b", q).components()
-    A = fundamental_matrix_sym(a, b)
-    S = sum((A[i][i] for i in range(q)), ZERO)
-    rho0 = rho0_commutators(a, b)
+    A = sides.matrix(q)
+    S = poly_sum(A[i][i] for i in range(q))
+    rho0 = sides.rho0(q)
 
-    M = [[(lam if i == j else ZERO) - A[i][j] for j in range(q)] for i in range(q)]
+    M = [[lam - A[i][j] if i == j else -A[i][j] for j in range(q)] for i in range(q)]
     det = poly_det(M)
 
     if q == 1:
@@ -235,82 +277,74 @@ def check_eigen_charpoly(q: int) -> IdentityReport:
     return _report("charpoly_rank_two", q, det - rhs)
 
 
-def check_b2_decomposition(q: int) -> IdentityReport:
+def check_b2_decomposition(q: int, sides: SharedSides | None = None) -> IdentityReport:
     """2(|Lap a|^2 + |Lap b|^2) = S(2-S)^2 - (8-5S)/4 * rho0."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    a = SymbolFamily("a", q).components()
-    b = SymbolFamily("b", q).components()
-    na, nb, ab = norm2(a), norm2(b), dot(a, b)
+    sides = SharedSides() if sides is None else sides
+    a, b = sides.vector("a", q), sides.vector("b", q)
+    na, nb, ab = sides.norms(q)
     S = 2 * na + 2 * nb
-    rho0 = rho0_commutators(a, b)
+    rho0 = sides.rho0(q)
 
-    lap_a = [ai * (2 - S) + 2 * bi * ab - 2 * ai * nb for ai, bi in zip(a, b)]
-    lap_b = [bi * (2 - S) + 2 * ai * ab - 2 * bi * na for ai, bi in zip(a, b)]
+    two_minus_S, two_ab, m2_na, m2_nb = 2 - S, 2 * ab, -2 * na, -2 * nb
+    lap_a = [sum_of_products(((ai, two_minus_S), (bi, two_ab), (ai, m2_nb)))
+             for ai, bi in zip(a, b)]
+    lap_b = [sum_of_products(((bi, two_minus_S), (ai, two_ab), (bi, m2_na)))
+             for ai, bi in zip(a, b)]
 
-    lhs = 2 * (norm2(lap_a) + norm2(lap_b))
+    lhs = 2 * norm2(lap_a + lap_b)      # the lists joined: |Lap a|^2 + |Lap b|^2
     rhs = S * (2 - S) ** 2 - (8 - 5 * S) * rho0 / 4
     return _report("b2_laplacian_part", q, lhs - rhs)
 
 
-def check_third_order_contractions(q: int) -> list[IdentityReport]:
+def check_third_order_contractions(q: int, sides: SharedSides | None = None
+                                   ) -> list[IdentityReport]:
     """Contractions of the totally symmetric trace-free third-order tensor."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    a = SymbolFamily("a", q).components()
-    b = SymbolFamily("b", q).components()
-    a1 = SymbolFamily("a1", q).components()
-    a2 = SymbolFamily("a2", q).components()
+    sides = SharedSides() if sides is None else sides
+    a, b, a1, a2 = (sides.vector(family, q) for family in FAMILY_NAMES)
 
     h = h_table(a, b)
+    neg_h = {key: [-x for x in vec] for key, vec in h.items()}
     hg = grad_h_table(a1, a2)
 
-    b1_raw = sum(
-        (norm2(hg[i, j, k]) for i in (0, 1) for j in (0, 1) for k in (0, 1)),
-        ZERO,
-    )
+    b1_raw = sum_of_products(
+        (x, x) for i in (0, 1) for j in (0, 1) for k in (0, 1) for x in hg[i, j, k])
     reports = [
         _report("b1_norm_form", q, b1_raw - 4 * (norm2(a1) + norm2(a2))),
     ]
 
     # normal curvature from the shape operators: R(alpha,beta,k,m)
     def r_perp(alpha, beta, k, m):
-        total = ZERO
-        for t in (0, 1):
-            total = total + (h[k, t][alpha] * h[t, m][beta]
-                             - h[k, t][beta] * h[t, m][alpha])
-        return total
+        return sum_of_products(
+            [(h[k, t][alpha], h[t, m][beta]) for t in (0, 1)]
+            + [(neg_h[k, t][beta], h[t, m][alpha]) for t in (0, 1)])
 
     # sum_ijkm,ab 2 h_ijk^a h_ijm^b R(b,a,k,m); R does not depend on i, j
-    contraction = ZERO
+    terms = []
     for k in (0, 1):
         for m in (0, 1):
             for alpha in range(q):
                 for beta in range(q):
-                    hg_hg = ZERO
-                    for i in (0, 1):
-                        for j in (0, 1):
-                            hg_hg = hg_hg + hg[i, j, k][alpha] * hg[i, j, m][beta]
-                    contraction = contraction + 2 * r_perp(beta, alpha, k, m) * hg_hg
+                    hg_hg = sum_of_products(
+                        (hg[i, j, k][alpha], hg[i, j, m][beta])
+                        for i in (0, 1) for j in (0, 1))
+                    terms.append((r_perp(beta, alpha, k, m), hg_hg))
+    contraction = 2 * sum_of_products(terms)
     closed = 32 * (dot(a, a2) * dot(b, a1) - dot(a, a1) * dot(b, a2))
     reports.append(_report("normal_curvature_contraction", q, contraction - closed))
 
     # gradient of S from the raw contraction 2 h_ij . h_ijk
-    s_k = []
-    for k in (0, 1):
-        total = ZERO
-        for i in (0, 1):
-            for j in (0, 1):
-                total = total + 2 * dot(h[i, j], hg[i, j, k])
-        s_k.append(total)
-    grad_closed = 16 * (
-        dot(a, a1) ** 2 + dot(b, a2) ** 2 + dot(a, a2) ** 2 + dot(b, a1) ** 2
-        + 2 * dot(a, a1) * dot(b, a2) - 2 * dot(a, a2) * dot(b, a1)
-    )
+    s_k = [2 * sum_of_products(pair for i in (0, 1) for j in (0, 1)
+                               for pair in zip(h[i, j], hg[i, j, k], strict=True))
+           for k in (0, 1)]
+    s1, s2, grad_closed = _gradient_closed_forms(a, b, a1, a2)
     # sum of squares: zero iff each of the three statements holds
     residual = (
-        (s_k[0] - 4 * (dot(a, a1) + dot(b, a2))) ** 2
-        + (s_k[1] - 4 * (dot(a, a2) - dot(b, a1))) ** 2
+        (s_k[0] - s1) ** 2
+        + (s_k[1] - s2) ** 2
         + (s_k[0] ** 2 + s_k[1] ** 2 - grad_closed) ** 2
     )
     reports.append(_report("gradS_from_contraction", q, residual))
@@ -375,8 +409,8 @@ def check_gap_factorizations() -> list[IdentityReport]:
 # -- suite driver ------------------------------------------------------------
 
 # The largest `identities --qmax` the CLI accepts.  The suite's time grows
-# about 1.4-1.9x per q and `poly_det` memoizes up to 2**q minors: qmax = 14
-# took 3.3 s at 45 MB peak RSS on a 2-vCPU x86-64 box, qmax = 18 took 28 s.
+# about 1.5-1.7x per q and `poly_det` memoizes up to 2**q minors: qmax = 14
+# took 1.5 s of CPU at 32 MB peak RSS on a 2-vCPU x86-64 box.
 QMAX_LIMIT = 14
 
 GROUPS = (
@@ -388,30 +422,38 @@ GROUPS = (
 )
 
 
-def run_identity_group(group: str, q: int) -> list[IdentityReport]:
+def run_identity_group(group: str, q: int, sides: SharedSides | None = None
+                       ) -> list[IdentityReport]:
+    """One group's reports at codimension q; `sides` lends the raw sides
+    other groups of the same run have built."""
+    sides = SharedSides() if sides is None else sides
     if group == "invariant_identities":
-        return check_invariant_identities(q)
+        return check_invariant_identities(q, sides)
     if group == "eigen_charpoly":
-        return [check_eigen_charpoly(q)]
+        return [check_eigen_charpoly(q, sides)]
     if group == "b2_decomposition":
-        return [check_b2_decomposition(q)]
+        return [check_b2_decomposition(q, sides)]
     if group == "third_order_contractions":
-        return check_third_order_contractions(q)
+        return check_third_order_contractions(q, sides)
     if group == "gap_factorizations":
         # q-independent; replicated per q so every row of the suite is total
-        return [IdentityReport(r.name, q, r.verdict, r.residual, r.note)
-                for r in check_gap_factorizations()]
+        return [replace(r, q=q) for r in sides.gap_factorizations()]
     raise ValueError(f"unknown identity group {group!r}")
 
 
 def run_identity_suite(qmax: int = 6) -> list[IdentityReport]:
-    """All identity groups for q = 1..qmax, in deterministic order."""
+    """All identity groups for q = 1..qmax, in deterministic order.
+
+    Every raw side that several groups share is built once per q, and the
+    q-free gap factorizations once per run.
+    """
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
+    sides = SharedSides()
     reports = []
     for q in range(1, qmax + 1):
         for group in GROUPS:
-            reports.extend(run_identity_group(group, q))
+            reports.extend(run_identity_group(group, q, sides))
     return reports
 
 

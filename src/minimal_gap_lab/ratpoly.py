@@ -24,6 +24,10 @@ arithmetic is several times faster.  The public views are decoded on demand:
 `vars` lists the used variables sorted by name, and `terms` maps exponent
 tuples (in `vars` order) to `Fraction` coefficients.
 
+Sums of products.  `RatPoly.sum_of_products` adds up many products x * y
+in one term map, so a long sum such as a dot product or a cofactor expansion
+does not copy its running total once per term, as a chain of `+` does.
+
 Only the public constructor `RatPoly(vars, terms)` validates: it is the input
 boundary, and it checks every name, exponent tuple and coefficient.
 Arithmetic builds its results in canonical form directly and wraps them
@@ -253,6 +257,46 @@ class RatPoly:
             {k: _stored(c) for k, c in out.items() if c}, degree)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs) -> "RatPoly":
+        """Sum of x * y over the (x, y) pairs; a factor may be an exact scalar.
+
+        Every product is accumulated into one packed term map, canonicalized
+        once at the end, so a long sum never copies its running total.  The
+        degree checks of `__mul__` run on every pair before anything is
+        expanded.
+        """
+        coerce = RatPoly._coerce
+        operands = []
+        degree = 0
+        for x, y in pairs:
+            if x.__class__ is not RatPoly:
+                x = coerce(x)
+            if y.__class__ is not RatPoly:
+                y = coerce(y)
+            if not x._terms or not y._terms:
+                continue
+            d = x._deg + y._deg
+            if d > MAX_DEGREE:         # the bounds may be loose after a cancellation
+                d = x.total_degree() + y.total_degree()
+                _check_degree(d)
+            if d > degree:
+                degree = d
+            operands.append((x._terms, y._terms))
+        out = {}
+        get = out.get
+        for a, b in operands:
+            if len(a) < len(b):
+                a, b = b, a
+            for k2, c2 in b.items():
+                for k1, c1 in a.items():
+                    key = k1 + k2
+                    acc = get(key)
+                    out[key] = c1 * c2 if acc is None else acc + c1 * c2
+        return RatPoly._canonical(
+            {k: c if c.__class__ is int else _stored(c) for k, c in out.items() if c},
+            degree)
 
     def __truediv__(self, scalar):
         scalar = _as_rational(scalar)

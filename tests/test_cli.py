@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from minimal_gap_lab import gaps, geoquad, identities
+from minimal_gap_lab import cli, gaps, geoquad, identities, surfaces
 from minimal_gap_lab.cli import main
 from minimal_gap_lab.ratpoly import RatPoly
 from minimal_gap_lab.surfaces import catalog_entry, serialize_spec
@@ -42,7 +42,7 @@ def test_identities_q1_rho0_degenerates(capsys):
 
 
 def test_identities_corrupted_coefficient_exits_one(capsys, monkeypatch):
-    def corrupted(q):
+    def corrupted(q, sides=None):
         from minimal_gap_lab.identities import IdentityReport
 
         bad = RatPoly.variable("S") - 1     # a nonzero residual
@@ -270,6 +270,54 @@ def test_thresholds_points_above_limit_exit_two(capsys, monkeypatch, flag):
     assert out == ""
     assert f"{flag} {gaps.TABLE_POINTS_MAX + 1}" in err
     assert f"limit {gaps.TABLE_POINTS_MAX}" in err
+
+
+_UNWRITABLE_OUTPUTS = [
+    (["identities", "--qmax", "2", "--json", "{missing}/x.json"], "--json",
+     "does not exist"),
+    (["verify", "--surface", "equator", "--resolution", "16x16", "--json", "{dir}"],
+     "--json", "is a directory"),
+    (["thresholds", "--csv", "{missing}/p_"], "--csv", "does not exist"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,reason", _UNWRITABLE_OUTPUTS,
+                         ids=["identities", "verify", "thresholds"])
+def test_unwritable_output_path_exits_two_before_any_work(
+        capsys, monkeypatch, tmp_path, argv, flag, reason):
+    def not_started(*args, **kwargs):
+        raise AssertionError("no work may start")
+
+    for module, name in ((identities, "run_identity_suite"),
+                         (surfaces, "load_immersion"), (geoquad, "build_grid"),
+                         (gaps, "threshold_table"), (gaps, "pinching_table")):
+        monkeypatch.setattr(module, name, not_started)
+    argv = [arg.format(missing=tmp_path / "missing", dir=tmp_path) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ") and reason in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,flag,writer", [
+    (["identities", "--qmax", "1", "--json", "{dir}/x.json"], "--json", "write_json"),
+    (["verify", "--surface", "equator", "--resolution", "8x8",
+      "--json", "{dir}/x.json"], "--json", "write_json"),
+    (["thresholds", "--tau-points", "5", "--gamma-points", "5",
+      "--csv", "{dir}/p_"], "--csv", "write_csv"),
+], ids=["identities", "verify", "thresholds"])
+def test_output_write_error_exits_two_naming_flag_and_reason(
+        capsys, monkeypatch, tmp_path, argv, flag, writer):
+    def refused(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, writer, refused)
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: cannot write ")
+    assert err.rstrip().endswith("Permission denied")
 
 
 def test_catalog_list(capsys):

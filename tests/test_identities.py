@@ -5,6 +5,7 @@ oracle (different engine, different code path); larger q relies on the exact
 kernel alone, with numeric spot checks at random rational points.
 """
 
+import collections
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 import sympy
 
+from minimal_gap_lab import identities
 from minimal_gap_lab.identities import (
+    GROUPS,
     SymbolFamily,
     all_proved,
     check_b2_decomposition,
@@ -23,6 +26,7 @@ from minimal_gap_lab.identities import (
     check_third_order_contractions,
     dot,
     norm2,
+    run_identity_group,
     run_identity_suite,
 )
 from minimal_gap_lab.ratpoly import RatPoly
@@ -301,3 +305,92 @@ def test_gap_root_form_specializations():
     assert (factor_t0 - (18 * S ** 2 - 54 * S + 40)).is_zero()
     factor_t1 = 9 * S ** 2 - 38 * S + 40
     assert (factor_t1 - (S - 2) * (9 * S - 20)).is_zero()
+
+
+# -- shared raw sides and the fused kernel ------------------------------------
+
+RHO0_READERS = {"rho0_closed_form", "S_squared_split", "charpoly_rank_two",
+                "b2_laplacian_part"}
+
+
+def test_a_wrong_shared_commutator_side_fails_every_reader(monkeypatch):
+    # the suite builds rho0 once per q and lends it to three groups: a wrong
+    # value must reach each of them, and the next suite must not see it
+    true_rho0 = identities.rho0_commutators
+    monkeypatch.setattr(identities, "rho0_commutators",
+                        lambda a, b: true_rho0(a, b) + 1)
+    reports = run_identity_suite(qmax=3)
+    for q in (2, 3):
+        failed = {r.name for r in reports if r.q == q and not r.proved}
+        assert failed == RHO0_READERS
+    monkeypatch.undo()
+    reports = run_identity_suite(qmax=7)
+    assert len(reports) == 91
+    assert all_proved(reports)
+
+
+def test_suite_builds_each_shared_side_once_per_q(monkeypatch):
+    calls = collections.Counter()
+    for name in ("rho0_commutators", "fundamental_matrix_sym",
+                 "check_gap_factorizations"):
+        def counted(*args, _name=name, _original=getattr(identities, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    assert all_proved(run_identity_suite(qmax=4))
+    assert calls == {"rho0_commutators": 4, "fundamental_matrix_sym": 4,
+                     "check_gap_factorizations": 1}
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_groups_run_alone_give_the_suite_rows(q):
+    suite = [(r.name, r.q, r.verdict) for r in run_identity_suite(qmax=q)
+             if r.q == q]
+    alone = [(r.name, r.q, r.verdict) for group in GROUPS
+             for r in run_identity_group(group, q)]
+    assert alone == suite
+
+
+def test_suite_to_q7_stays_under_ten_thousand_ring_operations(monkeypatch):
+    # a chained `total = total + x * y` copies its running sum at every
+    # step; the suite made 19284 adds and 19723 products that way
+    counts = collections.Counter()
+    for slot, kind in (("__add__", "add"), ("__radd__", "add"),
+                       ("__mul__", "mul"), ("__rmul__", "mul")):
+        def counted(self, other, _kind=kind, _original=getattr(RatPoly, slot)):
+            counts[_kind] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(RatPoly, slot, counted)
+    assert all_proved(run_identity_suite(qmax=7))
+    assert 0 < counts["add"] < 10000
+    assert 0 < counts["mul"] < 10000
+
+
+def test_helpers_on_caller_vectors_match_the_chained_sums():
+    u = [RatPoly.variable("x") + 1, Fraction(1, 2) * RatPoly.variable("y"), 3]
+    v = [RatPoly.variable("y"), RatPoly.variable("x") - 2, RatPoly.variable("x")]
+    chained = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    assert dot(u, v) == chained
+    assert norm2(u) == u[0] * u[0] + u[1] * u[1] + 9
+    assert dot([], []).is_zero()
+    with pytest.raises(ValueError):
+        dot(u, v[:2])
+    A = [[u[0], u[1]], [v[0], v[1]]]
+    B = [[v[2], u[2]], [u[0], v[0]]]
+    C = identities.commutator(A, B)
+    for i in (0, 1):
+        for j in (0, 1):
+            assert C[i][j] == sum(
+                (A[i][t] * B[t][j] - B[i][t] * A[t][j] for t in (0, 1)),
+                RatPoly.zero())
+    assert identities.frob2(A) == sum((e * e for row in A for e in row),
+                                      RatPoly.zero())
+    lam = RatPoly.variable("lam")
+    M = [[lam - 1, u[0], RatPoly.zero()], [v[0], lam, u[1]],
+         [RatPoly.constant(2), v[1], lam + 3]]
+    expand = (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+              - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+              + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+    assert identities.poly_det(M) == expand

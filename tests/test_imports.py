@@ -74,6 +74,30 @@ def test_verify_reports_identical_across_workers_in_fresh_interpreters():
     assert b"exit_status: 0" in outs[0]
 
 
+def test_verify_never_runs_the_exact_engine():
+    # every layer is registered in sys.modules when the package is imported,
+    # so "loaded" means the module body ran: an "exec" audit event names the
+    # file of each module body that runs
+    done = _python("-c", """
+import os, sys
+ran = set()
+
+def audit(event, args):
+    if event == "exec":
+        ran.add(getattr(args[0], "co_filename", ""))
+
+sys.addaudithook(audit)
+from minimal_gap_lab.cli import main
+code = main(["verify", "--surface", "calabi3", "--resolution", "16x16"])
+assert code == 0, code
+print(sorted(os.path.basename(p) for p in ran if "minimal_gap_lab" in p))
+""")
+    ran = done.stdout.decode().splitlines()[-1]
+    assert "'geoquad.py'" in ran and "'surfaces.py'" in ran
+    assert "'ratpoly.py'" not in ran
+    assert "'identities.py'" not in ran
+
+
 # Runs `verify` in a fresh interpreter and prints, as its last line, the BLAS
 # thread variables as numpy saw them when it was imported, as they are after
 # the run, and the threads the process has left (None without /proc).

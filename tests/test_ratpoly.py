@@ -296,3 +296,61 @@ def test_threads_register_fresh_names_in_distinct_slots():
     # names sharing a slot would collapse into one variable of degree 2
     assert len(product.vars) == 40
     assert product.terms == {(1,) * 40: Fraction(1)}
+
+
+# -- the fused sum of products -------------------------------------------------
+
+factor = st.one_of(small_poly(), st.integers(-3, 3), small_coeff)
+
+
+def _chained(pairs):
+    total = RatPoly.zero()
+    for x_, y_ in pairs:
+        total = total + x_ * y_
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(factor, factor), max_size=6))
+def test_sum_of_products_equals_the_chained_fold(pairs):
+    fused = RatPoly.sum_of_products(pairs)
+    assert fused == _chained(pairs)
+    assert hash(fused) == hash(_chained(pairs))
+    assert_canonical(fused)
+    assert RatPoly.sum_of_products(iter(pairs)) == fused
+    cancelled = RatPoly.sum_of_products(pairs + [(x_, -y_) for x_, y_ in pairs])
+    assert cancelled == RatPoly.zero()
+    assert cancelled.terms == {} and cancelled.vars == ()
+
+
+def test_sum_of_products_edge_cases():
+    assert RatPoly.sum_of_products([]) == RatPoly.zero()
+    assert RatPoly.sum_of_products([]).vars == ()
+    assert RatPoly.sum_of_products([(x, y), (-x, y)]).vars == ()
+    assert RatPoly.sum_of_products([(2, 3), (Fraction(1, 2), 4)]) == 8
+    half = RatPoly.sum_of_products([(x, Fraction(1, 2)), (x, Fraction(1, 2))])
+    assert half == x and hash(half) == hash(x)
+    assert_canonical(half)
+    assert RatPoly.sum_of_products([(x, RatPoly.zero()), (0, y)]).is_zero()
+    with pytest.raises(TypeError):
+        RatPoly.sum_of_products([(x, 0.5)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(MAX_DEGREE - 4, MAX_DEGREE), st.integers(0, 4), small_poly())
+def test_sum_of_products_overflows_where_mul_does(e, f, p):
+    big = RatPoly(("x",), {(e,): 1})
+    other = RatPoly(("y",), {(f,): 1}) + 1
+    try:
+        expected = big * other
+    except OverflowError:
+        with pytest.raises(OverflowError, match=str(MAX_DEGREE)):
+            RatPoly.sum_of_products([(p, p), (big, other)])
+    else:
+        assert RatPoly.sum_of_products([(big, other), (p, 0)]) == expected
+
+
+def test_sum_of_products_loose_degree_bound_does_not_raise():
+    big = RatPoly(("x",), {(MAX_DEGREE - 1,): 1})
+    p = big + y - big                   # its degree bound is still MAX_DEGREE - 1
+    assert RatPoly.sum_of_products([(p, x * y), (x, x)]) == x * y ** 2 + x ** 2
