@@ -40,19 +40,21 @@ print("u = S + lambda_2 is the gap quantity: 2-spheres sit at 3S/2, and the")
 print("degree-3 harmonic sphere attains the second-gap value u = 5/2.")
 print()
 print("Frame checks at the same points (worst over catalog):")
-worst_min, worst_gram = 0.0, 0.0
+worst_min, worst_gram, worst_tan = 0.0, 0.0, 0.0
 for name in CATALOG_NAMES:
     spec = catalog_entry(name)
     pts = (np.array([0.7]), np.array([1.3]))
     jet = eval_jet(spec, pts, order=2)
     frame = adapted_frame(jet)
     sp = second_fundamental_form(jet, frame)
-    # X, e1, e2, xi_1..xi_q stacked along the first axis, points last
-    full = np.concatenate([jet.derivs[0, 0][None], frame.e1.c[0][None],
-                           frame.e2.c[0][None], frame.xi.c[0]])
+    # X, e1, e2 stacked along the first axis, points last; h is an ambient
+    # vector, normal to all three
+    full = np.stack([jet.derivs[0, 0], frame.e1.c[0], frame.e2.c[0]])
     gram = np.einsum("icn,jcn->nij", full, full)
-    worst_gram = max(worst_gram,
-                     float(np.max(np.abs(gram - np.eye(gram.shape[-1])))))
+    worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(3)))))
+    worst_tan = max(worst_tan, float(np.max(np.abs(
+        np.einsum("ijcn,bcn->ijbn", sp.h, full)))))
     worst_min = max(worst_min, float(np.max(sp.minimality_residual)))
 print(f"  max |Gram - I|        = {worst_gram:.2e}")
+print(f"  max |<h, X or e_i>|   = {worst_tan:.2e}")
 print(f"  max |trace h| (= 2|H|) = {worst_min:.2e}")

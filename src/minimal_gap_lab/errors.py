@@ -15,15 +15,17 @@ class ParseError(MinimalGapError):
 
 class ValidationError(MinimalGapError):
     """Immersion spec rejected: unit-image or minimality residual too large,
-    or a declared Euler characteristic that Gauss-Bonnet contradicts."""
+    a declared Euler characteristic that Gauss-Bonnet contradicts, or no
+    immersion at some node (`FrameError`)."""
 
 
 class DomainError(MinimalGapError):
     """Input outside the mathematical domain of an operation."""
 
 
-class FrameError(MinimalGapError):
-    """Degenerate chart basis; no orthonormal frame can be built."""
+class FrameError(ValidationError):
+    """Degenerate chart basis: the spec is not an immersion at some node, so
+    no orthonormal frame can be built there."""
 
 
 class InvariantViolation(MinimalGapError):

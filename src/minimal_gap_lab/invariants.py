@@ -8,8 +8,8 @@ norm.  Route disagreements are recorded as residuals, never hidden.
 
 The two B1 routes share only the jet.  The Simons route takes the chart
 Laplacian of the frame-free S from the degree-2 coefficients of its Taylor
-series; the direct route is |grad h|^2 from the frame's degree-1
-coefficients (`surfaces.covariant_grad_h`).  Both are exact up to rounding,
+series; the direct route is |grad h|^2 from the degree-1 coefficients of
+the ambient h and the tangent frame (`surfaces.covariant_grad_h`).  Both are exact up to rounding,
 so their disagreement measures rounding, not a step size.
 
 The eigenvalue gap is evaluated as sqrt((|a|^2-|b|^2)^2 + 4<a,b>^2), which is
@@ -46,9 +46,11 @@ B1_CROSS_TOL = 1e-4
 
 @dataclass
 class FundamentalMatrix:
-    """The q x q Gram matrix of shape operators, by both displayed routes."""
+    """The C x C Gram matrix of the ambient components of the shape
+    operators, by both displayed routes.  It has the nonzero spectrum of the
+    q x q matrix in any orthonormal normal frame, and zeros besides."""
 
-    matrix: np.ndarray            # (q, q, *points) outer-product form
+    matrix: np.ndarray            # (C, C, *points) outer-product form
     gram_residual: np.ndarray     # max |outer form - <S_alpha, S_beta>| entrywise
 
     @property
@@ -57,12 +59,27 @@ class FundamentalMatrix:
 
 
 def fundamental_matrix(sp: ShapePair) -> FundamentalMatrix:
-    outer = 2.0 * (np.einsum("a...,b...->ab...", sp.a, sp.a)
-                   + np.einsum("a...,b...->ab...", sp.b, sp.b))
+    outer = np.einsum("a...,b...->ab...", sp.a, sp.a)
+    outer += np.einsum("a...,b...->ab...", sp.b, sp.b)
+    outer *= 2.0
     h = sp.h
     gram = np.einsum("ija...,ijb...->ab...", h, h)
-    residual = np.max(np.abs(outer - gram), axis=(0, 1), initial=0.0)
+    gram -= outer
+    residual = np.max(np.abs(gram, out=gram), axis=(0, 1), initial=0.0)
     return FundamentalMatrix(matrix=outer, gram_residual=residual)
+
+
+def _commutator_sum(h: np.ndarray) -> np.ndarray:
+    """Independent route to rho0: sum of |[S_a, S_b]|^2 over the ambient
+    components S_a = h[:, :, a].  [S_a, S_b] = P[a, b] - P[b, a] with
+    P[a, b] = S_a S_b is written over P in place, as d and -d per pair
+    (x - y = -(y - x) exactly), so no second C x C array is kept."""
+    comm = np.einsum("ija...,jkb...->abik...", h, h)
+    for a in range(len(comm)):
+        d = comm[a, a:] - comm[a:, a]
+        comm[a, a:] = d
+        comm[a:, a] = -d
+    return np.einsum("abik...,abik...->...", comm, comm)
 
 
 @dataclass
@@ -83,7 +100,7 @@ class PointInvariants:
     hopf_im: np.ndarray           # -2 <a, b>
     rho0_commutator_residual: np.ndarray
     eig_residual: np.ndarray      # closed form vs dense eigensolver
-    eig_tail: np.ndarray          # max |lambda_3..q| from the eigensolver
+    eig_tail: np.ndarray          # max |lambda_3..C| from the eigensolver
     gram_residual: np.ndarray
     minimality_residual: np.ndarray
 
@@ -91,7 +108,6 @@ class PointInvariants:
 def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
     """Every field has the shape of the points; `sp` is points last."""
     a, b = sp.a, sp.b
-    q = a.shape[0]
     lead = a.shape[1:]
     na = np.einsum("a...,a...->...", a, a)
     nb = np.einsum("a...,a...->...", b, b)
@@ -101,14 +117,7 @@ def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
     normA2 = 4.0 * na ** 2 + 4.0 * nb ** 2 + 8.0 * ab ** 2
     rho0 = 16.0 * (na * nb - ab ** 2)
 
-    # independent route: sum of squared commutator norms over ordered pairs
-    # of the shape operators S_alpha = h[:, :, alpha]; with P[a, b] = S_a S_b,
-    # the commutator [S_a, S_b] is P[a, b] - P[b, a]
-    h = sp.h
-    products = np.einsum("ija...,jkb...->abik...", h, h)
-    comm = products - np.swapaxes(products, 0, 1)
-    rho0_comm = np.einsum("abik...,abik...->...", comm, comm)
-    rho0_residual = np.abs(rho0 - rho0_comm)
+    rho0_residual = np.abs(rho0 - _commutator_sum(sp.h))
 
     slack = S ** 2 - rho0
     bad = slack < DDVV_SLACK_TOL * np.maximum(1.0, S ** 2)
@@ -129,17 +138,12 @@ def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
     t = np.clip(t, 0.0, 1.0)
 
     fm = fundamental_matrix(sp)
-    if eig_check and q:
+    if eig_check:
         # ascending, with the points first: eigvalsh wants the matrix axes last
         lam = np.linalg.eigvalsh(np.moveaxis(fm.matrix, (0, 1), (-2, -1)))
-        top = lam[..., ::-1][..., :2] if q >= 2 else None
-        if q == 1:
-            eig_residual = np.abs(lambda1 - lam[..., 0]) + np.abs(lambda2)
-            eig_tail = np.zeros(lead)
-        else:
-            eig_residual = (np.abs(lambda1 - top[..., 0])
-                            + np.abs(lambda2 - top[..., 1]))
-            eig_tail = np.max(np.abs(lam[..., : q - 2]), axis=-1, initial=0.0)
+        eig_residual = (np.abs(lambda1 - lam[..., -1])
+                        + np.abs(lambda2 - lam[..., -2]))
+        eig_tail = np.max(np.abs(lam[..., :-2]), axis=-1)
     else:
         eig_residual = np.zeros(lead)
         eig_tail = np.zeros(lead)

@@ -1,20 +1,27 @@
-"""Immersion catalog, spec parsing, exact jets, truncated Taylor series, adapted
-frames, and the second fundamental form with its first covariant derivative.
+"""Immersion catalog, spec parsing, exact jets, truncated Taylor series, the
+tangent frame, and the second fundamental form with its first covariant
+derivative.
 
 Immersions are analytic: polynomial in (x, y, z) restricted to the unit
 2-sphere chart, or trigonometric polynomials in the torus chart angles.  All
 chart derivatives up to order 4 are therefore exact calculus (the only
 floating-point ingredient is coefficient rounding).  Everything built on top
-of the jets is differentiated the same way: the frame construction, h and the
+of the jets is differentiated the same way: the tangent frame, h and the
 frame-free S run on `Taylor` series in the chart offsets whose coefficients
 come straight from the jets.  The degree-1 coefficients give the chart
 derivatives of the frame and of h that the covariant gradient of h needs, and
 the degree-2 coefficients of S give its Laplacian; no finite difference is
 taken anywhere.
 
+No basis of the normal space is built.  h_ij is an ambient vector in R^C:
+the chart Hessian in the tangent frame minus its components along X, e1 and
+e2.  Every invariant the package reports is an O(q)-invariant of h and its
+gradient, so it reads the same from these vectors as from their components
+in any orthonormal normal frame.
+
 Every array-valued operation is batch-native: chart parameters may be scalars
 or arrays of any shape, and every per-node array has one layout, points last:
-its value axes (component, frame slot, normal index, ...) come first and the
+its value axes (component, frame slot, ambient index, ...) come first and the
 shape of the chart parameters last, from the jet through the frame, h and
 grad h to the invariants.  Small contractions then run over long contiguous
 rows of points even when the value axes are tiny.
@@ -42,6 +49,8 @@ from minimal_gap_lab.harmonics import unit_immersion_components
 SPHERE, TORUS = "sphere", "torus"
 DEFAULT_POLE_MARGIN = 1e-3
 JET_ORDER_MAX = 4
+
+MAX_AMBIENT_DIM = 64         # spec components at most: bounds the per-node work
 
 CATALOG_DEGREES = {"equator": 1, "veronese": 2, "calabi3": 3, "calabi4": 4}
 CATALOG_NAMES = ("equator", "veronese", "calabi3", "calabi4", "clifford")
@@ -361,12 +370,6 @@ class Taylor:
     def truncate(self, degree: int) -> "Taylor":
         return Taylor(self.c[:_SIZE[degree]])
 
-    def take(self, k: np.ndarray) -> "Taylor":
-        """Entry k[p] along the last value axis at each point p."""
-        axis = self.c.ndim - k.ndim - 1
-        index = k.reshape((1,) * (axis + 1) + k.shape)
-        return Taylor(np.take_along_axis(self.c, index, axis=axis).squeeze(axis))
-
     def __getitem__(self, index) -> "Taylor":
         if not isinstance(index, tuple):
             index = (index,)
@@ -489,6 +492,11 @@ def _expect(cond, path, msg):
         raise ParseError(path, msg)
 
 
+def _is_int(value) -> bool:
+    """An int, but not a bool (json's true and false are ints to Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_number(value, path):
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             path, f"expected number, got {type(value).__name__}")
@@ -510,10 +518,12 @@ def parse_spec_dict(data: dict) -> ImmersionSpec:
     chart = data["chart"]
     _expect(chart in (SPHERE, TORUS), "chart", f"must be 'sphere' or 'torus', got {chart!r}")
     ambient = data["ambient_dim"]
-    _expect(isinstance(ambient, int) and ambient >= 3, "ambient_dim",
-            "must be an integer >= 3")
+    _expect(_is_int(ambient) and ambient >= 3, "ambient_dim",
+            f"must be an integer >= 3, got {ambient!r}")
+    _expect(ambient <= MAX_AMBIENT_DIM, "ambient_dim",
+            f"{ambient} is above the limit {MAX_AMBIENT_DIM}")
     euler = data["euler_char"]
-    _expect(isinstance(euler, int), "euler_char", "must be an integer")
+    _expect(_is_int(euler), "euler_char", f"must be an integer, got {euler!r}")
     comps_raw = data["components"]
     _expect(isinstance(comps_raw, list), "components", "must be an array")
     _expect(len(comps_raw) == ambient, "components",
@@ -533,7 +543,7 @@ def parse_spec_dict(data: dict) -> ImmersionSpec:
                 coeff = _as_number(term["coeff"], f"{tpath}.coeff")
                 exps = term["exps"]
                 _expect(isinstance(exps, list) and len(exps) == 3
-                        and all(isinstance(e, int) and e >= 0 for e in exps),
+                        and all(_is_int(e) and e >= 0 for e in exps),
                         f"{tpath}.exps", "must be three nonnegative integers")
                 key = tuple(exps)
                 mono[key] = mono.get(key, 0.0) + coeff
@@ -551,7 +561,7 @@ def parse_spec_dict(data: dict) -> ImmersionSpec:
                         f"must be 'cos' or 'sin', got {kind!r}")
                 freq = term["freq"]
                 _expect(isinstance(freq, list) and len(freq) == 2
-                        and all(isinstance(f, int) for f in freq),
+                        and all(_is_int(f) for f in freq),
                         f"{tpath}.freq", "must be two integers")
                 terms.append((coeff, TrigSeries.COS if kind == "cos" else TrigSeries.SIN,
                               freq[0], freq[1]))
@@ -646,28 +656,25 @@ def load_immersion(source, validate: bool = True) -> ImmersionSpec:
 
 
 # ---------------------------------------------------------------------------
-# adapted frames
+# the tangent frame
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FrameData:
-    """Adapted orthonormal frame {e1, e2, xi_1..xi_q} at a jet's points; the
-    position X is the jet's own `derivs[0, 0]`.
+    """Adapted orthonormal tangent frame {e1, e2} at a jet's points; the
+    position X is the jet's own `derivs[0, 0]`.  No basis of the normal
+    space is built: it is what X, e1 and e2 leave of R^C.
 
     Every field is a Taylor series of degree min(jet order - 1, 1) in the
-    chart offsets, built with the pivot order frozen at the degree-0
-    coefficients: `e1.c[0]` is the frame vector and `e1.c[1:]` its chart
+    chart offsets: `e1.c[0]` is the frame vector and `e1.c[1:]` its chart
     derivatives.  Points last, like every per-node array: the value axes
     come first and the jet's point axes after them.  `chart_to_frame` is the
-    2x2 matrix L with e_i = L[i, c] d_c X, and `pivot_idx[alpha]` the
-    ambient axis that seeded the normal xi_alpha.
+    2x2 matrix L with e_i = L[i, c] d_c X.
     """
 
     e1: Taylor                      # value axes (C,)
     e2: Taylor
-    xi: Taylor                      # value axes (q, C)
     chart_to_frame: Taylor          # value axes (2, 2)
-    pivot_idx: np.ndarray           # (q, *points)
 
 
 def _dot(x: Taylor, y: Taylor) -> Taylor:
@@ -680,78 +687,41 @@ def _chart_hessian(jet: Jet, degree: int) -> Taylor:
     return Taylor.stack([Taylor.stack([Xuu, Xuv]), Taylor.stack([Xuv, Xvv])])
 
 
-def _normal_frame(X: Taylor, e1: Taylor, e2: Taylor, q: int, pivot_idx=None):
-    """Deterministic pivoted orthonormalization of the ambient complement.
-
-    The pivot axes are chosen from the degree-0 coefficients, or given as
-    `pivot_idx` (shape (q, *points)), and frozen for the higher ones, so the
-    normal fields are smooth series in the chart offsets.
-    """
-    C = X.c.shape[1]
-    points = X.c.shape[2:]
-    basis = np.empty(X.c.shape[:1] + (3 + q,) + X.c.shape[1:])
-    basis[:, 0], basis[:, 1], basis[:, 2] = X.c, e1.c, e2.c
-    chosen = np.zeros((q,) + points, dtype=np.int64)
-    used = np.zeros((C,) + points, dtype=bool)
-    for slot in range(q):
-        done = Taylor(basis[:, :3 + slot])          # orthonormal so far
-        if pivot_idx is None:
-            # residual^2 of axis k against the current orthonormal basis
-            resid2 = 1.0 - np.sum(done.c[0] ** 2, axis=0)
-            k = np.argmax(np.where(used, -np.inf, resid2), axis=0)
-        else:
-            k = np.asarray(pivot_idx)[slot]
-        chosen[slot] = k
-        np.put_along_axis(used, k[None], True, axis=0)
-
-        onehot = np.zeros((C,) + points)
-        np.put_along_axis(onehot, k[None], 1.0, axis=0)
-        v = onehot - Taylor.einsum("b...,bc...->c...", done.take(k), done)
-        norm = _dot(v, v).sqrt()
-        if np.any(norm.c[0] < 1e-8):
-            raise FrameError("normal-frame orthonormalization degenerated")
-        basis[:, 3 + slot] = (v / norm[None]).c
-    return Taylor(basis[:, 3:]), chosen
-
-
-def _connection_forms(frame: FrameData):
-    """omega_t[k, m, i] = <D_{e_k} e_m, e_i> and omega_n[k, b, a] =
-    <D_{e_k} xi_b, xi_a> from the degree-1 coefficients of the frame (from a
-    jet of order >= 2), which are its chart derivatives d_u, d_v; exactly
-    skew, points last."""
+def _tangent_connection(frame: FrameData) -> np.ndarray:
+    """omega_t[k, m, i] = <D_{e_k} e_m, e_i> from the degree-1 coefficients
+    of the frame (from a jet of order >= 2), which are its chart derivatives
+    d_u, d_v; exactly skew, points last."""
     L = frame.chart_to_frame.c[0]
     de = np.stack([frame.e1.c[1:], frame.e2.c[1:]], axis=1)      # [c, m, C]
     ee = np.stack([frame.e1.c[0], frame.e2.c[0]])                # [i, C]
-    omega_t = np.einsum("kc...,cmi...->kmi...", L,
-                        np.einsum("cmx...,ix...->cmi...", de, ee))
-    omega_n = np.einsum("kc...,cba...->kba...", L,
-                        np.einsum("cbx...,ax...->cba...", frame.xi.c[1:],
-                                  frame.xi.c[0]))
-    return (0.5 * (omega_t - np.swapaxes(omega_t, 1, 2)),
-            0.5 * (omega_n - np.swapaxes(omega_n, 1, 2)))
+    omega = np.einsum("kc...,cmi...->kmi...", L,
+                      np.einsum("cmx...,ix...->cmi...", de, ee))
+    return 0.5 * (omega - np.swapaxes(omega, 1, 2))
 
 
-def adapted_frame(jet: Jet, pivot_idx=None, rotate_tangent: float = 0.0) -> FrameData:
-    """Orthonormal adapted frame from a jet of order >= 1.
+def adapted_frame(jet: Jet, rotate_tangent: float = 0.0) -> FrameData:
+    """Orthonormal tangent frame from a jet of order >= 1.
 
     The construction runs once, on Taylor series of degree
     min(jet order - 1, 1); a plain frame is its degree-0 case.  From a jet
     of order >= 2 the degree-1 coefficients are the exact chart derivatives
-    of the frame, with the pivot order frozen, which `_connection_forms`
-    turns into the connection coefficients.
+    of the frame, which `_tangent_connection` turns into the connection
+    coefficients.
     """
     if jet.order < 1:
         raise DomainError("adapted_frame needs a jet of order >= 1")
     degree = min(jet.order - 1, 1)
-    X = Taylor.lift(jet, 0, 0, degree)
     Xu = Taylor.lift(jet, 1, 0, degree)
     Xv = Taylor.lift(jet, 0, 1, degree)
 
     E = _dot(Xu, Xu)
     F = _dot(Xu, Xv)
     G = _dot(Xv, Xv)
-    if np.any(E.c[0] * G.c[0] - F.c[0] * F.c[0] <= 1e-14):
-        raise FrameError("chart basis degenerate (metric determinant <= 1e-14)")
+    det = E.c[0] * G.c[0] - F.c[0] * F.c[0]
+    if np.any(det <= 1e-14):
+        k = np.unravel_index(np.argmin(det), det.shape)
+        raise FrameError(f"{jet.spec.name}: not an immersion at (u, v) = ({jet.u[k]:.6g}, "
+                         f"{jet.v[k]:.6g}): metric determinant {det[k]:.3e} <= 1e-14")
 
     sqrtE = E.sqrt()
     e1 = Xu / sqrtE[None]
@@ -769,9 +739,7 @@ def adapted_frame(jet: Jet, pivot_idx=None, rotate_tangent: float = 0.0) -> Fram
         e1, e2 = ct * e1 + st * e2, -st * e1 + ct * e2
         rot = np.array([[ct, st], [-st, ct]])
         L = Taylor.einsum("ij,jc...->ic...", rot, L)
-
-    xi, chosen = _normal_frame(X, e1, e2, jet.spec.codim, pivot_idx=pivot_idx)
-    return FrameData(e1=e1, e2=e2, xi=xi, chart_to_frame=L, pivot_idx=chosen)
+    return FrameData(e1=e1, e2=e2, chart_to_frame=L)
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +748,10 @@ def adapted_frame(jet: Jet, pivot_idx=None, rotate_tangent: float = 0.0) -> Fram
 
 @dataclass
 class ShapePair:
-    """a = (h_11^alpha), b = (h_12^alpha) in the adapted frame, points last:
-    both have shape (q, *points)."""
+    """a = h_11 and b = h_12 in the adapted frame, as ambient normal vectors,
+    points last: both have shape (C, *points), C the ambient dimension.
+    Every invariant is an O(q)-invariant of a and b, so no basis of the
+    normal space is needed."""
 
     a: np.ndarray
     b: np.ndarray
@@ -790,13 +760,13 @@ class ShapePair:
     def __post_init__(self):
         shape = np.shape(self.a)
         if np.shape(self.b) != shape or np.shape(self.minimality_residual) != shape[1:]:
-            raise ValueError("ShapePair needs a, b of shape (q, *points) and a "
+            raise ValueError("ShapePair needs a, b of shape (C, *points) and a "
                              "minimality residual of shape (*points)")
 
     @property
     def h(self) -> np.ndarray:
-        """Full component array h[i, j, alpha, *points] (traceless symmetric);
-        h[:, :, alpha] is the shape operator S_alpha."""
+        """Full component array h[i, j, x, *points] (traceless symmetric);
+        h[:, :, x] is the x-th ambient component of the shape operator."""
         out = np.empty((2, 2) + self.a.shape)
         out[0, 0] = self.a
         out[0, 1] = out[1, 0] = self.b
@@ -804,19 +774,36 @@ class ShapePair:
         return out
 
 
+def _tangent_basis(jet: Jet, frame: FrameData, degree: int) -> Taylor:
+    """X, e1, e2 on a first value axis: orthonormal, and spanning all of R^C
+    but the normal space (the jet needs order >= 1 + degree)."""
+    return Taylor.stack([Taylor.lift(jet, 0, 0, degree),
+                         frame.e1.truncate(degree), frame.e2.truncate(degree)])
+
+
+def _normal_part(v: Taylor, basis: Taylor, axes: str) -> Taylor:
+    """v minus its components along the orthonormal rows of `basis`; v has
+    the value axes `axes` then the ambient one.  The vectors are projected,
+    never their Gram scalars, which cancel near the chart poles."""
+    comps = Taylor.einsum(f"{axes}x...,bx...->{axes}b...", v, basis)
+    return v - Taylor.einsum(f"{axes}b...,bx...->{axes}x...", comps, basis)
+
+
 def _h_series(jet: Jet, frame: FrameData, degree: int) -> Taylor:
-    """h[i, j, alpha] = <D^2 X (e_i, e_j), xi_alpha> in the frozen-pivot
-    frame, as a series of the given degree (the jet needs order >= 2 + degree)."""
-    normal_part = Taylor.einsum("cdx...,ax...->cda...", _chart_hessian(jet, degree),
-                                frame.xi.truncate(degree))
+    """h[i, j] = the normal part of D^2 X(e_i, e_j), an ambient C-vector, as a
+    series of the given degree (the jet needs order >= 2 + degree).  The
+    chart Hessian is projected first and L then acts one index at a time,
+    about half the cost of one three-operand contraction before projecting."""
+    normal = _normal_part(_chart_hessian(jet, degree), _tangent_basis(jet, frame, degree), "cd")
     L = frame.chart_to_frame.truncate(degree)
-    return Taylor.einsum("ic...,jd...,cda...->ija...", L, L, normal_part)
+    return Taylor.einsum("ic...,cjx...->ijx...", L,
+                         Taylor.einsum("jd...,cdx...->cjx...", L, normal))
 
 
 def _shape_pair(h: np.ndarray) -> ShapePair:
-    """The ShapePair of h[i, j, alpha, *points]; a and b are copies, so they
+    """The ShapePair of h[i, j, x, *points]; a and b are copies, so they
     keep no larger series alive."""
-    residual = np.max(np.abs(h[0, 0] + h[1, 1]), axis=0, initial=0.0)
+    residual = np.max(np.abs(h[0, 0] + h[1, 1]), axis=0)
     return ShapePair(a=h[0, 0].copy(), b=h[0, 1].copy(), minimality_residual=residual)
 
 
@@ -828,15 +815,16 @@ def second_fundamental_form(jet: Jet, frame: FrameData) -> ShapePair:
 
 @dataclass
 class CovariantGradH:
-    """First covariant derivative of h, points last: grad3[i, j, k, alpha] =
-    h_ijk^alpha, with a1 = h_111 and a2 = h_112 (shape (q, *points)).
-    `shape` is h itself, the degree-0 coefficient of the series that was
-    differentiated, equal to `second_fundamental_form` on the same frame."""
+    """First covariant derivative of h, points last: grad3[i, j, k, x] =
+    h_ijk^x, an ambient normal vector, with a1 = h_111 and a2 = h_112 (shape
+    (C, *points)).  `shape` is h itself, the degree-0 coefficient of the
+    series that was differentiated, equal to `second_fundamental_form` on
+    the same frame."""
 
     shape: ShapePair
     a1: np.ndarray
     a2: np.ndarray
-    grad3: np.ndarray              # (2, 2, 2, q, *points)
+    grad3: np.ndarray              # (2, 2, 2, C, *points)
     b1_direct: np.ndarray          # sum_ijk |h_ijk|^2
     codazzi_residual: np.ndarray
 
@@ -846,39 +834,40 @@ CODAZZI_TOL = 1e-6
 
 def covariant_grad_h(spec: ImmersionSpec, point, frame: FrameData | None = None
                      ) -> CovariantGradH:
-    """Assemble h_ijk from the chart derivatives of h in the gauge-frozen frame
-    plus connection correction terms, all from one jet of order >= 3.
+    """Assemble h_ijk from the normal part of the chart derivatives of the
+    ambient h plus the tangent connection terms, all from one jet of order
+    >= 3; the projection carries the normal connection term, as
+    (d(h^a xi_a))^normal = (d h^a) xi_a + h^a (d xi_a)^normal.
 
     `point` is (u, v) or such a Jet, and `frame` its adapted frame if the
-    caller already has it.  The chart derivatives of h, e_1, e_2 and xi are
-    the degree-1 coefficients of their Taylor series.
+    caller already has it.  The chart derivatives of h, e_1 and e_2 are the
+    degree-1 coefficients of their Taylor series.
     """
     jet = jet_at(spec, point, 3)
     if frame is None:
         frame = adapted_frame(jet)
     h = _h_series(jet, frame, 1)
-    h0 = h.c[0]                                        # [i, j, a]
+    h0 = h.c[0]                                        # [i, j, x]
     L = frame.chart_to_frame.c[0]
-    omega_t, omega_n = _connection_forms(frame)
+    omega_t = _tangent_connection(frame)
 
-    ekh = np.einsum("kc...,cija...->ijka...", L, h.c[1:])
+    ekh = Taylor(np.einsum("kc...,cijx...->ijkx...", L, h.c[1:])[None])
     grad3 = (
-        ekh
-        + np.einsum("mja...,kmi...->ijka...", h0, omega_t)
-        + np.einsum("ima...,kmj...->ijka...", h0, omega_t)
-        + np.einsum("ijb...,kba...->ijka...", h0, omega_n)
+        _normal_part(ekh, _tangent_basis(jet, frame, 0), "ijk").c[0]
+        + np.einsum("mjx...,kmi...->ijkx...", h0, omega_t)
+        + np.einsum("imx...,kmj...->ijkx...", h0, omega_t)
     )
 
     codazzi = np.maximum(
-        np.max(np.abs(grad3 - np.swapaxes(grad3, 0, 2)), axis=(0, 1, 2, 3), initial=0.0),
-        np.max(np.abs(grad3 - np.swapaxes(grad3, 1, 2)), axis=(0, 1, 2, 3), initial=0.0),
+        np.max(np.abs(grad3 - np.swapaxes(grad3, 0, 2)), axis=(0, 1, 2, 3)),
+        np.max(np.abs(grad3 - np.swapaxes(grad3, 1, 2)), axis=(0, 1, 2, 3)),
     )
     return CovariantGradH(
         shape=_shape_pair(h0),
         a1=grad3[0, 0, 0],
         a2=grad3[0, 0, 1],
         grad3=grad3,
-        b1_direct=np.einsum("ijka...,ijka...->...", grad3, grad3),
+        b1_direct=np.einsum("ijkx...,ijkx...->...", grad3, grad3),
         codazzi_residual=codazzi,
     )
 

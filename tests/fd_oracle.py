@@ -95,8 +95,10 @@ def laplace_beltrami(spec, scalar_field, u, v, step: float = 1e-3,
 
 
 def frozen_frame_grad3(spec, point, step: float = 1e-4, refinements: int = 2):
-    """h_ijk from central differences of the frame construction, pivots frozen
-    at `point`, plus the connection terms of the same finite differences."""
+    """h_ijk from central differences of the ambient h: the normal part of its
+    chart derivatives in the frame at `point`, plus the tangent connection
+    terms of the same finite differences of e1 and e2.  The tangent frame is
+    smooth, so nothing needs freezing between the samples."""
     step = step * 2 ** refinements
     base_jet = eval_jet(spec, point, order=2)
     base = adapted_frame(base_jet)
@@ -105,27 +107,27 @@ def frozen_frame_grad3(spec, point, step: float = 1e-4, refinements: int = 2):
 
     def fields_at(du, dv):
         jet = eval_jet(spec, (u + du, v + dv), order=2)
-        fr = adapted_frame(jet, pivot_idx=base.pivot_idx)
-        return second_fundamental_form(jet, fr).h, fr.e1.c[0], fr.e2.c[0], fr.xi.c[0]
+        fr = adapted_frame(jet)
+        return second_fundamental_form(jet, fr).h, fr.e1.c[0], fr.e2.c[0]
 
     def chart_derivative(slot, c):
         def sample(h):
             return fields_at(h, 0.0)[slot] if c == 0 else fields_at(0.0, h)[slot]
         return first_derivative(sample, step, refinements)[0]
 
-    # chart direction c stacked first: d_h[c, i, j, a], d_e[c, C], d_xi[c, b, C]
-    d_h, d_e1, d_e2, d_xi = (
-        np.stack([chart_derivative(slot, c) for c in (0, 1)]) for slot in range(4))
+    # chart direction c stacked first: d_h[c, i, j, x], d_e[c, x]
+    d_h, d_e1, d_e2 = (
+        np.stack([chart_derivative(slot, c) for c in (0, 1)]) for slot in range(3))
     L = base.chart_to_frame.c[0]
     de = np.stack([d_e1, d_e2], axis=1)                # (c, m, C, ...)
-    ee = np.stack([base.e1.c[0], base.e2.c[0]])        # (i, C, ...)
+    basis = np.stack([base_jet.derivs[0, 0], base.e1.c[0], base.e2.c[0]])
+    ee = basis[1:]                                     # (i, C, ...)
     omega_t = np.einsum("lk...,kmi...->lmi...", L,
                         np.einsum("kmc...,ic...->kmi...", de, ee))
     omega_t = 0.5 * (omega_t - np.swapaxes(omega_t, 1, 2))
-    omega_n = np.einsum("lc...,cba...->lba...", L,
-                        np.einsum("cbx...,ax...->cba...", d_xi, base.xi.c[0]))
-    omega_n = 0.5 * (omega_n - np.swapaxes(omega_n, 1, 2))
-    return (np.einsum("kc...,cija...->ijka...", L, d_h)
-            + np.einsum("mja...,kmi...->ijka...", h0, omega_t)
-            + np.einsum("ima...,kmj...->ijka...", h0, omega_t)
-            + np.einsum("ijb...,kba...->ijka...", h0, omega_n))
+    ekh = np.einsum("kc...,cijx...->ijkx...", L, d_h)
+    normal = ekh - np.einsum("ijkb...,bx...->ijkx...",
+                             np.einsum("ijkx...,bx...->ijkb...", ekh, basis), basis)
+    return (normal
+            + np.einsum("mjx...,kmi...->ijkx...", h0, omega_t)
+            + np.einsum("imx...,kmj...->ijkx...", h0, omega_t))

@@ -136,19 +136,64 @@ def test_verify_rejects_non_finite_or_negative_tolerance(capsys, tmp_path, overr
 @pytest.mark.parametrize("field,value", [
     ("coeff", math.nan), ("coeff", math.inf), ("coeff", -math.inf),
     ("freq", [math.nan, 1]), ("freq", [1, math.inf]),
+    ("freq", [True, 0]), ("exps", [True, 0, 0]), ("exps", [1, False, 0]),
 ])
 def test_verify_rejects_non_finite_spec_number(capsys, tmp_path, field, value):
     # json reads NaN and Infinity; a NaN coeff once got through to "field
-    # evaluation failed at node 0" and exit 1
-    doc = json.loads(serialize_spec(catalog_entry("clifford")))
+    # evaluation failed at node 0" and exit 1.  json's true and false are
+    # ints to Python, and once verified as 1 and 0.
+    source = "veronese" if field == "exps" else "clifford"
+    doc = json.loads(serialize_spec(catalog_entry(source)))
     doc["components"][0][0][field] = value
-    path = tmp_path / "clifford_bad.json"
+    path = tmp_path / f"{source}_bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", "--surface", str(path),
                              "--resolution", "16x16")
     assert code == 2
     assert out == ""
     assert f"components[0][0].{field}" in err
+
+
+@pytest.mark.parametrize("field,value", [("euler_char", False), ("ambient_dim", True)])
+def test_verify_rejects_bool_top_level_integer(capsys, tmp_path, field, value):
+    # "euler_char": false once verified with exit 0 and echoed false
+    doc = json.loads(serialize_spec(catalog_entry("clifford")))
+    doc[field] = value
+    path = tmp_path / "clifford_bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                             "--resolution", "16x16")
+    assert code == 2
+    assert out == ""
+    assert f"{field}: must be an integer" in err
+
+
+def test_verify_rejects_ambient_dim_above_the_cap(capsys, tmp_path):
+    # the cap is checked before any component is read: these are not even terms
+    n = surfaces.MAX_AMBIENT_DIM + 1
+    doc = {"name": "wide", "chart": "sphere", "ambient_dim": n,
+           "euler_char": 2, "components": [None] * n}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                             "--resolution", "16x16")
+    assert code == 2
+    assert out == ""
+    assert f"ambient_dim: {n} is above the limit {surfaces.MAX_AMBIENT_DIM}" in err
+
+
+def test_verify_rejects_a_non_immersion_naming_the_node(capsys, tmp_path):
+    # a constant map lies on the unit sphere but has no tangent plane
+    doc = {"name": "point", "chart": "sphere", "ambient_dim": 3, "euler_char": 2,
+           "components": [[{"coeff": 1.0, "exps": [0, 0, 0]}], [], []]}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                             "--resolution", "16x16")
+    assert code == 2
+    assert out == ""
+    assert "point: not an immersion at (u, v) = (" in err
+    assert "metric determinant" in err
 
 
 def test_verify_rejects_euler_char_contradicted_by_gauss_bonnet(capsys, tmp_path):

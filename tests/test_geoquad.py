@@ -24,8 +24,23 @@ from minimal_gap_lab.geoquad import (
     integrate,
     pool_size,
 )
+from minimal_gap_lab.gaps import calabi_S, calabi_constants
 from minimal_gap_lab.invariants import PointInvariants
-from minimal_gap_lab.surfaces import catalog_entry
+from minimal_gap_lab.surfaces import _catalog_sphere_entry, catalog_entry
+
+
+@pytest.mark.parametrize("s", [5, 8])
+def test_harmonic_sphere_in_high_codimension(s):
+    # the degree-s harmonic sphere lies in S^(2s), so q = 2s - 2 (8 and 14),
+    # beyond the catalog's q <= 6
+    spec = _catalog_sphere_entry(f"harmonic{s}", s)
+    grid = build_grid(spec, (16, 32))
+    fields = evaluate_fields(spec, grid)
+    report = integral_report(spec, grid, fields)
+    u = 1.5 * float(calabi_S(s))
+    assert abs(report.max_u - u) < 1e-10 and abs(report.min_u - u) < 1e-10
+    assert abs(report.area - float(calabi_constants(s).area)) < 1e-9
+    assert fields.flagged_fraction == 0.0
 
 
 def test_clifford_area_spectral():

@@ -172,3 +172,22 @@ def test_jsonable_turns_numpy_scalars_into_builtins():
     assert out == {"a": [0.1, -7, True, -0.0, True, 12], "b": [0.5]}
     assert [type(v) for v in out["a"]] == [float, int, bool, float, bool, int]
     assert type(out["b"][0]) is float
+
+
+def test_every_traced_name_resolves_in_its_home_module():
+    # the benchmark's traced mode wraps these names from outside the package,
+    # so a rename here must fail a test rather than the traced run
+    import importlib
+    import importlib.util
+
+    path = ROOT / "perfbench" / "tracer.py"
+    loader = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracer)
+    for home, names in tracer.TRACED.items():
+        module = importlib.import_module(f"{tracer.PACKAGE}.{home}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{home}.{name}"
+    ratpoly = importlib.import_module(f"{tracer.PACKAGE}.ratpoly")
+    for slot in tracer.RATPOLY_SLOTS:
+        assert callable(getattr(ratpoly.RatPoly, slot, None)), f"RatPoly.{slot}"

@@ -11,8 +11,9 @@ from minimal_gap_lab.errors import DomainError, ParseError, ValidationError
 from minimal_gap_lab.surfaces import (
     CATALOG_NAMES,
     JET_ORDER_MAX,
+    MAX_AMBIENT_DIM,
     Taylor,
-    _connection_forms,
+    _tangent_connection,
     adapted_frame,
     catalog_entry,
     covariant_grad_h,
@@ -248,27 +249,19 @@ def test_frame_gram_matrix_is_identity(name):
     spec = catalog_entry(name)
     jet = eval_jet(spec, _points(spec), order=2)
     fr = adapted_frame(jet)
-    full = np.concatenate(
-        [jet.derivs[0, 0][None], fr.e1.c[0][None], fr.e2.c[0][None], fr.xi.c[0]])
+    full = np.stack([jet.derivs[0, 0], fr.e1.c[0], fr.e2.c[0]])
     gram = np.einsum("icn,jcn->nij", full, full)
-    assert np.max(np.abs(gram - np.eye(gram.shape[-1]))) < 1e-10
+    assert np.max(np.abs(gram - np.eye(3))) < 1e-10
+    # the ambient h has no part along X, e1 or e2
+    h = second_fundamental_form(jet, fr).h
+    assert np.max(np.abs(np.einsum("ijcn,bcn->ijbn", h, full))) < 1e-12
 
 
 def test_clifford_levi_civita_connection_vanishes():
     spec = catalog_entry("clifford")
     jet = eval_jet(spec, TORUS_PTS, order=2)
-    omega_t, _ = _connection_forms(adapted_frame(jet))
+    omega_t = _tangent_connection(adapted_frame(jet))
     assert np.max(np.abs(omega_t[:, 0, 1])) < 1e-12
-
-
-def test_frame_determinism_and_frozen_pivots():
-    spec = catalog_entry("calabi3")
-    jet = eval_jet(spec, SPHERE_PTS, order=2)
-    f1 = adapted_frame(jet)
-    f2 = adapted_frame(jet)
-    assert np.array_equal(f1.xi.c, f2.xi.c)
-    f3 = adapted_frame(jet, pivot_idx=f1.pivot_idx)
-    assert np.array_equal(f1.xi.c, f3.xi.c)
 
 
 def test_degenerate_metric_raises():
@@ -277,7 +270,8 @@ def test_degenerate_metric_raises():
     spec = catalog_entry("clifford")
     jet = eval_jet(spec, (0.3, 0.8), order=2)
     jet.derivs[0, 1] = jet.derivs[1, 0].copy()   # make d_v X parallel to d_u X
-    with pytest.raises(FrameError):
+    where = r"clifford: not an immersion at \(u, v\) = \(0\.3, 0\.8\)"
+    with pytest.raises(FrameError, match=where):
         adapted_frame(jet)
 
 
@@ -296,7 +290,7 @@ def test_equator_totally_geodesic():
     spec = catalog_entry("equator")
     jet = eval_jet(spec, SPHERE_PTS, order=2)
     sp = second_fundamental_form(jet, adapted_frame(jet))
-    assert sp.a.shape[0] == 0
+    assert np.max(np.abs(sp.a)) < 1e-12 and np.max(np.abs(sp.b)) < 1e-12
     assert np.max(second_norm_field(spec, SPHERE_PTS).c[0]) < 1e-12
 
 
@@ -319,7 +313,7 @@ def test_frame_covariance_under_tangent_rotation():
     base = adapted_frame(jet)
     sp0 = second_fundamental_form(jet, base)
     theta = 0.37
-    rot = adapted_frame(jet, pivot_idx=base.pivot_idx, rotate_tangent=theta)
+    rot = adapted_frame(jet, rotate_tangent=theta)
     sp1 = second_fundamental_form(jet, rot)
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
     assert np.max(np.abs(sp1.a - (c2 * sp0.a + s2 * sp0.b))) < 1e-12
@@ -412,7 +406,7 @@ def test_taylor_grad3_matches_fd_of_frozen_frame(name, mixed_torus):
 
 def test_fd_connection_matches_exact_connection():
     # the exact omega12, read from the frame's degree-1 Taylor coefficients,
-    # agrees with a direct finite difference of e1 in the frozen-pivot frame
+    # agrees with a direct finite difference of e1
     spec = catalog_entry("calabi3")
     u0, v0 = 1.2, 0.9
     jet = eval_jet(spec, (u0, v0), order=2)
@@ -421,14 +415,14 @@ def test_fd_connection_matches_exact_connection():
 
     def e1_at(du, dv):
         j = eval_jet(spec, (u0 + du, v0 + dv), order=2)
-        return adapted_frame(j, pivot_idx=base.pivot_idx).e1.c[0]
+        return adapted_frame(j).e1.c[0]
 
     d_e1_u = (e1_at(h, 0) - e1_at(-h, 0)) / (2 * h)
     d_e1_v = (e1_at(0, h) - e1_at(0, -h)) / (2 * h)
     e2 = base.e2.c[0]
     omega_chart = np.array([float(d_e1_u @ e2), float(d_e1_v @ e2)])
     omega_fd = base.chart_to_frame.c[0] @ omega_chart
-    omega_t, _ = _connection_forms(base)
+    omega_t = _tangent_connection(base)
     assert np.max(np.abs(omega_fd - omega_t[:, 0, 1])) < 1e-9
 
 
@@ -443,6 +437,18 @@ def test_spec_round_trip(tmp_path):
     path.write_text(text, encoding="utf-8")
     loaded = load_immersion(path)
     assert loaded.ambient_dim == 5
+
+
+def test_ambient_dim_at_the_cap_parses():
+    # x, y, z on the unit sphere plus empty components up to the cap
+    n = MAX_AMBIENT_DIM
+    doc = {"name": "wide", "chart": "sphere", "ambient_dim": n, "euler_char": 2,
+           "components": [[{"coeff": 1.0, "exps": list(e)}]
+                          for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] + [[]] * (n - 3)}
+    spec = parse_spec_text(json.dumps(doc))
+    assert spec.ambient_dim == n and spec.codim == n - 3
+    with pytest.raises(ParseError, match="ambient_dim"):
+        parse_spec_text(json.dumps(dict(doc, ambient_dim=n + 1)))
 
 
 def test_clifford_round_trip(tmp_path):
