@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from minimal_gap_lab import gaps, geoquad, identities, surfaces
 from minimal_gap_lab.errors import (
     DomainError,
-    InvariantViolation,
     MinimalGapError,
     ParseError,
     ValidationError,
@@ -256,7 +255,16 @@ def _verify_surface(source, config: RunConfig, tols: dict):
         "flagged_fraction": fields.flagged_fraction,
         "certificate": cert_tree,
     }
-    distrust = fields.flagged_fraction > tols["flagged_budget"]
+    distrust = None
+    if fields.flagged_fraction > tols["flagged_budget"]:
+        guards = {"codazzi": fields.codazzi_residual, "b1_cross": fields.b1_cross}
+        counts = {key: int((r > tols[key]).sum()) for key, r in guards.items()}
+        worst = max(counts, key=counts.get)
+        i = int(guards[worst].argmax())
+        distrust = (f"distrust: {spec.name}: {fields.flagged.sum()} of {grid.node_count} "
+                    f"nodes flagged, above the budget {tols['flagged_budget']:g}; codazzi "
+                    f"{counts['codazzi']}, b1_cross {counts['b1_cross']}; worst {worst} "
+                    f"{guards[worst][i]:.3e} at (u, v) = ({grid.u[i]:.6f}, {grid.v[i]:.6f})")
     return spec.name, surface_tree, distrust
 
 
@@ -268,6 +276,7 @@ def cmd_verify(config: RunConfig) -> int:
         name, tree, distrust = _verify_surface(source, config, tols)
         surfaces_tree[name] = tree
         if distrust:
+            print(distrust, file=sys.stderr)
             exit_code = max(exit_code, EXIT_DISTRUST)
     tree = {
         "minimal-gap-lab": {
@@ -440,15 +449,9 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return cmd_catalog_list()
         parser.error(f"unknown command {args.command!r}")
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except MinimalGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

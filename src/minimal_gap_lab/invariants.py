@@ -2,9 +2,9 @@
 
 Every quantity the theorems consume is computed here from a ShapePair, with
 an independent second route wherever one exists: the squared commutator sum
-vs its closed form, the closed-form eigenvalues vs a dense symmetric
-eigensolver, and the Simons-identity route to B1 vs the direct third-order
-norm.  Route disagreements are recorded as residuals, never hidden.
+and a 4 x 4 eigensolver on the Gram tensor of h (O(C) per node, by Sylvester's
+determinant identity) vs their closed forms, and the Simons-identity route to
+B1 vs the direct third-order norm.  Route disagreements are residuals, never hidden.
 
 The two B1 routes share only the jet.  The Simons route takes the chart
 Laplacian of the frame-free S from the degree-2 coefficients of its Taylor
@@ -46,40 +46,34 @@ B1_CROSS_TOL = 1e-4
 
 @dataclass
 class FundamentalMatrix:
-    """The C x C Gram matrix of the ambient components of the shape
-    operators, by both displayed routes.  It has the nonzero spectrum of the
-    q x q matrix in any orthonormal normal frame, and zeros besides."""
+    """The Gram tensor G[i, j, k, l] = <h_ij, h_kl>, by both displayed routes: as
+    4 x 4 it is H^T H, H the C x 4 matrix of h's slots, and has the nonzero spectrum
+    of the C x C fundamental matrix H H^T by Sylvester's determinant identity."""
 
-    matrix: np.ndarray            # (C, C, *points) outer-product form
-    gram_residual: np.ndarray     # max |outer form - <S_alpha, S_beta>| entrywise
+    matrix: np.ndarray            # (2, 2, 2, 2, *points), one ambient contraction
+    gram_residual: np.ndarray     # max |G - closed form from the Gram of a, b| entrywise
 
     @property
     def trace(self) -> np.ndarray:
-        return np.einsum("aa...->...", self.matrix)
+        return np.einsum("ijij...->...", self.matrix)
 
 
 def fundamental_matrix(sp: ShapePair) -> FundamentalMatrix:
-    outer = np.einsum("a...,b...->ab...", sp.a, sp.a)
-    outer += np.einsum("a...,b...->ab...", sp.b, sp.b)
-    outer *= 2.0
-    h = sp.h
-    gram = np.einsum("ija...,ijb...->ab...", h, h)
-    gram -= outer
-    residual = np.max(np.abs(gram, out=gram), axis=(0, 1), initial=0.0)
-    return FundamentalMatrix(matrix=outer, gram_residual=residual)
+    h, w = sp.h, np.stack([sp.a, sp.b])
+    gram = np.einsum("ijx...,klx...->ijkl...", h, h)
+    # the closed form: h_ij = slots[i, j] . (a, b), so G = slots g slots^T
+    slots = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]])
+    g = np.einsum("cx...,dx...->cd...", w, w)
+    closed = np.einsum("ijc,cd...,kld->ijkl...", slots, g, slots) - gram
+    residual = np.max(np.abs(closed), axis=(0, 1, 2, 3), initial=0.0)
+    return FundamentalMatrix(matrix=gram, gram_residual=residual)
 
 
-def _commutator_sum(h: np.ndarray) -> np.ndarray:
-    """Independent route to rho0: sum of |[S_a, S_b]|^2 over the ambient
-    components S_a = h[:, :, a].  [S_a, S_b] = P[a, b] - P[b, a] with
-    P[a, b] = S_a S_b is written over P in place, as d and -d per pair
-    (x - y = -(y - x) exactly), so no second C x C array is kept."""
-    comm = np.einsum("ija...,jkb...->abik...", h, h)
-    for a in range(len(comm)):
-        d = comm[a, a:] - comm[a:, a]
-        comm[a, a:] = d
-        comm[a:, a] = -d
-    return np.einsum("abik...,abik...->...", comm, comm)
+def _commutator_sum(gram: np.ndarray) -> np.ndarray:
+    """Independent route to rho0: the sum over ambient x, y of |[S_x, S_y]|^2,
+    S_x = h[:, :, x], expanded through the trace into the Gram tensor."""
+    return 2.0 * (np.einsum("ijim...,jkmk...->...", gram, gram)
+                  - np.einsum("ijmk...,jkim...->...", gram, gram))
 
 
 @dataclass
@@ -100,7 +94,7 @@ class PointInvariants:
     hopf_im: np.ndarray           # -2 <a, b>
     rho0_commutator_residual: np.ndarray
     eig_residual: np.ndarray      # closed form vs dense eigensolver
-    eig_tail: np.ndarray          # max |lambda_3..C| from the eigensolver
+    eig_tail: np.ndarray          # max |lambda_3,4| of the 4 x 4 G
     gram_residual: np.ndarray
     minimality_residual: np.ndarray
 
@@ -117,7 +111,8 @@ def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
     normA2 = 4.0 * na ** 2 + 4.0 * nb ** 2 + 8.0 * ab ** 2
     rho0 = 16.0 * (na * nb - ab ** 2)
 
-    rho0_residual = np.abs(rho0 - _commutator_sum(sp.h))
+    fm = fundamental_matrix(sp)
+    rho0_residual = np.abs(rho0 - _commutator_sum(fm.matrix))
 
     slack = S ** 2 - rho0
     bad = slack < DDVV_SLACK_TOL * np.maximum(1.0, S ** 2)
@@ -137,13 +132,12 @@ def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
         t = np.where(geodesic, 1.0, 2.0 * d / np.where(geodesic, 1.0, S))
     t = np.clip(t, 0.0, 1.0)
 
-    fm = fundamental_matrix(sp)
     if eig_check:
-        # ascending, with the points first: eigvalsh wants the matrix axes last
-        lam = np.linalg.eigvalsh(np.moveaxis(fm.matrix, (0, 1), (-2, -1)))
+        # G as 4 x 4, ascending, points first: eigvalsh wants the matrix axes last
+        lam = np.linalg.eigvalsh(np.moveaxis(fm.matrix.reshape((4, 4) + lead), (0, 1), (-2, -1)))
         eig_residual = (np.abs(lambda1 - lam[..., -1])
                         + np.abs(lambda2 - lam[..., -2]))
-        eig_tail = np.max(np.abs(lam[..., :-2]), axis=-1)
+        eig_tail = np.max(np.abs(lam[..., :2]), axis=-1)
     else:
         eig_residual = np.zeros(lead)
         eig_tail = np.zeros(lead)

@@ -51,6 +51,7 @@ DEFAULT_POLE_MARGIN = 1e-3
 JET_ORDER_MAX = 4
 
 MAX_AMBIENT_DIM = 64         # spec components at most: bounds the per-node work
+MAX_DEGREE = 64              # sphere term degree at most: bounds the power tables
 
 CATALOG_DEGREES = {"equator": 1, "veronese": 2, "calabi3": 3, "calabi4": 4}
 CATALOG_NAMES = ("equator", "veronese", "calabi3", "calabi4", "clifford")
@@ -545,6 +546,8 @@ def parse_spec_dict(data: dict) -> ImmersionSpec:
                 _expect(isinstance(exps, list) and len(exps) == 3
                         and all(_is_int(e) and e >= 0 for e in exps),
                         f"{tpath}.exps", "must be three nonnegative integers")
+                _expect(sum(exps) <= MAX_DEGREE, f"{tpath}.exps",
+                        f"degree {sum(exps)} is above the limit {MAX_DEGREE}")
                 key = tuple(exps)
                 mono[key] = mono.get(key, 0.0) + coeff
             comps.append(mono)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -154,6 +155,26 @@ def test_verify_rejects_non_finite_spec_number(capsys, tmp_path, field, value):
     assert f"components[0][0].{field}" in err
 
 
+@pytest.mark.parametrize("degree,code", [(surfaces.MAX_DEGREE, 0),
+                                         (surfaces.MAX_DEGREE + 1, 2)])
+def test_verify_caps_the_term_degree(capsys, tmp_path, degree, code):
+    # a degree-20000 term once took gigabytes to verify, and a larger one
+    # escaped main with an _ArrayMemoryError; the cap admits the harmonic
+    # spheres that MAX_AMBIENT_DIM admits (degree <= 31)
+    doc = json.loads(serialize_spec(catalog_entry("veronese")))
+    doc["components"][2].append({"coeff": 1e-300, "exps": [0, 0, degree]})
+    term = len(doc["components"][2]) - 1
+    path = tmp_path / "veronese_deg.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                            "--resolution", "16x16")
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert (f"components[2][{term}].exps: degree {degree} is above the "
+                f"limit {surfaces.MAX_DEGREE}") in err
+
+
 @pytest.mark.parametrize("field,value", [("euler_char", False), ("ambient_dim", True)])
 def test_verify_rejects_bool_top_level_integer(capsys, tmp_path, field, value):
     # "euler_char": false once verified with exit 0 and echoed false
@@ -229,11 +250,22 @@ def test_identities_qmax_above_limit_exits_two(capsys, monkeypatch):
 
 
 def test_verify_distrust_exit_code(capsys):
-    # an absurdly tight cross-route tolerance flags every node -> exit 3
-    code, out, _ = run_cli(capsys, "verify", "--surface", "clifford",
-                           "--resolution", "8x8", "--tol", "b1_cross=1e-300")
+    # an absurdly tight cross-route tolerance flags every node with a nonzero
+    # rounding residual -> exit 3, and stderr says which guard and where
+    code, out, err = run_cli(capsys, "verify", "--surface", "clifford",
+                             "--resolution", "8x8", "--tol", "b1_cross=1e-300")
     assert code == 3
     assert "exit_status: 3" in out
+    lines = err.splitlines()
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"distrust: clifford: (\d+) of 64 nodes flagged, above the budget 0\.01; "
+        r"codazzi 0, b1_cross (\d+); worst b1_cross (\S+) at \(u, v\) = "
+        r"\((\S+), (\S+)\)", lines[0])
+    assert match is not None, lines[0]
+    assert int(match[1]) == int(match[2]) > 0.01 * 64
+    assert float(match[3]) > 0.0
+    assert 0.0 <= float(match[4]) < 2 * math.pi and 0.0 <= float(match[5]) < 2 * math.pi
 
 
 def test_thresholds_default(capsys, tmp_path):

@@ -41,6 +41,12 @@ def test_harmonic_sphere_in_high_codimension(s):
     assert abs(report.max_u - u) < 1e-10 and abs(report.min_u - u) < 1e-10
     assert abs(report.area - float(calabi_constants(s).area)) < 1e-9
     assert fields.flagged_fraction == 0.0
+    # the second routes agree to rounding at C = 2s + 1
+    inv = fields.inv
+    assert np.all(inv.rho0_commutator_residual <= 1e-12 * np.maximum(1.0, inv.rho0))
+    scale = 1e-12 * np.maximum(1.0, inv.S)
+    for residual in (inv.eig_residual, inv.eig_tail, inv.gram_residual):
+        assert np.all(residual <= scale)
 
 
 def test_clifford_area_spectral():

@@ -1,12 +1,14 @@
 """Tests for pointwise invariants and the two-route B1 computation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from minimal_gap_lab.errors import InvariantViolation
 from minimal_gap_lab.invariants import (
+    _commutator_sum,
     b1_cross_check,
     b1_simons,
     fundamental_matrix,
@@ -65,7 +67,7 @@ def test_every_per_node_array_ends_in_the_point_axes():
             "chart_to_frame": (frame.chart_to_frame.c, (3, 2, 2)),
             "a": (sp.a, (C,)), "b": (sp.b, (C,)), "h": (sp.h, (2, 2, C)),
             "grad3": (covariant_grad_h(spec, jet, frame).grad3, (2, 2, 2, C)),
-            "matrix": (fundamental_matrix(sp).matrix, (C, C)),
+            "matrix": (fundamental_matrix(sp).matrix, (2, 2, 2, 2)),
             "S": (point_invariants(sp).S, ()),
         }
     for name, (grid, value_axes) in layouts[3, 5].items():
@@ -85,9 +87,15 @@ def test_shape_pair_rejects_points_first_arrays():
 # ------------------------------------------------------ fundamental matrix
 
 def test_fundamental_matrix_orthonormal_pair():
-    fm = fundamental_matrix(_pair([1.0, 0.0], [0.0, 1.0]))
-    assert np.allclose(fm.matrix, np.diag([2.0, 2.0, 0.0, 0.0, 0.0]))
-    assert float(fm.trace) == 4.0
+    # the slots 11, 12, 21, 22 of h are a, b, b, -a, so G = <h_ij, h_kl> as
+    # 4 x 4 is their Gram matrix, and its trace is S = 2 (|a|^2 + |b|^2)
+    sp = _pair([1.0, 0.0], [0.0, 1.0])
+    fm = fundamental_matrix(sp)
+    assert np.array_equal(fm.matrix.reshape(4, 4), [[1.0, 0.0, 0.0, -1.0],
+                                                    [0.0, 1.0, 1.0, 0.0],
+                                                    [0.0, 1.0, 1.0, 0.0],
+                                                    [-1.0, 0.0, 0.0, 1.0]])
+    assert float(fm.trace) == float(point_invariants(sp).S) == 4.0
     assert float(fm.gram_residual) == 0.0
 
 
@@ -99,10 +107,11 @@ def test_fundamental_matrix_zero():
 def test_fundamental_matrix_rank_two():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(6), rng.standard_normal(6)
-    fm = fundamental_matrix(_pair(a, b))
-    lam = np.linalg.eigvalsh(fm.matrix)
-    assert lam[-3] < 1e-10 * np.trace(fm.matrix)
-    assert abs(np.trace(fm.matrix) - 2 * (a @ a + b @ b)) < 1e-12
+    gram = fundamental_matrix(_pair(a, b)).matrix.reshape(4, 4)
+    lam = np.linalg.eigvalsh(gram)
+    assert np.linalg.matrix_rank(gram) == 2
+    assert abs(lam[-3]) < 1e-10 * np.trace(gram)
+    assert abs(np.trace(gram) - 2 * (a @ a + b @ b)) < 1e-12
 
 
 # ------------------------------------------------------ point invariants
@@ -164,18 +173,35 @@ def test_rho0_routes_agree_on_population(random_pairs):
         assert np.max(inv.rho0_commutator_residual / scale) < 1e-10
 
 
-def test_commutator_route_equals_the_two_product_formula_bitwise():
-    # [S_a, S_b] = S_a S_b - S_b S_a, the second product taken as the
-    # transpose of the first: the residual must be bitwise what the two
-    # separate products give
+def test_commutator_route_matches_the_explicit_commutators():
+    # the Gram-tensor contraction equals sum_{x,y} |S_x S_y - S_y S_x|^2
+    # over the ambient components S_x = h[:, :, x], written out here with
+    # its C x C stack, and the residual is exactly |rho0 - that contraction|
     rng = np.random.default_rng(7)
     sp = _pair(rng.standard_normal((3072, 6)), rng.standard_normal((3072, 6)))
     inv = point_invariants(sp)
     h = sp.h
-    comm = (np.einsum("ija...,jkb...->abik...", h, h)
-            - np.einsum("ijb...,jka...->abik...", h, h))
-    rho0_comm = np.einsum("abik...,abik...->...", comm, comm)
-    assert np.array_equal(inv.rho0_commutator_residual, np.abs(inv.rho0 - rho0_comm))
+    comm = (np.einsum("ijx...,jky...->xyik...", h, h)
+            - np.einsum("ijy...,jkx...->xyik...", h, h))
+    explicit = np.einsum("xyik...,xyik...->...", comm, comm)
+    route = _commutator_sum(fundamental_matrix(sp).matrix)
+    assert np.all(np.abs(route - explicit) <= 1e-12 * np.maximum(1.0, inv.rho0))
+    assert np.array_equal(inv.rho0_commutator_residual, np.abs(inv.rho0 - route))
+
+
+def test_point_invariants_memory_is_linear_in_the_ambient_dimension():
+    # no array with two ambient axes: at C = 64 a 3072-node call peaks far
+    # below one C x C stack (8 * 64 bytes per C-node)
+    C, n = 64, 3072
+    rng = np.random.default_rng(11)
+    sp = _pair(rng.standard_normal((n, C - 3)), rng.standard_normal((n, C - 3)))
+    tracemalloc.start()
+    try:
+        point_invariants(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * C * n
 
 
 def test_eigen_routes_agree_on_population(random_pairs):
