@@ -35,6 +35,14 @@ EXIT_DISTRUST = 3
 
 # the thread-count variables of the BLAS builds numpy ships with or links to
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc's own allocator settings: a caller who sets any keeps malloc as set
+MALLOC_VARS = ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+               "MALLOC_TOP_PAD_", "GLIBC_TUNABLES")
+# mallopt (parameter, value) pairs, from glibc's malloc.h: M_ARENA_MAX 1, one
+# arena for the tile threads; M_MMAP_THRESHOLD 32 MiB, glibc's 64-bit maximum,
+# so tiles come from the heap; M_TRIM_THRESHOLD 64 MiB, above two tiles, so
+# freed tile pages stay mapped
+MALLOC_TUNING = ((-8, 1), (-3, 32 << 20), (-1, 64 << 20))
 
 TOLERANCE_DEFAULTS = {
     "unit_norm": 1e-12,        # |X|^2 - 1 on the validation grid
@@ -269,6 +277,7 @@ def _verify_surface(source, config: RunConfig, tols: dict):
 
 
 def cmd_verify(config: RunConfig) -> int:
+    _tune_malloc()
     tols = config.effective_tolerances()
     surfaces_tree = {}
     exit_code = EXIT_OK
@@ -401,6 +410,28 @@ def _pin_blas_threads() -> None:
         return
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
+
+
+def _tune_malloc() -> None:
+    """Keep the tile pool's freed pages mapped, in one arena, under glibc.
+
+    By default glibc gives each pool thread its own arena and returns a
+    tile's ~19 MB to the kernel when it is freed, to fault it in again for
+    the next tile.  A fixed trim threshold alone turns off glibc's dynamic
+    mmap threshold, so both are set.  Call before any pool thread starts;
+    nothing changes off glibc or when the caller set any of `MALLOC_VARS`.
+    """
+    import ctypes           # here, so that `identities` never loads them
+    import platform
+
+    if platform.libc_ver()[0] != "glibc" or any(var in os.environ
+                                                 for var in MALLOC_VARS):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in MALLOC_TUNING:
+        mallopt(param, value)
 
 
 def main(argv=None) -> int:

@@ -220,26 +220,26 @@ def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray, v_cols: np.ndarray,
     )
 
 
-def _concat_fields(chunks: list[SurfaceFields]) -> SurfaceFields:
-    if len(chunks) == 1:
-        return chunks[0]
+def _gather_fields(chunks, nodes: int) -> SurfaceFields:
+    """Copy each tile's fields, in node order, into whole-grid arrays.
 
-    def cat(getter):
-        return np.concatenate([getter(c) for c in chunks], axis=0)
-
-    inv_kwargs = {
-        f.name: cat(lambda c, name=f.name: getattr(c.inv, name))
-        for f in dc_fields(PointInvariants)
-    }
-    return SurfaceFields(
-        inv=PointInvariants(**inv_kwargs),
-        b1_simons=cat(lambda c: c.b1_simons),
-        b1_direct=cat(lambda c: c.b1_direct),
-        b1_cross=cat(lambda c: c.b1_cross),
-        delta_S=cat(lambda c: c.delta_S),
-        codazzi_residual=cat(lambda c: c.codazzi_residual),
-        flagged=cat(lambda c: c.flagged),
-    )
+    A tile covers consecutive nodes and is dropped once copied, so the tiles
+    never all live beside the whole-grid arrays.
+    """
+    inv_names = [f.name for f in dc_fields(PointInvariants)]
+    names = [f.name for f in dc_fields(SurfaceFields) if f.name != "inv"]
+    out, start = None, 0
+    for chunk in chunks:
+        parts = [getattr(chunk.inv, name) for name in inv_names] + \
+            [getattr(chunk, name) for name in names]
+        if out is None:
+            out = [np.empty(nodes, part.dtype) for part in parts]
+        stop = start + parts[0].size
+        for whole, part in zip(out, parts):
+            whole[start:stop] = part
+        start = stop
+    return SurfaceFields(inv=PointInvariants(**dict(zip(inv_names, out))),
+                         **dict(zip(names, out[len(inv_names):])))
 
 
 def usable_cpus() -> int:
@@ -298,9 +298,9 @@ def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
                              codazzi_tol=codazzi_tol, b1_cross_tol=b1_cross_tol)
 
     if threads == 1:
-        return _concat_fields([run(tile) for tile in tiles])
+        return _gather_fields(map(run, tiles), grid.node_count)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _concat_fields(list(pool.map(run, tiles)))
+        return _gather_fields(pool.map(run, tiles), grid.node_count)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ JET_ORDER_MAX = 4
 
 MAX_AMBIENT_DIM = 64         # spec components at most: bounds the per-node work
 MAX_DEGREE = 64              # sphere term degree at most: bounds the power tables
+MAX_FREQUENCY = 64           # torus |frequency| at most: keeps every phase a float
 
 CATALOG_DEGREES = {"equator": 1, "veronese": 2, "calabi3": 3, "calabi4": 4}
 CATALOG_NAMES = ("equator", "veronese", "calabi3", "calabi4", "clifford")
@@ -566,6 +567,9 @@ def parse_spec_dict(data: dict) -> ImmersionSpec:
                 _expect(isinstance(freq, list) and len(freq) == 2
                         and all(_is_int(f) for f in freq),
                         f"{tpath}.freq", "must be two integers")
+                for f in freq:
+                    _expect(abs(f) <= MAX_FREQUENCY, f"{tpath}.freq",
+                            f"frequency {abs(f)} is above the limit {MAX_FREQUENCY}")
                 terms.append((coeff, TrigSeries.COS if kind == "cos" else TrigSeries.SIN,
                               freq[0], freq[1]))
             comps.append(terms)

@@ -175,6 +175,26 @@ def test_verify_caps_the_term_degree(capsys, tmp_path, degree, code):
                 f"limit {surfaces.MAX_DEGREE}") in err
 
 
+@pytest.mark.parametrize("freq,code", [
+    (surfaces.MAX_FREQUENCY, 0), (surfaces.MAX_FREQUENCY + 1, 2),
+    (-(surfaces.MAX_FREQUENCY + 1), 2), (10 ** 400, 2)])
+def test_verify_caps_the_torus_frequency(capsys, tmp_path, freq, code):
+    # a frequency of 10**400 escaped main with an OverflowError from the
+    # phase m * u + n * v
+    doc = json.loads(serialize_spec(catalog_entry("clifford")))
+    doc["components"][1].append({"coeff": 1e-300, "type": "cos", "freq": [0, freq]})
+    term = len(doc["components"][1]) - 1
+    path = tmp_path / "clifford_freq.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                            "--resolution", "16x16")
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert (f"components[1][{term}].freq: frequency {abs(freq)} is above "
+                f"the limit {surfaces.MAX_FREQUENCY}") in err
+
+
 @pytest.mark.parametrize("field,value", [("euler_char", False), ("ambient_dim", True)])
 def test_verify_rejects_bool_top_level_integer(capsys, tmp_path, field, value):
     # "euler_char": false once verified with exit 0 and echoed false

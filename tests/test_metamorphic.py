@@ -4,9 +4,12 @@ A rotation of the ambient space R^(N+1) maps the sphere to itself and the
 surface to a congruent one, and appending a zero component embeds S^N as a
 great sphere of S^(N+1) (codimension q -> q + 1).  Neither may move a
 pointwise field or an integral beyond rounding, nor any certificate verdict.
+A translation (u, v) -> (u + s, v + t) of a torus chart reparametrizes the
+same surface: each field at (u, v) is the original's at (u + s, v + t).
 """
 
-from dataclasses import replace
+import math
+from dataclasses import fields as dc_fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from minimal_gap_lab.gaps import certify
 from minimal_gap_lab.geoquad import build_grid, evaluate_fields, integral_report
-from minimal_gap_lab.surfaces import CATALOG_NAMES, SPHERE, ImmersionSpec, catalog_entry
+from minimal_gap_lab.invariants import PointInvariants
+from minimal_gap_lab.surfaces import (
+    CATALOG_NAMES,
+    SPHERE,
+    ImmersionSpec,
+    TrigSeries,
+    catalog_entry,
+)
 
 RESOLUTION = (16, 32)
 INVARIANT_FIELDS = ("S", "u", "rho_perp", "lambda1", "lambda2", "rho0", "normA2")
@@ -56,6 +66,25 @@ def _padded(spec: ImmersionSpec) -> ImmersionSpec:
                    components=spec.components + [zero])
 
 
+def _translated(spec: ImmersionSpec, s: float, t: float) -> ImmersionSpec:
+    """The torus spec of (u, v) -> X(u + s, v + t).  With p = m s + n t,
+    cos(phase + p) = cos p cos(phase) - sin p sin(phase) and
+    sin(phase + p) = sin p cos(phase) + cos p sin(phase)."""
+    components = []
+    for comp in spec.components:
+        terms = []
+        for c, kind, m, n in comp:
+            cos_p, sin_p = math.cos(m * s + n * t), math.sin(m * s + n * t)
+            if kind == TrigSeries.COS:
+                terms += [(c * cos_p, TrigSeries.COS, m, n),
+                          (-c * sin_p, TrigSeries.SIN, m, n)]
+            else:
+                terms += [(c * sin_p, TrigSeries.COS, m, n),
+                          (c * cos_p, TrigSeries.SIN, m, n)]
+        components.append(terms)
+    return replace(spec, components=components)
+
+
 def _evaluate(spec: ImmersionSpec):
     grid = build_grid(spec, RESOLUTION)
     fields = evaluate_fields(spec, grid)
@@ -65,23 +94,24 @@ def _evaluate(spec: ImmersionSpec):
 
 
 @pytest.fixture(scope="module")
-def base_results(mixed_torus):
+def base_results(mixed_torus, rotated_mixed_torus):
     """(spec, fields, verdicts, report) of each unchanged surface, evaluated
     once."""
     cache = {}
+    tori = {"mixed_torus": mixed_torus, "rotated_mixed_torus": rotated_mixed_torus}
 
     def get(name):
         if name not in cache:
-            spec = mixed_torus if name == "mixed_torus" else catalog_entry(name)
+            spec = tori[name] if name in tori else catalog_entry(name)
             cache[name] = (spec,) + _evaluate(spec)
         return cache[name]
 
     return get
 
 
-def _assert_same_fields(base, other):
+def _assert_same_fields(base, other, invariant_fields=INVARIANT_FIELDS):
     """Each field within rel * max(1, max |field|) of the base surface's."""
-    for holder, names, rel in ((lambda f: f.inv, INVARIANT_FIELDS, 1e-12),
+    for holder, names, rel in ((lambda f: f.inv, invariant_fields, 1e-12),
                                (lambda f: f, B1_FIELDS, 1e-11)):
         for name in names:
             ref, got = getattr(holder(base), name), getattr(holder(other), name)
@@ -109,3 +139,29 @@ def test_invariants_unchanged_by_rotation_and_padding(name, base_results, seed):
         _assert_same_fields(base_fields, fields)
         _assert_same_integrals(base_report, report)
         assert verdicts == base_verdicts
+
+
+@pytest.mark.parametrize("name", ["clifford", "rotated_mixed_torus"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_invariants_follow_a_torus_translation(name, base_results, seed):
+    spec, _, base_verdicts, base_report = base_results(name)
+    rng = np.random.default_rng(seed)
+    grid = build_grid(spec, RESOLUTION)
+    # any translation moves no field, frame-dependent ones included: compare
+    # with the original at the moved nodes (evaluate_fields reads only the
+    # grid's axes).  The mixed torus's fields depend on u alone, since a
+    # shift in v is an ambient rotation of it.
+    s, t = rng.uniform(0.0, 2.0 * math.pi, 2)
+    fields = evaluate_fields(_translated(spec, s, t), grid)
+    moved = evaluate_fields(spec, replace(grid, u_axis=grid.u_axis + s,
+                                          v_axis=grid.v_axis + t))
+    _assert_same_fields(moved, fields, [f.name for f in dc_fields(PointInvariants)])
+    # off the grid lattice the nodes sample the surface elsewhere, which
+    # moves an integral by the quadrature error (~1e-6 for this torus at
+    # 16x32); a translation by whole grid steps only permutes the nodes
+    steps = rng.integers(RESOLUTION)
+    s, t = 2.0 * math.pi * steps / RESOLUTION
+    _, verdicts, report = _evaluate(_translated(spec, s, t))
+    _assert_same_integrals(base_report, report)
+    assert verdicts == base_verdicts
