@@ -202,9 +202,7 @@ def _verify_surface(source, config: RunConfig, tols: dict):
     validation = surfaces.validate_spec(
         spec, unit_tol=tols["unit_norm"], minimality_tol=tols["minimality"])
     grid = geoquad.build_grid(spec, config.resolution)
-    fields = geoquad.evaluate_fields(
-        spec, grid, workers=config.workers,
-        codazzi_tol=tols["codazzi"], b1_cross_tol=tols["b1_cross"])
+    fields = geoquad.evaluate_fields(spec, grid, workers=config.workers, tols=tols)
     report = geoquad.integral_report(spec, grid, fields,
                                      nonneg_tol=tols["gap_nonneg"])
     cert = gaps.certify(spec, fields, report)
@@ -265,14 +263,15 @@ def _verify_surface(source, config: RunConfig, tols: dict):
     }
     distrust = None
     if fields.flagged_fraction > tols["flagged_budget"]:
-        guards = {"codazzi": fields.codazzi_residual, "b1_cross": fields.b1_cross}
+        guards = {key: getattr(fields, name) for key, (name, _) in geoquad.GUARDS.items()}
         counts = {key: int((r > tols[key]).sum()) for key, r in guards.items()}
         worst = max(counts, key=counts.get)
         i = int(guards[worst].argmax())
+        per_guard = ", ".join(f"{key} {n}" for key, n in counts.items())
         distrust = (f"distrust: {spec.name}: {fields.flagged.sum()} of {grid.node_count} "
-                    f"nodes flagged, above the budget {tols['flagged_budget']:g}; codazzi "
-                    f"{counts['codazzi']}, b1_cross {counts['b1_cross']}; worst {worst} "
-                    f"{guards[worst][i]:.3e} at (u, v) = ({grid.u[i]:.6f}, {grid.v[i]:.6f})")
+                    f"nodes flagged, above the budget {tols['flagged_budget']:g}; "
+                    f"{per_guard}; worst {worst} {guards[worst][i]:.3e} at (u, v) = "
+                    f"({grid.u[i]:.6f}, {grid.v[i]:.6f})")
     return spec.name, surface_tree, distrust
 
 

@@ -49,6 +49,11 @@ BESSEL_J0_ZERO = 2.404825557695773     # j_{0,1}, the first zero of J_0
 NEWTON_MAX = 16         # Newton steps per Gauss-Legendre solve; 4-5 suffice
 NEWTON_STEP_TOL = 1e-15  # a Newton step this small leaves a node exact to rounding
 
+# The accuracy guards: a node is flagged when one of these residuals exceeds
+# its tolerance.  `--tol` key -> (SurfaceFields residual, default tolerance).
+GUARDS = {"codazzi": ("codazzi_residual", CODAZZI_TOL),
+          "b1_cross": ("b1_cross", B1_CROSS_TOL)}
+
 
 def _legendre(n: int, x: np.ndarray):
     """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
@@ -196,28 +201,31 @@ class SurfaceFields:
 
 
 def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray, v_cols: np.ndarray,
-                  codazzi_tol: float = CODAZZI_TOL,
-                  b1_cross_tol: float = B1_CROSS_TOL) -> SurfaceFields:
-    """The fields on the tile u_rows x v_cols, its nodes in row-major order."""
+                  tols: dict | None = None) -> SurfaceFields:
+    """The fields on the tile u_rows x v_cols, its nodes in row-major order;
+    `tols` maps `GUARDS` keys to tolerances, and a missing key takes the
+    default."""
     # one jet serves every layer: the frame, h and grad h read it to order 3,
     # the Taylor series of S to order 4
     tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=JET_ORDER_MAX)
     jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
               {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
-    grad = covariant_grad_h(spec, jet, adapted_frame(jet))
+    grad = covariant_grad_h(jet, adapted_frame(jet))
     inv = point_invariants(grad.shape)
-    simons = b1_simons(spec, jet, inv)
-    cross = np.abs(simons.b1 - grad.b1_direct)
-    flagged = (grad.codazzi_residual > codazzi_tol) | (cross > b1_cross_tol)
-    return SurfaceFields(
+    simons = b1_simons(jet, inv)
+    fields = SurfaceFields(
         inv=inv,
         b1_simons=simons.b1,
         b1_direct=grad.b1_direct,
-        b1_cross=cross,
+        b1_cross=np.abs(simons.b1 - grad.b1_direct),
         delta_S=simons.laplacian_S,
         codazzi_residual=grad.codazzi_residual,
-        flagged=flagged,
+        flagged=np.zeros(jet.u.shape, dtype=bool),
     )
+    tols = tols or {}
+    for key, (name, default) in GUARDS.items():
+        fields.flagged |= getattr(fields, name) > tols.get(key, default)
+    return fields
 
 
 def _gather_fields(chunks, nodes: int) -> SurfaceFields:
@@ -278,10 +286,9 @@ def grid_tiles(resolution) -> list[tuple[slice, slice]]:
 
 
 def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
-                    workers: int = 1,
-                    codazzi_tol: float = CODAZZI_TOL,
-                    b1_cross_tol: float = B1_CROSS_TOL) -> SurfaceFields:
-    """Evaluate every pointwise field at every grid node.
+                    workers: int = 1, tols: dict | None = None) -> SurfaceFields:
+    """Evaluate every pointwise field at every grid node, its guards at the
+    tolerances `tols` (see `_fields_chunk`).
 
     Node evaluation is pure, so the grid is evaluated tile by tile
     (`grid_tiles`), which bounds the memory of one tile whatever the grid;
@@ -294,8 +301,7 @@ def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
 
     def run(tile):
         rows, cols = tile
-        return _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols],
-                             codazzi_tol=codazzi_tol, b1_cross_tol=b1_cross_tol)
+        return _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols], tols=tols)
 
     if threads == 1:
         return _gather_fields(map(run, tiles), grid.node_count)
@@ -331,12 +337,8 @@ class IntegralReport:
     flagged_fraction: float
 
 
-def integral_report(spec: ImmersionSpec, grid: QuadratureGrid,
-                    fields: SurfaceFields | None = None,
-                    workers: int = 1,
+def integral_report(spec: ImmersionSpec, grid: QuadratureGrid, fields: SurfaceFields,
                     nonneg_tol: float = GAP_NONNEG_TOL) -> IntegralReport:
-    if fields is None:
-        fields = evaluate_fields(spec, grid, workers=workers)
     inv = fields.inv
     area = integrate(np.ones_like(grid.u), grid)
     int_K = integrate(inv.K, grid)

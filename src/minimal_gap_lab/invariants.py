@@ -24,18 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from minimal_gap_lab.errors import InvariantViolation
+from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.surfaces import (
-    JET_ORDER_MAX,
-    ImmersionSpec,
     Jet,
     ShapePair,
     Taylor,
-    adapted_frame,
-    covariant_grad_h,
     first_fundamental_form,
-    jet_at,
-    second_fundamental_form,
     second_norm_field,
 )
 
@@ -52,10 +46,6 @@ class FundamentalMatrix:
 
     matrix: np.ndarray            # (2, 2, 2, 2, *points), one ambient contraction
     gram_residual: np.ndarray     # max |G - closed form from the Gram of a, b| entrywise
-
-    @property
-    def trace(self) -> np.ndarray:
-        return np.einsum("ijij...->...", self.matrix)
 
 
 def fundamental_matrix(sp: ShapePair) -> FundamentalMatrix:
@@ -99,7 +89,7 @@ class PointInvariants:
     minimality_residual: np.ndarray
 
 
-def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
+def point_invariants(sp: ShapePair) -> PointInvariants:
     """Every field has the shape of the points; `sp` is points last."""
     a, b = sp.a, sp.b
     lead = a.shape[1:]
@@ -132,15 +122,10 @@ def point_invariants(sp: ShapePair, eig_check: bool = True) -> PointInvariants:
         t = np.where(geodesic, 1.0, 2.0 * d / np.where(geodesic, 1.0, S))
     t = np.clip(t, 0.0, 1.0)
 
-    if eig_check:
-        # G as 4 x 4, ascending, points first: eigvalsh wants the matrix axes last
-        lam = np.linalg.eigvalsh(np.moveaxis(fm.matrix.reshape((4, 4) + lead), (0, 1), (-2, -1)))
-        eig_residual = (np.abs(lambda1 - lam[..., -1])
-                        + np.abs(lambda2 - lam[..., -2]))
-        eig_tail = np.max(np.abs(lam[..., :2]), axis=-1)
-    else:
-        eig_residual = np.zeros(lead)
-        eig_tail = np.zeros(lead)
+    # G as 4 x 4, ascending, points first: eigvalsh wants the matrix axes last
+    lam = np.linalg.eigvalsh(np.moveaxis(fm.matrix.reshape((4, 4) + lead), (0, 1), (-2, -1)))
+    eig_residual = np.abs(lambda1 - lam[..., -1]) + np.abs(lambda2 - lam[..., -2])
+    eig_tail = np.max(np.abs(lam[..., :2]), axis=-1)
 
     return PointInvariants(
         S=S, normA2=normA2, rho0=rho0, rho_perp=np.sqrt(np.maximum(rho0, 0.0)) / 2.0,
@@ -195,27 +180,14 @@ class SimonsB1:
     laplacian_S: np.ndarray
 
 
-def b1_simons(spec: ImmersionSpec, point,
-              invariants: PointInvariants | None = None) -> SimonsB1:
+def b1_simons(jet: Jet, invariants: PointInvariants) -> SimonsB1:
     """B1 = (1/2) Lap S - 2 S + |A|^2 + rho0 via the chart Laplacian of S.
 
-    `point` is (u, v) or a Jet of order JET_ORDER_MAX evaluated there; Lap S
-    comes from the degree-2 series of the frame-free S, never from grad h.
+    `jet` has order >= 4 and `invariants` are its points'; Lap S comes from
+    the degree-2 series of the frame-free S, never from grad h.
     """
-    jet = jet_at(spec, point, JET_ORDER_MAX)
-    if invariants is None:
-        sp = second_fundamental_form(jet, adapted_frame(jet))
-        invariants = point_invariants(sp, eig_check=False)
-    lap = laplace_beltrami(jet, second_norm_field(spec, jet, degree=2))
+    if jet.order < 4:
+        raise DomainError(f"b1_simons needs a jet of order >= 4, got {jet.order}")
+    lap = laplace_beltrami(jet, second_norm_field(jet))
     b1 = 0.5 * lap - 2.0 * invariants.S + invariants.normA2 + invariants.rho0
     return SimonsB1(b1=b1, laplacian_S=lap)
-
-
-def b1_cross_check(spec: ImmersionSpec, point) -> np.ndarray:
-    """|B1(Simons route) - 4(|a1|^2 + |a2|^2)|; threshold B1_CROSS_TOL."""
-    jet = jet_at(spec, point, JET_ORDER_MAX)
-    grad = covariant_grad_h(spec, jet)
-    direct = 4.0 * (np.einsum("a...,a...->...", grad.a1, grad.a1)
-                    + np.einsum("a...,a...->...", grad.a2, grad.a2))
-    simons = b1_simons(spec, jet)
-    return np.abs(simons.b1 - direct)

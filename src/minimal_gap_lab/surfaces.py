@@ -53,6 +53,9 @@ JET_ORDER_MAX = 4
 MAX_AMBIENT_DIM = 64         # spec components at most: bounds the per-node work
 MAX_DEGREE = 64              # sphere term degree at most: bounds the power tables
 MAX_FREQUENCY = 64           # torus |frequency| at most: keeps every phase a float
+MAX_TERMS = 40_000           # spec terms in all at most: bounds the derivative tables
+UNIT_GRID = (64, 64)         # validation nodes for |X| = 1
+MINIMALITY_GRID = (8, 12)    # validation nodes for |H| = 0
 
 CATALOG_DEGREES = {"equator": 1, "veronese": 2, "calabi3": 3, "calabi4": 4}
 CATALOG_NAMES = ("equator", "veronese", "calabi3", "calabi4", "clifford")
@@ -134,13 +137,14 @@ class TrigSeries:
     COS, SIN = 0, 1
 
     def __init__(self, terms):
-        self.terms = [(float(c), int(kind), int(m), int(n)) for c, kind, m, n in terms]
+        self.terms = [(float(c), int(kind), int(m), int(n))
+                      for c, kind, m, n in terms if c != 0.0]
 
     def _diff(self, freq_slot):
         out = []
         for c, kind, m, n in self.terms:
             f = m if freq_slot == 0 else n
-            if f == 0 or c == 0.0:
+            if f == 0:
                 continue
             if kind == self.COS:
                 out.append((-c * f, self.SIN, m, n))
@@ -266,16 +270,6 @@ def first_fundamental_form(jet: Jet):
     return (np.einsum("x...,x...->...", Xu, Xu),
             np.einsum("x...,x...->...", Xu, Xv),
             np.einsum("x...,x...->...", Xv, Xv))
-
-
-def jet_at(spec: ImmersionSpec, point, order: int) -> Jet:
-    """`point` itself if it is already a Jet of at least `order`, else the
-    jet of that order at the chart parameters `point` = (u, v)."""
-    if isinstance(point, Jet):
-        if point.order < order:
-            raise DomainError(f"needs a jet of order >= {order}, got {point.order}")
-        return point
-    return eval_jet(spec, point, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +524,9 @@ def parse_spec_dict(data: dict) -> ImmersionSpec:
     _expect(isinstance(comps_raw, list), "components", "must be an array")
     _expect(len(comps_raw) == ambient, "components",
             f"expected {ambient} component functions, got {len(comps_raw)}")
+    n_terms = sum(len(comp) for comp in comps_raw if isinstance(comp, list))
+    _expect(n_terms <= MAX_TERMS, "components",
+            f"{n_terms} terms in all, above the limit {MAX_TERMS}")
 
     comps = []
     for ci, comp in enumerate(comps_raw):
@@ -623,11 +620,9 @@ def _validation_points(spec, n_u, n_v):
 
 def validate_spec(spec: ImmersionSpec,
                   unit_tol: float = 1e-12,
-                  minimality_tol: float = 1e-8,
-                  unit_grid=(64, 64),
-                  minimality_grid=(8, 12)) -> dict:
+                  minimality_tol: float = 1e-8) -> dict:
     """Check |X| = 1 and |H| = 0 on validation grids; reject on failure."""
-    U, V = _validation_points(spec, *unit_grid)
+    U, V = _validation_points(spec, *UNIT_GRID)
     X = eval_jet(spec, (U, V), order=0).derivs[0, 0]
     unit_residual = float(np.max(np.abs(np.einsum("c...,c...->...", X, X) - 1.0)))
     if not unit_residual <= unit_tol:      # NaN fails too
@@ -635,7 +630,7 @@ def validate_spec(spec: ImmersionSpec,
             f"{spec.name}: image not on the unit sphere "
             f"(max ||X|^2 - 1| = {unit_residual:.3e} > {unit_tol:g})")
 
-    U, V = _validation_points(spec, *minimality_grid)
+    U, V = _validation_points(spec, *MINIMALITY_GRID)
     jet = eval_jet(spec, (U, V), order=2)
     frame = adapted_frame(jet)
     sp = second_fundamental_form(jet, frame)
@@ -706,7 +701,7 @@ def _tangent_connection(frame: FrameData) -> np.ndarray:
     return 0.5 * (omega - np.swapaxes(omega, 1, 2))
 
 
-def adapted_frame(jet: Jet, rotate_tangent: float = 0.0) -> FrameData:
+def adapted_frame(jet: Jet) -> FrameData:
     """Orthonormal tangent frame from a jet of order >= 1.
 
     The construction runs once, on Taylor series of degree
@@ -740,12 +735,6 @@ def adapted_frame(jet: Jet, rotate_tangent: float = 0.0) -> FrameData:
     inv_sqrtE = 1.0 / sqrtE
     L = Taylor.stack([Taylor.stack([inv_sqrtE, 0.0 * inv_sqrtE]),
                       Taylor.stack([-F / (E * nw), 1.0 / nw])])
-
-    if rotate_tangent:
-        ct, st = math.cos(rotate_tangent), math.sin(rotate_tangent)
-        e1, e2 = ct * e1 + st * e2, -st * e1 + ct * e2
-        rot = np.array([[ct, st], [-st, ct]])
-        L = Taylor.einsum("ij,jc...->ic...", rot, L)
     return FrameData(e1=e1, e2=e2, chart_to_frame=L)
 
 
@@ -839,20 +828,17 @@ class CovariantGradH:
 CODAZZI_TOL = 1e-6
 
 
-def covariant_grad_h(spec: ImmersionSpec, point, frame: FrameData | None = None
-                     ) -> CovariantGradH:
+def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
     """Assemble h_ijk from the normal part of the chart derivatives of the
     ambient h plus the tangent connection terms, all from one jet of order
-    >= 3; the projection carries the normal connection term, as
-    (d(h^a xi_a))^normal = (d h^a) xi_a + h^a (d xi_a)^normal.
+    >= 3 and its adapted frame; the projection carries the normal connection
+    term, as (d(h^a xi_a))^normal = (d h^a) xi_a + h^a (d xi_a)^normal.
 
-    `point` is (u, v) or such a Jet, and `frame` its adapted frame if the
-    caller already has it.  The chart derivatives of h, e_1 and e_2 are the
-    degree-1 coefficients of their Taylor series.
+    The chart derivatives of h, e_1 and e_2 are the degree-1 coefficients of
+    their Taylor series.
     """
-    jet = jet_at(spec, point, 3)
-    if frame is None:
-        frame = adapted_frame(jet)
+    if jet.order < 3:
+        raise DomainError(f"covariant_grad_h needs a jet of order >= 3, got {jet.order}")
     h = _h_series(jet, frame, 1)
     h0 = h.c[0]                                        # [i, j, x]
     L = frame.chart_to_frame.c[0]
@@ -891,12 +877,12 @@ def _inverse2(g: Taylor) -> Taylor:
     return adj / det[None, None]
 
 
-def second_norm_field(spec: ImmersionSpec, point, degree: int = 0) -> Taylor:
+def second_norm_field(jet: Jet) -> Taylor:
     """S = |h|^2 without constructing a normal frame (gauge-free route), as a
-    Taylor series of the given degree in the chart offsets.
+    degree-2 Taylor series in the chart offsets, from a jet of order >= 4.
 
-    `point` is (u, v) or a Jet of order >= 2 + degree.  The value at the
-    points is `.c[0]`; degree 2 carries all the Laplacian of S needs.
+    The value at the points is `.c[0]`; the degree-2 coefficients carry all
+    the Laplacian of S needs.
 
     The Hessian slots X_uu, X_uv, X_vv are projected onto the normal space
     one at a time, so no series carries two chart axes and the ambient axis
@@ -905,14 +891,14 @@ def second_norm_field(spec: ImmersionSpec, point, degree: int = 0) -> Taylor:
     the radial and tangential parts from Gram entries of the raw jet instead
     cancels catastrophically near the poles.
     """
-    jet = jet_at(spec, point, 2 + degree)
-    X = Taylor.lift(jet, 0, 0, degree)
-    Xc = Taylor.stack([Taylor.lift(jet, 1, 0, degree),
-                       Taylor.lift(jet, 0, 1, degree)])                # [c, C]
+    if jet.order < 4:
+        raise DomainError(f"second_norm_field needs a jet of order >= 4, got {jet.order}")
+    X = Taylor.lift(jet, 0, 0, 2)
+    Xc = Taylor.stack([Taylor.lift(jet, 1, 0, 2), Taylor.lift(jet, 0, 1, 2)])   # [c, C]
     ginv = _inverse2(Taylor.einsum("cx...,dx...->cd...", Xc, Xc))
     K = []
     for i, j in ((2, 0), (1, 1), (0, 2)):
-        T = Taylor.lift(jet, i, j, degree)                           # [C]
+        T = Taylor.lift(jet, i, j, 2)                                # [C]
         coeff = Taylor.einsum("e...,ef...->f...",                   # <T, X_e> g^ef
                               Taylor.einsum("x...,ex...->e...", T, Xc), ginv)
         K.append(T - _dot(T, X)[None] * X - Taylor.einsum("f...,fx...->x...", coeff, Xc))

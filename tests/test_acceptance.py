@@ -70,7 +70,7 @@ def test_criterion_03_ddvv(bundle):
         a = rng.standard_normal((1000, q))
         b = rng.standard_normal((1000, q))
         sp = ShapePair(a=a.T, b=b.T, minimality_residual=np.zeros(1000))
-        inv = point_invariants(sp, eig_check=False)
+        inv = point_invariants(sp)
         worst = max(worst, float(np.max(-inv.ddvv_slack)))
     for name in CATALOG:
         inv = bundle(name).fields.inv
@@ -80,7 +80,7 @@ def test_criterion_03_ddvv(bundle):
         a, b = np.zeros(q), np.zeros(q)
         a[0] = b[1] = 1.5
         sp = ShapePair(a=a, b=b, minimality_residual=np.zeros(()))
-        inv = point_invariants(sp, eig_check=False)
+        inv = point_invariants(sp)
         equality_worst = max(equality_worst, abs(float(inv.ddvv_slack)))
     ok = worst < 1e-10 and equality_worst < 1e-12
     assert _line(3, "ddvv-inequality", ok,

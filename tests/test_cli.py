@@ -195,6 +195,25 @@ def test_verify_caps_the_torus_frequency(capsys, tmp_path, freq, code):
                 f"the limit {surfaces.MAX_FREQUENCY}") in err
 
 
+@pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)])
+def test_verify_caps_the_term_count(capsys, tmp_path, extra, code):
+    # 20000 zero-coefficient torus terms once made a 16x16 verify take 2.6 s
+    # against 0.3 s, linearly in the count; the cap admits the harmonic
+    # spheres that MAX_AMBIENT_DIM admits (at most 33264 terms)
+    doc = json.loads(serialize_spec(catalog_entry("clifford")))
+    total = surfaces.MAX_TERMS + extra
+    doc["components"][0] += [{"coeff": 0.0, "type": "cos", "freq": [1, 1]}] * (total - 4)
+    path = tmp_path / "clifford_terms.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                            "--resolution", "16x16")
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == (f"error: components: {total} terms in all, above the limit "
+                       f"{surfaces.MAX_TERMS}\n")
+
+
 @pytest.mark.parametrize("field,value", [("euler_char", False), ("ambient_dim", True)])
 def test_verify_rejects_bool_top_level_integer(capsys, tmp_path, field, value):
     # "euler_char": false once verified with exit 0 and echoed false
@@ -267,6 +286,24 @@ def test_identities_qmax_above_limit_exits_two(capsys, monkeypatch):
     assert out == ""
     assert "--qmax" in err
     assert str(identities.QMAX_LIMIT) in err
+
+
+def test_verify_laplace_disagree_gates_nothing(capsys, tmp_path):
+    # the key stays accepted and echoed, but the Laplacian of S is exact, so
+    # even 0 changes nothing else in the report
+    reports = []
+    for override in ((), ("--tol", "laplace_disagree=0")):
+        path = tmp_path / f"report{len(reports)}.json"
+        code, out, _ = run_cli(capsys, "verify", *override, "--json", str(path))
+        assert code == 0
+        reports.append((out.splitlines(), path.read_text().splitlines()))
+    (out, doc), (out0, doc0) = reports
+    for default, zero, echo in ((out, out0, "laplace_disagree: 0"),
+                                (doc, doc0, '"laplace_disagree": 0.0,')):
+        assert len(default) == len(zero)
+        changed = [(a, b) for a, b in zip(default, zero) if a != b]
+        assert len(changed) == 1
+        assert "laplace_disagree" in changed[0][0] and changed[0][1].strip() == echo
 
 
 def test_verify_distrust_exit_code(capsys):

@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minimal_gap_lab.errors import InvariantViolation
+from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.invariants import (
     _commutator_sum,
-    b1_cross_check,
     b1_simons,
     fundamental_matrix,
     point_invariants,
@@ -38,14 +37,23 @@ def _pair(a, b):
     return ShapePair(a=a, b=b, minimality_residual=np.zeros(a.shape[1:]))
 
 
-def _catalog_invariants(name, pts=None):
+def _catalog_invariants(name):
+    """The order-4 jet of a catalog surface at two points, and its invariants."""
     spec = catalog_entry(name)
-    if pts is None:
-        pts = (np.array([0.5, 2.8]), np.array([1.0, 4.0])) \
-            if spec.chart == "torus" else (np.array([0.7, 2.2]), np.array([0.9, 3.8]))
-    jet = eval_jet(spec, pts, order=2)
+    pts = (np.array([0.5, 2.8]), np.array([1.0, 4.0])) \
+        if spec.chart == "torus" else (np.array([0.7, 2.2]), np.array([0.9, 3.8]))
+    jet = eval_jet(spec, pts)
     sp = second_fundamental_form(jet, adapted_frame(jet))
-    return spec, pts, point_invariants(sp)
+    return jet, point_invariants(sp)
+
+
+def _b1_routes(jet):
+    """B1 by the Simons route, and by 4 (|h_111|^2 + |h_112|^2) from grad h."""
+    grad = covariant_grad_h(jet, adapted_frame(jet))
+    simons = b1_simons(jet, point_invariants(grad.shape))
+    direct = 4.0 * (np.einsum("a...,a...->...", grad.a1, grad.a1)
+                    + np.einsum("a...,a...->...", grad.a2, grad.a2))
+    return simons, direct
 
 
 # ------------------------------------------------------ array layout
@@ -66,7 +74,7 @@ def test_every_per_node_array_ends_in_the_point_axes():
             "e1": (frame.e1.c, (3, C)), "e2": (frame.e2.c, (3, C)),
             "chart_to_frame": (frame.chart_to_frame.c, (3, 2, 2)),
             "a": (sp.a, (C,)), "b": (sp.b, (C,)), "h": (sp.h, (2, 2, C)),
-            "grad3": (covariant_grad_h(spec, jet, frame).grad3, (2, 2, 2, C)),
+            "grad3": (covariant_grad_h(jet, frame).grad3, (2, 2, 2, C)),
             "matrix": (fundamental_matrix(sp).matrix, (2, 2, 2, 2)),
             "S": (point_invariants(sp).S, ()),
         }
@@ -95,7 +103,7 @@ def test_fundamental_matrix_orthonormal_pair():
                                                     [0.0, 1.0, 1.0, 0.0],
                                                     [0.0, 1.0, 1.0, 0.0],
                                                     [-1.0, 0.0, 0.0, 1.0]])
-    assert float(fm.trace) == float(point_invariants(sp).S) == 4.0
+    assert float(np.einsum("ijij->", fm.matrix)) == float(point_invariants(sp).S) == 4.0
     assert float(fm.gram_residual) == 0.0
 
 
@@ -117,7 +125,7 @@ def test_fundamental_matrix_rank_two():
 # ------------------------------------------------------ point invariants
 
 def test_veronese_point_invariants():
-    _, _, inv = _catalog_invariants("veronese")
+    _, inv = _catalog_invariants("veronese")
     assert np.allclose(inv.S, 4.0 / 3.0, atol=1e-12)
     assert np.allclose(inv.rho0, 16.0 / 9.0, atol=1e-12)
     assert np.allclose(inv.lambda1, 2.0 / 3.0, atol=1e-12)
@@ -129,14 +137,14 @@ def test_veronese_point_invariants():
 
 
 def test_calabi3_point_invariants():
-    _, _, inv = _catalog_invariants("calabi3")
+    _, inv = _catalog_invariants("calabi3")
     assert np.allclose(inv.S, 5.0 / 3.0, atol=1e-12)
     assert np.allclose(inv.u, 2.5, atol=1e-12)
     assert np.allclose(inv.K, 1.0 / 6.0, atol=1e-12)
 
 
 def test_clifford_point_invariants():
-    _, _, inv = _catalog_invariants("clifford")
+    _, inv = _catalog_invariants("clifford")
     assert np.allclose(inv.S, 2.0, atol=1e-12)
     assert np.allclose(inv.lambda2, 0.0, atol=1e-13)
     assert np.allclose(inv.u, 2.0, atol=1e-12)
@@ -288,7 +296,7 @@ def test_quadratic_inversion_one_sign(random_pairs):
 def test_catalog_lemma_ab_structure():
     # on catalog 2-spheres, |a|^2 - |b|^2 and <a, b> vanish
     for name in ("veronese", "calabi3", "calabi4"):
-        _, _, inv = _catalog_invariants(name)
+        _, inv = _catalog_invariants(name)
         assert np.max(np.abs(inv.hopf_re)) < 1e-8
         assert np.max(np.abs(inv.hopf_im)) < 1e-8
 
@@ -311,21 +319,38 @@ def test_b1_simons_catalog_values():
     cases = {"clifford": (0.0, 1e-6), "veronese": (0.0, 1e-5),
              "calabi3": (5.0 / 6.0, 1e-5)}
     for name, (expected, tol) in cases.items():
-        spec, pts, inv = _catalog_invariants(name)
-        sb = b1_simons(spec, pts, inv)
+        jet, inv = _catalog_invariants(name)
+        sb = b1_simons(jet, inv)
         assert np.max(np.abs(sb.b1 - expected)) < tol
 
 
 def test_b1_cross_check_catalog():
     cases = {"clifford": 1e-8, "veronese": 1e-5, "calabi3": 1e-4}
     for name, tol in cases.items():
-        spec, pts, _ = _catalog_invariants(name)
-        assert np.max(b1_cross_check(spec, pts)) < tol
+        simons, direct = _b1_routes(_catalog_invariants(name)[0])
+        assert np.max(np.abs(simons.b1 - direct)) < tol
 
 
 def test_b1_cross_check_nonconstant_surface(mixed_torus):
     pts = (np.array([0.25, 1.3, 2.9]), np.array([0.6, 2.1, 5.2]))
-    assert np.max(b1_cross_check(mixed_torus, pts)) < 1e-4
+    simons, direct = _b1_routes(eval_jet(mixed_torus, pts))
+    assert np.max(np.abs(simons.b1 - direct)) < 1e-4
+
+
+@pytest.mark.parametrize("name,layer,needs", [
+    ("covariant_grad_h", lambda jet: covariant_grad_h(jet, adapted_frame(jet)), 3),
+    ("second_norm_field", second_norm_field, 4),
+    ("b1_simons", lambda jet: b1_simons(jet, point_invariants(
+        second_fundamental_form(jet, adapted_frame(jet)))), 4),
+])
+def test_layers_refuse_a_jet_below_their_order(name, layer, needs):
+    # each per-node layer takes a jet and checks its order itself
+    spec = catalog_entry("calabi3")
+    pts = (np.array([0.7, 2.2]), np.array([0.9, 3.8]))
+    with pytest.raises(DomainError, match=f"^{name} needs a jet of order >= {needs}, "
+                                          f"got {needs - 1}$"):
+        layer(eval_jet(spec, pts, order=needs - 1))
+    layer(eval_jet(spec, pts, order=needs))
 
 
 def test_taylor_laplacian_of_S_matches_fd_oracle(rotated_mixed_torus):
@@ -335,9 +360,9 @@ def test_taylor_laplacian_of_S_matches_fd_oracle(rotated_mixed_torus):
     rng = np.random.default_rng(7)
     u = rng.uniform(0.0, 2.0 * math.pi, 40)
     v = rng.uniform(0.0, 2.0 * math.pi, 40)
-    lap = b1_simons(spec, (u, v)).laplacian_S
+    lap = _b1_routes(eval_jet(spec, (u, v)))[0].laplacian_S
     fd, _ = laplace_beltrami(
-        spec, lambda U, V: second_norm_field(spec, (U, V)).c[0], u, v)
+        spec, lambda U, V: second_norm_field(eval_jet(spec, (U, V))).c[0], u, v)
     assert np.max(np.abs(lap)) > 50.0
     assert np.max(np.abs(lap - fd) / np.maximum(1.0, np.abs(lap))) < 1e-6
 

@@ -12,7 +12,10 @@ from minimal_gap_lab.surfaces import (
     CATALOG_NAMES,
     JET_ORDER_MAX,
     MAX_AMBIENT_DIM,
+    FrameData,
     Taylor,
+    TrigPoly4,
+    TrigSeries,
     _tangent_connection,
     adapted_frame,
     catalog_entry,
@@ -34,6 +37,11 @@ TORUS_PTS = (np.array([0.5, 3.0, 5.5]), np.array([1.0, 2.2, 4.4]))
 
 def _points(spec):
     return TORUS_PTS if spec.chart == "torus" else SPHERE_PTS
+
+
+def _grad_h(spec, pts):
+    jet = eval_jet(spec, pts, order=3)
+    return covariant_grad_h(jet, adapted_frame(jet))
 
 
 # ---------------------------------------------------------------- catalog
@@ -105,6 +113,14 @@ def test_derivative_tables_complete_at_construction(mixed_torus):
         assert all(after[key] == funcs for key, funcs in before.items())
     with pytest.raises(DomainError):
         catalog_entry("clifford").derivative_table(JET_ORDER_MAX + 1)
+
+
+def test_zero_coefficient_terms_are_dropped():
+    # a zero term would still cost one cos or sin per table and node
+    series = TrigSeries([(0.0, TrigSeries.COS, 3, 1), (0.5, TrigSeries.SIN, 1, 2),
+                         (-0.0, TrigSeries.SIN, 0, 1)])
+    assert series.terms == [(0.5, TrigSeries.SIN, 1, 2)]
+    assert TrigPoly4({(1, 0, 0, 0): 0.0, (0, 1, 0, 0): 2.0}).terms == {(0, 1, 0, 0): 2.0}
 
 
 # ---------------------------------------------------------------- jets
@@ -291,7 +307,7 @@ def test_equator_totally_geodesic():
     jet = eval_jet(spec, SPHERE_PTS, order=2)
     sp = second_fundamental_form(jet, adapted_frame(jet))
     assert np.max(np.abs(sp.a)) < 1e-12 and np.max(np.abs(sp.b)) < 1e-12
-    assert np.max(second_norm_field(spec, SPHERE_PTS).c[0]) < 1e-12
+    assert np.max(second_norm_field(eval_jet(spec, SPHERE_PTS)).c[0]) < 1e-12
 
 
 @pytest.mark.parametrize("name,S_expected", [
@@ -313,7 +329,11 @@ def test_frame_covariance_under_tangent_rotation():
     base = adapted_frame(jet)
     sp0 = second_fundamental_form(jet, base)
     theta = 0.37
-    rot = adapted_frame(jet, rotate_tangent=theta)
+    ct, st = math.cos(theta), math.sin(theta)
+    rot = FrameData(e1=ct * base.e1 + st * base.e2, e2=-st * base.e1 + ct * base.e2,
+                    chart_to_frame=Taylor.einsum("ij,jc...->ic...",
+                                                 np.array([[ct, st], [-st, ct]]),
+                                                 base.chart_to_frame))
     sp1 = second_fundamental_form(jet, rot)
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
     assert np.max(np.abs(sp1.a - (c2 * sp0.a + s2 * sp0.b))) < 1e-12
@@ -332,12 +352,11 @@ def test_frame_covariance_under_tangent_rotation():
 def test_second_norm_field_matches_frame_route():
     for name in CATALOG_NAMES:
         spec = catalog_entry(name)
-        pts = _points(spec)
-        jet = eval_jet(spec, pts, order=2)
+        jet = eval_jet(spec, _points(spec))
         sp = second_fundamental_form(jet, adapted_frame(jet))
         S_frame = 2.0 * (np.einsum("qn,qn->n", sp.a, sp.a)
                          + np.einsum("qn,qn->n", sp.b, sp.b))
-        assert np.max(np.abs(S_frame - second_norm_field(spec, pts).c[0])) < 1e-12
+        assert np.max(np.abs(S_frame - second_norm_field(jet).c[0])) < 1e-12
 
 
 def test_second_norm_field_memory_is_a_few_jets():
@@ -350,7 +369,7 @@ def test_second_norm_field_memory_is_a_few_jets():
     jet_bytes = sum(d.nbytes for d in jet.derivs.values())
     tracemalloc.start()
     try:
-        second_norm_field(spec, jet, 2)
+        second_norm_field(jet)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -363,7 +382,7 @@ def test_covariant_grad_h_carries_h():
         jet = eval_jet(spec, _points(spec), order=3)
         frame = adapted_frame(jet)
         sp = second_fundamental_form(jet, frame)
-        carried = covariant_grad_h(spec, jet, frame).shape
+        carried = covariant_grad_h(jet, frame).shape
         for field in ("a", "b", "minimality_residual"):
             assert np.array_equal(getattr(carried, field), getattr(sp, field))
 
@@ -372,7 +391,7 @@ def test_covariant_grad_h_carries_h():
 
 def test_clifford_parallel_h():
     spec = catalog_entry("clifford")
-    grad = covariant_grad_h(spec, TORUS_PTS)
+    grad = _grad_h(spec, TORUS_PTS)
     assert np.max(np.abs(grad.a1)) < 1e-10
     assert np.max(np.abs(grad.a2)) < 1e-10
     assert np.max(grad.b1_direct) < 1e-10
@@ -381,7 +400,7 @@ def test_clifford_parallel_h():
 
 def test_veronese_parallel_h():
     spec = catalog_entry("veronese")
-    grad = covariant_grad_h(spec, SPHERE_PTS)
+    grad = _grad_h(spec, SPHERE_PTS)
     assert np.max(grad.b1_direct) < 1e-6
     assert np.max(grad.codazzi_residual) < 1e-6
 
@@ -389,7 +408,7 @@ def test_veronese_parallel_h():
 def test_calabi3_b1_value():
     # Simons identity with constant S = 5/3 forces B1 = 5/6
     spec = catalog_entry("calabi3")
-    grad = covariant_grad_h(spec, SPHERE_PTS)
+    grad = _grad_h(spec, SPHERE_PTS)
     assert np.max(np.abs(grad.b1_direct - 5.0 / 6.0)) < 1e-5
     assert np.max(grad.codazzi_residual) < 1e-6
     assert np.all(grad.b1_direct >= 0.0)
@@ -399,7 +418,7 @@ def test_calabi3_b1_value():
 def test_taylor_grad3_matches_fd_of_frozen_frame(name, mixed_torus):
     spec = mixed_torus if name == "mixed_torus" else catalog_entry(name)
     pts = (np.array([0.25, 1.3, 2.9]), np.array([0.6, 2.1, 5.2]))
-    grad3 = covariant_grad_h(spec, pts).grad3
+    grad3 = _grad_h(spec, pts).grad3
     assert np.max(np.abs(grad3)) > 0.1
     assert np.max(np.abs(grad3 - frozen_frame_grad3(spec, pts))) < 1e-9
 
@@ -547,7 +566,7 @@ def test_mixed_frequency_minimal_torus_validates(mixed_torus):
     # non-constant on it, unlike every catalog entry
     residuals = validate_spec(mixed_torus)
     assert residuals["minimality_residual"] < 1e-12
-    S = second_norm_field(mixed_torus, TORUS_PTS).c[0]
+    S = second_norm_field(eval_jet(mixed_torus, TORUS_PTS)).c[0]
     assert np.max(S) - np.min(S) > 0.5
 
 
