@@ -26,7 +26,8 @@ from minimal_gap_lab.errors import DomainError, InvariantViolation, ValidationEr
 from minimal_gap_lab.invariants import (
     B1_CROSS_TOL,
     PointInvariants,
-    b1_simons,
+    b1_from_laplacian,
+    laplace_beltrami,
     point_invariants,
 )
 from minimal_gap_lab.surfaces import (
@@ -39,6 +40,7 @@ from minimal_gap_lab.surfaces import (
     covariant_grad_h,
     eval_jet,
     first_fundamental_form,
+    second_norm_field,
 )
 
 DEFAULT_RESOLUTION = {"sphere": (64, 128), "torus": (64, 64)}
@@ -176,7 +178,8 @@ def integrate(values, grid: QuadratureGrid) -> float:
         raise InvariantViolation(
             f"field evaluation failed at node {node} "
             f"(u={grid.u[node]:.6f}, v={grid.v[node]:.6f})")
-    return math.fsum((grid.weight * grid.sqrt_det_g * values).tolist())
+    # a memoryview hands fsum the floats one by one, with no list of them
+    return math.fsum(memoryview(grid.weight * grid.sqrt_det_g * values))
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +208,26 @@ def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray, v_cols: np.ndarray,
     """The fields on the tile u_rows x v_cols, its nodes in row-major order;
     `tols` maps `GUARDS` keys to tolerances, and a missing key takes the
     default."""
-    # one jet serves every layer: the frame, h and grad h read it to order 3,
-    # the Taylor series of S to order 4
+    # one jet serves every layer: the Taylor series of S reads it to order 4,
+    # the frame, h and grad h to order 3.  The Simons route runs first, while
+    # the jet is the only other tile array alive, and of grad h only the
+    # fields below outlive it.
     tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=JET_ORDER_MAX)
     jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
               {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
+    laplacian_S = laplace_beltrami(jet, second_norm_field(jet))
     grad = covariant_grad_h(jet, adapted_frame(jet))
-    inv = point_invariants(grad.shape)
-    simons = b1_simons(jet, inv)
+    b1_direct, codazzi_residual, shape = grad.b1_direct, grad.codazzi_residual, grad.shape
+    del grad
+    inv = point_invariants(shape)
+    simons = b1_from_laplacian(laplacian_S, inv)
     fields = SurfaceFields(
         inv=inv,
         b1_simons=simons.b1,
-        b1_direct=grad.b1_direct,
-        b1_cross=np.abs(simons.b1 - grad.b1_direct),
+        b1_direct=b1_direct,
+        b1_cross=np.abs(simons.b1 - b1_direct),
         delta_S=simons.laplacian_S,
-        codazzi_residual=grad.codazzi_residual,
+        codazzi_residual=codazzi_residual,
         flagged=np.zeros(jet.u.shape, dtype=bool),
     )
     tols = tols or {}

@@ -180,14 +180,18 @@ class SimonsB1:
     laplacian_S: np.ndarray
 
 
+def b1_from_laplacian(laplacian_S: np.ndarray, invariants: PointInvariants) -> SimonsB1:
+    """B1 = (1/2) Lap S - 2 S + |A|^2 + rho0, the Simons identity."""
+    b1 = 0.5 * laplacian_S - 2.0 * invariants.S + invariants.normA2 + invariants.rho0
+    return SimonsB1(b1=b1, laplacian_S=laplacian_S)
+
+
 def b1_simons(jet: Jet, invariants: PointInvariants) -> SimonsB1:
-    """B1 = (1/2) Lap S - 2 S + |A|^2 + rho0 via the chart Laplacian of S.
+    """B1 via the chart Laplacian of S (`b1_from_laplacian`).
 
     `jet` has order >= 4 and `invariants` are its points'; Lap S comes from
     the degree-2 series of the frame-free S, never from grad h.
     """
     if jet.order < 4:
         raise DomainError(f"b1_simons needs a jet of order >= 4, got {jet.order}")
-    lap = laplace_beltrami(jet, second_norm_field(jet))
-    b1 = 0.5 * lap - 2.0 * invariants.S + invariants.normA2 + invariants.rho0
-    return SimonsB1(b1=b1, laplacian_S=lap)
+    return b1_from_laplacian(laplace_beltrami(jet, second_norm_field(jet)), invariants)

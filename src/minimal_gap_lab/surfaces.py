@@ -33,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,7 +54,9 @@ JET_ORDER_MAX = 4
 MAX_AMBIENT_DIM = 64         # spec components at most: bounds the per-node work
 MAX_DEGREE = 64              # sphere term degree at most: bounds the power tables
 MAX_FREQUENCY = 64           # torus |frequency| at most: keeps every phase a float
-MAX_TERMS = 40_000           # spec terms in all at most: bounds the derivative tables
+MAX_TERMS = 40_000           # spec terms in all at most: bounds parsing
+MAX_COEFFICIENTS = 2 ** 21   # spec coefficient array entries at most: bounds its memory
+STAGE_ROWS = 1024            # (component, u-basis) rows of eval_jet's inner sum at once
 UNIT_GRID = (64, 64)         # validation nodes for |X| = 1
 MINIMALITY_GRID = (8, 12)    # validation nodes for |H| = 0
 
@@ -62,117 +65,111 @@ CATALOG_NAMES = ("equator", "veronese", "calabi3", "calabi4", "clifford")
 
 
 # ---------------------------------------------------------------------------
-# chart function representations with exact differentiation
+# chart functions: one coefficient array over per-axis bases
 # ---------------------------------------------------------------------------
 
-class TrigPoly4:
-    """Polynomial in (sin t, cos t, sin p, cos p) with float coefficients.
-
-    Hosts sphere-chart components x = st*cp, y = st*sp, z = ct; formal
-    differentiation in the angles is exact calculus on the exponent tuples.
-    `groups` holds the same terms grouped by their u-part (st, ct), built
-    once here, so evaluation (possibly from several threads) only reads it.
-    """
-
-    __slots__ = ("terms", "groups")
-
-    def __init__(self, terms: dict):
-        self.terms = {e: c for e, c in terms.items() if c != 0.0}
-        groups = {}
-        for (e0, e1, e2, e3), coeff in self.terms.items():
-            groups.setdefault((e0, e1), []).append((e2, e3, coeff))
-        self.groups = tuple((u_exps, tuple(v_terms)) for u_exps, v_terms in groups.items())
-
-    @classmethod
-    def from_xyz(cls, monomials: dict) -> "TrigPoly4":
-        terms = {}
-        for (i, j, k), coeff in monomials.items():
-            key = (i + j, k, j, i)  # st, ct, sp, cp
-            terms[key] = terms.get(key, 0.0) + float(coeff)
-        return cls(terms)
-
-    def _apply_pair(self, slot_sin):
-        """d/dangle for the (sin, cos) exponent pair at slot_sin, slot_sin + 1."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            s, c = exps[slot_sin], exps[slot_sin + 1]
-            head, tail = exps[:slot_sin], exps[slot_sin + 2:]
-            if s:
-                key = head + (s - 1, c + 1) + tail
-                out[key] = out.get(key, 0.0) + coeff * s
-            if c:
-                key = head + (s + 1, c - 1) + tail
-                out[key] = out.get(key, 0.0) - coeff * c
-        return TrigPoly4(out)
-
-    def diff_u(self):
-        return self._apply_pair(0)
-
-    def diff_v(self):
-        return self._apply_pair(2)
-
-    def eval(self, pows):
-        """Evaluate on power tables pows[axis][exponent] -> array, as
-        sum_ab U_ab * (sum_cd c * V_cd) with U_ab = st^a ct^b, V_cd = sp^c cp^d.
-
-        The u tables (axes 0, 1) and the v tables (axes 2, 3) may have
-        different shapes that broadcast, e.g. a column of rows and a row of
-        columns: the inner sums then run over the v shape alone, and each
-        u-group costs one product over the full broadcast shape (sum
-        factorization; Orszag, J. Comput. Phys. 37, 1980).
-        """
-        total = 0.0
-        for (a, b), v_terms in self.groups:
-            inner = 0.0
-            for c, d, coeff in v_terms:
-                inner = inner + coeff * (pows[2][c] * pows[3][d])
-            total = total + (pows[0][a] * pows[1][b]) * inner
-        return total
+COS, SIN = 0, 1              # the kinds of torus term, and of torus basis function
 
 
-class TrigSeries:
-    """Finite sum of coeff * cos(m u + n v) / sin(m u + n v) terms."""
+def _sphere_terms(components):
+    """(component, u key, v key, coeff) of every nonzero monomial, by
+    x^i y^j z^k = sin^(i+j) u cos^k u * sin^j v cos^i v; a key is the
+    (sin power, cos power) pair of a basis function of one angle."""
+    for k, monomials in enumerate(components):
+        for (i, j, l), coeff in monomials.items():
+            if coeff != 0.0:
+                yield k, (i + j, l), (j, i), float(coeff)
 
-    __slots__ = ("terms",)
-    COS, SIN = 0, 1
 
-    def __init__(self, terms):
-        self.terms = [(float(c), int(kind), int(m), int(n))
-                      for c, kind, m, n in terms if c != 0.0]
-
-    def _diff(self, freq_slot):
-        out = []
-        for c, kind, m, n in self.terms:
-            f = m if freq_slot == 0 else n
-            if f == 0:
+def _torus_terms(components):
+    """(component, u key, v key, coeff) of every nonzero torus term, by the
+    angle sums cos(mu + nv) = cos mu cos nv - sin mu sin nv and
+    sin(mu + nv) = sin mu cos nv + cos mu sin nv; a key is the (frequency
+    >= 0, COS or SIN) pair of a basis function of one angle.  A product
+    with a sine of frequency 0 vanishes and is left out."""
+    for k, terms in enumerate(components):
+        for coeff, kind, m, n in terms:
+            if coeff == 0.0:
                 continue
-            if kind == self.COS:
-                out.append((-c * f, self.SIN, m, n))
+            c = float(coeff)
+            if m < 0:                  # cos(-x) = cos x, sin(-x) = -sin x
+                m, n, c = -m, -n, (-c if kind == SIN else c)
+            s = 1.0 if n >= 0 else -1.0        # sin(nv) = s sin(|n| v)
+            n = abs(n)
+            if kind == COS:
+                pieces = (((m, COS), (n, COS), c), ((m, SIN), (n, SIN), -s * c))
             else:
-                out.append((c * f, self.COS, m, n))
-        return TrigSeries(out)
-
-    def diff_u(self):
-        return self._diff(0)
-
-    def diff_v(self):
-        return self._diff(1)
-
-    def eval(self, U, V):
-        total = 0.0
-        for c, kind, m, n in self.terms:
-            phase = m * U + n * V
-            total = total + c * (np.cos(phase) if kind == self.COS else np.sin(phase))
-        return total
+                pieces = (((m, SIN), (n, COS), c), ((m, COS), (n, SIN), s * c))
+            for u_key, v_key, weight in pieces:
+                if (u_key[0] or u_key[1] == COS) and (v_key[0] or v_key[1] == COS):
+                    yield k, u_key, v_key, weight
 
 
-# ---------------------------------------------------------------------------
-# immersion specs and the catalog
-# ---------------------------------------------------------------------------
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _basis_derivatives(chart: str, exps: np.ndarray, x: np.ndarray, order: int):
+    """Yield d^i/dx^i of every basis function of one angle at the angles x
+    (1-D), for i = 0..order, each as a C-contiguous array (basis, points).
+
+    Sphere charts: the i-th derivative of sin^a x cos^b x is a sum of
+    sin^e x cos^(a+b-e) x over e = a - i, a - i + 2, ..., a + i, since
+    d/dx (s^e c^f) = e s^(e-1) c^(f+1) - f s^(e+1) c^(f-1); the integer
+    weights are carried from one order to the next.  Torus charts: the i-th
+    derivative of cos(m x) or sin(m x) is m^i times the same function at
+    the phase m x + i pi/2.
+    """
+    a, b = exps[:, 0], exps[:, 1]
+    if chart == TORUS:
+        phase = a[:, None] * x
+        cos, sin = np.cos(phase), np.sin(phase)
+        for i in range(order + 1):
+            # the function is cos(phase - b pi/2), its i-th derivative
+            # m^i cos(phase + r pi/2), r = i - b: cos, -sin, -cos, sin
+            r = (i - b) % 4
+            scale = np.where((r == 0) | (r == 3), 1.0, -1.0) * a.astype(float) ** i
+            yield np.where((r % 2 == 0)[:, None], cos, sin) * scale[:, None]
+        return
+    total = a + b
+    # exponents run from -order to top + order; the ones out of range carry
+    # zero weight, and a negative one indexes the table from its end
+    top = int(total.max(initial=0)) + order
+    powers = []
+    for f in (np.sin(x), np.cos(x)):
+        table = np.ones((top + 1, len(x)))
+        np.cumprod(np.broadcast_to(f, (top, len(x))), axis=0, out=table[1:])
+        powers.append(table)
+    sin_pow, cos_pow = powers
+    weights = np.ones((1, len(a)))          # weights[t]: the term of sin power a - i + 2t
+    for i in range(order + 1):
+        e = a - i + 2 * np.arange(i + 1)[:, None]
+        f = total - e
+        value = weights[0, :, None] * sin_pow[e[0]] * cos_pow[f[0]]
+        for t in range(1, i + 1):
+            value += weights[t, :, None] * sin_pow[e[t]] * cos_pow[f[t]]
+        yield value
+        following = np.zeros((i + 2, len(a)))
+        following[:-1] += weights * e
+        following[1:] -= weights * f
+        weights = following
+
 
 @dataclass
 class ImmersionSpec:
-    """A validated analytic immersion of a surface into a unit sphere."""
+    """A validated analytic immersion of a surface into a unit sphere.
+
+    `__post_init__` stores the components as one coefficient array
+    `coef[k, p, q]` over a basis of functions of u (`u_exps`, P of them)
+    and one of v (`v_exps`, Q): component k is sum_pq coef[k, p, q] U_p(u)
+    V_q(v).  Sphere charts use sin^a cos^b of each angle, exps (a, b);
+    torus charts cos or sin of (m times) each angle, exps (m, COS or SIN).
+    coef is zero outside `blocks`: on sphere charts a term's u-part
+    sin^(i+j) u pairs only with a v-part of degree i + j, one block per
+    degree.  The arrays are read-only, so evaluation (possibly from several
+    worker threads) only ever reads them.
+    """
 
     name: str
     chart: str                      # "sphere" | "torus"
@@ -180,35 +177,43 @@ class ImmersionSpec:
     euler_char: int
     components: list                # xyz monomial dicts (sphere) or term lists (torus)
     pole_margin: float = DEFAULT_POLE_MARGIN
-    _tables: dict = field(init=False, repr=False, compare=False)
+    coef: np.ndarray = field(init=False, repr=False, compare=False)
+    u_exps: np.ndarray = field(init=False, repr=False, compare=False)
+    v_exps: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False, compare=False)   # (u, v) slice pairs
 
     def __post_init__(self):
-        # every table up to JET_ORDER_MAX is built here, once, so evaluation
-        # (possibly from several worker threads) only ever reads them
+        terms = list((_sphere_terms if self.chart == SPHERE else _torus_terms)(self.components))
+        # sorted by degree on sphere charts, so each block is contiguous
+        u_keys = sorted({term[1] for term in terms})
+        v_keys = sorted({term[2] for term in terms},
+                        key=(lambda key: (sum(key), key)) if self.chart == SPHERE else None)
+        size = self.ambient_dim * len(u_keys) * len(v_keys)
+        if size > MAX_COEFFICIENTS:
+            raise ParseError("components", (
+                f"the terms need {self.ambient_dim} x {len(u_keys)} x {len(v_keys)} = "
+                f"{size} coefficients (components x u-basis x v-basis), above the "
+                f"limit {MAX_COEFFICIENTS}"))
+        u_index = {key: p for p, key in enumerate(u_keys)}
+        v_index = {key: q for q, key in enumerate(v_keys)}
+        coef = np.zeros((self.ambient_dim, len(u_keys), len(v_keys)))
+        for k, u_key, v_key, weight in terms:
+            coef[k, u_index[u_key], v_index[v_key]] += weight
+        self.coef = _read_only(coef)
+        self.u_exps = _read_only(np.array(u_keys, dtype=np.int64).reshape(-1, 2))
+        self.v_exps = _read_only(np.array(v_keys, dtype=np.int64).reshape(-1, 2))
         if self.chart == SPHERE:
-            tables = {(0, 0): [TrigPoly4.from_xyz(c) for c in self.components]}
+            u_deg, v_deg = self.u_exps[:, 0], self.v_exps.sum(axis=1)
+            self.blocks = tuple(
+                (slice(*np.searchsorted(u_deg, (a, a + 1))),
+                 slice(*np.searchsorted(v_deg, (a, a + 1)))) for a in sorted(set(u_deg)))
         else:
-            tables = {(0, 0): [TrigSeries(c) for c in self.components]}
-        for total in range(1, JET_ORDER_MAX + 1):
-            for i in range(total, -1, -1):
-                j = total - i
-                if i > 0:
-                    tables[i, j] = [f.diff_u() for f in tables[i - 1, j]]
-                else:
-                    tables[i, j] = [f.diff_v() for f in tables[i, j - 1]]
-        self._tables = tables
+            self.blocks = ((slice(0, len(u_keys)), slice(0, len(v_keys))),)
 
     @property
     def codim(self) -> int:
         """Codimension q of the surface in S^N, N = ambient_dim - 1."""
         return self.ambient_dim - 3
-
-    def derivative_table(self, order: int):
-        """Exact chart-derivatives {(i, j): [per-component function]}, all
-        orders up to JET_ORDER_MAX; `order` is only checked against it."""
-        if order > JET_ORDER_MAX:
-            raise DomainError(f"jet order {order} exceeds maximum {JET_ORDER_MAX}")
-        return self._tables
 
 
 @dataclass
@@ -226,10 +231,19 @@ def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
     """Exact-calculus jet at chart parameters; no finite differencing here.
 
     `point` = (u, v) may be scalars or arrays whose shapes broadcast, and
-    the jet has their broadcast shape.  A tile of a tensor grid is passed as
-    (u_rows[:, None], v_cols[None, :]): every power table of the sphere
-    chart is then built on the rows or on the columns alone.
+    the jet has their broadcast shape.  With U and V the bases of u and v
+    (`ImmersionSpec`), d_u^i d_v^j X is sum_p U_p^(i) (sum_q coef V_q^(j))
+    (sum factorization; Orszag, J. Comput. Phys. 37, 1980): one contraction
+    over q per v-order j and nonzero block of coef, then one over p per
+    (i, j).  A tile of a tensor grid, passed as (u_rows[:, None],
+    v_cols[None, :]), evaluates the bases on its rows and its columns
+    alone; other points evaluate them point by point.  Both contractions
+    are einsums, which add the products in index order whatever the point
+    shape, so a tile gets the bits of its flattened points (a BLAS matmul
+    fuses its multiply-adds differently for different shapes).
     """
+    if order > JET_ORDER_MAX:
+        raise DomainError(f"jet order {order} exceeds maximum {JET_ORDER_MAX}")
     u0, v0 = point
     u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
     shape = np.broadcast_shapes(u.shape, v.shape)
@@ -240,27 +254,31 @@ def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
             raise DomainError(
                 f"{spec.name}: polar angle within {spec.pole_margin:g} of a chart "
                 f"pole (margin violated by {worst:g})")
-    tables = spec.derivative_table(order)
-    if spec.chart == SPHERE:
-        # differentiation trades sin for cos powers of one angle, so no table
-        # has a power above the base table's sin + cos degree
-        maxe = max((max(e[0] + e[1], e[2] + e[3]) for f in tables[0, 0] for e in f.terms),
-                   default=0)
-        base = [np.sin(u), np.cos(u), np.sin(v), np.cos(v)]
-        pows = [[np.ones_like(b)] for b in base]
-        for axis, b in enumerate(base):
-            for _ in range(maxe):
-                pows[axis].append(pows[axis][-1] * b)
-        args = (pows,)
+    tile = u.ndim == v.ndim == 2 and u.shape[1] == 1 and v.shape[0] == 1
+    if tile:
+        u_axis, v_axis, contract = u[:, 0], v[0], "rp,kps->krs"
     else:
-        args = (u, v)
+        u_axis, v_axis = (np.broadcast_to(a, shape).ravel() for a in (u, v))
+        contract = "np,kpn->kn"
+    n_comp, n_u, n_v = spec.coef.shape
+    U = [np.ascontiguousarray(d.T) for d in
+         _basis_derivatives(spec.chart, spec.u_exps, u_axis, order)]
+    # components per pass: sum_q coef V_q^(j) keeps at most
+    # max(STAGE_ROWS, n_u) rows, whatever the spec
+    block = max(1, STAGE_ROWS // max(n_u, 1))
     derivs = {}
-    for (i, j), funcs in tables.items():
-        if i + j > order:
-            continue
-        derivs[i, j] = np.empty((len(funcs),) + shape)
-        for k, f in enumerate(funcs):
-            derivs[i, j][k] = f.eval(*args)
+    for j, V in enumerate(_basis_derivatives(spec.chart, spec.v_exps, v_axis, order)):
+        for i in range(order + 1 - j):
+            derivs[i, j] = np.empty((n_comp,) + (shape if tile else (len(u_axis),)))
+        for start in range(0, n_comp, block):
+            ks = slice(start, min(start + block, n_comp))
+            inner = np.empty((ks.stop - start, n_u, V.shape[1]))
+            for us, vs in spec.blocks:
+                np.einsum("kpq,qs->kps", spec.coef[ks, us, vs], V[vs], out=inner[:, us])
+            for i in range(order + 1 - j):
+                np.einsum(contract, U[i], inner, out=derivs[i, j][ks])
+    if not tile:
+        derivs = {key: d.reshape((n_comp,) + shape) for key, d in derivs.items()}
     return Jet(spec, *np.broadcast_arrays(u, v), order, derivs)
 
 
@@ -282,38 +300,62 @@ _SIZE = (1, 3, 6)            # coefficient count of a series of degree 0, 1, 2
 
 
 @functools.lru_cache(maxsize=None)
-def _product_terms(is_series: tuple, size: int) -> tuple:
-    """For each output coefficient, the coefficient-index tuples whose
-    monomials multiply to it; a constant operand contributes index 0 only."""
+def _pairs(size: int) -> tuple:
+    """For each coefficient k of a series with `size` coefficients, the
+    index pairs (i, j) whose monomials multiply to monomial k."""
     degree = _SIZE.index(size)
     terms = [[] for _ in range(size)]
-    for combo in itertools.product(*(range(size) if s else (0,) for s in is_series)):
-        a = sum(MONOMIALS[i][0] for i in combo)
-        b = sum(MONOMIALS[i][1] for i in combo)
+    for i, j in itertools.product(range(size), repeat=2):
+        a, b = MONOMIALS[i][0] + MONOMIALS[j][0], MONOMIALS[i][1] + MONOMIALS[j][1]
         if a + b <= degree:
-            terms[MONOMIALS.index((a, b))].append(combo)
+            terms[MONOMIALS.index((a, b))].append((i, j))
     return tuple(tuple(t) for t in terms)
 
 
-def _product(combine, *operands) -> "Taylor":
-    """combine(*operands) (a multilinear map) truncated at the series degree."""
-    is_series = tuple(isinstance(op, Taylor) for op in operands)
-    sizes = {len(op.c) for op, s in zip(operands, is_series) if s}
-    if len(sizes) != 1:
-        raise ValueError(f"Taylor operands of mixed degree: sizes {sorted(sizes)}")
-    size = sizes.pop()
-    out = None
-    for k, combos in enumerate(_product_terms(is_series, size)):
-        for n, combo in enumerate(combos):
-            args = [op.c[i] if s else op for op, s, i in zip(operands, is_series, combo)]
-            if out is None:
-                first = combine(*args)
-                out = np.empty((size,) + np.shape(first))
-                out[0] = first
-            elif n == 0:
-                combine(*args, out=out[k, ...])
-            else:
-                out[k] += combine(*args)
+@functools.lru_cache(maxsize=None)
+def _batched_subscripts(subscripts: str, batched: tuple) -> str:
+    """einsum subscripts with a coefficient axis in front of each batched
+    operand and of the result."""
+    axis = next(c for c in string.ascii_letters if c not in subscripts)
+    inputs, output = subscripts.split("->")
+    inputs = [axis + s if b else s for s, b in zip(inputs.split(","), batched)]
+    return ",".join(inputs) + "->" + (axis if any(batched) else "") + output
+
+
+def _apply(op, x, y, batched=(False, False)):
+    """op(x, y) for `op` a ufunc or einsum subscripts; a batched operand
+    carries a leading coefficient axis, which the result keeps (two batched
+    operands pair their coefficients one to one)."""
+    if isinstance(op, str):
+        return np.einsum(_batched_subscripts(op, batched), x, y)
+    if any(batched):
+        # align the value and point axes, which broadcast from the right
+        rank = max(np.ndim(a) - b for a, b in zip((x, y), batched))
+        x, y = (a.reshape(a.shape[:1] + (1,) * (rank + 1 - a.ndim) + a.shape[1:]) if b else a
+                for a, b in zip((x, y), batched))
+    return op(x, y)
+
+
+def _product(op, x, y) -> "Taylor":
+    """op(x, y), bilinear, truncated at the series degree.
+
+    With one series operand it is a single call over all its coefficients.
+    With two it runs on coefficient-axis slices, which are views: x0 * y[all]
+    gives out[k] = x0 y_k, x[1:] * y0 is added into out[1:], and the pairs
+    with both indices >= 1 follow (only at degree 2).
+    """
+    if not (isinstance(x, Taylor) and isinstance(y, Taylor)):
+        series = (isinstance(x, Taylor), isinstance(y, Taylor))
+        return Taylor(_apply(op, *(a.c if s else a for a, s in zip((x, y), series)), series))
+    if len(x.c) != len(y.c):
+        raise ValueError(f"Taylor operands of mixed degree: sizes {len(x.c)}, {len(y.c)}")
+    out = _apply(op, x.c[0], y.c, (False, True))
+    if len(out) > 1:
+        out[1:] += _apply(op, x.c[1:], y.c[0], (True, False))
+    for k, pairs in enumerate(_pairs(len(out))):
+        for i, j in pairs:
+            if i and j:
+                out[k] += _apply(op, x.c[i], y.c[j])
     return Taylor(out)
 
 
@@ -355,8 +397,11 @@ class Taylor:
         return cls(out)
 
     @staticmethod
-    def einsum(subscripts: str, *operands) -> "Taylor":
-        return _product(functools.partial(np.einsum, subscripts), *operands)
+    def einsum(subscripts: str, x, y) -> "Taylor":
+        """np.einsum of two operands; `subscripts` give the output after
+        `->`, name the value axes and end each operand with `...` for the
+        points."""
+        return _product(subscripts, x, y)
 
     @staticmethod
     def stack(series) -> "Taylor":
@@ -415,7 +460,7 @@ class Taylor:
 
     def sqrt(self) -> "Taylor":
         """r with r * r = self, coefficient by coefficient (self.c[0] > 0)."""
-        pairs = _product_terms((True, True), len(self.c))
+        pairs = _pairs(len(self.c))
         r = [np.sqrt(self.c[0])]
         for k in range(1, len(self.c)):
             acc = self.c[k]
@@ -429,7 +474,7 @@ class Taylor:
 def _quotient(num, den: Taylor) -> Taylor:
     """q = num / den from sum over i + j = k of q_i den_j = num_k; `num` may
     be a constant."""
-    pairs = _product_terms((True, True), len(den.c))
+    pairs = _pairs(len(den.c))
     q = []
     for k in range(len(den.c)):
         acc = num.c[k] if isinstance(num, Taylor) else (num if k == 0 else 0.0)
@@ -456,10 +501,10 @@ def _catalog_sphere_entry(name: str, degree: int) -> ImmersionSpec:
 def _catalog_clifford() -> ImmersionSpec:
     r = 1.0 / math.sqrt(2.0)
     comps = [
-        [(r, TrigSeries.COS, 1, 0)],
-        [(r, TrigSeries.SIN, 1, 0)],
-        [(r, TrigSeries.COS, 0, 1)],
-        [(r, TrigSeries.SIN, 0, 1)],
+        [(r, COS, 1, 0)],
+        [(r, SIN, 1, 0)],
+        [(r, COS, 0, 1)],
+        [(r, SIN, 0, 1)],
     ]
     return ImmersionSpec(
         name="clifford",
@@ -567,7 +612,7 @@ def parse_spec_dict(data: dict) -> ImmersionSpec:
                 for f in freq:
                     _expect(abs(f) <= MAX_FREQUENCY, f"{tpath}.freq",
                             f"frequency {abs(f)} is above the limit {MAX_FREQUENCY}")
-                terms.append((coeff, TrigSeries.COS if kind == "cos" else TrigSeries.SIN,
+                terms.append((coeff, COS if kind == "cos" else SIN,
                               freq[0], freq[1]))
             comps.append(terms)
     return ImmersionSpec(name=name, chart=chart, ambient_dim=ambient,
@@ -593,7 +638,7 @@ def serialize_spec(spec: ImmersionSpec) -> str:
                      for e, c in sorted(comp.items())]
         else:
             terms = [{"coeff": float(f"{c:.17g}"),
-                      "type": "cos" if kind == TrigSeries.COS else "sin",
+                      "type": "cos" if kind == COS else "sin",
                       "freq": [m, n]}
                      for c, kind, m, n in comp]
         comps.append(terms)
@@ -608,6 +653,7 @@ def serialize_spec(spec: ImmersionSpec) -> str:
 
 
 def _validation_points(spec, n_u, n_v):
+    """An n_u x n_v tensor grid of the chart, as a tile for `eval_jet`."""
     if spec.chart == SPHERE:
         m = spec.pole_margin + 1e-3
         u = np.linspace(m, math.pi - m, n_u)
@@ -615,7 +661,7 @@ def _validation_points(spec, n_u, n_v):
     else:
         u = np.linspace(0.0, 2 * math.pi, n_u, endpoint=False)
         v = np.linspace(0.0, 2 * math.pi, n_v, endpoint=False)
-    return np.meshgrid(u, v, indexing="ij")
+    return u[:, None], v[None, :]
 
 
 def validate_spec(spec: ImmersionSpec,
@@ -681,12 +727,6 @@ class FrameData:
 
 def _dot(x: Taylor, y: Taylor) -> Taylor:
     return Taylor.einsum("c...,c...->...", x, y)
-
-
-def _chart_hessian(jet: Jet, degree: int) -> Taylor:
-    """The series of d_c d_d X, value axes (c, d, C); needs order >= 2 + degree."""
-    Xuu, Xuv, Xvv = (Taylor.lift(jet, i, j, degree) for i, j in ((2, 0), (1, 1), (0, 2)))
-    return Taylor.stack([Taylor.stack([Xuu, Xuv]), Taylor.stack([Xuv, Xvv])])
 
 
 def _tangent_connection(frame: FrameData) -> np.ndarray:
@@ -787,13 +827,18 @@ def _normal_part(v: Taylor, basis: Taylor, axes: str) -> Taylor:
 
 def _h_series(jet: Jet, frame: FrameData, degree: int) -> Taylor:
     """h[i, j] = the normal part of D^2 X(e_i, e_j), an ambient C-vector, as a
-    series of the given degree (the jet needs order >= 2 + degree).  The
-    chart Hessian is projected first and L then acts one index at a time,
-    about half the cost of one three-operand contraction before projecting."""
-    normal = _normal_part(_chart_hessian(jet, degree), _tangent_basis(jet, frame, degree), "cd")
+    series of the given degree (the jet needs order >= 2 + degree).
+
+    Only the three distinct chart-Hessian slots K_s, s = uu, uv, vv, are
+    projected; with e_i = L[i, c] d_c X, h_ij = sum_s W[s, i, j] K_s where
+    W[s, i, j] = sum over c + d = s of L[i, c] L[j, d] is a scalar series.
+    """
+    slots = Taylor.stack([Taylor.lift(jet, i, j, degree) for i, j in ((2, 0), (1, 1), (0, 2))])
+    normal = _normal_part(slots, _tangent_basis(jet, frame, degree), "s")
     L = frame.chart_to_frame.truncate(degree)
-    return Taylor.einsum("ic...,cjx...->ijx...", L,
-                         Taylor.einsum("jd...,cdx...->cjx...", L, normal))
+    LL = Taylor.einsum("ic...,jd...->cdij...", L, L)
+    W = Taylor.stack([LL[0, 0], LL[0, 1] + LL[1, 0], LL[1, 1]])
+    return Taylor.einsum("sij...,sx...->ijx...", W, normal)
 
 
 def _shape_pair(h: np.ndarray) -> ShapePair:

@@ -214,6 +214,47 @@ def test_verify_caps_the_term_count(capsys, tmp_path, extra, code):
                        f"{surfaces.MAX_TERMS}\n")
 
 
+def _tiny_terms(v_pairs: list, u_pairs: list) -> list:
+    """Exponents of sphere terms x^i y^j z^k that realize, for each degree
+    a = i + j, v_pairs[a] basis functions sin^j v cos^i v and u_pairs[a]
+    basis functions sin^a u cos^k u."""
+    terms = []
+    for a, (nv, nu) in enumerate(zip(v_pairs, u_pairs)):
+        terms += [[a - t % nv, t % nv, t % nu] for t in range(max(nv, nu))]
+    return terms
+
+
+@pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)])
+def test_verify_caps_the_coefficient_array(capsys, tmp_path, extra, code):
+    # a spec is one coefficient array over (component, u-basis, v-basis):
+    # dense, a random degree-64 sphere spec would need 64 x 2145 x 2145
+    # doubles (2.4 GB).  At the cap here, 8 x 512 x 512: the equator in R^8
+    # plus 1e-300 terms over 32 degrees; one more v-basis function is one
+    # degree too many
+    v_pairs = [a + 1 for a in range(32)]
+    v_pairs[-16:] = [a for a in range(16, 32)]            # 528 - 16 = 512 in all
+    v_pairs[-1] += extra
+    doc = json.loads(serialize_spec(catalog_entry("equator")))
+    doc["ambient_dim"] = 8
+    doc["components"] += [[] for _ in range(5)]
+    doc["components"][0] += [{"coeff": 1e-300, "exps": e}
+                             for e in _tiny_terms(v_pairs, [16] * 32)]
+    assert 8 * 512 * 512 == surfaces.MAX_COEFFICIENTS
+    size = 8 * 512 * (512 + extra)
+    path = tmp_path / "equator_wide.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(capsys, "verify", "--surface", str(path),
+                            "--resolution", "16x16")
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == (f"error: components: the terms need 8 x 512 x 513 = {size} "
+                       "coefficients (components x u-basis x v-basis), above the limit "
+                       f"{surfaces.MAX_COEFFICIENTS}\n")
+    else:
+        assert surfaces.parse_spec_dict(doc).coef.size == surfaces.MAX_COEFFICIENTS
+
+
 @pytest.mark.parametrize("field,value", [("euler_char", False), ("ambient_dim", True)])
 def test_verify_rejects_bool_top_level_integer(capsys, tmp_path, field, value):
     # "euler_char": false once verified with exit 0 and echoed false

@@ -294,6 +294,27 @@ def test_integrate_rejects_nan():
     assert "node 5" in str(err.value)
 
 
+@pytest.mark.parametrize("case", ["signed_zeros", "subnormals", "cancelling"])
+def test_integrate_equals_fsum_of_the_list(case):
+    # fsum reads the product through a memoryview, not a list of floats; it
+    # must round to the same float, bit for bit
+    grid = build_grid(catalog_entry("calabi3"), (16, 32))
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(grid.u.shape)
+    if case == "signed_zeros":
+        values[:] = 0.0
+        values[::3] = -0.0
+    elif case == "subnormals":
+        values *= 5e-324 * 2 ** rng.integers(0, 40, grid.u.shape)
+    else:
+        values *= 1e300
+        values[1::2] = -values[::2]           # pairs that cancel, up to the weights
+        values[7] = 1.0
+    expected = math.fsum((grid.weight * grid.sqrt_det_g * values).tolist())
+    got = integrate(values, grid)
+    assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
 def test_integrate_shape_mismatch():
     grid = build_grid(catalog_entry("clifford"), (8, 8))
     with pytest.raises(ValueError):

@@ -20,9 +20,10 @@ from minimal_gap_lab.geoquad import build_grid, evaluate_fields, integral_report
 from minimal_gap_lab.invariants import PointInvariants
 from minimal_gap_lab.surfaces import (
     CATALOG_NAMES,
+    COS,
+    SIN,
     SPHERE,
     ImmersionSpec,
-    TrigSeries,
     catalog_entry,
 )
 
@@ -75,12 +76,12 @@ def _translated(spec: ImmersionSpec, s: float, t: float) -> ImmersionSpec:
         terms = []
         for c, kind, m, n in comp:
             cos_p, sin_p = math.cos(m * s + n * t), math.sin(m * s + n * t)
-            if kind == TrigSeries.COS:
-                terms += [(c * cos_p, TrigSeries.COS, m, n),
-                          (-c * sin_p, TrigSeries.SIN, m, n)]
+            if kind == COS:
+                terms += [(c * cos_p, COS, m, n),
+                          (-c * sin_p, SIN, m, n)]
             else:
-                terms += [(c * sin_p, TrigSeries.COS, m, n),
-                          (c * cos_p, TrigSeries.SIN, m, n)]
+                terms += [(c * sin_p, COS, m, n),
+                          (c * cos_p, SIN, m, n)]
         components.append(terms)
     return replace(spec, components=components)
 

@@ -4,24 +4,27 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from minimal_gap_lab.errors import DomainError, ParseError, ValidationError
 from minimal_gap_lab.surfaces import (
     CATALOG_NAMES,
     JET_ORDER_MAX,
     MAX_AMBIENT_DIM,
+    MONOMIALS,
     FrameData,
     Taylor,
-    TrigPoly4,
-    TrigSeries,
     _tangent_connection,
     adapted_frame,
     catalog_entry,
     covariant_grad_h,
     eval_jet,
     load_immersion,
+    parse_spec_dict,
     parse_spec_text,
     second_fundamental_form,
     second_norm_field,
@@ -100,27 +103,41 @@ def test_unit_image_on_dense_grid(name):
     assert np.max(np.abs(np.einsum("c...,c...->...", X, X) - 1.0)) < 1e-12
 
 
-def test_derivative_tables_complete_at_construction(mixed_torus):
+def test_spec_arrays_are_built_read_only_at_construction(mixed_torus):
+    # evaluation (possibly from several worker threads) only reads the spec:
+    # the coefficient and basis-exponent arrays exist once it is built, and
+    # nothing can write them
     for spec in (catalog_entry("calabi4"), mixed_torus):
-        tables = spec.derivative_table(0)
-        expected = {(i, n - i) for n in range(JET_ORDER_MAX + 1) for i in range(n + 1)}
-        assert set(tables) == expected
-        before = {key: list(funcs) for key, funcs in tables.items()}
+        arrays = (spec.coef, spec.u_exps, spec.v_exps)
+        assert spec.coef.shape == (spec.ambient_dim, len(spec.u_exps), len(spec.v_exps))
+        assert spec.u_exps.shape[1] == spec.v_exps.shape[1] == 2
+        before = dict(vars(spec))
+        copies = [a.copy() for a in arrays]
         eval_jet(spec, _points(spec), order=JET_ORDER_MAX)
-        after = spec.derivative_table(JET_ORDER_MAX)
-        assert after is tables
-        assert set(after) == expected
-        assert all(after[key] == funcs for key, funcs in before.items())
+        assert vars(spec).keys() == before.keys()
+        for name, array, copy in zip(("coef", "u_exps", "v_exps"), arrays, copies):
+            assert getattr(spec, name) is array and np.array_equal(array, copy)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
     with pytest.raises(DomainError):
-        catalog_entry("clifford").derivative_table(JET_ORDER_MAX + 1)
+        eval_jet(catalog_entry("clifford"), TORUS_PTS, order=JET_ORDER_MAX + 1)
 
 
-def test_zero_coefficient_terms_are_dropped():
-    # a zero term would still cost one cos or sin per table and node
-    series = TrigSeries([(0.0, TrigSeries.COS, 3, 1), (0.5, TrigSeries.SIN, 1, 2),
-                         (-0.0, TrigSeries.SIN, 0, 1)])
-    assert series.terms == [(0.5, TrigSeries.SIN, 1, 2)]
-    assert TrigPoly4({(1, 0, 0, 0): 0.0, (0, 1, 0, 0): 2.0}).terms == {(0, 1, 0, 0): 2.0}
+def test_zero_coefficient_terms_are_dropped(mixed_torus):
+    # a zero term would still widen the bases, and cost its basis functions
+    # at every node
+    doc = json.loads(serialize_spec(catalog_entry("veronese")))
+    doc["components"][1] += [{"coeff": 0.0, "exps": [5, 0, 0]},
+                             {"coeff": -0.0, "exps": [0, 3, 1]}]
+    pairs = [(catalog_entry("veronese"), parse_spec_dict(doc))]
+    doc = json.loads(serialize_spec(mixed_torus))
+    doc["components"][0] += [{"coeff": 0.0, "type": "cos", "freq": [3, 1]},
+                             {"coeff": -0.0, "type": "sin", "freq": [0, 5]}]
+    pairs.append((mixed_torus, parse_spec_dict(doc)))
+    for plain, padded in pairs:
+        for name in ("coef", "u_exps", "v_exps"):
+            assert np.array_equal(getattr(plain, name), getattr(padded, name)), name
 
 
 # ---------------------------------------------------------------- jets
@@ -158,9 +175,10 @@ def test_jet_pole_margin_enforced():
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + ("rotated_mixed_torus",))
 def test_tile_jet_matches_flat_points(name, rotated_mixed_torus):
-    # on a tile (u_rows[:, None], v_cols[None, :]) the sphere chart builds its
-    # power tables on the rows and the columns alone; every node must still
-    # get the value of the flattened points, and of the plain sum of terms
+    # on a tile (u_rows[:, None], v_cols[None, :]) the bases are evaluated on
+    # the rows and the columns alone; every node must still get the value of
+    # the flattened points (`test_jets_match_sympy_derivatives` checks those
+    # against the spec's own formula)
     spec = rotated_mixed_torus if name == "rotated_mixed_torus" else catalog_entry(name)
     u = np.linspace(0.1, math.pi - 0.1, 13)
     v = np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False)
@@ -174,14 +192,38 @@ def test_tile_jet_matches_flat_points(name, rotated_mixed_torus):
             assert np.array_equal(got, d), key
         else:
             assert np.max(np.abs(got - d)) <= 1e-13 * max(1.0, np.max(np.abs(d))), key
-    if spec.chart == "sphere":
-        base = (np.sin(U), np.cos(U), np.sin(V), np.cos(V))
-        for key, funcs in spec.derivative_table(JET_ORDER_MAX).items():
-            ref = np.array([sum((c * np.prod([b ** e for b, e in zip(base, exps)], axis=0)
-                                 for exps, c in f.terms.items()), np.zeros_like(U))
-                            for f in funcs])
-            err = np.max(np.abs(tile.derivs[key] - ref))
-            assert err <= 1e-13 * max(1.0, np.max(np.abs(ref))), key
+
+
+def _sympy_components(spec):
+    """The spec's components as sympy expressions in the chart angles."""
+    u, v = sympy.symbols("u v", real=True)
+    exprs = []
+    for comp in spec.components:
+        if spec.chart == "sphere":
+            x, y, z = sympy.sin(u) * sympy.cos(v), sympy.sin(u) * sympy.sin(v), sympy.cos(u)
+            exprs.append(sum((sympy.Float(c, 30) * x ** i * y ** j * z ** k
+                              for (i, j, k), c in comp.items()), sympy.Integer(0)))
+        else:
+            trig = (sympy.cos, sympy.sin)
+            exprs.append(sum((sympy.Float(c, 30) * trig[kind](m * u + n * v)
+                              for c, kind, m, n in comp), sympy.Integer(0)))
+    return u, v, exprs
+
+
+@pytest.mark.parametrize("name", ["calabi3", "veronese", "clifford", "rotated_mixed_torus"])
+def test_jets_match_sympy_derivatives(name, rotated_mixed_torus):
+    # an oracle independent of the coefficient array and the basis
+    # derivatives: sympy differentiates the spec's own formula
+    spec = rotated_mixed_torus if name == "rotated_mixed_torus" else catalog_entry(name)
+    pts = _points(spec)
+    jet = eval_jet(spec, pts, order=JET_ORDER_MAX)
+    u, v, exprs = _sympy_components(spec)
+    for (i, j), got in jet.derivs.items():
+        funcs = [sympy.lambdify((u, v), sympy.diff(e, u, i, v, j) if i + j else e, "mpmath")
+                 for e in exprs]
+        with mpmath.workdps(30):
+            ref = np.array([[float(f(a, b)) for a, b in zip(*pts)] for f in funcs])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), (i, j)
 
 
 def test_veronese_jets_satisfy_eigenmap_identity():
@@ -239,6 +281,70 @@ def test_taylor_subtraction_and_lift_are_bitwise_the_plain_formulas():
         for k, (p, q) in enumerate(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))[:len(series)]):
             expected = jet.derivs[1 + p, 1 + q] / (math.factorial(p) * math.factorial(q))
             assert np.array_equal(series[k], expected)
+
+
+def _naive_product(op, x, y, degree):
+    """op(x, y) truncated at `degree`, one call per coefficient pair; a
+    constant operand (not a list) enters as coefficient 0 alone."""
+    size = (1, 3, 6)[degree]
+    xs = x if isinstance(x, list) else [x]
+    ys = y if isinstance(y, list) else [y]
+    out = [0.0] * size
+    for i, xi in enumerate(xs):
+        for j, yj in enumerate(ys):
+            a, b = (MONOMIALS[i][0] + MONOMIALS[j][0], MONOMIALS[i][1] + MONOMIALS[j][1])
+            if a + b <= degree:
+                k = MONOMIALS.index((a, b))
+                out[k] = out[k] + op(xi, yj)
+    return np.stack([np.broadcast_to(o, np.shape(out[0])) for o in out])
+
+
+# (subscripts or ufunc name, value shape of x, of y); "..." holds 4 points
+PRODUCTS = [
+    ("cx...,dx...->cd...", (2, 3), (2, 3)),
+    ("x...,ex...->e...", (3,), (2, 3)),
+    ("ic...,cjx...->ijx...", (2, 2), (2, 2, 3)),
+    ("multiply", (3, 1), (1, 2)),
+    ("multiply", (2, 3), ()),
+    ("divide", (2, 3), (3,)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRODUCTS), st.integers(0, 2), st.sampled_from(["both", "x", "y"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_batched_product_equals_per_pair_reference(product, degree, series, seed):
+    # the batched truncated product (slices of the coefficient axis) against
+    # one call per coefficient pair, with a series on either side or both
+    name, x_shape, y_shape = product
+    if name == "divide":
+        series = "x"                   # a series divisor makes a quotient, not a product
+    rng = np.random.default_rng(seed)
+    size = (1, 3, 6)[degree]
+
+    def operand(value_shape, is_series):
+        if is_series:
+            return list(rng.standard_normal((size,) + value_shape + (4,)))
+        return rng.uniform(0.5, 2.0, value_shape + (4,))
+
+    x = operand(x_shape, series in ("both", "x"))
+    y = operand(y_shape, series in ("both", "y"))
+    if name in ("multiply", "divide"):
+        op = getattr(np, name)
+        call = (lambda a, b: a * b) if name == "multiply" else (lambda a, b: a / b)
+    else:
+        op = lambda a, b, sub=name: np.einsum(sub, a, b)  # noqa: E731
+        call = lambda a, b, sub=name: Taylor.einsum(sub, a, b)  # noqa: E731
+
+    def wrap(a):
+        return Taylor(np.stack(a)) if isinstance(a, list) else a
+
+    got = call(wrap(x), wrap(y)).c
+    ref = _naive_product(op, x, y, degree)
+    scale = _naive_product(op, *(([np.abs(c) for c in a] if isinstance(a, list) else np.abs(a))
+                                 for a in (x, y)), degree)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
 def test_taylor_product_coefficients_are_its_derivatives():
