@@ -48,12 +48,12 @@ for name in CATALOG_NAMES:
     frame = adapted_frame(jet)
     sp = second_fundamental_form(jet, frame)
     # X, e1, e2 stacked along the first axis, points last; h is an ambient
-    # vector, normal to all three
+    # vector, normal to all three, and its slots are a, b, b, -a
     full = np.stack([jet.derivs[0, 0], frame.e1.c[0], frame.e2.c[0]])
     gram = np.einsum("icn,jcn->nij", full, full)
     worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(3)))))
     worst_tan = max(worst_tan, float(np.max(np.abs(
-        np.einsum("ijcn,bcn->ijbn", sp.h, full)))))
+        np.einsum("scn,bcn->sbn", np.stack([sp.a, sp.b]), full)))))
     worst_min = max(worst_min, float(np.max(sp.minimality_residual)))
 print(f"  max |Gram - I|        = {worst_gram:.2e}")
 print(f"  max |<h, X or e_i>|   = {worst_tan:.2e}")

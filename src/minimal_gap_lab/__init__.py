@@ -29,8 +29,8 @@ _EXPORTS = {
                    "check_eigen_charpoly", "check_gap_factorizations",
                    "check_invariant_identities",
                    "check_third_order_contractions", "run_identity_suite"),
-    "invariants": ("FundamentalMatrix", "PointInvariants", "b1_simons",
-                   "fundamental_matrix", "laplace_beltrami", "point_invariants"),
+    "invariants": ("PointInvariants", "b1_simons", "laplace_beltrami",
+                   "point_invariants"),
     "ratpoly": ("RatPoly", "Rational", "poly_combine", "poly_diff",
                 "poly_is_zero"),
     "surfaces": ("CATALOG_NAMES", "CovariantGradH", "FrameData",

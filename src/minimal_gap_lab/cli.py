@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 from minimal_gap_lab import gaps, geoquad, identities, surfaces
 from minimal_gap_lab.errors import (
@@ -186,12 +186,6 @@ def cmd_identities(config: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_INVARIANT_SUMMARY_FIELDS = (
-    "S", "normA2", "rho0", "rho_perp", "lambda1", "lambda2", "u", "t", "K",
-    "ddvv_slack", "hopf_re", "hopf_im", "rho0_commutator_residual",
-    "eig_residual", "eig_tail", "gram_residual", "minimality_residual",
-)
-
 _FIELD_SUMMARY_EXTRAS = (
     "b1_simons", "b1_direct", "b1_cross", "delta_S", "codazzi_residual",
 )
@@ -207,8 +201,10 @@ def _verify_surface(source, config: RunConfig, tols: dict):
                                      nonneg_tol=tols["gap_nonneg"])
     cert = gaps.certify(spec, fields, report)
 
-    inv_tree = {name: summary(getattr(fields.inv, name))
-                for name in _INVARIANT_SUMMARY_FIELDS}
+    # names read off the instance: a module-level import of PointInvariants
+    # would load numpy into `identities` runs
+    inv_tree = {f.name: summary(getattr(fields.inv, f.name))
+                for f in dataclass_fields(fields.inv)}
     extra_tree = {name: summary(getattr(fields, name))
                   for name in _FIELD_SUMMARY_EXTRAS}
     integral_tree = {

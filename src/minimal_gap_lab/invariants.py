@@ -1,10 +1,10 @@
 """Pointwise scalar invariants of the second fundamental form.
 
-Every quantity the theorems consume is computed here from a ShapePair, with
-an independent second route wherever one exists: the squared commutator sum
-and a 4 x 4 eigensolver on the Gram tensor of h (O(C) per node, by Sylvester's
-determinant identity) vs their closed forms, and the Simons-identity route to
-B1 vs the direct third-order norm.  Route disagreements are residuals, never hidden.
+Every quantity the theorems consume is computed here from a ShapePair by its
+closed form in a and b; the identities behind those forms are proved exactly
+by `identities` (`rho0_closed_form`, `charpoly_rank_two`).  B1 has two routes
+here, the Simons identity and the direct third-order norm, and their
+disagreement is a residual, never hidden.
 
 The two B1 routes share only the jet.  The Simons route takes the chart
 Laplacian of the frame-free S from the degree-2 coefficients of its Taylor
@@ -39,40 +39,12 @@ B1_CROSS_TOL = 1e-4
 
 
 @dataclass
-class FundamentalMatrix:
-    """The Gram tensor G[i, j, k, l] = <h_ij, h_kl>, by both displayed routes: as
-    4 x 4 it is H^T H, H the C x 4 matrix of h's slots, and has the nonzero spectrum
-    of the C x C fundamental matrix H H^T by Sylvester's determinant identity."""
-
-    matrix: np.ndarray            # (2, 2, 2, 2, *points), one ambient contraction
-    gram_residual: np.ndarray     # max |G - closed form from the Gram of a, b| entrywise
-
-
-def fundamental_matrix(sp: ShapePair) -> FundamentalMatrix:
-    h, w = sp.h, np.stack([sp.a, sp.b])
-    gram = np.einsum("ijx...,klx...->ijkl...", h, h)
-    # the closed form: h_ij = slots[i, j] . (a, b), so G = slots g slots^T
-    slots = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]])
-    g = np.einsum("cx...,dx...->cd...", w, w)
-    closed = np.einsum("ijc,cd...,kld->ijkl...", slots, g, slots) - gram
-    residual = np.max(np.abs(closed), axis=(0, 1, 2, 3), initial=0.0)
-    return FundamentalMatrix(matrix=gram, gram_residual=residual)
-
-
-def _commutator_sum(gram: np.ndarray) -> np.ndarray:
-    """Independent route to rho0: the sum over ambient x, y of |[S_x, S_y]|^2,
-    S_x = h[:, :, x], expanded through the trace into the Gram tensor."""
-    return 2.0 * (np.einsum("ijim...,jkmk...->...", gram, gram)
-                  - np.einsum("ijmk...,jkim...->...", gram, gram))
-
-
-@dataclass
 class PointInvariants:
-    """All pointwise scalars, plus the cross-route residuals."""
+    """All pointwise scalars, and the input's minimality residual."""
 
     S: np.ndarray
     normA2: np.ndarray
-    rho0: np.ndarray              # closed form (primary route)
+    rho0: np.ndarray              # 16 (|a|^2 |b|^2 - <a, b>^2)
     rho_perp: np.ndarray          # sqrt(rho0)/2
     lambda1: np.ndarray
     lambda2: np.ndarray
@@ -82,10 +54,6 @@ class PointInvariants:
     ddvv_slack: np.ndarray        # S^2 - rho0 >= 0 (DDVV)
     hopf_re: np.ndarray           # |a|^2 - |b|^2
     hopf_im: np.ndarray           # -2 <a, b>
-    rho0_commutator_residual: np.ndarray
-    eig_residual: np.ndarray      # closed form vs dense eigensolver
-    eig_tail: np.ndarray          # max |lambda_3,4| of the 4 x 4 G
-    gram_residual: np.ndarray
     minimality_residual: np.ndarray
 
 
@@ -100,9 +68,6 @@ def point_invariants(sp: ShapePair) -> PointInvariants:
     S = 2.0 * (na + nb)
     normA2 = 4.0 * na ** 2 + 4.0 * nb ** 2 + 8.0 * ab ** 2
     rho0 = 16.0 * (na * nb - ab ** 2)
-
-    fm = fundamental_matrix(sp)
-    rho0_residual = np.abs(rho0 - _commutator_sum(fm.matrix))
 
     slack = S ** 2 - rho0
     bad = slack < DDVV_SLACK_TOL * np.maximum(1.0, S ** 2)
@@ -122,18 +87,10 @@ def point_invariants(sp: ShapePair) -> PointInvariants:
         t = np.where(geodesic, 1.0, 2.0 * d / np.where(geodesic, 1.0, S))
     t = np.clip(t, 0.0, 1.0)
 
-    # G as 4 x 4, ascending, points first: eigvalsh wants the matrix axes last
-    lam = np.linalg.eigvalsh(np.moveaxis(fm.matrix.reshape((4, 4) + lead), (0, 1), (-2, -1)))
-    eig_residual = np.abs(lambda1 - lam[..., -1]) + np.abs(lambda2 - lam[..., -2])
-    eig_tail = np.max(np.abs(lam[..., :2]), axis=-1)
-
     return PointInvariants(
         S=S, normA2=normA2, rho0=rho0, rho_perp=np.sqrt(np.maximum(rho0, 0.0)) / 2.0,
         lambda1=lambda1, lambda2=lambda2, u=u, t=t, K=(2.0 - S) / 2.0,
         ddvv_slack=slack, hopf_re=na - nb, hopf_im=-2.0 * ab,
-        rho0_commutator_residual=rho0_residual,
-        eig_residual=eig_residual, eig_tail=eig_tail,
-        gram_residual=fm.gram_residual,
         minimality_residual=sp.minimality_residual,
     )
 
@@ -186,6 +143,9 @@ def b1_from_laplacian(laplacian_S: np.ndarray, invariants: PointInvariants) -> S
     return SimonsB1(b1=b1, laplacian_S=laplacian_S)
 
 
+# Not called by the pipeline, which runs `laplace_beltrami` and
+# `b1_from_laplacian` itself; kept because perfbench/tracer.py's TRACED table
+# wraps it by name and its install() raises if it is missing.
 def b1_simons(jet: Jet, invariants: PointInvariants) -> SimonsB1:
     """B1 via the chart Laplacian of S (`b1_from_laplacian`).
 

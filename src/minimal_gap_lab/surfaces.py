@@ -786,8 +786,8 @@ def adapted_frame(jet: Jet) -> FrameData:
 class ShapePair:
     """a = h_11 and b = h_12 in the adapted frame, as ambient normal vectors,
     points last: both have shape (C, *points), C the ambient dimension.
-    Every invariant is an O(q)-invariant of a and b, so no basis of the
-    normal space is needed."""
+    h_21 = b and h_22 = -a, so a and b are all of h.  Every invariant is an
+    O(q)-invariant of a and b, so no basis of the normal space is needed."""
 
     a: np.ndarray
     b: np.ndarray
@@ -798,16 +798,6 @@ class ShapePair:
         if np.shape(self.b) != shape or np.shape(self.minimality_residual) != shape[1:]:
             raise ValueError("ShapePair needs a, b of shape (C, *points) and a "
                              "minimality residual of shape (*points)")
-
-    @property
-    def h(self) -> np.ndarray:
-        """Full component array h[i, j, x, *points] (traceless symmetric);
-        h[:, :, x] is the x-th ambient component of the shape operator."""
-        out = np.empty((2, 2) + self.a.shape)
-        out[0, 0] = self.a
-        out[0, 1] = out[1, 0] = self.b
-        out[1, 1] = -self.a
-        return out
 
 
 def _tangent_basis(jet: Jet, frame: FrameData, degree: int) -> Taylor:

@@ -12,6 +12,8 @@ import numpy as np
 from minimal_gap_lab.invariants import _metric_christoffel
 from minimal_gap_lab.surfaces import adapted_frame, eval_jet, second_fundamental_form
 
+from gram_oracle import h_stack
+
 
 def richardson(estimates):
     """Extrapolate a list of same-shaped estimates at steps h, h/2, h/4, ...
@@ -102,13 +104,13 @@ def frozen_frame_grad3(spec, point, step: float = 1e-4, refinements: int = 2):
     step = step * 2 ** refinements
     base_jet = eval_jet(spec, point, order=2)
     base = adapted_frame(base_jet)
-    h0 = second_fundamental_form(base_jet, base).h
+    h0 = h_stack(second_fundamental_form(base_jet, base))
     u, v = base_jet.u, base_jet.v
 
     def fields_at(du, dv):
         jet = eval_jet(spec, (u + du, v + dv), order=2)
         fr = adapted_frame(jet)
-        return second_fundamental_form(jet, fr).h, fr.e1.c[0], fr.e2.c[0]
+        return h_stack(second_fundamental_form(jet, fr)), fr.e1.c[0], fr.e2.c[0]
 
     def chart_derivative(slot, c):
         def sample(h):

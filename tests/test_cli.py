@@ -3,11 +3,13 @@
 import json
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
 from minimal_gap_lab import cli, gaps, geoquad, identities, surfaces
 from minimal_gap_lab.cli import main
+from minimal_gap_lab.invariants import PointInvariants
 from minimal_gap_lab.ratpoly import RatPoly
 from minimal_gap_lab.surfaces import catalog_entry, serialize_spec
 
@@ -73,6 +75,20 @@ def test_verify_calabi3_small(capsys):
     assert "calabi3" in out
     assert "verdict: consistent" in out
     assert "exit_status: 0" in out
+
+
+def test_verify_json_invariants_are_the_point_invariants_fields(capsys, tmp_path):
+    # one list of names: the report's invariant keys are PointInvariants'
+    # fields, in order, and the re-checks that moved to the test oracle are gone
+    path = tmp_path / "verify.json"
+    code, _, _ = run_cli(capsys, "verify", "--surface", "calabi3",
+                         "--resolution", "16x32", "--json", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    keys = list(doc["minimal-gap-lab"]["surfaces"]["calabi3"]["invariants"])
+    assert keys == [f.name for f in fields(PointInvariants)]
+    assert not {"rho0_commutator_residual", "eig_residual", "eig_tail",
+                "gram_residual"} & set(keys)
 
 
 def test_verify_report_determinism_across_workers(capsys):

@@ -214,8 +214,6 @@ def test_main5_coupled_synthetic_coverage():
         rho_perp=np.sqrt(rho0) / 2, lambda1=S - lam2, lambda2=lam2,
         u=S + lam2, t=(S - 2 * lam2) / S, K=(2 - S) / 2,
         ddvv_slack=S ** 2 - rho0, hopf_re=np.zeros(n), hopf_im=np.zeros(n),
-        rho0_commutator_residual=np.zeros(n), eig_residual=np.zeros(n),
-        eig_tail=np.zeros(n), gram_residual=np.zeros(n),
         minimality_residual=np.zeros(n))
     zeros = np.zeros(n)
     fields = SurfaceFields(
@@ -238,8 +236,6 @@ def test_bryant_exclusion_violation_detected():
         S=S, normA2=S ** 2, rho0=np.zeros(n), rho_perp=np.zeros(n),
         lambda1=S, lambda2=lam2, u=S, t=np.ones(n), K=(2 - S) / 2,
         ddvv_slack=S ** 2, hopf_re=np.zeros(n), hopf_im=np.zeros(n),
-        rho0_commutator_residual=np.zeros(n), eig_residual=np.zeros(n),
-        eig_tail=np.zeros(n), gram_residual=np.zeros(n),
         minimality_residual=np.zeros(n))
     zeros = np.zeros(n)
     fields = SurfaceFields(

@@ -25,8 +25,16 @@ from minimal_gap_lab.geoquad import (
     pool_size,
 )
 from minimal_gap_lab.gaps import calabi_S, calabi_constants
-from minimal_gap_lab.invariants import PointInvariants
-from minimal_gap_lab.surfaces import _catalog_sphere_entry, catalog_entry
+from minimal_gap_lab.invariants import PointInvariants, point_invariants
+from minimal_gap_lab.surfaces import (
+    _catalog_sphere_entry,
+    adapted_frame,
+    catalog_entry,
+    eval_jet,
+    second_fundamental_form,
+)
+
+from gram_oracle import second_route_residuals
 
 
 @pytest.mark.parametrize("s", [5, 8])
@@ -41,11 +49,15 @@ def test_harmonic_sphere_in_high_codimension(s):
     assert abs(report.max_u - u) < 1e-10 and abs(report.min_u - u) < 1e-10
     assert abs(report.area - float(calabi_constants(s).area)) < 1e-9
     assert fields.flagged_fraction == 0.0
-    # the second routes agree to rounding at C = 2s + 1
-    inv = fields.inv
-    assert np.all(inv.rho0_commutator_residual <= 1e-12 * np.maximum(1.0, inv.rho0))
+    # the second routes agree to rounding at C = 2s + 1 on the grid's nodes
+    jet = eval_jet(spec, (grid.u, grid.v), order=2)
+    sp = second_fundamental_form(jet, adapted_frame(jet))
+    inv = point_invariants(sp)
+    residuals = second_route_residuals(sp, inv)
+    assert np.all(residuals.pop("rho0_commutator_residual")
+                  <= 1e-12 * np.maximum(1.0, inv.rho0))
     scale = 1e-12 * np.maximum(1.0, inv.S)
-    for residual in (inv.eig_residual, inv.eig_tail, inv.gram_residual):
+    for residual in residuals.values():
         assert np.all(residual <= scale)
 
 
@@ -448,9 +460,7 @@ def test_nonnegativity_guard_trips_on_forged_fields():
     inv = PointInvariants(
         S=ones, normA2=ones, rho0=zeros, rho_perp=zeros, lambda1=ones,
         lambda2=zeros, u=ones, t=ones, K=0.5 * ones, ddvv_slack=ones,
-        hopf_re=zeros, hopf_im=zeros, rho0_commutator_residual=zeros,
-        eig_residual=zeros, eig_tail=zeros, gram_residual=zeros,
-        minimality_residual=zeros)
+        hopf_re=zeros, hopf_im=zeros, minimality_residual=zeros)
     from minimal_gap_lab.geoquad import SurfaceFields
 
     forged = SurfaceFields(

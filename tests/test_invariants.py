@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from minimal_gap_lab.errors import DomainError, InvariantViolation
-from minimal_gap_lab.invariants import (
-    _commutator_sum,
-    b1_simons,
-    fundamental_matrix,
-    point_invariants,
-)
+from minimal_gap_lab.invariants import b1_simons, point_invariants
 from minimal_gap_lab.surfaces import (
     ShapePair,
     adapted_frame,
@@ -24,6 +19,7 @@ from minimal_gap_lab.surfaces import (
 )
 
 from fd_oracle import laplace_beltrami
+from gram_oracle import commutator_sum, gram_tensor, h_stack, second_route_residuals
 
 
 def _pair(a, b):
@@ -59,7 +55,7 @@ def _b1_routes(jet):
 # ------------------------------------------------------ array layout
 
 def test_every_per_node_array_ends_in_the_point_axes():
-    # value axes first, points last, from the frame to the fundamental matrix;
+    # value axes first, points last, from the frame to the invariants;
     # a (3, 5) array of points gives the same numbers as the 15 points flat
     spec = catalog_entry("calabi3")
     C = spec.ambient_dim
@@ -73,9 +69,8 @@ def test_every_per_node_array_ends_in_the_point_axes():
         layouts[shape] = {
             "e1": (frame.e1.c, (3, C)), "e2": (frame.e2.c, (3, C)),
             "chart_to_frame": (frame.chart_to_frame.c, (3, 2, 2)),
-            "a": (sp.a, (C,)), "b": (sp.b, (C,)), "h": (sp.h, (2, 2, C)),
+            "a": (sp.a, (C,)), "b": (sp.b, (C,)),
             "grad3": (covariant_grad_h(jet, frame).grad3, (2, 2, 2, C)),
-            "matrix": (fundamental_matrix(sp).matrix, (2, 2, 2, 2)),
             "S": (point_invariants(sp).S, ()),
         }
     for name, (grid, value_axes) in layouts[3, 5].items():
@@ -93,29 +88,31 @@ def test_shape_pair_rejects_points_first_arrays():
 
 
 # ------------------------------------------------------ fundamental matrix
+# (the Gram tensor G of the test oracle, the second route to rho0 and the
+# eigenvalues)
 
 def test_fundamental_matrix_orthonormal_pair():
     # the slots 11, 12, 21, 22 of h are a, b, b, -a, so G = <h_ij, h_kl> as
     # 4 x 4 is their Gram matrix, and its trace is S = 2 (|a|^2 + |b|^2)
     sp = _pair([1.0, 0.0], [0.0, 1.0])
-    fm = fundamental_matrix(sp)
-    assert np.array_equal(fm.matrix.reshape(4, 4), [[1.0, 0.0, 0.0, -1.0],
-                                                    [0.0, 1.0, 1.0, 0.0],
-                                                    [0.0, 1.0, 1.0, 0.0],
-                                                    [-1.0, 0.0, 0.0, 1.0]])
-    assert float(np.einsum("ijij->", fm.matrix)) == float(point_invariants(sp).S) == 4.0
-    assert float(fm.gram_residual) == 0.0
+    gram = gram_tensor(sp)
+    assert np.array_equal(gram.reshape(4, 4), [[1.0, 0.0, 0.0, -1.0],
+                                               [0.0, 1.0, 1.0, 0.0],
+                                               [0.0, 1.0, 1.0, 0.0],
+                                               [-1.0, 0.0, 0.0, 1.0]])
+    inv = point_invariants(sp)
+    assert float(np.einsum("ijij->", gram)) == float(inv.S) == 4.0
+    assert float(second_route_residuals(sp, inv)["gram_residual"]) == 0.0
 
 
 def test_fundamental_matrix_zero():
-    fm = fundamental_matrix(_pair([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
-    assert np.all(fm.matrix == 0.0)
+    assert np.all(gram_tensor(_pair([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])) == 0.0)
 
 
 def test_fundamental_matrix_rank_two():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(6), rng.standard_normal(6)
-    gram = fundamental_matrix(_pair(a, b)).matrix.reshape(4, 4)
+    gram = gram_tensor(_pair(a, b)).reshape(4, 4)
     lam = np.linalg.eigvalsh(gram)
     assert np.linalg.matrix_rank(gram) == 2
     assert abs(lam[-3]) < 1e-10 * np.trace(gram)
@@ -176,48 +173,53 @@ def random_pairs():
 
 def test_rho0_routes_agree_on_population(random_pairs):
     for a, b in random_pairs:
-        inv = point_invariants(_pair(a, b))
+        sp = _pair(a, b)
+        inv = point_invariants(sp)
         scale = np.maximum(1.0, np.abs(inv.rho0))
-        assert np.max(inv.rho0_commutator_residual / scale) < 1e-10
+        residual = second_route_residuals(sp, inv)["rho0_commutator_residual"]
+        assert np.max(residual / scale) < 1e-10
 
 
 def test_commutator_route_matches_the_explicit_commutators():
     # the Gram-tensor contraction equals sum_{x,y} |S_x S_y - S_y S_x|^2
     # over the ambient components S_x = h[:, :, x], written out here with
-    # its C x C stack, and the residual is exactly |rho0 - that contraction|
+    # its C x C stack, and both equal the closed form rho0
     rng = np.random.default_rng(7)
     sp = _pair(rng.standard_normal((3072, 6)), rng.standard_normal((3072, 6)))
     inv = point_invariants(sp)
-    h = sp.h
+    h = h_stack(sp)
     comm = (np.einsum("ijx...,jky...->xyik...", h, h)
             - np.einsum("ijy...,jkx...->xyik...", h, h))
     explicit = np.einsum("xyik...,xyik...->...", comm, comm)
-    route = _commutator_sum(fundamental_matrix(sp).matrix)
+    route = commutator_sum(gram_tensor(sp))
     assert np.all(np.abs(route - explicit) <= 1e-12 * np.maximum(1.0, inv.rho0))
-    assert np.array_equal(inv.rho0_commutator_residual, np.abs(inv.rho0 - route))
+    assert np.all(np.abs(inv.rho0 - explicit) <= 1e-12 * np.maximum(1.0, inv.rho0))
 
 
-def test_point_invariants_memory_is_linear_in_the_ambient_dimension():
-    # no array with two ambient axes: at C = 64 a 3072-node call peaks far
-    # below one C x C stack (8 * 64 bytes per C-node)
-    C, n = 64, 3072
+def test_point_invariants_peak_bytes_per_node_do_not_grow_with_the_ambient_dimension():
+    # the closed forms keep no array with an ambient axis: past the inputs,
+    # a 3072-node call peaks at a fixed number of bytes per node
+    n = 3072
     rng = np.random.default_rng(11)
-    sp = _pair(rng.standard_normal((n, C - 3)), rng.standard_normal((n, C - 3)))
-    tracemalloc.start()
-    try:
-        point_invariants(sp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 100 * C * n
+    for C in (9, 64):
+        sp = _pair(rng.standard_normal((n, C - 3)), rng.standard_normal((n, C - 3)))
+        tracemalloc.start()
+        try:
+            point_invariants(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * n, C
 
 
 def test_eigen_routes_agree_on_population(random_pairs):
     for a, b in random_pairs:
-        inv = point_invariants(_pair(a, b))
+        sp = _pair(a, b)
+        inv = point_invariants(sp)
+        residuals = second_route_residuals(sp, inv)
         scale = np.maximum(1.0, inv.S)
-        assert np.max(inv.eig_residual / scale) < 1e-10
-        assert np.max(inv.eig_tail / np.maximum(inv.S, 1e-300)) < 1e-10
+        assert np.max(residuals["eig_residual"] / scale) < 1e-10
+        assert np.max(residuals["eig_tail"] / np.maximum(inv.S, 1e-300)) < 1e-10
 
 
 def test_ddvv_slack_nonnegative_on_population(random_pairs):
