@@ -23,8 +23,8 @@ _EXPORTS = {
     "gaps": ("TAU_STAR", "CalabiConstants", "GapCertificate", "PinchingRoots",
              "ThresholdTable", "calabi_constants", "certify", "pinching_roots",
              "pinching_table", "threshold_T", "threshold_table"),
-    "geoquad": ("IntegralReport", "QuadratureGrid", "SurfaceFields",
-                "build_grid", "evaluate_fields", "integral_report", "integrate"),
+    "geoquad": ("FieldSummary", "IntegralReport", "QuadratureGrid", "SurfaceFields",
+                "build_grid", "evaluate_fields", "integral_report"),
     "identities": ("IdentityReport", "SymbolFamily", "check_b2_decomposition",
                    "check_eigen_charpoly", "check_gap_factorizations",
                    "check_invariant_identities",

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 
 from minimal_gap_lab import gaps, geoquad, identities, surfaces
 from minimal_gap_lab.errors import (
@@ -26,7 +26,7 @@ from minimal_gap_lab.errors import (
     ParseError,
     ValidationError,
 )
-from minimal_gap_lab.report import render_tree, summary, write_csv, write_json
+from minimal_gap_lab.report import render_tree, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -186,27 +186,18 @@ def cmd_identities(config: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_FIELD_SUMMARY_EXTRAS = (
-    "b1_simons", "b1_direct", "b1_cross", "delta_S", "codazzi_residual",
-)
-
-
 def _verify_surface(source, config: RunConfig, tols: dict):
     spec = surfaces.load_immersion(source, validate=False)
     validation = surfaces.validate_spec(
         spec, unit_tol=tols["unit_norm"], minimality_tol=tols["minimality"])
     grid = geoquad.build_grid(spec, config.resolution)
-    fields = geoquad.evaluate_fields(spec, grid, workers=config.workers, tols=tols)
-    report = geoquad.integral_report(spec, grid, fields,
+    summary = geoquad.evaluate_fields(spec, grid, workers=config.workers, tols=tols)
+    report = geoquad.integral_report(spec, grid, summary,
                                      nonneg_tol=tols["gap_nonneg"])
-    cert = gaps.certify(spec, fields, report)
+    cert = gaps.certify(spec, summary, report)
 
-    # names read off the instance: a module-level import of PointInvariants
-    # would load numpy into `identities` runs
-    inv_tree = {f.name: summary(getattr(fields.inv, f.name))
-                for f in dataclass_fields(fields.inv)}
-    extra_tree = {name: summary(getattr(fields, name))
-                  for name in _FIELD_SUMMARY_EXTRAS}
+    inv_tree = {name: summary.stats(name) for name in geoquad.INVARIANT_NAMES}
+    extra_tree = {name: summary.stats(name) for name in geoquad.FIELD_NAMES}
     integral_tree = {
         "area": report.area,
         "int_K": report.int_K,
@@ -254,20 +245,19 @@ def _verify_surface(source, config: RunConfig, tols: dict):
         "invariants": inv_tree,
         "fields": extra_tree,
         "integrals": integral_tree,
-        "flagged_fraction": fields.flagged_fraction,
+        "flagged_fraction": summary.flagged_fraction,
         "certificate": cert_tree,
     }
     distrust = None
-    if fields.flagged_fraction > tols["flagged_budget"]:
-        guards = {key: getattr(fields, name) for key, (name, _) in geoquad.GUARDS.items()}
-        counts = {key: int((r > tols[key]).sum()) for key, r in guards.items()}
-        worst = max(counts, key=counts.get)
-        i = int(guards[worst].argmax())
-        per_guard = ", ".join(f"{key} {n}" for key, n in counts.items())
-        distrust = (f"distrust: {spec.name}: {fields.flagged.sum()} of {grid.node_count} "
+    if summary.flagged_fraction > tols["flagged_budget"]:
+        guards = summary.guards
+        worst = max(guards, key=lambda key: guards[key].count)
+        u, v = grid.node(guards[worst].node)
+        per_guard = ", ".join(f"{key} {guard.count}" for key, guard in guards.items())
+        distrust = (f"distrust: {spec.name}: {summary.flagged} of {grid.node_count} "
                     f"nodes flagged, above the budget {tols['flagged_budget']:g}; "
-                    f"{per_guard}; worst {worst} {guards[worst][i]:.3e} at (u, v) = "
-                    f"({grid.u[i]:.6f}, {grid.v[i]:.6f})")
+                    f"{per_guard}; worst {worst} {guards[worst].worst:.3e} at (u, v) = "
+                    f"({u:.6f}, {v:.6f})")
     return spec.name, surface_tree, distrust
 
 

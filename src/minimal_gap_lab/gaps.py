@@ -11,18 +11,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from minimal_gap_lab.errors import DomainError, InvariantViolation
-from minimal_gap_lab.geoquad import IntegralReport, SurfaceFields
 from minimal_gap_lab.surfaces import SPHERE, ImmersionSpec
+
+if TYPE_CHECKING:     # geoquad imports this module: its tiles test the caps below
+    from minimal_gap_lab.geoquad import FieldSummary, IntegralReport
+    from minimal_gap_lab.invariants import PointInvariants
 
 TAU_STAR = math.sqrt(9.0 + 3.0 * math.sqrt(5.0)) / 4.0
 CONSTANCY_TOL = 1e-8
 FLAT_NORMAL_TOL = 1e-8
 MARGIN_TOL = 1e-8
 WINDOW_TOL = 1e-6
+# the gamma grids of the main5_pinch and main5_coupled hypotheses
+PINCH_GAMMAS = np.linspace(0.0, 4.0, 41)
+COUPLED_GAMMAS = np.linspace(0.0, 2.0 / 3.0, 21)
 # grid points per threshold or pinching table at most: each point is one
 # Python row, and 10**5 of both tables took 0.6 s and 64 MB peak RSS on a
 # 2-vCPU x86-64 box (10**6 took 6.5 s and 374 MB)
@@ -190,9 +197,23 @@ class GapCertificate:
         raise KeyError(theorem)
 
 
-def _is_constant(values: np.ndarray, tol: float = CONSTANCY_TOL) -> bool:
-    spread = float(np.max(values) - np.min(values))
-    return spread < tol * (1.0 + float(np.max(np.abs(values))))
+def pinch_caps_hold(inv: PointInvariants) -> np.ndarray:
+    """For each of `PINCH_GAMMAS`: rho_perp <= sqrt(gamma |K|)/2 at every
+    point of `inv`."""
+    cap = 0.5 * np.sqrt(PINCH_GAMMAS[:, None] * np.abs(inv.K))
+    return np.all(inv.rho_perp <= cap + MARGIN_TOL, axis=1)
+
+
+def coupled_caps_hold(inv: PointInvariants) -> np.ndarray:
+    """For each of `COUPLED_GAMMAS`: rho_perp <= sqrt((u - 2) gamma S)/2 at
+    every point of `inv`, with u - 2 clipped at 0."""
+    cap = 0.5 * np.sqrt(np.maximum(inv.u - 2.0, 0.0) * COUPLED_GAMMAS[:, None] * inv.S)
+    return np.all(inv.rho_perp <= cap + MARGIN_TOL, axis=1)
+
+
+def _is_constant(summary: FieldSummary, name: str, tol: float = CONSTANCY_TOL) -> bool:
+    low, high = summary.min(name), summary.max(name)
+    return high - low < tol * (1.0 + summary.abs_max(name))
 
 
 def _entry(theorem, ok, hypothesis, conclusion, margin=None, notes=""):
@@ -208,29 +229,28 @@ def _inapplicable(theorem, hypothesis, notes=""):
                         margin=None, notes=notes)
 
 
-def certify(spec: ImmersionSpec, fields: SurfaceFields,
+def certify(spec: ImmersionSpec, summary: FieldSummary,
             report: IntegralReport,
             raise_on_violation: bool = True) -> GapCertificate:
-    """Evaluate every theorem's hypotheses on measured extremes and check the
-    asserted conclusion; by default raise on any violation (it would mean a
-    pipeline bug, since every encoded statement is a theorem).
+    """Evaluate every theorem's hypotheses on the measured extremes of
+    `summary` and check the asserted conclusion; by default raise on any
+    violation (it would mean a pipeline bug, since every encoded statement
+    is a theorem).
     """
-    inv = fields.inv
     is_two_sphere = spec.chart == SPHERE and spec.euler_char == 2
-    min_u, max_u = float(np.min(inv.u)), float(np.max(inv.u))
-    min_S, max_S = float(np.min(inv.S)), float(np.max(inv.S))
-    mean_S = float(np.mean(inv.S))
-    min_t, max_t = float(np.min(inv.t)), float(np.max(inv.t))
-    max_rho = float(np.max(inv.rho_perp))
-    min_rho = float(np.min(inv.rho_perp))
+    min_u, max_u = summary.min("u"), summary.max("u")
+    min_S, max_S = summary.min("S"), summary.max("S")
+    mean_S = summary.mean("S")
+    min_t, max_t = summary.min("t"), summary.max("t")
+    max_rho = summary.max("rho_perp")
+    min_rho = summary.min("rho_perp")
     entries = []
 
     # pointwise structure of minimal 2-spheres: the holomorphic quartic form
     # vanishes, so |a| = |b|, <a,b> = 0 and lambda_1 = lambda_2 = S/2
     if is_two_sphere:
-        resid = max(float(np.max(np.abs(inv.hopf_re))),
-                    float(np.max(np.abs(inv.hopf_im))),
-                    float(np.max(inv.lambda1 - inv.lambda2)))
+        resid = max(summary.abs_max("hopf_re"), summary.abs_max("hopf_im"),
+                    summary.max("lambda_gap"))
         scale = 1.0 + max_S
         entries.append(_entry(
             "lemma_ab", resid < CONSTANCY_TOL * scale,
@@ -250,11 +270,11 @@ def certify(spec: ImmersionSpec, fields: SurfaceFields,
                                      "surface is a minimal 2-sphere"))
 
     # first gap rigidity for 2-spheres
-    if is_two_sphere and _is_constant(inv.u):
+    if is_two_sphere and _is_constant(summary, "u"):
         s_match = min(range(1, 65), key=lambda s: abs(mean_S - float(calabi_S(s))))
         margin = abs(mean_S - float(calabi_S(s_match)))
         entries.append(_entry(
-            "main1_constant", _is_constant(inv.K) and margin < 1e-6,
+            "main1_constant", _is_constant(summary, "K") and margin < 1e-6,
             hypothesis="2-sphere with S + lambda_2 constant",
             conclusion="K constant; S equals a degree-s harmonic sphere value",
             margin=margin,
@@ -295,15 +315,11 @@ def certify(spec: ImmersionSpec, fields: SurfaceFields,
         entries.append(_inapplicable("main4.5", "universal cover not a 2-sphere"))
 
     # torus pinching: 2 <= S <= S0(gamma) and rho_perp <= sqrt(gamma |K|)/2
-    feasible = []
-    for gamma in np.linspace(0.0, 4.0, 41):
-        roots = pinching_roots(float(gamma))
-        rho_cap = 0.5 * np.sqrt(gamma * np.abs(inv.K))
-        if (min_S >= 2.0 - MARGIN_TOL and max_S <= roots.S0 + MARGIN_TOL
-                and np.all(inv.rho_perp <= rho_cap + MARGIN_TOL)):
-            feasible.append(float(gamma))
+    feasible = [float(gamma) for gamma, caps in zip(PINCH_GAMMAS, summary.pinch)
+                if caps and min_S >= 2.0 - MARGIN_TOL
+                and max_S <= pinching_roots(float(gamma)).S0 + MARGIN_TOL]
     if feasible:
-        ok = _is_constant(inv.S) and abs(mean_S - 2.0) < 1e-6
+        ok = _is_constant(summary, "S") and abs(mean_S - 2.0) < 1e-6
         entries.append(_entry(
             "main5_pinch", ok,
             hypothesis="2 <= S <= S0(gamma), rho_perp <= sqrt(gamma|K|)/2",
@@ -324,9 +340,8 @@ def certify(spec: ImmersionSpec, fields: SurfaceFields,
         notes="synthetic-only coverage: catalog surfaces never satisfy the "
               "hypothesis nontrivially")
     if min_u > 2.0 + MARGIN_TOL:
-        for gamma in np.linspace(0.0, 2.0 / 3.0, 21):
-            cap = 0.5 * np.sqrt(np.maximum(inv.u - 2.0, 0.0) * gamma * inv.S)
-            if np.all(inv.rho_perp <= cap + MARGIN_TOL):
+        for gamma, caps in zip(COUPLED_GAMMAS, summary.coupled):
+            if caps:
                 bound = (40.0 + 12.0 * gamma) / (18.0 + 9.0 * gamma)
                 entry = _entry(
                     "main5_coupled", max_S > bound - MARGIN_TOL
@@ -387,7 +402,7 @@ def certify(spec: ImmersionSpec, fields: SurfaceFields,
 
     # nonexistence exclusion: constant S > 2 never occurs for minimal
     # surfaces in spheres
-    if _is_constant(inv.S) and mean_S > 2.0 + WINDOW_TOL:
+    if _is_constant(summary, "S") and mean_S > 2.0 + WINDOW_TOL:
         entries.append(TheoremEntry(
             theorem="bryant_exclusion", verdict="violated",
             hypothesis="S constant",

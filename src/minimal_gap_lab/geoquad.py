@@ -4,25 +4,31 @@ Sphere charts get Gauss-Legendre nodes in cos(theta) tensored with a uniform
 phi grid; torus charts get the uniform tensor grid (spectrally accurate for
 trigonometric integrands).  Every per-node layer runs on tiles of the grid:
 blocks of whole u-rows, which the resolution alone fixes, each evaluated from
-its 1-D axes.  The reduction is an exactly-rounded fixed-order sum, so
-integrals are bit-identical whatever the worker count.
+its 1-D axes.  Each tile is reduced at once to a fixed-size `FieldSummary`
+(extrema, node sums, guard counts, exact integral partials), and no array
+over the whole grid is ever built.  The integrals are exactly rounded sums,
+so they are bit-identical whatever the tiles or the worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
+from typing import NamedTuple
 
 import numpy as np
 
 # The package loads its submodules lazily, and on Python 3.11 a lazy module
 # is not thread-safe while it loads.  These `from ... import` lines load
 # every module that the `evaluate_fields` pool threads reach (`surfaces`,
-# `invariants`, `harmonics`, `errors`) here, in the importing thread, before
-# any pool starts.  Keep them as name imports.
+# `invariants`, `gaps`, `harmonics`, `errors`) here, in the importing thread,
+# before any pool starts.  Keep them as name imports.
 from minimal_gap_lab.errors import DomainError, InvariantViolation, ValidationError
+from minimal_gap_lab.gaps import coupled_caps_hold, pinch_caps_hold
 from minimal_gap_lab.invariants import (
     B1_CROSS_TOL,
     PointInvariants,
@@ -46,7 +52,7 @@ from minimal_gap_lab.surfaces import (
 DEFAULT_RESOLUTION = {"sphere": (64, 128), "torus": (64, 64)}
 GAP_NONNEG_TOL = 1e-6
 NODE_CHUNK = 3072       # nodes per tile at most: bounds the per-tile arrays
-MAX_NODES = 2 ** 20     # grid nodes at most (1024x1024): bounds the grid arrays
+MAX_NODES = 2 ** 20     # grid nodes at most (1024x1024): bounds the work of a run
 BESSEL_J0_ZERO = 2.404825557695773     # j_{0,1}, the first zero of J_0
 NEWTON_MAX = 16         # Newton steps per Gauss-Legendre solve; 4-5 suffice
 NEWTON_STEP_TOL = 1e-15  # a Newton step this small leaves a node exact to rounding
@@ -100,8 +106,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 class QuadratureGrid:
     """Tensor-product nodes with chart-measure weights.
 
-    `u_axis` and `v_axis` are the 1-D axes; every per-node array is
-    flattened row-major, so node i * n_v + j sits at (u_axis[i], v_axis[j]).
+    Node i * n_v + j sits at (u_axis[i], v_axis[j]) with the chart weight
+    u_weight[i] * v_weight[j]; each tile takes its area element from its
+    own jet, so the grid keeps no per-node array.
     """
 
     spec_name: str
@@ -109,18 +116,21 @@ class QuadratureGrid:
     resolution: tuple            # (n_u, n_v)
     u_axis: np.ndarray           # (n_u,)
     v_axis: np.ndarray           # (n_v,)
-    u: np.ndarray                # (n,)
-    v: np.ndarray
-    weight: np.ndarray           # chart weight; area element kept separately
-    sqrt_det_g: np.ndarray
+    u_weight: np.ndarray         # (n_u,)
+    v_weight: np.ndarray         # (n_v,)
 
     @property
     def node_count(self) -> int:
-        return self.u.size
+        return self.resolution[0] * self.resolution[1]
+
+    def node(self, index: int) -> tuple[float, float]:
+        """(u, v) of the node with row-major index `index`."""
+        row, col = divmod(index, self.resolution[1])
+        return float(self.u_axis[row]), float(self.v_axis[col])
 
 
 def build_grid(spec: ImmersionSpec, resolution=None) -> QuadratureGrid:
-    """Quadrature nodes, weights, and cached area elements for one surface."""
+    """Quadrature nodes and weights for one surface, as 1-D axes."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION[spec.chart]
     n_u, n_v = resolution
@@ -148,38 +158,13 @@ def build_grid(spec: ImmersionSpec, resolution=None) -> QuadratureGrid:
         if theta[0] < spec.pole_margin or theta[-1] > math.pi - spec.pole_margin:
             raise too_polar(f"{theta[0]:.3g}")
         w_theta = w[::-1] / np.sin(theta)      # d(theta) weight for f*sqrt(g)
-        phi = np.arange(n_v) * (2.0 * math.pi / n_v)
-        w_phi = np.full(n_v, 2.0 * math.pi / n_v)
     else:
         theta = np.arange(n_u) * (2.0 * math.pi / n_u)
         w_theta = np.full(n_u, 2.0 * math.pi / n_u)
-        phi = np.arange(n_v) * (2.0 * math.pi / n_v)
-        w_phi = np.full(n_v, 2.0 * math.pi / n_v)
-
-    sqrt_det_g = np.empty((n_u, n_v))
-    for rows, cols in grid_tiles((n_u, n_v)):
-        E, F, G = first_fundamental_form(
-            eval_jet(spec, (theta[rows, None], phi[None, cols]), order=1))
-        sqrt_det_g[rows, cols] = np.sqrt(E * G - F * F)
     return QuadratureGrid(
         spec_name=spec.name, chart=spec.chart, resolution=(n_u, n_v),
-        u_axis=theta, v_axis=phi, u=np.repeat(theta, n_v), v=np.tile(phi, n_u),
-        weight=np.outer(w_theta, w_phi).ravel(), sqrt_det_g=sqrt_det_g.ravel())
-
-
-def integrate(values, grid: QuadratureGrid) -> float:
-    """Sum w * sqrt(det g) * f with an exactly-rounded fixed-order reduction."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.u.shape:
-        raise ValueError("field values do not match the grid nodes")
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        node = int(np.argmax(bad))
-        raise InvariantViolation(
-            f"field evaluation failed at node {node} "
-            f"(u={grid.u[node]:.6f}, v={grid.v[node]:.6f})")
-    # a memoryview hands fsum the floats one by one, with no list of them
-    return math.fsum(memoryview(grid.weight * grid.sqrt_det_g * values))
+        u_axis=theta, v_axis=np.arange(n_v) * (2.0 * math.pi / n_v),
+        u_weight=w_theta, v_weight=np.full(n_v, 2.0 * math.pi / n_v))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +173,7 @@ def integrate(values, grid: QuadratureGrid) -> float:
 
 @dataclass
 class SurfaceFields:
-    """All pointwise fields evaluated on a grid, plus trust flags."""
+    """All pointwise fields on one tile, its nodes in row-major order."""
 
     inv: PointInvariants
     b1_simons: np.ndarray
@@ -196,66 +181,208 @@ class SurfaceFields:
     b1_cross: np.ndarray
     delta_S: np.ndarray
     codazzi_residual: np.ndarray
-    flagged: np.ndarray
-
-    @property
-    def flagged_fraction(self) -> float:
-        return float(np.mean(self.flagged))
+    sqrt_det_g: np.ndarray        # the area element
 
 
-def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray, v_cols: np.ndarray,
-                  tols: dict | None = None) -> SurfaceFields:
-    """The fields on the tile u_rows x v_cols, its nodes in row-major order;
-    `tols` maps `GUARDS` keys to tolerances, and a missing key takes the
-    default."""
+def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray,
+                  v_cols: np.ndarray) -> SurfaceFields:
+    """The fields on the tile u_rows x v_cols, its nodes in row-major order."""
     # one jet serves every layer: the Taylor series of S reads it to order 4,
-    # the frame, h and grad h to order 3.  The Simons route runs first, while
-    # the jet is the only other tile array alive, and of grad h only the
-    # fields below outlive it.
+    # the frame, h and grad h to order 3, the area element to order 1.  The
+    # Simons route runs first, while the jet is the only other tile array
+    # alive, and of grad h only the fields below outlive it.
     tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=JET_ORDER_MAX)
     jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
               {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
+    E, F, G = first_fundamental_form(jet)
     laplacian_S = laplace_beltrami(jet, second_norm_field(jet))
     grad = covariant_grad_h(jet, adapted_frame(jet))
     b1_direct, codazzi_residual, shape = grad.b1_direct, grad.codazzi_residual, grad.shape
     del grad
     inv = point_invariants(shape)
     simons = b1_from_laplacian(laplacian_S, inv)
-    fields = SurfaceFields(
+    return SurfaceFields(
         inv=inv,
         b1_simons=simons.b1,
         b1_direct=b1_direct,
         b1_cross=np.abs(simons.b1 - b1_direct),
         delta_S=simons.laplacian_S,
         codazzi_residual=codazzi_residual,
-        flagged=np.zeros(jet.u.shape, dtype=bool),
+        sqrt_det_g=np.sqrt(E * G - F * F),
     )
-    tols = tols or {}
-    for key, (name, default) in GUARDS.items():
-        fields.flagged |= getattr(fields, name) > tols.get(key, default)
-    return fields
 
 
-def _gather_fields(chunks, nodes: int) -> SurfaceFields:
-    """Copy each tile's fields, in node order, into whole-grid arrays.
+# ---------------------------------------------------------------------------
+# the per-tile reduction
+# ---------------------------------------------------------------------------
 
-    A tile covers consecutive nodes and is dropped once copied, so the tiles
-    never all live beside the whole-grid arrays.
+# the fields the report summarizes, in report order
+INVARIANT_NAMES = tuple(f.name for f in dc_fields(PointInvariants))
+FIELD_NAMES = ("b1_simons", "b1_direct", "b1_cross", "delta_S", "codazzi_residual")
+# the fields with extrema: the reported ones, and lambda1 - lambda2
+_EXTREMA = {name: i for i, name in
+            enumerate(INVARIANT_NAMES + FIELD_NAMES + ("lambda_gap",))}
+
+
+def _integrands(f: SurfaceFields) -> dict:
+    """Integrand name -> its per-node values; `integral_report` reads each
+    one's integral from `FieldSummary.integral`."""
+    inv = f.inv
+    S = inv.S
+    s2l2 = (S - 2.0 * inv.lambda2) ** 2
+    return {
+        "area": np.ones_like(S),
+        "K": inv.K,
+        "S": S,
+        "delta_S": f.delta_S,
+        "gap1": S * (3.0 * S - 4.0) - s2l2,              # S(3S-4) - (S-2 l2)^2
+        "b1_direct": f.b1_direct,
+        "gap2_form1": S * (3.0 * S - 4.0) * (3.0 * S - 5.0) + 0.5 * (16.0 - 9.0 * S) * s2l2,
+        "gap2_form2": 0.5 * S * (S - 2.0) * (9.0 * S - 20.0)
+        + 2.0 * inv.rho_perp ** 2 * (9.0 * S - 16.0),
+        "rho_perp2": inv.rho_perp ** 2,
+        "u": inv.u,
+    }
+
+
+def _partials(values) -> list[float]:
+    """Floats whose exact sum is the exact sum of `values`: s_k =
+    fsum(values, -s_0, ..., -s_(k-1)) until one is 0 (or not finite).
+
+    `values` is read once per partial, so it must be a sequence.  One
+    `math.fsum` over the partials of several sets rounds to the same float
+    as one `fsum` over all their values (Shewchuk, DCG 1997).
     """
-    inv_names = [f.name for f in dc_fields(PointInvariants)]
-    names = [f.name for f in dc_fields(SurfaceFields) if f.name != "inv"]
-    out, start = None, 0
-    for chunk in chunks:
-        parts = [getattr(chunk.inv, name) for name in inv_names] + \
-            [getattr(chunk, name) for name in names]
-        if out is None:
-            out = [np.empty(nodes, part.dtype) for part in parts]
-        stop = start + parts[0].size
-        for whole, part in zip(out, parts):
-            whole[start:stop] = part
-        start = stop
-    return SurfaceFields(inv=PointInvariants(**dict(zip(inv_names, out))),
-                         **dict(zip(names, out[len(inv_names):])))
+    parts = []
+    while True:
+        total = math.fsum(itertools.chain(values, [-p for p in parts]))
+        if total == 0.0:
+            return parts or [total]       # a zero sum keeps its sign
+        parts.append(total)
+        if not math.isfinite(total):
+            return parts
+
+
+class Guard(NamedTuple):
+    """One guard's tally: flagged nodes, its largest residual and the first
+    node with it."""
+
+    count: int
+    worst: float
+    node: int
+
+    def merge(self, later: "Guard") -> "Guard":
+        # a tie keeps the earlier node, as np.argmax does
+        worst = later if later.worst > self.worst else self
+        return Guard(self.count + later.count, worst.worst, worst.node)
+
+
+@dataclass
+class FieldSummary:
+    """The fields of a grid, or of a run of its tiles, reduced to a fixed size.
+
+    `low`/`high` hold the extrema of each `_EXTREMA` field, `sums` the exact
+    partials of each reported field's per-tile `np.sum` (for its node mean),
+    `integrals` the exact partials of sum w sqrt(det g) f of each
+    `_integrands` entry.  `pinch` and `coupled` say, for each gamma of
+    `gaps.PINCH_GAMMAS` and `gaps.COUPLED_GAMMAS`, whether its rho_perp cap
+    holds at every node.
+    """
+
+    nodes: int
+    low: np.ndarray
+    high: np.ndarray
+    sums: dict
+    integrals: dict
+    flagged: int                  # nodes that any guard flags
+    guards: dict                  # `GUARDS` key -> Guard
+    pinch: np.ndarray
+    coupled: np.ndarray
+
+    def min(self, name: str) -> float:
+        return float(self.low[_EXTREMA[name]])
+
+    def max(self, name: str) -> float:
+        return float(self.high[_EXTREMA[name]])
+
+    def abs_max(self, name: str) -> float:
+        """max |field|, which one of the extrema attains."""
+        return max(abs(self.min(name)), abs(self.max(name)))
+
+    def mean(self, name: str) -> float:
+        return math.fsum(self.sums[name]) / self.nodes
+
+    def stats(self, name: str) -> dict:
+        return {"min": self.min(name), "max": self.max(name), "mean": self.mean(name)}
+
+    def integral(self, name: str) -> float:
+        return math.fsum(self.integrals[name])
+
+    @property
+    def flagged_fraction(self) -> float:
+        return self.flagged / self.nodes
+
+    def merge(self, later: "FieldSummary") -> "FieldSummary":
+        """The summary of these nodes followed by `later`'s."""
+        return FieldSummary(
+            nodes=self.nodes + later.nodes,
+            # np.minimum/np.maximum keep a NaN, as np.min/np.max do
+            low=np.minimum(self.low, later.low),
+            high=np.maximum(self.high, later.high),
+            sums={k: _partials(v + later.sums[k]) for k, v in self.sums.items()},
+            integrals={k: _partials(v + later.integrals[k])
+                       for k, v in self.integrals.items()},
+            flagged=self.flagged + later.flagged,
+            guards={k: g.merge(later.guards[k]) for k, g in self.guards.items()},
+            pinch=self.pinch & later.pinch,
+            coupled=self.coupled & later.coupled,
+        )
+
+
+def reduce_tile(fields: SurfaceFields, grid: QuadratureGrid, tile,
+                tols: dict | None = None) -> FieldSummary:
+    """The summary of one tile's fields; `tile` is its (rows, cols) slices
+    of `grid`, and `tols` maps `GUARDS` keys to tolerances (a missing key
+    takes the default).  An integrand that is not finite raises, naming the
+    node."""
+    rows, cols = tile
+    start = rows.start * grid.resolution[1] + cols.start
+    integrands = _integrands(fields)
+    for values in integrands.values():
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            node = start + int(np.argmax(bad))
+            u, v = grid.node(node)
+            raise InvariantViolation(
+                f"field evaluation failed at node {node} (u={u:.6f}, v={v:.6f})")
+    inv = fields.inv
+    reported = [getattr(inv, name) for name in INVARIANT_NAMES] + \
+        [getattr(fields, name) for name in FIELD_NAMES]
+    extrema = reported + [inv.lambda1 - inv.lambda2]
+    weight = np.outer(grid.u_weight[rows], grid.v_weight[cols]).ravel() * fields.sqrt_det_g
+
+    tols = tols or {}
+    flagged = np.zeros(weight.shape, dtype=bool)
+    guards = {}
+    for key, (name, default) in GUARDS.items():
+        residual = getattr(fields, name)
+        over = residual > tols.get(key, default)
+        flagged |= over
+        i = int(np.argmax(residual))
+        guards[key] = Guard(int(over.sum()), float(residual[i]), start + i)
+    return FieldSummary(
+        nodes=weight.size,
+        low=np.array([np.min(x) for x in extrema]),
+        high=np.array([np.max(x) for x in extrema]),
+        sums={name: [float(np.sum(x))]
+              for name, x in zip(INVARIANT_NAMES + FIELD_NAMES, reported)},
+        integrals={name: _partials((weight * values).tolist())
+                   for name, values in integrands.items()},
+        flagged=int(flagged.sum()),
+        guards=guards,
+        pinch=pinch_caps_hold(inv),
+        coupled=coupled_caps_hold(inv),
+    )
 
 
 def usable_cpus() -> int:
@@ -294,27 +421,28 @@ def grid_tiles(resolution) -> list[tuple[slice, slice]]:
 
 
 def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
-                    workers: int = 1, tols: dict | None = None) -> SurfaceFields:
-    """Evaluate every pointwise field at every grid node, its guards at the
-    tolerances `tols` (see `_fields_chunk`).
+                    workers: int = 1, tols: dict | None = None) -> FieldSummary:
+    """The summary of every pointwise field on the grid, its guards at the
+    tolerances `tols` (see `reduce_tile`).
 
     Node evaluation is pure, so the grid is evaluated tile by tile
-    (`grid_tiles`), which bounds the memory of one tile whatever the grid;
-    tiles are merged back in node order, and at most `pool_size` threads run
-    them.  The tiles do not depend on the worker count, so neither does the
-    result.
+    (`grid_tiles`), which bounds the memory of one tile whatever the grid.
+    Each tile is reduced as soon as it is evaluated, the tile summaries are
+    merged in node order, and at most `pool_size` threads run the tiles.
+    The tiles do not depend on the worker count, so neither does the result.
     """
     tiles = grid_tiles(grid.resolution)
     threads = pool_size(max(1, int(workers)), len(tiles))
 
     def run(tile):
         rows, cols = tile
-        return _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols], tols=tols)
+        fields = _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols])
+        return reduce_tile(fields, grid, tile, tols)
 
     if threads == 1:
-        return _gather_fields(map(run, tiles), grid.node_count)
+        return functools.reduce(FieldSummary.merge, map(run, tiles))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _gather_fields(pool.map(run, tiles), grid.node_count)
+        return functools.reduce(FieldSummary.merge, pool.map(run, tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -345,25 +473,15 @@ class IntegralReport:
     flagged_fraction: float
 
 
-def integral_report(spec: ImmersionSpec, grid: QuadratureGrid, fields: SurfaceFields,
+def integral_report(spec: ImmersionSpec, grid: QuadratureGrid, summary: FieldSummary,
                     nonneg_tol: float = GAP_NONNEG_TOL) -> IntegralReport:
-    inv = fields.inv
-    area = integrate(np.ones_like(grid.u), grid)
-    int_K = integrate(inv.K, grid)
-    int_S = integrate(inv.S, grid)
-    int_delta_S = integrate(fields.delta_S, grid)
-
-    s2l2 = (inv.S - 2.0 * inv.lambda2) ** 2
-    gap1_lhs = integrate(inv.S * (3.0 * inv.S - 4.0) - s2l2, grid)
-    gap1_rhs = 2.0 * integrate(fields.b1_direct, grid)
+    area = summary.integral("area")
+    int_K = summary.integral("K")
+    gap1_lhs = summary.integral("gap1")
+    gap1_rhs = 2.0 * summary.integral("b1_direct")
     gap1_rel = abs(gap1_lhs - gap1_rhs) / max(abs(gap1_lhs), abs(gap1_rhs), area)
-
-    form1 = inv.S * (3.0 * inv.S - 4.0) * (3.0 * inv.S - 5.0) \
-        + 0.5 * (16.0 - 9.0 * inv.S) * s2l2
-    form2 = 0.5 * inv.S * (inv.S - 2.0) * (9.0 * inv.S - 20.0) \
-        + 2.0 * inv.rho_perp ** 2 * (9.0 * inv.S - 16.0)
-    gap2_form1 = integrate(form1, grid)
-    gap2_form2 = integrate(form2, grid)
+    gap2_form1 = summary.integral("gap2_form1")
+    gap2_form2 = summary.integral("gap2_form2")
     gap2_rel = abs(gap2_form1 - gap2_form2) / max(abs(gap2_form1),
                                                   abs(gap2_form2), area)
 
@@ -382,26 +500,25 @@ def integral_report(spec: ImmersionSpec, grid: QuadratureGrid, fields: SurfaceFi
             f"euler_char: {spec.name} declares {spec.euler_char}, but "
             f"Gauss-Bonnet gives int K / 2 pi = {chi:.6g}")
 
-    int_rho2 = integrate(inv.rho_perp ** 2, grid)
     return IntegralReport(
         surface=spec.name,
         resolution=grid.resolution,
         area=area,
         int_K=int_K,
         gauss_bonnet_residual=int_K - 2.0 * math.pi * spec.euler_char,
-        int_S=int_S,
-        int_delta_S=int_delta_S,
+        int_S=summary.integral("S"),
+        int_delta_S=summary.integral("delta_S"),
         gap1_lhs=gap1_lhs,
         gap1_rhs=gap1_rhs,
         gap1_residual_rel=gap1_rel,
         gap2_form1=gap2_form1,
         gap2_form2=gap2_form2,
         gap2_residual_rel=gap2_rel,
-        bound_445=1.0 + math.sqrt(1.0 + int_rho2 / area),
-        mean_u=integrate(inv.u, grid) / area,
-        max_u=float(np.max(inv.u)),
-        min_u=float(np.min(inv.u)),
-        min_rho_perp=float(np.min(inv.rho_perp)),
-        max_rho_perp=float(np.max(inv.rho_perp)),
-        flagged_fraction=fields.flagged_fraction,
+        bound_445=1.0 + math.sqrt(1.0 + summary.integral("rho_perp2") / area),
+        mean_u=summary.integral("u") / area,
+        max_u=summary.max("u"),
+        min_u=summary.min("u"),
+        min_rho_perp=summary.min("rho_perp"),
+        max_rho_perp=summary.max("rho_perp"),
+        flagged_fraction=summary.flagged_fraction,
     )

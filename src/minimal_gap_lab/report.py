@@ -4,8 +4,8 @@ Reports are nested key-value trees rendered to UTF-8 text with a fixed field
 order and every float printed at 17 significant digits, so identical configs
 produce byte-identical reports across runs and worker counts.
 
-numpy is imported only by `summary`, so rendering the exact engine's reports
-never loads it.
+The module never imports numpy, so rendering the exact engine's reports
+never loads it; numpy scalars are recognized only once numpy is loaded.
 """
 
 from __future__ import annotations
@@ -76,13 +76,3 @@ def write_csv(path, header: list[str], rows) -> None:
         for row in rows:
             fh.write(",".join(fmt(x) for x in row) + "\n")
 
-
-def summary(values) -> dict:
-    import numpy as np
-
-    values = np.asarray(values, dtype=float)
-    return {
-        "min": float(np.min(values)),
-        "max": float(np.max(values)),
-        "mean": float(np.mean(values)),
-    }

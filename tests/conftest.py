@@ -1,5 +1,6 @@
 """Shared fixtures: heavy artifacts are built once per session."""
 
+import functools
 from types import SimpleNamespace
 
 import pytest
@@ -62,9 +63,19 @@ def rotated_mixed_torus():
     return parse_spec_dict(dict(MIXED_TORUS_DOC, components=components))
 
 
+class _Bundle(SimpleNamespace):
+    @functools.cached_property
+    def fields(self):
+        """The per-node fields, evaluated on first use."""
+        from tile_fields import grid_fields
+
+        return grid_fields(self.spec, self.grid)
+
+
 @pytest.fixture(scope="session")
 def bundle(mixed_torus):
-    """Per-surface (spec, grid, fields, report, certificate), computed once."""
+    """Per-surface (spec, grid, summary, report, certificate), computed once,
+    and the per-node `fields` when a test reads them."""
     from minimal_gap_lab.gaps import certify
     from minimal_gap_lab.geoquad import build_grid, evaluate_fields, integral_report
     from minimal_gap_lab.surfaces import load_immersion
@@ -79,11 +90,11 @@ def bundle(mixed_torus):
             else:
                 spec = load_immersion(name)
             grid = build_grid(spec, resolution)
-            fields = evaluate_fields(spec, grid)
-            report = integral_report(spec, grid, fields)
-            cert = certify(spec, fields, report)
-            cache[key] = SimpleNamespace(spec=spec, grid=grid, fields=fields,
-                                         report=report, cert=cert)
+            summary = evaluate_fields(spec, grid)
+            report = integral_report(spec, grid, summary)
+            cert = certify(spec, summary, report)
+            cache[key] = _Bundle(spec=spec, grid=grid, summary=summary,
+                                 report=report, cert=cert)
         return cache[key]
 
     return get

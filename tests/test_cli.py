@@ -5,6 +5,7 @@ import math
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from minimal_gap_lab import cli, gaps, geoquad, identities, surfaces
@@ -380,6 +381,52 @@ def test_verify_distrust_exit_code(capsys):
     assert int(match[1]) == int(match[2]) > 0.01 * 64
     assert float(match[3]) > 0.0
     assert 0.0 <= float(match[4]) < 2 * math.pi and 0.0 <= float(match[5]) < 2 * math.pi
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_distrust_line_equals_a_per_node_recomputation(capsys, monkeypatch, workers):
+    # four tiles of 16 nodes; the residuals are forged so that nodes are
+    # flagged in every tile, by both guards, and the largest b1_cross is
+    # tied in three tiles: the line names the earliest of those nodes
+    from tile_fields import grid_fields, grid_nodes, tile_slices
+
+    spec = catalog_entry("clifford")
+    grid = geoquad.build_grid(spec, (8, 8))
+    monkeypatch.setattr(geoquad, "NODE_CHUNK", 16)
+    tiles = tile_slices(grid)
+    assert [nodes.stop - nodes.start for _, nodes in tiles] == [16] * 4
+    real_chunk = geoquad._fields_chunk
+
+    def forged_chunk(spec, u_rows, v_cols):
+        fields = real_chunk(spec, u_rows, v_cols)
+        tile = int(np.searchsorted(grid.u_axis, u_rows[0])) // 2
+        local = np.arange(fields.b1_cross.size)
+        fields.b1_cross = np.where((local % 5 == 0) & (tile > 0), 7e-4, 1e-6 * tile)
+        fields.codazzi_residual = np.where(local % 7 == 3, 2e-6, 0.0)
+        return fields
+
+    monkeypatch.setattr(geoquad, "_fields_chunk", forged_chunk)
+    code, _, err = run_cli(capsys, "verify", "--surface", "clifford",
+                           "--resolution", "8x8", "--workers", workers)
+    assert code == 3
+
+    fields = grid_fields(spec, grid, forged_chunk)
+    tols = cli.TOLERANCE_DEFAULTS
+    over = {key: getattr(fields, name) > tols[key]
+            for key, (name, _) in geoquad.GUARDS.items()}
+    flagged = over["codazzi"] | over["b1_cross"]
+    ties = np.flatnonzero(fields.b1_cross == fields.b1_cross.max())
+    assert len({i // 16 for i in ties}) == 3 and len({i // 16 for i in np.flatnonzero(flagged)}) == 4
+    counts = {key: int(mask.sum()) for key, mask in over.items()}
+    worst = max(counts, key=counts.get)
+    residual = getattr(fields, geoquad.GUARDS[worst][0])
+    i = int(residual.argmax())
+    assert i == ties[0] == 16
+    u, v = grid_nodes(grid)
+    expected = (f"distrust: clifford: {flagged.sum()} of 64 nodes flagged, above the "
+                f"budget 0.01; codazzi {counts['codazzi']}, b1_cross {counts['b1_cross']}; "
+                f"worst {worst} {residual[i]:.3e} at (u, v) = ({u[i]:.6f}, {v[i]:.6f})")
+    assert err.splitlines() == [expected]
 
 
 def test_thresholds_default(capsys, tmp_path):

@@ -9,6 +9,9 @@ import pytest
 
 from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.gaps import (
+    COUPLED_GAMMAS,
+    MARGIN_TOL,
+    PINCH_GAMMAS,
     TAU_STAR,
     calabi_S,
     calabi_constants,
@@ -18,8 +21,17 @@ from minimal_gap_lab.gaps import (
     threshold_T,
     threshold_table,
 )
-from minimal_gap_lab.geoquad import SurfaceFields
-from minimal_gap_lab.invariants import PointInvariants
+from minimal_gap_lab import geoquad
+from minimal_gap_lab.geoquad import build_grid
+from minimal_gap_lab.surfaces import catalog_entry
+
+from tile_fields import forged_fields, summarize
+
+
+def _synthetic_summary(**values):
+    """The summary of constant forged fields on the tiles of an 8x8 grid."""
+    grid = build_grid(catalog_entry("clifford"), (8, 8))
+    return summarize(forged_fields(grid.node_count, **values), grid)
 
 
 # ------------------------------------------------------ Calabi constants
@@ -205,20 +217,12 @@ def test_main6_integral_attained_on_catalog(bundle):
 def test_main5_coupled_synthetic_coverage():
     # constant synthetic fields satisfying the coupled hypothesis:
     # S = 2.4, lambda2 = 0.05 -> u = 2.45, rho0 = S^2 - (S - 2 l2)^2
-    n = 16
-    S = np.full(n, 2.4)
-    lam2 = np.full(n, 0.05)
+    S, lam2 = 2.4, 0.05
     rho0 = S ** 2 - (S - 2 * lam2) ** 2
-    inv = PointInvariants(
+    fields = _synthetic_summary(
         S=S, normA2=(2 * S ** 2 - rho0) / 2, rho0=rho0,
-        rho_perp=np.sqrt(rho0) / 2, lambda1=S - lam2, lambda2=lam2,
-        u=S + lam2, t=(S - 2 * lam2) / S, K=(2 - S) / 2,
-        ddvv_slack=S ** 2 - rho0, hopf_re=np.zeros(n), hopf_im=np.zeros(n),
-        minimality_residual=np.zeros(n))
-    zeros = np.zeros(n)
-    fields = SurfaceFields(
-        inv=inv, b1_simons=zeros, b1_direct=zeros, b1_cross=zeros,
-        delta_S=zeros, codazzi_residual=zeros, flagged=zeros.astype(bool))
+        rho_perp=math.sqrt(rho0) / 2, lambda1=S - lam2, lambda2=lam2,
+        u=S + lam2, t=(S - 2 * lam2) / S, K=(2 - S) / 2, ddvv_slack=S ** 2 - rho0)
     spec = SimpleNamespace(chart="torus", euler_char=0, name="synthetic")
     report = SimpleNamespace(bound_445=1.5, area=10.0)
     cert = certify(spec, fields, report, raise_on_violation=False)
@@ -229,18 +233,9 @@ def test_main5_coupled_synthetic_coverage():
 
 def test_bryant_exclusion_violation_detected():
     # constant S = 2.2 > 2 cannot happen; the certificate must flag it
-    n = 8
-    S = np.full(n, 2.2)
-    lam2 = np.zeros(n)
-    inv = PointInvariants(
-        S=S, normA2=S ** 2, rho0=np.zeros(n), rho_perp=np.zeros(n),
-        lambda1=S, lambda2=lam2, u=S, t=np.ones(n), K=(2 - S) / 2,
-        ddvv_slack=S ** 2, hopf_re=np.zeros(n), hopf_im=np.zeros(n),
-        minimality_residual=np.zeros(n))
-    zeros = np.zeros(n)
-    fields = SurfaceFields(
-        inv=inv, b1_simons=zeros, b1_direct=zeros, b1_cross=zeros,
-        delta_S=zeros, codazzi_residual=zeros, flagged=zeros.astype(bool))
+    S = 2.2
+    fields = _synthetic_summary(S=S, normA2=S ** 2, lambda1=S, u=S, t=1.0,
+                                K=(2 - S) / 2, ddvv_slack=S ** 2)
     spec = SimpleNamespace(chart="torus", euler_char=0, name="impossible")
     report = SimpleNamespace(bound_445=1.0, area=10.0)
     cert = certify(spec, fields, report, raise_on_violation=False)
@@ -248,3 +243,30 @@ def test_bryant_exclusion_violation_detected():
     assert cert.entry("bryant_exclusion").verdict == "violated"
     with pytest.raises(InvariantViolation):
         certify(spec, fields, report)
+
+
+@pytest.mark.parametrize("name", ["clifford", "veronese", "forged"])
+def test_gamma_caps_merge_to_the_per_node_tests(name, bundle, monkeypatch):
+    # the tiles' gamma booleans, merged, are the hypotheses' tests over every
+    # node at once.  The catalog's caps hold at all nodes or at none; the
+    # forged rho_perp grows across four tiles, so each cap holds in the
+    # first tiles only, up to some gamma
+    if name == "forged":
+        grid = build_grid(catalog_entry("clifford"), (8, 8))
+        monkeypatch.setattr(geoquad, "NODE_CHUNK", 16)
+        fields = forged_fields(grid.node_count, rho_perp=np.linspace(0.0, 1.0, 64),
+                               K=1.0, u=3.0, S=1.0)
+        inv, summary = fields.inv, summarize(fields, grid)
+    else:
+        inv, summary = bundle(name).fields.inv, bundle(name).summary
+    pinch = [bool(np.all(inv.rho_perp <= 0.5 * np.sqrt(gamma * np.abs(inv.K))
+                         + MARGIN_TOL)) for gamma in np.linspace(0.0, 4.0, 41)]
+    coupled = [bool(np.all(inv.rho_perp <= 0.5 * np.sqrt(
+        np.maximum(inv.u - 2.0, 0.0) * gamma * inv.S) + MARGIN_TOL))
+        for gamma in np.linspace(0.0, 2.0 / 3.0, 21)]
+    if name == "forged":
+        assert 0 < sum(pinch) < 41 and not any(coupled)
+    assert summary.pinch.tolist() == pinch
+    assert summary.coupled.tolist() == coupled
+    assert np.array_equal(PINCH_GAMMAS, np.linspace(0.0, 4.0, 41))
+    assert np.array_equal(COUPLED_GAMMAS, np.linspace(0.0, 2.0 / 3.0, 21))

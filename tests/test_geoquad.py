@@ -1,6 +1,5 @@
 """Tests for quadrature grids, integration, and the integral identities."""
 
-import dataclasses
 import functools
 import math
 import os
@@ -9,6 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimal_gap_lab import geoquad
 from minimal_gap_lab.errors import DomainError, InvariantViolation
@@ -16,16 +16,16 @@ from minimal_gap_lab.geoquad import (
     MAX_NODES,
     NODE_CHUNK,
     _fields_chunk,
+    _partials,
     build_grid,
     evaluate_fields,
     gauss_legendre,
     grid_tiles,
     integral_report,
-    integrate,
     pool_size,
 )
 from minimal_gap_lab.gaps import calabi_S, calabi_constants
-from minimal_gap_lab.invariants import PointInvariants, point_invariants
+from minimal_gap_lab.invariants import point_invariants
 from minimal_gap_lab.surfaces import (
     _catalog_sphere_entry,
     adapted_frame,
@@ -35,6 +35,33 @@ from minimal_gap_lab.surfaces import (
 )
 
 from gram_oracle import second_route_residuals
+from tile_fields import (
+    INVARIANT_NAMES,
+    NODE_ARRAYS,
+    forged_fields,
+    grid_fields,
+    grid_nodes,
+    summarize,
+    tile_slices,
+)
+
+
+def _summary_bits(summary) -> tuple:
+    """Every value of a FieldSummary, floats as their bits."""
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    return (summary.nodes, bits(summary.low), bits(summary.high),
+            [(k, bits(v)) for k, v in summary.sums.items()],
+            [(k, bits(v)) for k, v in summary.integrals.items()],
+            summary.flagged, [(k, g.count, bits([g.worst]), g.node)
+                              for k, g in summary.guards.items()],
+            summary.pinch.tobytes(), summary.coupled.tobytes())
+
+
+def _weights(grid) -> np.ndarray:
+    """The chart weight of every node, flattened row-major."""
+    return np.outer(grid.u_weight, grid.v_weight).ravel()
 
 
 @pytest.mark.parametrize("s", [5, 8])
@@ -43,14 +70,14 @@ def test_harmonic_sphere_in_high_codimension(s):
     # beyond the catalog's q <= 6
     spec = _catalog_sphere_entry(f"harmonic{s}", s)
     grid = build_grid(spec, (16, 32))
-    fields = evaluate_fields(spec, grid)
-    report = integral_report(spec, grid, fields)
+    summary = evaluate_fields(spec, grid)
+    report = integral_report(spec, grid, summary)
     u = 1.5 * float(calabi_S(s))
     assert abs(report.max_u - u) < 1e-10 and abs(report.min_u - u) < 1e-10
     assert abs(report.area - float(calabi_constants(s).area)) < 1e-9
-    assert fields.flagged_fraction == 0.0
+    assert summary.flagged_fraction == 0.0
     # the second routes agree to rounding at C = 2s + 1 on the grid's nodes
-    jet = eval_jet(spec, (grid.u, grid.v), order=2)
+    jet = eval_jet(spec, grid_nodes(grid), order=2)
     sp = second_fundamental_form(jet, adapted_frame(jet))
     inv = point_invariants(sp)
     residuals = second_route_residuals(sp, inv)
@@ -61,10 +88,10 @@ def test_harmonic_sphere_in_high_codimension(s):
         assert np.all(residual <= scale)
 
 
-def test_clifford_area_spectral():
-    grid = build_grid(catalog_entry("clifford"), (64, 64))
-    area = integrate(np.ones_like(grid.u), grid)
-    assert abs(area - 2.0 * math.pi ** 2) < 1e-10
+def test_clifford_area_spectral(bundle):
+    b = bundle("clifford")
+    assert b.grid.resolution == (64, 64)
+    assert abs(b.report.area - 2.0 * math.pi ** 2) < 1e-10
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -73,21 +100,20 @@ def test_clifford_area_spectral():
     ("calabi3", 24.0 * math.pi),
     ("calabi4", 40.0 * math.pi),
 ])
-def test_sphere_areas(name, expected):
-    grid = build_grid(catalog_entry(name), (64, 128))
-    area = integrate(np.ones_like(grid.u), grid)
-    assert abs(area - expected) < 1e-6 * expected
+def test_sphere_areas(name, expected, bundle):
+    b = bundle(name)
+    assert b.grid.resolution == (64, 128)
+    assert abs(b.report.area - expected) < 1e-6 * expected
 
 
-def test_weights_positive_and_nodes_inside_margin():
+def test_weights_positive_and_nodes_inside_margin(bundle):
     for name in ("veronese", "clifford"):
-        spec = catalog_entry(name)
-        grid = build_grid(spec)
-        assert np.all(grid.weight > 0.0)
-        assert np.all(grid.sqrt_det_g > 0.0)
-        if spec.chart == "sphere":
-            assert np.min(grid.u) > spec.pole_margin
-            assert np.max(grid.u) < math.pi - spec.pole_margin
+        b = bundle(name)
+        assert np.all(b.grid.u_weight > 0.0) and np.all(b.grid.v_weight > 0.0)
+        assert np.all(b.fields.sqrt_det_g > 0.0)
+        if b.spec.chart == "sphere":
+            assert np.min(b.grid.u_axis) > b.spec.pole_margin
+            assert np.max(b.grid.u_axis) < math.pi - b.spec.pole_margin
 
 
 def test_resolution_gate():
@@ -253,7 +279,8 @@ def test_grid_tiles_cover_the_grid_within_the_budget(resolution):
 
 def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
     # the tiles are fixed by the resolution, never by --workers or the CPU
-    # count, so the per-node fields are bitwise the same for every split
+    # count, so every tile and so the summary is bitwise the same for every
+    # split
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
     expected = sorted((grid.u_axis[rows].tobytes(), grid.v_axis[cols].tobytes())
@@ -261,9 +288,9 @@ def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
     assert [rows.stop - rows.start for rows, _ in grid_tiles(grid.resolution)] == [16] * 6
     calls = []
 
-    def recording_chunk(spec, u_rows, v_cols, **tols):
+    def recording_chunk(spec, u_rows, v_cols):
         calls.append((u_rows.tobytes(), v_cols.tobytes()))
-        return _fields_chunk(spec, u_rows, v_cols, **tols)
+        return _fields_chunk(spec, u_rows, v_cols)
 
     monkeypatch.setattr("minimal_gap_lab.geoquad._fields_chunk", recording_chunk)
     results = {}
@@ -273,19 +300,15 @@ def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
         calls.clear()
         results[workers, cpus] = evaluate_fields(spec, grid, workers=workers)
         assert sorted(calls) == expected, (workers, cpus)
-    base = results[1, None]
-    for fields in results.values():
-        for name in (f.name for f in dataclasses.fields(PointInvariants)):
-            assert np.array_equal(getattr(base.inv, name), getattr(fields.inv, name)), name
-        for name in ("b1_simons", "b1_direct", "b1_cross", "delta_S", "codazzi_residual",
-                     "flagged"):
-            assert np.array_equal(getattr(base, name), getattr(fields, name)), name
+    base = _summary_bits(results[1, None])
+    for summary in results.values():
+        assert _summary_bits(summary) == base
 
 
 def test_build_grid_memory_is_a_few_arrays_per_node():
-    # build_grid keeps u, v, the weight and sqrt(det g) per node (32 bytes)
-    # and takes the metric tile by tile; a jet over the whole grid would
-    # alone cost 3 * ambient_dim * 8 = 216 bytes per node on calabi4
+    # build_grid keeps the 1-D axes and weights and no per-node array: it
+    # kept u, v, the weight and sqrt(det g) per node (32 bytes) before each
+    # tile took its area element from its own jet
     spec = catalog_entry("calabi4")
     build_grid(spec, (16, 32))          # loads the lazy modules untraced
     tracemalloc.start()
@@ -294,43 +317,106 @@ def test_build_grid_memory_is_a_few_arrays_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / grid.node_count < 48.0
+    assert peak / grid.node_count < 1.0
 
 
-def test_integrate_rejects_nan():
-    grid = build_grid(catalog_entry("clifford"), (8, 8))
-    values = np.ones_like(grid.u)
-    values[5] = np.nan
-    with pytest.raises(InvariantViolation) as err:
-        integrate(values, grid)
-    assert "node 5" in str(err.value)
+def test_evaluate_fields_memory_does_not_grow_with_the_grid():
+    # each tile is reduced as soon as it is evaluated, so a grid of 32 tiles
+    # peaks like one of 4 (3072-node tiles on both; 27.8 against 10.5 MB
+    # when the fields of every node were kept)
+    spec = catalog_entry("clifford")
+    evaluate_fields(spec, build_grid(spec, (16, 16)))   # loads the lazy modules
+    peaks = []
+    for resolution in ((64, 192), (256, 512)):
+        tracemalloc.start()
+        try:
+            evaluate_fields(spec, build_grid(spec, resolution))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_integrate_rejects_nan(monkeypatch):
+    # a NaN in a later tile names its global node and (u, v), whichever
+    # integrand it is in and whichever thread evaluates the tile
+    spec = catalog_entry("clifford")
+    grid = build_grid(spec, (8, 8))
+    monkeypatch.setattr(geoquad, "NODE_CHUNK", 16)
+    tiles = tile_slices(grid)
+    assert len(tiles) == 4
+    node = 37                                   # row 4, column 5: the third tile
+    (rows, _), nodes = tiles[2]
+    assert nodes.start <= node < nodes.stop
+    u, v = grid.node(node)
+    assert (u, v) == (grid.u_axis[4], grid.v_axis[5])
+    for field in ("K", "delta_S"):
+        def chunk(spec, u_rows, v_cols):
+            fields = _fields_chunk(spec, u_rows, v_cols)
+            if u_rows[0] == grid.u_axis[rows.start]:
+                holder = fields.inv if field in INVARIANT_NAMES else fields
+                getattr(holder, field)[node - nodes.start] = np.nan
+            return fields
+
+        monkeypatch.setattr(geoquad, "_fields_chunk", chunk)
+        for workers in (1, 2):
+            with pytest.raises(InvariantViolation) as err:
+                evaluate_fields(spec, grid, workers=workers)
+            assert f"node {node} (u={u:.6f}, v={v:.6f})" in str(err.value), (field, workers)
 
 
 @pytest.mark.parametrize("case", ["signed_zeros", "subnormals", "cancelling"])
-def test_integrate_equals_fsum_of_the_list(case):
-    # fsum reads the product through a memoryview, not a list of floats; it
-    # must round to the same float, bit for bit
+def test_integrate_equals_fsum_of_the_list(case, monkeypatch):
+    # the integral merged from the tiles' partials, each read through a
+    # memoryview, rounds to the float of one fsum over the list of every
+    # node's product, bit for bit
     grid = build_grid(catalog_entry("calabi3"), (16, 32))
+    monkeypatch.setattr(geoquad, "NODE_CHUNK", 100)
+    assert len(grid_tiles(grid.resolution)) == 6
     rng = np.random.default_rng(7)
-    values = rng.standard_normal(grid.u.shape)
+    n = grid.node_count
+    values = rng.standard_normal(n)
     if case == "signed_zeros":
         values[:] = 0.0
         values[::3] = -0.0
     elif case == "subnormals":
-        values *= 5e-324 * 2 ** rng.integers(0, 40, grid.u.shape)
+        values *= 5e-324 * 2 ** rng.integers(0, 40, n)
     else:
         values *= 1e300
         values[1::2] = -values[::2]           # pairs that cancel, up to the weights
         values[7] = 1.0
-    expected = math.fsum((grid.weight * grid.sqrt_det_g * values).tolist())
-    got = integrate(values, grid)
+    area_element = rng.uniform(0.5, 2.0, n)
+    summary = summarize(forged_fields(n, K=values, sqrt_det_g=area_element), grid)
+    expected = math.fsum((_weights(grid) * area_element * values).tolist())
+    got = summary.integral("K")
     assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
-def test_integrate_shape_mismatch():
-    grid = build_grid(catalog_entry("clifford"), (8, 8))
-    with pytest.raises(ValueError):
-        integrate(np.ones(3), grid)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_FLOATS, min_size=1, max_size=60),
+       cancel=st.booleans(), cuts=st.lists(st.integers(0, 120), max_size=12))
+def test_merged_partials_equal_one_fsum(values, cancel, cuts):
+    # tiles of uneven size, 1-node tiles among them, merged in node order as
+    # FieldSummary.merge merges them: one fsum over the merged partials is
+    # one fsum over every value, bit for bit
+    if cancel:
+        values = values + [-x for x in reversed(values)]
+    bounds = sorted({0, len(values), *(c % (len(values) + 1) for c in cuts)})
+    tiles = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    merged = functools.reduce(lambda a, b: _partials(a + b),
+                              (_partials(memoryview(np.array(t))) for t in tiles))
+    got, expected = math.fsum(merged), math.fsum(values)
+    assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+    # each partial is the rounded remainder of the ones before it, so the
+    # partials are 2^53 apart in size at least: the 2098 binary exponents
+    # of a double hold 40 of them
+    assert len(merged) <= 40
 
 
 @pytest.mark.parametrize("name", ["equator", "veronese", "calabi3", "clifford"])
@@ -393,22 +479,35 @@ def test_main6_specialization_on_two_spheres(bundle):
 
 
 def test_fields_worker_chunking_is_exact(mixed_torus, monkeypatch):
+    # every node's fields are bitwise the same in any tiling, and so is
+    # every part of the summary but the node means, whose per-tile sums
+    # follow the tiles
     grid = build_grid(mixed_torus, (16, 16))
-    f1 = evaluate_fields(mixed_torus, grid, workers=1)
-    f3 = evaluate_fields(mixed_torus, grid, workers=3)
-    # one worker, three chunks of the node budget
-    monkeypatch.setattr("minimal_gap_lab.geoquad.NODE_CHUNK", 100)
-    assert len(grid_tiles(grid.resolution)) == 3
-    fb = evaluate_fields(mixed_torus, grid, workers=1)
-    # one worker, each row cut into two column segments
-    monkeypatch.setattr("minimal_gap_lab.geoquad.NODE_CHUNK", 10)
-    assert len(grid_tiles(grid.resolution)) == 32
-    fc = evaluate_fields(mixed_torus, grid, workers=1)
-    for f in (f3, fb, fc):
-        assert np.array_equal(f1.inv.S, f.inv.S)
-        assert np.array_equal(f1.b1_direct, f.b1_direct)
-        assert np.array_equal(f1.b1_simons, f.b1_simons)
-        assert np.array_equal(f1.flagged, f.flagged)
+    tols = {"b1_cross": 1e-15}                  # flags some nodes
+    f1 = grid_fields(mixed_torus, grid)
+    s1 = evaluate_fields(mixed_torus, grid, workers=1, tols=tols)
+    s3 = evaluate_fields(mixed_torus, grid, workers=3, tols=tols)
+    assert _summary_bits(s1) == _summary_bits(s3)
+    assert 0 < s1.flagged < grid.node_count
+    per_node, summaries = [], []
+    # one worker, three chunks of the node budget; then each row cut into
+    # two column segments
+    for chunk, tiles in ((100, 3), (10, 32)):
+        monkeypatch.setattr("minimal_gap_lab.geoquad.NODE_CHUNK", chunk)
+        assert len(grid_tiles(grid.resolution)) == tiles
+        per_node.append(grid_fields(mixed_torus, grid))
+        summaries.append(evaluate_fields(mixed_torus, grid, workers=1, tols=tols))
+    for f in per_node:
+        for name in INVARIANT_NAMES:
+            assert np.array_equal(getattr(f1.inv, name), getattr(f.inv, name)), name
+        for name in NODE_ARRAYS:
+            assert np.array_equal(getattr(f1, name), getattr(f, name)), name
+    base = _summary_bits(s1)
+    for s in summaries:
+        bits = _summary_bits(s)
+        assert bits[:3] == base[:3] and bits[4:] == base[4:]
+        for name in s.sums:
+            assert s.mean(name) == pytest.approx(s1.mean(name), rel=1e-14, abs=1e-300)
 
 
 @pytest.mark.parametrize("name", ["equator", "veronese", "calabi3", "calabi4",
@@ -416,7 +515,7 @@ def test_fields_worker_chunking_is_exact(mixed_torus, monkeypatch):
 def test_b1_routes_agree_to_rounding(name, bundle):
     # both routes are exact up to rounding, so they agree far below the
     # b1_cross guard of 1e-4
-    assert np.max(bundle(name).fields.b1_cross) <= 1e-9
+    assert bundle(name).summary.max("b1_cross") <= 1e-9
 
 
 def test_quadrature_convergence_on_synthetic_field():
@@ -424,15 +523,15 @@ def test_quadrature_convergence_on_synthetic_field():
     # mesh must cut the error at least 4x until the floor
     spec = catalog_entry("veronese")
 
-    def field(grid):
-        return np.exp(np.sin(grid.u) * np.cos(grid.v))
+    def integrate_field(resolution):
+        grid = build_grid(spec, resolution)
+        u, v = grid_nodes(grid)
+        area_element = grid_fields(spec, grid).sqrt_det_g
+        return math.fsum((_weights(grid) * area_element
+                          * np.exp(np.sin(u) * np.cos(v))).tolist())
 
-    ref_grid = build_grid(spec, (96, 192))
-    ref = integrate(field(ref_grid), ref_grid)
-    errors = []
-    for res in ((8, 16), (16, 32), (32, 64)):
-        grid = build_grid(spec, res)
-        errors.append(abs(integrate(field(grid), grid) - ref))
+    ref = integrate_field((96, 192))
+    errors = [abs(integrate_field(res) - ref) for res in ((8, 16), (16, 32), (32, 64))]
     floor = 1e-10 * abs(ref)
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= max(coarse / 4.0, floor)
@@ -455,17 +554,9 @@ def test_nonnegativity_guard_trips_on_forged_fields():
     # synthetic S = 1, lambda2 = 0 makes the first gap integrand -2 < 0
     spec = catalog_entry("clifford")
     grid = build_grid(spec, (8, 8))
-    n = grid.node_count
-    ones, zeros = np.ones(n), np.zeros(n)
-    inv = PointInvariants(
-        S=ones, normA2=ones, rho0=zeros, rho_perp=zeros, lambda1=ones,
-        lambda2=zeros, u=ones, t=ones, K=0.5 * ones, ddvv_slack=ones,
-        hopf_re=zeros, hopf_im=zeros, minimality_residual=zeros)
-    from minimal_gap_lab.geoquad import SurfaceFields
-
-    forged = SurfaceFields(
-        inv=inv, b1_simons=zeros, b1_direct=zeros, b1_cross=zeros,
-        delta_S=zeros, codazzi_residual=zeros, flagged=zeros.astype(bool))
+    forged = summarize(forged_fields(
+        grid.node_count, S=1.0, normA2=1.0, lambda1=1.0, u=1.0, t=1.0, K=0.5,
+        ddvv_slack=1.0), grid)
     with pytest.raises(InvariantViolation) as err:
         integral_report(spec, grid, forged)
     assert "nonnegativity" in str(err.value)

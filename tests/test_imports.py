@@ -238,6 +238,18 @@ def test_verify_leaves_a_callers_malloc_settings_alone(verify_runs):
     assert given.stdout == tuned.stdout
 
 
+def test_report_module_never_imports_numpy():
+    # the report renders every command's tree; numpy scalars are recognized
+    # without importing numpy
+    done = _python("-c", """
+import sys
+from minimal_gap_lab.report import render_tree, write_json
+print(render_tree({"a": {"b": 0.1, "c": [1, 2.5]}}))
+print("numpy" in sys.modules)
+""")
+    assert done.stdout.decode().splitlines()[-1] == "False"
+
+
 def test_every_exported_name_resolves():
     for name in minimal_gap_lab.__all__:
         value = getattr(minimal_gap_lab, name)

@@ -247,27 +247,22 @@ def test_ddvv_equality_cases_exact():
         assert abs(float(inv.ddvv_slack)) < 1e-12
 
 
-def test_ddvv_violation_raises():
-    sp = _pair([1.0, 0.0], [0.0, 1.0])
-    sp.a[:2] = [1.0, 0.0]
-    inv = point_invariants(sp)          # fine
-    assert float(inv.ddvv_slack) == 0.0
-    bad = _pair([1.0, 0.0], [0.0, 1.0])
-    bad.b[:2] = [0.0, 1.0]
-    # forge an impossible rho0 by monkeypatching is overkill; instead check
-    # the guard trips on a synthetic negative slack
-    with pytest.raises(InvariantViolation):
-        from minimal_gap_lab import invariants as mod
+def test_ddvv_violation_raises(monkeypatch):
+    # the guard raises when the slack S^2 - rho0 falls below
+    # DDVV_SLACK_TOL * max(1, S^2).  The slack is >= 0 for every pair, so
+    # the tolerance is moved next to a known slack: a = (1, 0), b = (0, 1/2)
+    # has S = 5/2, rho0 = 4 and slack 9/4 exactly, against the scale 25/4
+    from minimal_gap_lab import invariants
 
-        orig = mod.DDVV_SLACK_TOL
-        mod.DDVV_SLACK_TOL = -0.0
-        try:
-            # hopf quantities make slack exactly 0 here; any negative zero
-            # passes, so force a tiny violation through the tolerance itself
-            mod.DDVV_SLACK_TOL = 1e-3   # demands slack > 1e-3 * scale
-            point_invariants(bad)
-        finally:
-            mod.DDVV_SLACK_TOL = orig
+    sp = _pair([1.0, 0.0], [0.0, 0.5])
+    assert float(point_invariants(sp).ddvv_slack) == 2.25
+    tol_pass, tol_raise = 0.36 * (1.0 - 2.0 ** -40), 0.36 * (1.0 + 2.0 ** -40)
+    assert tol_pass * 6.25 < 2.25 < tol_raise * 6.25
+    monkeypatch.setattr(invariants, "DDVV_SLACK_TOL", tol_pass)
+    point_invariants(sp)                       # slack just above the bound
+    monkeypatch.setattr(invariants, "DDVV_SLACK_TOL", tol_raise)
+    with pytest.raises(InvariantViolation, match="DDVV slack"):
+        point_invariants(sp)                   # slack just below the bound
 
 
 def test_u_and_t_identities_on_population(random_pairs):

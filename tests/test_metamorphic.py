@@ -27,6 +27,8 @@ from minimal_gap_lab.surfaces import (
     catalog_entry,
 )
 
+from tile_fields import grid_fields
+
 RESOLUTION = (16, 32)
 INVARIANT_FIELDS = ("S", "u", "rho_perp", "lambda1", "lambda2", "rho0", "normA2")
 B1_FIELDS = ("b1_simons", "b1_direct", "delta_S")
@@ -87,11 +89,12 @@ def _translated(spec: ImmersionSpec, s: float, t: float) -> ImmersionSpec:
 
 
 def _evaluate(spec: ImmersionSpec):
+    """(per-node fields, verdicts, report) of the spec on the test grid."""
     grid = build_grid(spec, RESOLUTION)
-    fields = evaluate_fields(spec, grid)
-    report = integral_report(spec, grid, fields)
-    cert = certify(spec, fields, report)
-    return fields, [(e.theorem, e.verdict) for e in cert.entries], report
+    summary = evaluate_fields(spec, grid)
+    report = integral_report(spec, grid, summary)
+    cert = certify(spec, summary, report)
+    return grid_fields(spec, grid), [(e.theorem, e.verdict) for e in cert.entries], report
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +153,13 @@ def test_invariants_follow_a_torus_translation(name, base_results, seed):
     rng = np.random.default_rng(seed)
     grid = build_grid(spec, RESOLUTION)
     # any translation moves no field, frame-dependent ones included: compare
-    # with the original at the moved nodes (evaluate_fields reads only the
-    # grid's axes).  The mixed torus's fields depend on u alone, since a
-    # shift in v is an ambient rotation of it.
+    # with the original at the moved nodes (the tiles read only the grid's
+    # axes).  The mixed torus's fields depend on u alone, since a shift in v
+    # is an ambient rotation of it.
     s, t = rng.uniform(0.0, 2.0 * math.pi, 2)
-    fields = evaluate_fields(_translated(spec, s, t), grid)
-    moved = evaluate_fields(spec, replace(grid, u_axis=grid.u_axis + s,
-                                          v_axis=grid.v_axis + t))
+    fields = grid_fields(_translated(spec, s, t), grid)
+    moved = grid_fields(spec, replace(grid, u_axis=grid.u_axis + s,
+                                      v_axis=grid.v_axis + t))
     _assert_same_fields(moved, fields, [f.name for f in dc_fields(PointInvariants)])
     # off the grid lattice the nodes sample the surface elsewhere, which
     # moves an integral by the quadrature error (~1e-6 for this torus at
