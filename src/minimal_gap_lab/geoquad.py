@@ -190,12 +190,16 @@ def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray,
     # one jet serves every layer: the Taylor series of S reads it to order 4,
     # the frame, h and grad h to order 3, the area element to order 1.  The
     # Simons route runs first, while the jet is the only other tile array
-    # alive, and of grad h only the fields below outlive it.
+    # alive; the order-4 derivatives, which only it reads, are freed before
+    # the frame route, and of grad h only the fields below outlive it.
     tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=JET_ORDER_MAX)
     jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
               {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
+    del tile
     E, F, G = first_fundamental_form(jet)
     laplacian_S = laplace_beltrami(jet, second_norm_field(jet))
+    jet = Jet(spec, jet.u, jet.v, 3,
+              {key: d for key, d in jet.derivs.items() if sum(key) <= 3})
     grad = covariant_grad_h(jet, adapted_frame(jet))
     b1_direct, codazzi_residual, shape = grad.b1_direct, grad.codazzi_residual, grad.shape
     del grad
@@ -246,21 +250,47 @@ def _integrands(f: SurfaceFields) -> dict:
 
 
 def _partials(values) -> list[float]:
-    """Floats whose exact sum is the exact sum of `values`: s_k =
-    fsum(values, -s_0, ..., -s_(k-1)) until one is 0 (or not finite).
+    """Floats whose exact sum is the exact sum of `values` (a sequence or an
+    array): s_k = fsum(values, -s_0, ..., -s_(k-1)) until one is 0, each the
+    rounded remainder of the ones before it.  Values that are not all finite
+    give their fsum alone.
 
-    `values` is read once per partial, so it must be a sequence.  One
-    `math.fsum` over the partials of several sets rounds to the same float
-    as one `fsum` over all their values (Shewchuk, DCG 1997).
+    The values are first reduced, exactly, to a few sums by error-free
+    extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), and
+    the fsums run over those.  With sigma = 2^k >= (n + 2) max |p| for the n
+    terms p, q = (sigma + p) - sigma rounds each term to a multiple of
+    2^(k - 53), so sum(q) is exact in any order, and so is p - q; the sums
+    are extracted from p - q until it is all zero.  Where sigma would pass
+    2^1020, q is extracted from the terms scaled by an exact power of two.
+    One `math.fsum` over the partials of several sets rounds to the same
+    float as one `fsum` over all their values (Shewchuk, DCG 1997).
     """
+    p = np.array(values, dtype=float)
+    width = math.ceil(math.log2(p.size + 2))
+    sums = []
+    while True:
+        top = float(np.max(np.abs(p), initial=0.0))
+        if not math.isfinite(top):
+            return [math.fsum(values)]
+        if top == 0.0:
+            break
+        k = math.frexp(top)[1] + width            # top < 2^(k - width)
+        shift = max(0, k - 1020)
+        sigma = math.ldexp(1.0, k - shift)
+        q = sigma + (p * math.ldexp(1.0, -shift) if shift else p)
+        q -= sigma
+        sums.append(math.ldexp(float(np.sum(q)), shift))
+        if shift:
+            q *= math.ldexp(1.0, shift)
+        p -= q
+    # a zero sum keeps the sign fsum gives it: that of the zeros left
+    sums = sums or [-0.0 if p.size and np.all(np.signbit(p)) else 0.0]
     parts = []
     while True:
-        total = math.fsum(itertools.chain(values, [-p for p in parts]))
+        total = math.fsum(itertools.chain(sums, [-s for s in parts]))
         if total == 0.0:
-            return parts or [total]       # a zero sum keeps its sign
+            return parts or [total]
         parts.append(total)
-        if not math.isfinite(total):
-            return parts
 
 
 class Guard(NamedTuple):
@@ -376,7 +406,7 @@ def reduce_tile(fields: SurfaceFields, grid: QuadratureGrid, tile,
         high=np.array([np.max(x) for x in extrema]),
         sums={name: [float(np.sum(x))]
               for name, x in zip(INVARIANT_NAMES + FIELD_NAMES, reported)},
-        integrals={name: _partials((weight * values).tolist())
+        integrals={name: _partials(weight * values)
                    for name, values in integrands.items()},
         flagged=int(flagged.sum()),
         guards=guards,

@@ -359,6 +359,28 @@ def _product(op, x, y) -> "Taylor":
     return Taylor(out)
 
 
+def _subtract_product(acc: "Taylor", op, x: "Taylor", y: "Taylor") -> "Taylor":
+    """acc -= op(x, y) in place, bit for bit as acc - _product(op, x, y).
+
+    Each coefficient of the product is formed whole, its terms added in
+    `_product`'s order (x0 y_k, then x_k y0, then the `_pairs` with both
+    indices >= 1), and subtracted at once, so no array of the product's
+    size is built; `acc` must be a private array of the result's shape.
+    """
+    if len(x.c) != len(y.c) or len(x.c) != len(acc.c):
+        raise ValueError(f"Taylor operands of mixed degree: sizes "
+                         f"{len(acc.c)}, {len(x.c)}, {len(y.c)}")
+    for k, pairs in enumerate(_pairs(len(acc.c))):
+        term = _apply(op, x.c[0], y.c[k])
+        if k:
+            term += _apply(op, x.c[k], y.c[0])
+        for i, j in pairs:
+            if i and j:
+                term += _apply(op, x.c[i], y.c[j])
+        acc.c[k] -= term
+    return acc
+
+
 class Taylor:
     """A field truncated at degree <= 2 in the chart offsets (du, dv).
 
@@ -808,11 +830,12 @@ def _tangent_basis(jet: Jet, frame: FrameData, degree: int) -> Taylor:
 
 
 def _normal_part(v: Taylor, basis: Taylor, axes: str) -> Taylor:
-    """v minus its components along the orthonormal rows of `basis`; v has
-    the value axes `axes` then the ambient one.  The vectors are projected,
-    never their Gram scalars, which cancel near the chart poles."""
+    """v minus its components along the orthonormal rows of `basis`, in
+    place (v must be a private array); v has the value axes `axes` then the
+    ambient one.  The vectors are projected, never their Gram scalars, which
+    cancel near the chart poles."""
     comps = Taylor.einsum(f"{axes}x...,bx...->{axes}b...", v, basis)
-    return v - Taylor.einsum(f"{axes}b...,bx...->{axes}x...", comps, basis)
+    return _subtract_product(v, f"{axes}b...,bx...->{axes}x...", comps, basis)
 
 
 def _h_series(jet: Jet, frame: FrameData, degree: int) -> Taylor:
@@ -880,18 +903,21 @@ def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
     omega_t = _tangent_connection(frame)
 
     ekh = Taylor(np.einsum("kc...,cijx...->ijkx...", L, h.c[1:])[None])
-    grad3 = (
-        _normal_part(ekh, _tangent_basis(jet, frame, 0), "ijk").c[0]
-        + np.einsum("mjx...,kmi...->ijkx...", h0, omega_t)
-        + np.einsum("imx...,kmj...->ijkx...", h0, omega_t)
-    )
+    grad3 = _normal_part(ekh, _tangent_basis(jet, frame, 0), "ijk").c[0]
+    # one scratch array holds each omega term, then each Codazzi difference
+    work = np.einsum("mjx...,kmi...->ijkx...", h0, omega_t)
+    grad3 += work
+    grad3 += np.einsum("imx...,kmj...->ijkx...", h0, omega_t, out=work)
+    shape = _shape_pair(h0)
+    del h, h0
 
-    codazzi = np.maximum(
-        np.max(np.abs(grad3 - np.swapaxes(grad3, 0, 2)), axis=(0, 1, 2, 3)),
-        np.max(np.abs(grad3 - np.swapaxes(grad3, 1, 2)), axis=(0, 1, 2, 3)),
-    )
+    def asymmetry(axis):
+        np.subtract(grad3, np.swapaxes(grad3, axis, 2), out=work)
+        return np.max(np.abs(work, out=work), axis=(0, 1, 2, 3))
+
+    codazzi = np.maximum(asymmetry(0), asymmetry(1))
     return CovariantGradH(
-        shape=_shape_pair(h0),
+        shape=shape,
         a1=grad3[0, 0, 0],
         a2=grad3[0, 0, 1],
         grad3=grad3,
@@ -933,10 +959,15 @@ def second_norm_field(jet: Jet) -> Taylor:
     ginv = _inverse2(Taylor.einsum("cx...,dx...->cd...", Xc, Xc))
     K = []
     for i, j in ((2, 0), (1, 1), (0, 2)):
-        T = Taylor.lift(jet, i, j, 2)                                # [C]
+        T = Taylor.lift(jet, i, j, 2)                                # [C], private
+        radial = _dot(T, X)
         coeff = Taylor.einsum("e...,ef...->f...",                   # <T, X_e> g^ef
                               Taylor.einsum("x...,ex...->e...", T, Xc), ginv)
-        K.append(T - _dot(T, X)[None] * X - Taylor.einsum("f...,fx...->x...", coeff, Xc))
+        # K_s = T - <T, X> X - coeff_f X_f, each product subtracted from T
+        # one coefficient at a time
+        _subtract_product(T, np.multiply, radial[None], X)
+        K.append(_subtract_product(T, "f...,fx...->x...", coeff, Xc))
+    del X, Xc
     Kuu, Kuv, Kvv = K
     # S = g^ik g^jl <K_ij, K_kl> with K symmetric, written out in the entries
     # p, r, s of the symmetric g^-1

@@ -3,7 +3,6 @@
 import functools
 import math
 import os
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -41,6 +40,7 @@ from tile_fields import (
     forged_fields,
     grid_fields,
     grid_nodes,
+    peak_bytes,
     summarize,
     tile_slices,
 )
@@ -219,13 +219,7 @@ def test_largest_polar_count_builds_in_linear_memory():
     # peak); the recurrence holds a few arrays of n / 2 nodes
     spec = catalog_entry("veronese")
     build_grid(spec, (16, 8))           # loads the lazy modules untraced
-    tracemalloc.start()
-    try:
-        build_grid(spec, (2404, 8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak_bytes(build_grid, spec, (2404, 8)) < 4 * 2 ** 20
 
 
 def test_pool_size_is_bounded(monkeypatch):
@@ -311,13 +305,7 @@ def test_build_grid_memory_is_a_few_arrays_per_node():
     # tile took its area element from its own jet
     spec = catalog_entry("calabi4")
     build_grid(spec, (16, 32))          # loads the lazy modules untraced
-    tracemalloc.start()
-    try:
-        grid = build_grid(spec, (512, 1024))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / grid.node_count < 1.0
+    assert peak_bytes(build_grid, spec, (512, 1024)) / (512 * 1024) < 1.0
 
 
 def test_evaluate_fields_memory_does_not_grow_with_the_grid():
@@ -326,15 +314,26 @@ def test_evaluate_fields_memory_does_not_grow_with_the_grid():
     # when the fields of every node were kept)
     spec = catalog_entry("clifford")
     evaluate_fields(spec, build_grid(spec, (16, 16)))   # loads the lazy modules
-    peaks = []
-    for resolution in ((64, 192), (256, 512)):
-        tracemalloc.start()
-        try:
-            evaluate_fields(spec, build_grid(spec, resolution))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_bytes(lambda r: evaluate_fields(spec, build_grid(spec, r)), resolution)
+             for resolution in ((64, 192), (256, 512))]
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("name,degree,limit", [
+    # C = 9: 5299 B/node while each vector Taylor product was built whole
+    # before it was subtracted, 4339 now
+    ("calabi4", 4, 4400),
+    # C = 17: 9715 B/node before, 7603 now
+    ("harmonic8", 8, 8600),
+])
+def test_tile_peak_bytes_per_node(name, degree, limit):
+    # one 3072-node tile (rows 0:16 of the 96x192 grid) under tracemalloc
+    spec = _catalog_sphere_entry(name, degree)
+    grid = build_grid(spec, (96, 192))
+    u, v = grid.u_axis[:16], grid.v_axis
+    _fields_chunk(spec, u, v)
+    per_node = peak_bytes(_fields_chunk, spec, u, v) / (u.size * v.size)
+    assert per_node <= limit, f"{per_node:.0f} B/node"
 
 
 def test_integrate_rejects_nan(monkeypatch):

@@ -1,7 +1,6 @@
 """Tests for pointwise invariants and the two-route B1 computation."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from minimal_gap_lab.surfaces import (
 
 from fd_oracle import laplace_beltrami
 from gram_oracle import commutator_sum, gram_tensor, h_stack, second_route_residuals
+from tile_fields import peak_bytes
 
 
 def _pair(a, b):
@@ -203,13 +203,7 @@ def test_point_invariants_peak_bytes_per_node_do_not_grow_with_the_ambient_dimen
     rng = np.random.default_rng(11)
     for C in (9, 64):
         sp = _pair(rng.standard_normal((n, C - 3)), rng.standard_normal((n, C - 3)))
-        tracemalloc.start()
-        try:
-            point_invariants(sp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 256 * n, C
+        assert peak_bytes(point_invariants, sp) <= 256 * n, C
 
 
 def test_eigen_routes_agree_on_population(random_pairs):

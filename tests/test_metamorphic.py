@@ -5,7 +5,9 @@ surface to a congruent one, and appending a zero component embeds S^N as a
 great sphere of S^(N+1) (codimension q -> q + 1).  Neither may move a
 pointwise field or an integral beyond rounding, nor any certificate verdict.
 A translation (u, v) -> (u + s, v + t) of a torus chart reparametrizes the
-same surface: each field at (u, v) is the original's at (u + s, v + t).
+same surface: each field at (u, v) is the original's at (u + s, v + t).  So
+does a lattice automorphism (u, v) -> (u, v) M, M in GL(2, Z), which on an
+n x n torus grid maps nodes onto nodes.
 """
 
 import math
@@ -27,12 +29,12 @@ from minimal_gap_lab.surfaces import (
     catalog_entry,
 )
 
-from tile_fields import grid_fields
+from tile_fields import grid_fields, take
 
 RESOLUTION = (16, 32)
 INVARIANT_FIELDS = ("S", "u", "rho_perp", "lambda1", "lambda2", "rho0", "normA2")
 B1_FIELDS = ("b1_simons", "b1_direct", "delta_S")
-INTEGRALS = ("area", "int_S", "gap1_lhs", "gap1_rhs", "gap2_form1", "gap2_form2",
+INTEGRALS = ("area", "int_K", "int_S", "gap1_lhs", "gap1_rhs", "gap2_form1", "gap2_form2",
              "bound_445")
 # measured worst over 12 rotation seeds per surface on the 16x32 grids:
 # 1.3e-14 of max(|integral|, area), for calabi4's second gap forms
@@ -88,9 +90,19 @@ def _translated(spec: ImmersionSpec, s: float, t: float) -> ImmersionSpec:
     return replace(spec, components=components)
 
 
-def _evaluate(spec: ImmersionSpec):
+def _lattice_mapped(spec: ImmersionSpec, M) -> ImmersionSpec:
+    """The torus spec of (u, v) -> X((u, v) M) for M = ((a, b), (c, d)) in
+    GL(2, Z): m u + n v becomes (m a + n b) u + (m c + n d) v, so the term of
+    frequency (m, n) gets (m, n) M^T."""
+    (a, b), (c, d) = M
+    return replace(spec, components=[[(coeff, kind, m * a + n * b, m * c + n * d)
+                                       for coeff, kind, m, n in comp]
+                                      for comp in spec.components])
+
+
+def _evaluate(spec: ImmersionSpec, resolution=RESOLUTION):
     """(per-node fields, verdicts, report) of the spec on the test grid."""
-    grid = build_grid(spec, RESOLUTION)
+    grid = build_grid(spec, resolution)
     summary = evaluate_fields(spec, grid)
     report = integral_report(spec, grid, summary)
     cert = certify(spec, summary, report)
@@ -169,3 +181,49 @@ def test_invariants_follow_a_torus_translation(name, base_results, seed):
     _, verdicts, report = _evaluate(_translated(spec, s, t))
     _assert_same_integrals(base_report, report)
     assert verdicts == base_verdicts
+
+
+# a shear, the swap of the angles (it reverses the orientation) and a
+# hyperbolic map
+LATTICE_MAPS = (((1, 1), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (1, 1)))
+LATTICE_GRID = 24
+# rho_perp = sqrt(rho0) / 2 turns the rounding noise of rho0 on these q = 1
+# tori (~1e-16, where rho0 = 0) into ~1e-8; rho0 itself is compared
+LATTICE_FIELDS = tuple(name for name in INVARIANT_FIELDS if name != "rho_perp")
+
+
+# main5_pinch on the Clifford torus (K = 0, so every cap is 0) compares
+# rho_perp = sqrt(rho0) / 2 with MARGIN_TOL = 1e-8: rounding noise of rho0
+# decides it, and after the hyperbolic map rho_perp reads 2.1e-8 (xfail below)
+NOISE_DECIDED = {"clifford": "main5_pinch"}
+
+
+@pytest.mark.parametrize("name", ["clifford", "mixed_torus", "rotated_mixed_torus"])
+def test_invariants_follow_a_torus_lattice_automorphism(name, base_results):
+    spec = base_results(name)[0]
+    n = LATTICE_GRID
+    base_fields, base_verdicts, base_report = _evaluate(spec, (n, n))
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    for M in LATTICE_MAPS:
+        (a, b), (c, d) = M
+        fields, verdicts, report = _evaluate(_lattice_mapped(spec, M), (n, n))
+        # node (i, j) of the mapped spec sits where node (i, j) M of the
+        # original does, and the chart weights and |det M| = 1 make the
+        # integrals sums of the same terms in another order
+        source = ((a * i + c * j) % n * n + (b * i + d * j) % n).ravel()
+        _assert_same_fields(take(base_fields, source), fields, LATTICE_FIELDS)
+        _assert_same_integrals(base_report, report)
+        assert len(verdicts) == len(base_verdicts)
+        for got, expected in zip(verdicts, base_verdicts):
+            assert got[0] == expected[0]
+            assert got == expected or NOISE_DECIDED.get(name) == got[0], got
+
+
+@pytest.mark.xfail(strict=True, reason="main5_pinch compares sqrt(rho0) / 2, rounding "
+                   "noise on the Clifford torus, with the tolerance 1e-8")
+def test_clifford_pinch_verdict_survives_the_hyperbolic_lattice_map():
+    spec = catalog_entry("clifford")
+    n = LATTICE_GRID
+    verdicts = [dict(_evaluate(s, (n, n))[1])["main5_pinch"]
+                for s in (spec, _lattice_mapped(spec, LATTICE_MAPS[2]))]
+    assert verdicts[1] == verdicts[0]

@@ -1,4 +1,5 @@
-"""Per-node fields of a whole grid, for tests that read them node by node.
+"""Per-node fields of a whole grid, for tests that read them node by node,
+and the `tracemalloc` peak of a call.
 
 `geoquad.evaluate_fields` reduces each tile as soon as it is evaluated and
 keeps no per-node array.  These helpers concatenate `_fields_chunk` over
@@ -8,6 +9,7 @@ recomputation.
 """
 
 import functools
+import tracemalloc
 from dataclasses import fields as dc_fields
 
 import numpy as np
@@ -31,6 +33,23 @@ def _rebuild(parts, combine) -> SurfaceFields:
                              for name in INVARIANT_NAMES})
     return SurfaceFields(inv=inv, **{name: combine([getattr(p, name) for p in parts])
                                      for name in NODE_ARRAYS})
+
+
+def take(fields: SurfaceFields, nodes) -> SurfaceFields:
+    """The fields at the given nodes (an index array or a slice)."""
+    return _rebuild([fields], lambda arrays: arrays[0][nodes])
+
+
+def peak_bytes(fn, *args) -> int:
+    """The `tracemalloc` peak of fn(*args): the most it held at once beyond
+    what was allocated before the call.  Call fn once untraced first, so
+    that lazy module loading and caches are not counted."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tile_slices(grid):
@@ -74,7 +93,6 @@ def forged_fields(n: int, **values) -> SurfaceFields:
 def summarize(fields: SurfaceFields, grid, tols=None) -> FieldSummary:
     """`reduce_tile` of each tile's part of per-node `fields`, merged in node
     order, as `evaluate_fields` merges its tiles."""
-    parts = [reduce_tile(_rebuild([fields], lambda arrays: arrays[0][nodes]), grid,
-                         tile, tols)
+    parts = [reduce_tile(take(fields, nodes), grid, tile, tols)
              for tile, nodes in tile_slices(grid)]
     return functools.reduce(FieldSummary.merge, parts)
