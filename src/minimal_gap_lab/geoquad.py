@@ -196,8 +196,8 @@ def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray,
     jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
               {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
     del tile
-    E, F, G = first_fundamental_form(jet)
-    laplacian_S = laplace_beltrami(jet, second_norm_field(jet))
+    E, F, G = metric = first_fundamental_form(jet)
+    laplacian_S = laplace_beltrami(jet, second_norm_field(jet), metric)
     jet = Jet(spec, jet.u, jet.v, 3,
               {key: d for key, d in jet.derivs.items() if sum(key) <= 3})
     grad = covariant_grad_h(jet, adapted_frame(jet))
@@ -250,47 +250,60 @@ def _integrands(f: SurfaceFields) -> dict:
 
 
 def _partials(values) -> list[float]:
-    """Floats whose exact sum is the exact sum of `values` (a sequence or an
-    array): s_k = fsum(values, -s_0, ..., -s_(k-1)) until one is 0, each the
-    rounded remainder of the ones before it.  Values that are not all finite
-    give their fsum alone.
-
-    The values are first reduced, exactly, to a few sums by error-free
-    extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), and
-    the fsums run over those.  With sigma = 2^k >= (n + 2) max |p| for the n
-    terms p, q = (sigma + p) - sigma rounds each term to a multiple of
-    2^(k - 53), so sum(q) is exact in any order, and so is p - q; the sums
-    are extracted from p - q until it is all zero.  Where sigma would pass
-    2^1020, q is extracted from the terms scaled by an exact power of two.
-    One `math.fsum` over the partials of several sets rounds to the same
-    float as one `fsum` over all their values (Shewchuk, DCG 1997).
-    """
-    p = np.array(values, dtype=float)
-    width = math.ceil(math.log2(p.size + 2))
-    sums = []
-    while True:
-        top = float(np.max(np.abs(p), initial=0.0))
-        if not math.isfinite(top):
-            return [math.fsum(values)]
-        if top == 0.0:
-            break
-        k = math.frexp(top)[1] + width            # top < 2^(k - width)
-        shift = max(0, k - 1020)
-        sigma = math.ldexp(1.0, k - shift)
-        q = sigma + (p * math.ldexp(1.0, -shift) if shift else p)
-        q -= sigma
-        sums.append(math.ldexp(float(np.sum(q)), shift))
-        if shift:
-            q *= math.ldexp(1.0, shift)
-        p -= q
-    # a zero sum keeps the sign fsum gives it: that of the zeros left
-    sums = sums or [-0.0 if p.size and np.all(np.signbit(p)) else 0.0]
+    """Floats whose exact sum is the exact sum of `values` (an iterable of
+    floats): s_k = fsum(values, -s_0, ..., -s_(k-1)) until one is 0, each
+    the rounded remainder of the ones before it.  Values that are not all
+    finite give their fsum alone.  One `math.fsum` over the partials of
+    several sets rounds to the same float as one `fsum` over all their
+    values (Shewchuk, DCG 1997), and so do the partials of those partials,
+    which is how tile summaries merge."""
     parts = []
     while True:
-        total = math.fsum(itertools.chain(sums, [-s for s in parts]))
-        if total == 0.0:
+        total = math.fsum(itertools.chain(values, [-s for s in parts]))
+        if total == 0.0 or not math.isfinite(total):
             return parts or [total]
         parts.append(total)
+
+
+def _row_partials(p: np.ndarray) -> list[list[float]]:
+    """`_partials` of each row of the 2-D array `p`, which is overwritten.
+
+    Each row is first reduced, exactly, to a few sums by error-free
+    extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), and
+    `_partials` runs over those.  With sigma = 2^k >= (n + 2) max |p| for
+    the n terms p of a row, q = (sigma + p) - sigma rounds each term to a
+    multiple of 2^(k - 53), so sum(q) is exact in any order, and so is
+    p - q; the sums are extracted from p - q until it is all zero.  Where
+    sigma would pass 2^1020, q is extracted from the terms scaled by an
+    exact power of two.  The extraction runs on every row at once, each
+    row with its own sigma; a row that is already all zero extracts zeros
+    and keeps its zeros.
+    """
+    width = math.ceil(math.log2(p.shape[1] + 2))
+    top = np.max(np.abs(p), axis=1, initial=0.0)
+    finite = np.isfinite(top)
+    done = [None if ok else _partials(row.tolist()) for ok, row in zip(finite, p)]
+    p[~finite] = 0.0
+    top[~finite] = 0.0
+    sums = [[] for _ in done]
+    while np.any(top):
+        k = np.frexp(top)[1] + width             # top < 2^(k - width)
+        shift = np.maximum(0, k - 1020)
+        sigma = np.ldexp(1.0, k - shift)[:, None]
+        q = p * np.ldexp(1.0, -shift)[:, None]
+        q += sigma
+        q -= sigma
+        for row, total in zip(np.flatnonzero(top), np.sum(q[top > 0.0], axis=1)):
+            sums[row].append(math.ldexp(float(total), int(shift[row])))
+        q *= np.ldexp(1.0, shift)[:, None]
+        p -= q
+        top = np.max(np.abs(p), axis=1, initial=0.0)
+    for row, row_sums in enumerate(sums):
+        if done[row] is None:
+            # a zero sum keeps the sign fsum gives it: that of the zeros left
+            done[row] = _partials(row_sums or [-0.0 if p.shape[1] and np.all(np.signbit(p[row]))
+                                               else 0.0])
+    return done
 
 
 class Guard(NamedTuple):
@@ -378,17 +391,20 @@ def reduce_tile(fields: SurfaceFields, grid: QuadratureGrid, tile,
     rows, cols = tile
     start = rows.start * grid.resolution[1] + cols.start
     integrands = _integrands(fields)
-    for values in integrands.values():
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            node = start + int(np.argmax(bad))
-            u, v = grid.node(node)
-            raise InvariantViolation(
-                f"field evaluation failed at node {node} (u={u:.6f}, v={v:.6f})")
+    values = np.stack(list(integrands.values()))
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        # the first node of the first integrand that is not finite
+        node = start + int(np.argmax(bad[np.argmax(np.any(bad, axis=1))]))
+        u, v = grid.node(node)
+        raise InvariantViolation(
+            f"field evaluation failed at node {node} (u={u:.6f}, v={v:.6f})")
     inv = fields.inv
-    reported = [getattr(inv, name) for name in INVARIANT_NAMES] + \
-        [getattr(fields, name) for name in FIELD_NAMES]
-    extrema = reported + [inv.lambda1 - inv.lambda2]
+    # the reported fields, then lambda1 - lambda2: the rows of `_EXTREMA`
+    extrema = np.stack([getattr(inv, name) for name in INVARIANT_NAMES]
+                       + [getattr(fields, name) for name in FIELD_NAMES]
+                       + [inv.lambda1 - inv.lambda2])
+    reported = INVARIANT_NAMES + FIELD_NAMES
     weight = np.outer(grid.u_weight[rows], grid.v_weight[cols]).ravel() * fields.sqrt_det_g
 
     tols = tols or {}
@@ -402,12 +418,11 @@ def reduce_tile(fields: SurfaceFields, grid: QuadratureGrid, tile,
         guards[key] = Guard(int(over.sum()), float(residual[i]), start + i)
     return FieldSummary(
         nodes=weight.size,
-        low=np.array([np.min(x) for x in extrema]),
-        high=np.array([np.max(x) for x in extrema]),
-        sums={name: [float(np.sum(x))]
-              for name, x in zip(INVARIANT_NAMES + FIELD_NAMES, reported)},
-        integrals={name: _partials(weight * values)
-                   for name, values in integrands.items()},
+        low=np.min(extrema, axis=1),
+        high=np.max(extrema, axis=1),
+        sums={name: [float(x)]
+              for name, x in zip(reported, np.sum(extrema[:len(reported)], axis=1))},
+        integrals=dict(zip(integrands, _row_partials(values * weight))),
         flagged=int(flagged.sum()),
         guards=guards,
         pinch=pinch_caps_hold(inv),

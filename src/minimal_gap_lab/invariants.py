@@ -99,12 +99,12 @@ def point_invariants(sp: ShapePair) -> PointInvariants:
 # Laplace-Beltrami of scalar fields and the Simons route to B1
 # ---------------------------------------------------------------------------
 
-def _metric_christoffel(jet: Jet):
+def _metric_christoffel(jet: Jet, metric):
     """Inverse metric g^cd and contracted Christoffel symbols
     gamma^e = g^cd Gamma^e_cd (all the Laplacian needs), points last, exact
-    from a jet of order >= 2."""
+    from a jet of order >= 2 and its `first_fundamental_form` E, F, G."""
     Xu, Xv = jet.derivs[1, 0], jet.derivs[0, 1]
-    E, F, G = first_fundamental_form(jet)
+    E, F, G = metric
     ginv = np.stack([np.stack([G, -F]), np.stack([-F, E])]) / (E * G - F * F)
     # g^cd Gamma_{f,cd} = <g^cd d_c d_d X, d_f X>
     trace = (ginv[0, 0] * jet.derivs[2, 0] + 2.0 * ginv[0, 1] * jet.derivs[1, 1]
@@ -114,16 +114,17 @@ def _metric_christoffel(jet: Jet):
     return ginv, np.einsum("ef...,f...->e...", ginv, first_kind)
 
 
-def laplace_beltrami(jet: Jet, field: Taylor) -> np.ndarray:
+def laplace_beltrami(jet: Jet, field: Taylor, metric) -> np.ndarray:
     """Chart Laplace-Beltrami g^cd f_cd - gamma^e f_e of a scalar field.
 
     `field` is the field's degree-2 Taylor series at the jet's points: its
     degree-1 coefficients are f_u, f_v and its degree-2 ones f_uu / 2, f_uv,
-    f_vv / 2.  The metric terms come exactly from the jet, so no step size
-    or truncation error enters.
+    f_vv / 2; `metric` is the jet's `first_fundamental_form`.  The metric
+    terms come exactly from the jet, so no step size or truncation error
+    enters.
     """
     f = field.c
-    ginv, gamma = _metric_christoffel(jet)
+    ginv, gamma = _metric_christoffel(jet, metric)
     # f_uu = 2 f[3], f_uv = f[4], f_vv = 2 f[5]
     return (2.0 * (ginv[0, 0] * f[3] + ginv[0, 1] * f[4] + ginv[1, 1] * f[5])
             - gamma[0] * f[1] - gamma[1] * f[2])
@@ -154,4 +155,5 @@ def b1_simons(jet: Jet, invariants: PointInvariants) -> SimonsB1:
     """
     if jet.order < 4:
         raise DomainError(f"b1_simons needs a jet of order >= 4, got {jet.order}")
-    return b1_from_laplacian(laplace_beltrami(jet, second_norm_field(jet)), invariants)
+    laplacian = laplace_beltrami(jet, second_norm_field(jet), first_fundamental_form(jet))
+    return b1_from_laplacian(laplacian, invariants)

@@ -336,19 +336,31 @@ def _apply(op, x, y, batched=(False, False)):
     return op(x, y)
 
 
+def _symmetric(op) -> bool:
+    """Whether op(a, b) is op(b, a) bit for bit: np.multiply, or einsum
+    subscripts that give both operands the same axes."""
+    if isinstance(op, str):
+        x, y = op.split("->")[0].split(",")
+        return x == y
+    return op is np.multiply
+
+
 def _product(op, x, y) -> "Taylor":
     """op(x, y), bilinear, truncated at the series degree.
 
     With one series operand it is a single call over all its coefficients.
     With two it runs on coefficient-axis slices, which are views: x0 * y[all]
     gives out[k] = x0 y_k, x[1:] * y0 is added into out[1:], and the pairs
-    with both indices >= 1 follow (only at degree 2).
+    with both indices >= 1 follow (only at degree 2).  A symmetric op of a
+    series with itself (`_square`) forms each of those terms once.
     """
     if not (isinstance(x, Taylor) and isinstance(y, Taylor)):
         series = (isinstance(x, Taylor), isinstance(y, Taylor))
         return Taylor(_apply(op, *(a.c if s else a for a, s in zip((x, y), series)), series))
     if len(x.c) != len(y.c):
         raise ValueError(f"Taylor operands of mixed degree: sizes {len(x.c)}, {len(y.c)}")
+    if x is y and _symmetric(op):
+        return _square(op, x)
     out = _apply(op, x.c[0], y.c, (False, True))
     if len(out) > 1:
         out[1:] += _apply(op, x.c[1:], y.c[0], (True, False))
@@ -356,6 +368,23 @@ def _product(op, x, y) -> "Taylor":
         for i, j in pairs:
             if i and j:
                 out[k] += _apply(op, x.c[i], y.c[j])
+    return Taylor(out)
+
+
+def _square(op, x: "Taylor") -> "Taylor":
+    """op(x, x) for a symmetric op, bit for bit as `_product`: there
+    out[k] = x0 x_k + x_k x0 (k >= 1) adds a term to itself, which doubling
+    x0 x_k gives exactly, and the pair (1, 2) of degree 2 is added twice in
+    the order (1, 2), (2, 1), so it is formed once and added twice."""
+    out = _apply(op, x.c[0], x.c, (False, True))
+    out[1:] *= 2.0
+    for k, pairs in enumerate(_pairs(len(out))):
+        for i, j in pairs:
+            if i and j and i <= j:
+                term = _apply(op, x.c[i], x.c[j])
+                out[k] += term
+                if i < j:
+                    out[k] += term
     return Taylor(out)
 
 
@@ -403,19 +432,13 @@ class Taylor:
         self.c = c
 
     @classmethod
-    def lift(cls, jet: Jet, i: int, j: int, degree: int) -> "Taylor":
-        """The series of the chart derivative d_u^i d_v^j X read from the jet,
-        which must have order >= i + j + degree; value axis: the component."""
-        if degree == 0:
-            return cls(jet.derivs[i, j][None])
-        monomials = MONOMIALS[:_SIZE[degree]]
-        out = np.empty((len(monomials),) + jet.derivs[i, j].shape)
-        for k, (a, b) in enumerate(monomials):
-            scale = math.factorial(a) * math.factorial(b)
-            if scale == 1:
-                out[k] = jet.derivs[i + a, j + b]
-            else:
-                np.divide(jet.derivs[i + a, j + b], scale, out=out[k])
+    def lift(cls, jet: Jet, derivs, degree: int) -> "Taylor":
+        """The series of the chart derivatives d_u^i d_v^j X, (i, j) in
+        `derivs`, read from the jet (of order >= i + j + degree) into one
+        array; value axes: the derivative, then the component."""
+        out = np.empty((_SIZE[degree], len(derivs)) + jet.derivs[derivs[0]].shape)
+        for n, (i, j) in enumerate(derivs):
+            _lift_into(out[:, n], jet, i, j)
         return cls(out)
 
     @staticmethod
@@ -491,6 +514,17 @@ class Taylor:
                     acc = acc - r[i] * r[j]
             r.append(acc / (2.0 * r[0]))
         return Taylor(np.stack(r))
+
+
+def _lift_into(out: np.ndarray, jet: Jet, i: int, j: int) -> None:
+    """Write the series of d_u^i d_v^j X into `out`, whose first axis holds
+    its coefficients: the coefficient of du^a dv^b is the derivative
+    d_u^(i+a) d_v^(j+b) X / (a! b!), and a! b! is 1 or 2 (times 0.5, exact)."""
+    for k, (a, b) in enumerate(MONOMIALS[:len(out)]):
+        if a == 2 or b == 2:
+            np.multiply(jet.derivs[i + a, j + b], 0.5, out=out[k])
+        else:
+            out[k] = jet.derivs[i + a, j + b]
 
 
 def _quotient(num, den: Taylor) -> Taylor:
@@ -775,8 +809,7 @@ def adapted_frame(jet: Jet) -> FrameData:
     if jet.order < 1:
         raise DomainError("adapted_frame needs a jet of order >= 1")
     degree = min(jet.order - 1, 1)
-    Xu = Taylor.lift(jet, 1, 0, degree)
-    Xv = Taylor.lift(jet, 0, 1, degree)
+    Xu, Xv = (Taylor.lift(jet, [key], degree)[0] for key in ((1, 0), (0, 1)))
 
     E = _dot(Xu, Xu)
     F = _dot(Xu, Xv)
@@ -825,8 +858,12 @@ class ShapePair:
 def _tangent_basis(jet: Jet, frame: FrameData, degree: int) -> Taylor:
     """X, e1, e2 on a first value axis: orthonormal, and spanning all of R^C
     but the normal space (the jet needs order >= 1 + degree)."""
-    return Taylor.stack([Taylor.lift(jet, 0, 0, degree),
-                         frame.e1.truncate(degree), frame.e2.truncate(degree)])
+    size = _SIZE[degree]
+    basis = np.empty((size, 3) + frame.e1.c.shape[1:])
+    _lift_into(basis[:, 0], jet, 0, 0)
+    basis[:, 1] = frame.e1.c[:size]
+    basis[:, 2] = frame.e2.c[:size]
+    return Taylor(basis)
 
 
 def _normal_part(v: Taylor, basis: Taylor, axes: str) -> Taylor:
@@ -838,27 +875,49 @@ def _normal_part(v: Taylor, basis: Taylor, axes: str) -> Taylor:
     return _subtract_product(v, f"{axes}b...,bx...->{axes}x...", comps, basis)
 
 
+# h and its derivatives are symmetric in (i, j) bit for bit, so only the
+# index pairs i <= j are computed: pair p = 0, 1, 2 is (i, j) = 11, 12, 22,
+# so entry (i, j) is pair i + j (`_symmetric_view`); these are its i and j
+PAIR_ROWS = ([0, 0, 1], [0, 1, 1])
+
+
+def _symmetric_view(pairs: np.ndarray) -> np.ndarray:
+    """The full [i, j, ...] array of a symmetric [p, ...] one, entry (i, j)
+    read from pair i + j: a read-only view, no copy."""
+    step = pairs.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        pairs, (2, 2) + pairs.shape[1:], (step, step) + pairs.strides[1:],
+        writeable=False)
+
+
 def _h_series(jet: Jet, frame: FrameData, degree: int) -> Taylor:
-    """h[i, j] = the normal part of D^2 X(e_i, e_j), an ambient C-vector, as a
-    series of the given degree (the jet needs order >= 2 + degree).
+    """h_p = the normal part of D^2 X(e_i, e_j) for the pairs p = (i, j),
+    i <= j (`PAIR_ROWS`), an ambient C-vector each, as a series of the given
+    degree (the jet needs order >= 2 + degree); value axes [p, x].
 
     Only the three distinct chart-Hessian slots K_s, s = uu, uv, vv, are
     projected; with e_i = L[i, c] d_c X, h_ij = sum_s W[s, i, j] K_s where
     W[s, i, j] = sum over c + d = s of L[i, c] L[j, d] is a scalar series.
+    Each coefficient of h is formed whole, its terms added in `_product`'s
+    order, so no larger temporary is built.
     """
-    slots = Taylor.stack([Taylor.lift(jet, i, j, degree) for i, j in ((2, 0), (1, 1), (0, 2))])
-    normal = _normal_part(slots, _tangent_basis(jet, frame, degree), "s")
+    slots = Taylor.lift(jet, ((2, 0), (1, 1), (0, 2)), degree)
+    normal = _normal_part(slots, _tangent_basis(jet, frame, degree), "s").c
     L = frame.chart_to_frame.truncate(degree)
-    LL = Taylor.einsum("ic...,jd...->cdij...", L, L)
-    W = Taylor.stack([LL[0, 0], LL[0, 1] + LL[1, 0], LL[1, 1]])
-    return Taylor.einsum("sij...,sx...->ijx...", W, normal)
+    LL = Taylor.einsum("pc...,pd...->cdp...", L[PAIR_ROWS[0]], L[PAIR_ROWS[1]])
+    W = Taylor.stack([LL[0, 0], LL[0, 1] + LL[1, 0], LL[1, 1]]).c
+    del L, LL
+    h = np.einsum("sp...,ksx...->kpx...", W[0], normal)
+    for k in range(1, len(h)):
+        h[k] += np.einsum("sp...,sx...->px...", W[k], normal[0])
+    return Taylor(h)
 
 
 def _shape_pair(h: np.ndarray) -> ShapePair:
-    """The ShapePair of h[i, j, x, *points]; a and b are copies, so they
-    keep no larger series alive."""
-    residual = np.max(np.abs(h[0, 0] + h[1, 1]), axis=0)
-    return ShapePair(a=h[0, 0].copy(), b=h[0, 1].copy(), minimality_residual=residual)
+    """The ShapePair of h[p, x, *points]; a and b are copies, so they keep
+    no larger series alive."""
+    residual = np.max(np.abs(h[0] + h[2]), axis=0)
+    return ShapePair(a=h[0].copy(), b=h[1].copy(), minimality_residual=residual)
 
 
 def second_fundamental_form(jet: Jet, frame: FrameData) -> ShapePair:
@@ -893,29 +952,38 @@ def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
     term, as (d(h^a xi_a))^normal = (d h^a) xi_a + h^a (d xi_a)^normal.
 
     The chart derivatives of h, e_1 and e_2 are the degree-1 coefficients of
-    their Taylor series.
+    their Taylor series.  h_ijk = h_jik bit for bit, so the normal parts are
+    projected for the six components i <= j alone; grad3 holds all eight.
     """
     if jet.order < 3:
         raise DomainError(f"covariant_grad_h needs a jet of order >= 3, got {jet.order}")
     h = _h_series(jet, frame, 1)
-    h0 = h.c[0]                                        # [i, j, x]
     L = frame.chart_to_frame.c[0]
     omega_t = _tangent_connection(frame)
 
-    ekh = Taylor(np.einsum("kc...,cijx...->ijkx...", L, h.c[1:])[None])
-    grad3 = _normal_part(ekh, _tangent_basis(jet, frame, 0), "ijk").c[0]
-    # one scratch array holds each omega term, then each Codazzi difference
-    work = np.einsum("mjx...,kmi...->ijkx...", h0, omega_t)
-    grad3 += work
-    grad3 += np.einsum("imx...,kmj...->ijkx...", h0, omega_t, out=work)
+    # e_k(h_p), normal part, for the pairs p = (i, j), i <= j: [p, k, x]
+    ekh = Taylor(np.einsum("kc...,cpx...->pkx...", L, h.c[1:])[None])
+    h0 = h.c[0].copy()
+    del h
+    normal = _normal_part(ekh, _tangent_basis(jet, frame, 0), "pk").c[0]
+    del ekh
+    # h_ijk = (normal + A_ijk) + B_ijk with the connection terms
+    # A_ijk = h_mj omega[k, m, i] and B_ijk = h_im omega[k, m, j] = A_jik
+    A = np.einsum("mjx...,kmi...->ijkx...", _symmetric_view(h0), omega_t)
+    # stored k first, [k, i, j, x] in memory: the order b1_direct sums in
+    grad3 = np.moveaxis(np.empty((2,) + A.shape[:2] + A.shape[3:]), 0, 2)
+    np.add(_symmetric_view(normal), A, out=grad3)
+    grad3 += np.swapaxes(A, 0, 1)
+    del A, normal
     shape = _shape_pair(h0)
-    del h, h0
+    del h0
 
-    def asymmetry(axis):
-        np.subtract(grad3, np.swapaxes(grad3, axis, 2), out=work)
-        return np.max(np.abs(work, out=work), axis=(0, 1, 2, 3))
-
-    codazzi = np.maximum(asymmetry(0), asymmetry(1))
+    # h_ijk - h_kji and h_ijk - h_ikj: four distinct differences up to sign
+    diffs = np.empty((4,) + grad3.shape[3:])
+    for d, (x, y) in zip(diffs, (((0, 0, 1), (1, 0, 0)), ((0, 1, 1), (1, 1, 0)),
+                                 ((0, 0, 1), (0, 1, 0)), ((1, 0, 1), (1, 1, 0)))):
+        np.subtract(grad3[x], grad3[y], out=d)
+    codazzi = np.max(np.abs(diffs, out=diffs), axis=(0, 1))
     return CovariantGradH(
         shape=shape,
         a1=grad3[0, 0, 0],
@@ -929,14 +997,6 @@ def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
 # ---------------------------------------------------------------------------
 # the frame-free scalar field S
 # ---------------------------------------------------------------------------
-
-def _inverse2(g: Taylor) -> Taylor:
-    """Inverse of a field of 2x2 matrices, by the adjugate."""
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    adj = Taylor.stack([Taylor.stack([g[1, 1], -g[0, 1]]),
-                        Taylor.stack([-g[1, 0], g[0, 0]])])
-    return adj / det[None, None]
-
 
 def second_norm_field(jet: Jet) -> Taylor:
     """S = |h|^2 without constructing a normal frame (gauge-free route), as a
@@ -954,20 +1014,27 @@ def second_norm_field(jet: Jet) -> Taylor:
     """
     if jet.order < 4:
         raise DomainError(f"second_norm_field needs a jet of order >= 4, got {jet.order}")
-    X = Taylor.lift(jet, 0, 0, 2)
-    Xc = Taylor.stack([Taylor.lift(jet, 1, 0, 2), Taylor.lift(jet, 0, 1, 2)])   # [c, C]
-    ginv = _inverse2(Taylor.einsum("cx...,dx...->cd...", Xc, Xc))
+    Xs = Taylor.lift(jet, ((0, 0), (1, 0), (0, 1)), 2)              # X, X_u, X_v
+    X, Xc = Xs[0], Xs[1:]                                            # Xc: [c, C]
+    # the metric g_uu, g_uv = g_vu, g_vv and its inverse, by the adjugate
+    Xu, Xv = Xc[0], Xc[1]
+    g_uu, g_uv, g_vv = _dot(Xu, Xu), _dot(Xu, Xv), _dot(Xv, Xv)
+    minus_g_uv = -g_uv
+    ginv = Taylor.stack([Taylor.stack([g_vv, minus_g_uv]), Taylor.stack([minus_g_uv, g_uu])]) \
+        / (g_uu * g_vv - g_uv * g_uv)[None, None]
+    del Xu, Xv, g_uu, g_uv, g_vv, minus_g_uv
     K = []
-    for i, j in ((2, 0), (1, 1), (0, 2)):
-        T = Taylor.lift(jet, i, j, 2)                                # [C], private
-        radial = _dot(T, X)
-        coeff = Taylor.einsum("e...,ef...->f...",                   # <T, X_e> g^ef
-                              Taylor.einsum("x...,ex...->e...", T, Xc), ginv)
-        # K_s = T - <T, X> X - coeff_f X_f, each product subtracted from T
-        # one coefficient at a time
-        _subtract_product(T, np.multiply, radial[None], X)
+    for key in ((2, 0), (1, 1), (0, 2)):
+        T = Taylor.lift(jet, [key], 2)[0]                            # [C], private
+        # K_s = T - <T, X> X - coeff_f X_f, coeff_f = <T, X_e> g^ef, each
+        # product subtracted from T one coefficient at a time
+        products = Taylor.einsum("x...,ex...->e...", T, Xs)         # <T, X>, <T, X_c>
+        _subtract_product(T, np.multiply, products[:1], X)          # [1] broadcasts over C
+        coeff = Taylor.einsum("e...,ef...->f...", products[1:], ginv)
+        del products
         K.append(_subtract_product(T, "f...,fx...->x...", coeff, Xc))
-    del X, Xc
+        del coeff
+    del Xs, X, Xc
     Kuu, Kuv, Kvv = K
     # S = g^ik g^jl <K_ij, K_kl> with K symmetric, written out in the entries
     # p, r, s of the symmetric g^-1

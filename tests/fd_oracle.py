@@ -10,7 +10,12 @@ last two diagonal entries of the table estimates the remaining error.
 import numpy as np
 
 from minimal_gap_lab.invariants import _metric_christoffel
-from minimal_gap_lab.surfaces import adapted_frame, eval_jet, second_fundamental_form
+from minimal_gap_lab.surfaces import (
+    adapted_frame,
+    eval_jet,
+    first_fundamental_form,
+    second_fundamental_form,
+)
 
 from gram_oracle import h_stack
 
@@ -73,7 +78,8 @@ def laplace_beltrami(spec, scalar_field, u, v, step: float = 1e-3,
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     step = step * 2 ** refinements
-    ginv, gamma = _metric_christoffel(eval_jet(spec, (u, v), order=2))
+    jet = eval_jet(spec, (u, v), order=2)
+    ginv, gamma = _metric_christoffel(jet, first_fundamental_form(jet))
 
     d1 = np.empty(u.shape + (2,))
     d2 = np.empty(u.shape + (2, 2))

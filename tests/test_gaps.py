@@ -9,8 +9,8 @@ import pytest
 
 from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.gaps import (
+    CAP_REL_TOL,
     COUPLED_GAMMAS,
-    MARGIN_TOL,
     PINCH_GAMMAS,
     TAU_STAR,
     calabi_S,
@@ -249,21 +249,22 @@ def test_bryant_exclusion_violation_detected():
 def test_gamma_caps_merge_to_the_per_node_tests(name, bundle, monkeypatch):
     # the tiles' gamma booleans, merged, are the hypotheses' tests over every
     # node at once.  The catalog's caps hold at all nodes or at none; the
-    # forged rho_perp grows across four tiles, so each cap holds in the
-    # first tiles only, up to some gamma
+    # forged rho0 grows across four tiles, so each cap holds in the first
+    # tiles only, up to some gamma
     if name == "forged":
         grid = build_grid(catalog_entry("clifford"), (8, 8))
         monkeypatch.setattr(geoquad, "NODE_CHUNK", 16)
-        fields = forged_fields(grid.node_count, rho_perp=np.linspace(0.0, 1.0, 64),
+        fields = forged_fields(grid.node_count, rho0=np.linspace(0.0, 2.0, 64),
                                K=1.0, u=3.0, S=1.0)
         inv, summary = fields.inv, summarize(fields, grid)
     else:
         inv, summary = bundle(name).fields.inv, bundle(name).summary
-    pinch = [bool(np.all(inv.rho_perp <= 0.5 * np.sqrt(gamma * np.abs(inv.K))
-                         + MARGIN_TOL)) for gamma in np.linspace(0.0, 4.0, 41)]
-    coupled = [bool(np.all(inv.rho_perp <= 0.5 * np.sqrt(
-        np.maximum(inv.u - 2.0, 0.0) * gamma * inv.S) + MARGIN_TOL))
-        for gamma in np.linspace(0.0, 2.0 / 3.0, 21)]
+    # rho_perp <= cap, on the scale of rho0 = 4 rho_perp^2
+    tol = CAP_REL_TOL * np.maximum(1.0, inv.S ** 2)
+    pinch = [bool(np.all(inv.rho0 <= gamma * np.abs(inv.K) + tol))
+             for gamma in np.linspace(0.0, 4.0, 41)]
+    coupled = [bool(np.all(inv.rho0 <= gamma * (np.maximum(inv.u - 2.0, 0.0) * inv.S) + tol))
+               for gamma in np.linspace(0.0, 2.0 / 3.0, 21)]
     if name == "forged":
         assert 0 < sum(pinch) < 41 and not any(coupled)
     assert summary.pinch.tolist() == pinch

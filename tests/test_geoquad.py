@@ -9,21 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimal_gap_lab import geoquad
+from minimal_gap_lab import geoquad, surfaces
 from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.geoquad import (
     MAX_NODES,
     NODE_CHUNK,
+    QuadratureGrid,
     _fields_chunk,
     _partials,
+    _row_partials,
     build_grid,
     evaluate_fields,
     gauss_legendre,
     grid_tiles,
     integral_report,
     pool_size,
+    reduce_tile,
 )
-from minimal_gap_lab.gaps import calabi_S, calabi_constants
+from minimal_gap_lab.gaps import COUPLED_GAMMAS, PINCH_GAMMAS, calabi_S, calabi_constants
 from minimal_gap_lab.invariants import point_invariants
 from minimal_gap_lab.surfaces import (
     _catalog_sphere_entry,
@@ -38,9 +41,11 @@ from tile_fields import (
     INVARIANT_NAMES,
     NODE_ARRAYS,
     forged_fields,
+    fsum_partials,
     grid_fields,
     grid_nodes,
     peak_bytes,
+    per_field_summary,
     summarize,
     tile_slices,
 )
@@ -321,7 +326,8 @@ def test_evaluate_fields_memory_does_not_grow_with_the_grid():
 
 @pytest.mark.parametrize("name,degree,limit", [
     # C = 9: 5299 B/node while each vector Taylor product was built whole
-    # before it was subtracted, 4339 now
+    # before it was subtracted, 4339 before S's slot loop freed each
+    # coefficient series after its subtraction, 4243 now
     ("calabi4", 4, 4400),
     # C = 17: 9715 B/node before, 7603 now
     ("harmonic8", 8, 8600),
@@ -334,6 +340,43 @@ def test_tile_peak_bytes_per_node(name, degree, limit):
     _fields_chunk(spec, u, v)
     per_node = peak_bytes(_fields_chunk, spec, u, v) / (u.size * v.size)
     assert per_node <= limit, f"{per_node:.0f} B/node"
+
+
+def _counted(monkeypatch, owner, names) -> dict:
+    """Replace each named function of `owner` by one that counts its calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+REDUCTIONS = ("stack", "isfinite", "any", "all", "min", "max", "sum")
+
+
+def test_tile_work_is_gated_by_call_counts(monkeypatch):
+    # a deterministic gate on duplicated work: the calls one 3072-node
+    # calabi4 tile makes to np.einsum and to the Taylor kernel
+    # surfaces._apply, and those one reduce_tile makes to numpy's
+    # reductions, repeat exactly.  Each is at most its count when h and
+    # grad h were cut to the pairs i <= j, the Taylor self-products formed
+    # each term once and the tile reduced its fields stacked (220 einsum,
+    # 305 _apply and 128 reductions before; 198, 276 and 25 after).  A
+    # change that raises one has to say why
+    spec = catalog_entry("calabi4")
+    grid = build_grid(spec, (96, 192))
+    u, v = grid.u_axis[:16], grid.v_axis
+    fields = _fields_chunk(spec, u, v)
+    tile_counts = _counted(monkeypatch, np, ["einsum"]) | \
+        _counted(monkeypatch, surfaces, ["_apply"])
+    _fields_chunk(spec, u, v)
+    assert tile_counts["einsum"] <= 198 and tile_counts["_apply"] <= 276, tile_counts
+    reduction_counts = _counted(monkeypatch, np, REDUCTIONS)
+    reduce_tile(fields, grid, (slice(0, 16), slice(0, 192)))
+    assert sum(reduction_counts.values()) <= 25, reduction_counts
 
 
 def test_integrate_rejects_nan(monkeypatch):
@@ -416,6 +459,62 @@ def test_merged_partials_equal_one_fsum(values, cancel, cuts):
     # partials are 2^53 apart in size at least: the 2098 binary exponents
     # of a double hold 40 of them
     assert len(merged) <= 40
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(
+    st.one_of(_FLOATS, st.sampled_from([2e307, -2e307, math.nan, math.inf])),
+    min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_row_partials_are_each_rows_partials(rows):
+    # the extraction runs on every row at once, each with its own sigma (2e307
+    # needs one scaled by a power of two), and a row that is not all finite
+    # gives its fsum alone: each row's partials are its own, bit for bit
+    got = _row_partials(np.array(rows))
+    assert [[x.hex() for x in r] for r in got] == [[x.hex() for x in fsum_partials(r)]
+                                                   for r in rows]
+
+
+_WIDE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e60, max_value=1e60),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stacked_reduce_tile_equals_the_per_field_reference(data):
+    # one isfinite, min, max and sum over the stacked fields, the integral
+    # partials extracted from all integrands at once and the gamma caps
+    # found by bisection give the per-field summary bit for bit.  Each node
+    # i has rho0 = a_i |K_i| = b_i (u_i - 2) S_i, so the pinch caps flip at
+    # gamma = max a_i and the coupled ones at max b_i, partway along each
+    # grid; one node sits on a grid gamma exactly
+    n_u, n_v = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 16))
+    n = n_u * n_v
+
+    def draw(strategy):
+        return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)))
+
+    rho0 = draw(st.floats(0.0, 1.0))
+    a, b = draw(st.floats(0.05, 4.5)), draw(st.floats(0.01, 0.75))
+    node = data.draw(st.integers(0, n - 1))
+    a[node] = PINCH_GAMMAS[data.draw(st.integers(1, 40))]
+    b[node] = COUPLED_GAMMAS[data.draw(st.integers(1, 20))]
+    S = draw(st.floats(0.5, 3.0))
+    values = {name: draw(_WIDE) for name in ("normA2", "rho_perp", "lambda1", "lambda2", "t",
+                                             "ddvv_slack", "hopf_re", "hopf_im",
+                                             "minimality_residual", "b1_simons",
+                                             "b1_cross", "codazzi_residual")}
+    values.update({name: draw(_FLOATS) for name in ("b1_direct", "delta_S")})
+    fields = forged_fields(n, rho0=rho0, K=-rho0 / a, S=S, u=2.0 + rho0 / (b * S),
+                           sqrt_det_g=draw(st.floats(0.1, 10.0)), **values)
+    grid = QuadratureGrid(spec_name="forged", chart="torus", resolution=(n_u, n_v),
+                          u_axis=np.zeros(n_u), v_axis=np.zeros(n_v),
+                          u_weight=draw(st.floats(0.01, 3.0))[:n_u],
+                          v_weight=draw(st.floats(0.01, 3.0))[:n_v])
+    tile = (slice(0, n_u), slice(0, n_v))
+    got = reduce_tile(fields, grid, tile)
+    assert _summary_bits(got) == _summary_bits(per_field_summary(fields, grid, tile))
 
 
 @pytest.mark.parametrize("name", ["equator", "veronese", "calabi3", "clifford"])

@@ -10,14 +10,18 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from minimal_gap_lab.errors import DomainError, ParseError, ValidationError
+from minimal_gap_lab.geoquad import build_grid, grid_tiles
 from minimal_gap_lab.surfaces import (
     CATALOG_NAMES,
     JET_ORDER_MAX,
     MAX_AMBIENT_DIM,
     MONOMIALS,
     FrameData,
+    Jet,
     Taylor,
+    _catalog_sphere_entry,
     _product,
+    _square,
     _subtract_product,
     _tangent_connection,
     adapted_frame,
@@ -33,6 +37,7 @@ from minimal_gap_lab.surfaces import (
     validate_spec,
 )
 
+import grad_h_oracle
 from fd_oracle import frozen_frame_grad3, laplace_beltrami
 from gram_oracle import h_stack
 from tile_fields import peak_bytes
@@ -277,10 +282,11 @@ def test_taylor_subtraction_and_lift_are_bitwise_the_plain_formulas():
     assert np.array_equal((a - k).c, (a + (-k)).c)
     assert np.array_equal((k - a).c, ((-a) + k).c)
     assert np.array_equal((2.5 - a).c, ((-a) + 2.5).c)
-    # lift skips the division where a! b! = 1, which must not change a bit
+    # lift halves the du^2 and dv^2 coefficients by a multiplication by 0.5
+    # and copies the others, which must not change a bit
     jet = eval_jet(catalog_entry("calabi3"), SPHERE_PTS, order=JET_ORDER_MAX)
     for degree in (1, 2):
-        series = Taylor.lift(jet, 1, 1, degree).c
+        series = Taylor.lift(jet, [(1, 1)], degree).c[:, 0]
         for k, (p, q) in enumerate(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))[:len(series)]):
             expected = jet.derivs[1 + p, 1 + q] / (math.factorial(p) * math.factorial(q))
             assert np.array_equal(series[k], expected)
@@ -384,6 +390,29 @@ def test_subtract_product_is_the_product_subtracted_bit_for_bit(degree, axes, op
     assert np.isnan(got[(0,) * got.ndim])
     zeros = got[..., 1]
     assert np.all(zeros == 0.0) and np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("op", ["multiply", "c...,c...->...", "cx...,cx...->x..."])
+def test_square_is_the_product_of_a_copy_bit_for_bit(degree, op):
+    # op(x, x) forms x0 x_k once and doubles it, and the degree-2 pair (1, 2)
+    # once; against `_product` of x and a copy of it (the general path),
+    # with a NaN and, at point 1, signed zeros: bitwise, no ulp moves
+    rng = np.random.default_rng(10 * degree + len(op))
+    c = rng.standard_normal(((1, 3, 6)[degree], 3, 2, 7))
+    c[..., 1] = np.where(rng.random(c.shape[:-1]) < 0.5, 0.0, -0.0)
+    c[(0,) * c.ndim] = np.nan
+    op = np.multiply if op == "multiply" else op
+    x = Taylor(c)
+    expected = _product(op, x, Taylor(c.copy())).c
+    got = _square(op, x).c
+    assert got.tobytes() == expected.tobytes()
+    assert _product(op, x, x).c.tobytes() == expected.tobytes()
+    assert np.isnan(got[(0,) * got.ndim])
+    if op is np.multiply and degree:
+        # x0 x0 is +0, but 2 (x0 x_k) is -0 where one factor is: both signs
+        zeros = got[..., 1]
+        assert np.all(zeros == 0.0) and np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
 def test_taylor_product_coefficients_are_its_derivatives():
@@ -516,7 +545,9 @@ def test_second_norm_field_memory_is_a_few_jets():
     # one Hessian slot at a time, each product subtracted from its slot one
     # coefficient at a time: the working set stays a small multiple of the
     # jet itself (about 10x while all three slots were built at once, 3.87x
-    # while each product was built whole before it was subtracted, 2.99x now)
+    # while each product was built whole before it was subtracted, 2.99x
+    # before each slot's coefficient series was freed after its subtraction,
+    # 2.91x now)
     jet, jet_bytes = _calabi4_jet(JET_ORDER_MAX)
     second_norm_field(jet)
     peak = peak_bytes(second_norm_field, jet)
@@ -525,8 +556,9 @@ def test_second_norm_field_memory_is_a_few_jets():
 
 def test_frame_and_grad_h_memory_is_a_few_jets():
     # the projections onto the normal space subtract their products in
-    # place: 5.51x the order-3 jet while each product was built whole, 4.61x
-    # now, set in _h_series
+    # place, and h and grad h are computed on the pairs i <= j alone, h's
+    # coefficients one at a time: 5.51x the order-3 jet while each product
+    # was built whole, 4.61x on all four (i, j), 3.48x now
     jet, jet_bytes = _calabi4_jet(3)
 
     def frame_route(jet):
@@ -534,7 +566,49 @@ def test_frame_and_grad_h_memory_is_a_few_jets():
 
     frame_route(jet)
     peak = peak_bytes(frame_route, jet)
-    assert peak <= 5.0 * jet_bytes, f"peak {peak / jet_bytes:.2f}x the jet"
+    assert peak <= 3.8 * jet_bytes, f"peak {peak / jet_bytes:.2f}x the jet"
+
+
+def _tile_jet(spec, u_rows, v_cols, order=3):
+    """The order-3 jet of a tile, its points flattened, as the pipeline
+    builds it."""
+    tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=order)
+    return Jet(spec, tile.u.ravel(), tile.v.ravel(), order,
+               {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
+
+
+def _oracle_tiles():
+    """(label, spec, u rows, v cols) of every tile of the catalog's default
+    grids, of rows 0:16 of calabi3 and calabi4 at 96x192, and of the first
+    tile of the degree-8 harmonic sphere."""
+    for name in CATALOG_NAMES:
+        spec = catalog_entry(name)
+        grid = build_grid(spec)
+        for rows, cols in grid_tiles(grid.resolution):
+            yield name, spec, grid.u_axis[rows], grid.v_axis[cols]
+    for name in ("calabi3", "calabi4"):
+        grid = build_grid(catalog_entry(name), (96, 192))
+        yield f"{name} 96x192", catalog_entry(name), grid.u_axis[:16], grid.v_axis
+    spec = _catalog_sphere_entry("harmonic8", 8)
+    grid = build_grid(spec)
+    rows, cols = grid_tiles(grid.resolution)[0]
+    yield "harmonic8", spec, grid.u_axis[rows], grid.v_axis[cols]
+
+
+def test_grad_h_on_the_index_pairs_is_the_eight_component_route_bit_for_bit():
+    # h and grad h on the pairs i <= j, grad3[1, 0, k] filled from the same
+    # three terms in the order (normal + A) + B, and the Codazzi residual
+    # from its four distinct differences: every field has the bits of the
+    # route that computes all eight components
+    for label, spec, u, v in _oracle_tiles():
+        jet = _tile_jet(spec, u, v)
+        frame = adapted_frame(jet)
+        got, expected = covariant_grad_h(jet, frame), grad_h_oracle.covariant_grad_h(jet, frame)
+        for name in ("a1", "a2", "grad3", "b1_direct", "codazzi_residual"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), (label, name)
+        for name in ("a", "b", "minimality_residual"):
+            assert (getattr(got.shape, name).tobytes()
+                    == getattr(expected.shape, name).tobytes()), (label, name)
 
 
 def test_covariant_grad_h_carries_h():

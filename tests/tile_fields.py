@@ -5,19 +5,26 @@ and the `tracemalloc` peak of a call.
 keeps no per-node array.  These helpers concatenate `_fields_chunk` over
 `grid_tiles`, forge per-node fields, and fold `reduce_tile` over the tiles
 of forged fields, so a test can compare a summary with a per-node
-recomputation.
+recomputation; `per_field_summary` is `reduce_tile` written one field and
+one gamma at a time.
 """
 
 import functools
+import math
 import tracemalloc
 from dataclasses import fields as dc_fields
 
 import numpy as np
 
+from minimal_gap_lab.gaps import CAP_REL_TOL, COUPLED_GAMMAS, PINCH_GAMMAS
 from minimal_gap_lab.geoquad import (
+    FIELD_NAMES,
+    GUARDS,
     FieldSummary,
+    Guard,
     SurfaceFields,
     _fields_chunk,
+    _integrands,
     grid_tiles,
     reduce_tile,
 )
@@ -96,3 +103,57 @@ def summarize(fields: SurfaceFields, grid, tols=None) -> FieldSummary:
     parts = [reduce_tile(take(fields, nodes), grid, tile, tols)
              for tile, nodes in tile_slices(grid)]
     return functools.reduce(FieldSummary.merge, parts)
+
+
+def fsum_partials(values) -> list[float]:
+    """What `geoquad._partials` computes, by its definition: s_k =
+    fsum(values, -s_0, ..., -s_(k-1)) until one is 0, or the fsum alone of
+    values that are not all finite."""
+    values = [float(x) for x in values]
+    if not all(math.isfinite(x) for x in values):
+        return [math.fsum(values)]
+    parts = []
+    while True:
+        total = math.fsum(values + [-s for s in parts])
+        if total == 0.0:
+            return parts or [total]
+        parts.append(total)
+
+
+def per_field_summary(fields: SurfaceFields, grid, tile, tols=None) -> FieldSummary:
+    """`reduce_tile` one field at a time: each extremum and node sum its own
+    numpy call, each integral by `fsum_partials`, and each gamma cap tested
+    at every node."""
+    rows, cols = tile
+    start = rows.start * grid.resolution[1] + cols.start
+    inv = fields.inv
+    reported = [getattr(inv, name) for name in INVARIANT_NAMES] + \
+        [getattr(fields, name) for name in FIELD_NAMES]
+    extrema = reported + [inv.lambda1 - inv.lambda2]
+    weight = np.outer(grid.u_weight[rows], grid.v_weight[cols]).ravel() * fields.sqrt_det_g
+    tols = tols or {}
+    flagged = np.zeros(weight.shape, dtype=bool)
+    guards = {}
+    for key, (name, default) in GUARDS.items():
+        residual = getattr(fields, name)
+        over = residual > tols.get(key, default)
+        flagged |= over
+        i = int(np.argmax(residual))
+        guards[key] = Guard(int(over.sum()), float(residual[i]), start + i)
+    tol = CAP_REL_TOL * np.maximum(1.0, inv.S ** 2)
+    coupled_scale = np.maximum(inv.u - 2.0, 0.0) * inv.S
+    return FieldSummary(
+        nodes=weight.size,
+        low=np.array([np.min(x) for x in extrema]),
+        high=np.array([np.max(x) for x in extrema]),
+        sums={name: [float(np.sum(x))]
+              for name, x in zip(INVARIANT_NAMES + list(FIELD_NAMES), reported)},
+        integrals={name: fsum_partials(weight * values)
+                   for name, values in _integrands(fields).items()},
+        flagged=int(flagged.sum()),
+        guards=guards,
+        pinch=np.array([bool(np.all(inv.rho0 <= gamma * np.abs(inv.K) + tol))
+                        for gamma in PINCH_GAMMAS]),
+        coupled=np.array([bool(np.all(inv.rho0 <= gamma * coupled_scale + tol))
+                          for gamma in COUPLED_GAMMAS]),
+    )
