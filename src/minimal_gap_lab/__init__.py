@@ -37,7 +37,7 @@ _EXPORTS = {
                  "ImmersionSpec", "Jet", "ShapePair", "Taylor", "adapted_frame",
                  "catalog_entry", "covariant_grad_h", "eval_jet",
                  "load_immersion", "second_fundamental_form", "serialize_spec",
-                 "validate_spec"),
+                 "trace_directions", "validate_spec"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -38,15 +38,18 @@ from minimal_gap_lab.invariants import (
 )
 from minimal_gap_lab.surfaces import (
     CODAZZI_TOL,
+    HESSIAN_SLOTS,
     JET_ORDER_MAX,
     SPHERE,
     ImmersionSpec,
     Jet,
+    Taylor,
     adapted_frame,
     covariant_grad_h,
     eval_jet,
     first_fundamental_form,
     second_norm_field,
+    trace_directions,
 )
 
 DEFAULT_RESOLUTION = {"sphere": (64, 128), "torus": (64, 64)}
@@ -71,8 +74,11 @@ def _legendre(n: int, x: np.ndarray):
     return p1, n * (x * p1 - p0) / ((x - 1) * (x + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1],
+    as read-only arrays, computed once per n (a run asks for the n of its
+    one resolution, for every sphere surface it verifies).
 
     Newton's method on the Legendre recurrence finds the negative nodes from
     cos(pi (k - 1/4) / (n + 1/2)); the positive ones are their mirror images,
@@ -98,8 +104,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         x = np.append(x, 0.0)
     w = 2 / ((1 - x) * (1 + x) * _legendre(n, x)[1] ** 2)
     x, w = x.astype(float), w.astype(float)
-    return (np.concatenate([x, -x[: n // 2][::-1]]),
-            np.concatenate([w, w[: n // 2][::-1]]))
+    nodes = np.concatenate([x, -x[: n // 2][::-1]])
+    weights = np.concatenate([w, w[: n // 2][::-1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass
@@ -187,19 +195,22 @@ class SurfaceFields:
 def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray,
                   v_cols: np.ndarray) -> SurfaceFields:
     """The fields on the tile u_rows x v_cols, its nodes in row-major order."""
-    # one jet serves every layer: the Taylor series of S reads it to order 4,
-    # the frame, h and grad h to order 3, the area element to order 1.  The
-    # Simons route runs first, while the jet is the only other tile array
-    # alive; the order-4 derivatives, which only it reads, are freed before
-    # the frame route, and of grad h only the fields below outlive it.
+    # one jet serves every layer: the Hessian slots of the Simons route read
+    # it to order 4, the rest of S's trace series, the frame, h and grad h
+    # to order 3, the area element to order 1.  The slots are lifted first
+    # and the order-4 derivatives, which only they read, are freed before
+    # S's projection runs; of grad h only the fields below outlive it.
     tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=JET_ORDER_MAX)
     jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
               {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
     del tile
     E, F, G = metric = first_fundamental_form(jet)
-    laplacian_S = laplace_beltrami(jet, second_norm_field(jet), metric)
+    directions = trace_directions(metric)
+    slots = Taylor.lift(jet, HESSIAN_SLOTS, 2, directions)
     jet = Jet(spec, jet.u, jet.v, 3,
               {key: d for key, d in jet.derivs.items() if sum(key) <= 3})
+    laplacian_S = laplace_beltrami(jet, second_norm_field(jet, slots), directions)
+    del slots, directions
     grad = covariant_grad_h(jet, adapted_frame(jet))
     b1_direct, codazzi_residual, shape = grad.b1_direct, grad.codazzi_residual, grad.shape
     del grad

@@ -7,10 +7,12 @@ here, the Simons identity and the direct third-order norm, and their
 disagreement is a residual, never hidden.
 
 The two B1 routes share only the jet.  The Simons route takes the chart
-Laplacian of the frame-free S from the degree-2 coefficients of its Taylor
-series; the direct route is |grad h|^2 from the degree-1 coefficients of
-the ambient h and the tangent frame (`surfaces.covariant_grad_h`).  Both are exact up to rounding,
-so their disagreement measures rounding, not a step size.
+Laplacian of the frame-free S from its trace series (its value, its
+derivatives along two orthonormal directions and the trace of its chart
+Hessian); the direct route is |grad h|^2 from the degree-1 coefficients of
+the ambient h and the tangent frame (`surfaces.covariant_grad_h`).  Both
+are exact up to rounding, so their disagreement measures rounding, not a
+step size.
 
 The eigenvalue gap is evaluated as sqrt((|a|^2-|b|^2)^2 + 4<a,b>^2), which is
 free of the catastrophic cancellation that the equivalent sqrt(S^2 - rho0)
@@ -31,6 +33,7 @@ from minimal_gap_lab.surfaces import (
     Taylor,
     first_fundamental_form,
     second_norm_field,
+    trace_directions,
 )
 
 S_EPS = 1e-12                 # below this, the surface point is totally geodesic
@@ -99,35 +102,34 @@ def point_invariants(sp: ShapePair) -> PointInvariants:
 # Laplace-Beltrami of scalar fields and the Simons route to B1
 # ---------------------------------------------------------------------------
 
-def _metric_christoffel(jet: Jet, metric):
-    """Inverse metric g^cd and contracted Christoffel symbols
-    gamma^e = g^cd Gamma^e_cd (all the Laplacian needs), points last, exact
-    from a jet of order >= 2 and its `first_fundamental_form` E, F, G."""
+def _metric_christoffel(jet: Jet, ginv: np.ndarray) -> np.ndarray:
+    """Contracted Christoffel symbols gamma^e = g^cd Gamma^e_cd (what the
+    Laplacian needs beyond g^cd), points last, exact from a jet of order
+    >= 2 and its inverse metric."""
     Xu, Xv = jet.derivs[1, 0], jet.derivs[0, 1]
-    E, F, G = metric
-    ginv = np.stack([np.stack([G, -F]), np.stack([-F, E])]) / (E * G - F * F)
     # g^cd Gamma_{f,cd} = <g^cd d_c d_d X, d_f X>
     trace = (ginv[0, 0] * jet.derivs[2, 0] + 2.0 * ginv[0, 1] * jet.derivs[1, 1]
              + ginv[1, 1] * jet.derivs[0, 2])
     first_kind = np.stack([np.einsum("x...,x...->...", trace, Xu),
                            np.einsum("x...,x...->...", trace, Xv)])
-    return ginv, np.einsum("ef...,f...->e...", ginv, first_kind)
+    return np.einsum("ef...,f...->e...", ginv, first_kind)
 
 
-def laplace_beltrami(jet: Jet, field: Taylor, metric) -> np.ndarray:
+def laplace_beltrami(jet: Jet, field: Taylor, directions) -> np.ndarray:
     """Chart Laplace-Beltrami g^cd f_cd - gamma^e f_e of a scalar field.
 
-    `field` is the field's degree-2 Taylor series at the jet's points: its
-    degree-1 coefficients are f_u, f_v and its degree-2 ones f_uu / 2, f_uv,
-    f_vv / 2; `metric` is the jet's `first_fundamental_form`.  The metric
-    terms come exactly from the jet, so no step size or truncation error
-    enters.
+    `field` is the field's trace series (f, d_1 f, d_2 f, T f) at the jet's
+    points along `directions` = (L, g^-1), the `trace_directions` of the
+    jet's metric: T f is g^cd f_cd, and f_u, f_v follow from
+    d_i f = L[i, c] f_c with L lower triangular.  The metric terms come
+    exactly from the jet, so no step size or truncation error enters.
     """
     f = field.c
-    ginv, gamma = _metric_christoffel(jet, metric)
-    # f_uu = 2 f[3], f_uv = f[4], f_vv = 2 f[5]
-    return (2.0 * (ginv[0, 0] * f[3] + ginv[0, 1] * f[4] + ginv[1, 1] * f[5])
-            - gamma[0] * f[1] - gamma[1] * f[2])
+    L, ginv = directions
+    gamma = _metric_christoffel(jet, ginv)
+    f_u = f[1] / L[0, 0]
+    f_v = (f[2] - L[1, 0] * f_u) / L[1, 1]
+    return f[3] - gamma[0] * f_u - gamma[1] * f_v
 
 
 @dataclass
@@ -151,9 +153,10 @@ def b1_simons(jet: Jet, invariants: PointInvariants) -> SimonsB1:
     """B1 via the chart Laplacian of S (`b1_from_laplacian`).
 
     `jet` has order >= 4 and `invariants` are its points'; Lap S comes from
-    the degree-2 series of the frame-free S, never from grad h.
+    the trace series of the frame-free S, never from grad h.
     """
     if jet.order < 4:
         raise DomainError(f"b1_simons needs a jet of order >= 4, got {jet.order}")
-    laplacian = laplace_beltrami(jet, second_norm_field(jet), first_fundamental_form(jet))
+    directions = trace_directions(first_fundamental_form(jet))
+    laplacian = laplace_beltrami(jet, second_norm_field(jet), directions)
     return b1_from_laplacian(laplacian, invariants)

@@ -9,9 +9,10 @@ floating-point ingredient is coefficient rounding).  Everything built on top
 of the jets is differentiated the same way: the tangent frame, h and the
 frame-free S run on `Taylor` series in the chart offsets whose coefficients
 come straight from the jets.  The degree-1 coefficients give the chart
-derivatives of the frame and of h that the covariant gradient of h needs, and
-the degree-2 coefficients of S give its Laplacian; no finite difference is
-taken anywhere.
+derivatives of the frame and of h that the covariant gradient of h needs;
+S runs on trace series, which carry its value, its first derivatives and
+the trace of its Hessian, all that its Laplacian reads.  No finite
+difference is taken anywhere.
 
 No basis of the normal space is built.  h_ij is an ambient vector in R^C:
 the chart Hessian in the tangent frame minus its components along X, e1 and
@@ -30,7 +31,6 @@ rows of points even when the value axes are tiny.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import string
@@ -291,25 +291,42 @@ def first_fundamental_form(jet: Jet):
 
 
 # ---------------------------------------------------------------------------
-# truncated bivariate Taylor series in the chart offsets
+# truncated series in the chart offsets: chart series and trace series
 # ---------------------------------------------------------------------------
 
-# exponents (a, b) of the monomials du^a dv^b, in coefficient-axis order
-MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-_SIZE = (1, 3, 6)            # coefficient count of a series of degree 0, 1, 2
+_SIZE = (1, 3, 4)            # coefficient count of a series of degree 0, 1, 2
+# the first-order pairs of a trace coefficient, each added twice:
+# T(fg) = Tf g0 + f0 Tg + 2 (f1 g1 + f2 g2)
+TRACE_CROSS = ((1, 1), (2, 2))
 
 
 @functools.lru_cache(maxsize=None)
 def _pairs(size: int) -> tuple:
     """For each coefficient k of a series with `size` coefficients, the
-    index pairs (i, j) whose monomials multiply to monomial k."""
-    degree = _SIZE.index(size)
-    terms = [[] for _ in range(size)]
-    for i, j in itertools.product(range(size), repeat=2):
-        a, b = MONOMIALS[i][0] + MONOMIALS[j][0], MONOMIALS[i][1] + MONOMIALS[j][1]
-        if a + b <= degree:
-            terms[MONOMIALS.index((a, b))].append((i, j))
-    return tuple(tuple(t) for t in terms)
+    index pairs (i, j) whose products add up to it, each listed once per
+    time it is added: (0, k) and (k, 0), and for the trace coefficient of a
+    degree-2 series each `TRACE_CROSS` pair twice."""
+    terms = [((0, 0),)] + [((0, k), (k, 0)) for k in range(1, size)]
+    if size == _SIZE[2]:
+        terms[3] += tuple(pair for pair in TRACE_CROSS for _ in range(2))
+    return tuple(terms)
+
+
+def trace_directions(metric):
+    """L and the inverse metric g^cd at the points, both (2, 2, *points),
+    from the first fundamental form E, F, G: the directions d_i = L[i, c] d_c
+    and the trace of a trace series (`Taylor` of degree 2).  With
+    D = EG - F^2, L = [[1/sqrt(E), 0], [-F/sqrt(E D), sqrt(E/D)]] is
+    orthonormal for the metric: sum_i L[i, c] L[i, d] = g^cd."""
+    E, F, G = metric
+    D = E * G - F * F
+    sqrtE, sqrtD = np.sqrt(E), np.sqrt(D)
+    L = np.zeros((2, 2) + np.shape(E))
+    L[0, 0] = 1.0 / sqrtE
+    L[1, 0] = -F / (sqrtE * sqrtD)
+    L[1, 1] = sqrtE / sqrtD
+    ginv = np.stack([np.stack([G, -F]), np.stack([-F, E])]) / D
+    return L, ginv
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,13 +362,20 @@ def _symmetric(op) -> bool:
     return op is np.multiply
 
 
+def _cross_terms(op, x: "Taylor", y: "Taylor"):
+    """The `TRACE_CROSS` terms op(x_i, y_i) of a trace coefficient, each
+    formed once: its caller adds each twice, which is the same, bit for bit,
+    as forming it twice."""
+    return (_apply(op, x.c[i], y.c[j]) for i, j in TRACE_CROSS)
+
+
 def _product(op, x, y) -> "Taylor":
     """op(x, y), bilinear, truncated at the series degree.
 
     With one series operand it is a single call over all its coefficients.
     With two it runs on coefficient-axis slices, which are views: x0 * y[all]
-    gives out[k] = x0 y_k, x[1:] * y0 is added into out[1:], and the pairs
-    with both indices >= 1 follow (only at degree 2).  A symmetric op of a
+    gives out[k] = x0 y_k, x[1:] * y0 is added into out[1:], and a trace
+    series adds its cross terms (`_cross_terms`).  A symmetric op of a
     series with itself (`_square`) forms each of those terms once.
     """
     if not (isinstance(x, Taylor) and isinstance(y, Taylor)):
@@ -364,27 +388,23 @@ def _product(op, x, y) -> "Taylor":
     out = _apply(op, x.c[0], y.c, (False, True))
     if len(out) > 1:
         out[1:] += _apply(op, x.c[1:], y.c[0], (True, False))
-    for k, pairs in enumerate(_pairs(len(out))):
-        for i, j in pairs:
-            if i and j:
-                out[k] += _apply(op, x.c[i], y.c[j])
+    if len(out) == _SIZE[2]:
+        for term in _cross_terms(op, x, y):
+            out[3] += term
+            out[3] += term
     return Taylor(out)
 
 
 def _square(op, x: "Taylor") -> "Taylor":
     """op(x, x) for a symmetric op, bit for bit as `_product`: there
     out[k] = x0 x_k + x_k x0 (k >= 1) adds a term to itself, which doubling
-    x0 x_k gives exactly, and the pair (1, 2) of degree 2 is added twice in
-    the order (1, 2), (2, 1), so it is formed once and added twice."""
+    x0 x_k gives exactly."""
     out = _apply(op, x.c[0], x.c, (False, True))
     out[1:] *= 2.0
-    for k, pairs in enumerate(_pairs(len(out))):
-        for i, j in pairs:
-            if i and j and i <= j:
-                term = _apply(op, x.c[i], x.c[j])
-                out[k] += term
-                if i < j:
-                    out[k] += term
+    if len(out) == _SIZE[2]:
+        for term in _cross_terms(op, x, x):
+            out[3] += term
+            out[3] += term
     return Taylor(out)
 
 
@@ -392,37 +412,48 @@ def _subtract_product(acc: "Taylor", op, x: "Taylor", y: "Taylor") -> "Taylor":
     """acc -= op(x, y) in place, bit for bit as acc - _product(op, x, y).
 
     Each coefficient of the product is formed whole, its terms added in
-    `_product`'s order (x0 y_k, then x_k y0, then the `_pairs` with both
-    indices >= 1), and subtracted at once, so no array of the product's
-    size is built; `acc` must be a private array of the result's shape.
+    `_product`'s order (x0 y_k, then x_k y0, then a trace coefficient's
+    cross terms), and subtracted at once, so no array of the product's size
+    is built; `acc` must be a private array of the result's shape (or a
+    view into one).
     """
     if len(x.c) != len(y.c) or len(x.c) != len(acc.c):
         raise ValueError(f"Taylor operands of mixed degree: sizes "
                          f"{len(acc.c)}, {len(x.c)}, {len(y.c)}")
-    for k, pairs in enumerate(_pairs(len(acc.c))):
+    for k in range(len(acc.c)):
         term = _apply(op, x.c[0], y.c[k])
         if k:
             term += _apply(op, x.c[k], y.c[0])
-        for i, j in pairs:
-            if i and j:
-                term += _apply(op, x.c[i], y.c[j])
+        if k == 3:
+            for cross in _cross_terms(op, x, y):
+                term += cross
+                term += cross
         acc.c[k] -= term
     return acc
 
 
 class Taylor:
-    """A field truncated at degree <= 2 in the chart offsets (du, dv).
+    """A field truncated in the chart offsets (du, dv), at each point.
 
-    `c[k]` is the coefficient of the k-th monomial of MONOMIALS (1, du, dv,
-    du^2, du dv, dv^2), so c[1] and c[2] are the first chart derivatives and
-    c[3], c[4], c[5] are f_uu / 2, f_uv and f_vv / 2.  `c` has the shape
-    (1, 3 or 6 coefficients, *value axes, *point axes): the points come last,
-    so every operation runs over long contiguous rows even when the value
-    axes are tiny.  Indexing and `einsum` subscripts address the value axes,
-    with a trailing `...` for the points.  numpy arrays and scalars enter as
-    constants, and every product is truncated at the series' own degree
-    (truncated Taylor arithmetic; Griewank & Walther, Evaluating
-    Derivatives, ch. 13).
+    Of degree 0 or 1 it is a chart series: `c` is (f) or (f, f_u, f_v), the
+    value and the first chart derivatives.  Of degree 2 it is a trace
+    series: `c` is (f, d_1 f, d_2 f, T f), the value, the derivatives along
+    the directions d_i = L[i, c] d_c of `trace_directions`, and the flat
+    trace T f = g^cd f_cd of the chart Hessian, g^cd taken at the point
+    itself.  That is all a Laplacian reads (`invariants.laplace_beltrami`),
+    and products keep it: since sum_i L[i, c] L[i, d] = g^cd,
+    T(fg) = Tf g + f Tg + 2 (d_1 f d_1 g + d_2 f d_2 g), so the value, the
+    gradient and the Laplacian are carried forward together (Li et al.,
+    Forward Laplacian, arXiv:2307.08214, 2023).  Quotients and square roots
+    follow from the same product rule (`_pairs`).
+
+    `c` has the shape (coefficients, *value axes, *point axes): the points
+    come last, so every operation runs over long contiguous rows even when
+    the value axes are tiny.  Indexing and `einsum` subscripts address the
+    value axes, with a trailing `...` for the points.  numpy arrays and
+    scalars enter as constants, and every product is truncated at the
+    series' own degree (truncated Taylor arithmetic; Griewank & Walther,
+    Evaluating Derivatives, ch. 13).
     """
 
     __slots__ = ("c",)
@@ -432,13 +463,15 @@ class Taylor:
         self.c = c
 
     @classmethod
-    def lift(cls, jet: Jet, derivs, degree: int) -> "Taylor":
+    def lift(cls, jet: Jet, derivs, degree: int, directions=None) -> "Taylor":
         """The series of the chart derivatives d_u^i d_v^j X, (i, j) in
         `derivs`, read from the jet (of order >= i + j + degree) into one
-        array; value axes: the derivative, then the component."""
+        array; value axes: the derivative, then the component.  A trace
+        series (degree 2) is lifted along `directions`, the
+        `trace_directions` of the jet's metric."""
         out = np.empty((_SIZE[degree], len(derivs)) + jet.derivs[derivs[0]].shape)
         for n, (i, j) in enumerate(derivs):
-            _lift_into(out[:, n], jet, i, j)
+            _lift_into(out[:, n], jet, i, j, directions)
         return cls(out)
 
     @staticmethod
@@ -454,6 +487,7 @@ class Taylor:
         return Taylor(np.stack([s.c for s in series], axis=1))
 
     def truncate(self, degree: int) -> "Taylor":
+        """A chart series cut to a lower degree."""
         return Taylor(self.c[:_SIZE[degree]])
 
     def __getitem__(self, index) -> "Taylor":
@@ -516,20 +550,28 @@ class Taylor:
         return Taylor(np.stack(r))
 
 
-def _lift_into(out: np.ndarray, jet: Jet, i: int, j: int) -> None:
-    """Write the series of d_u^i d_v^j X into `out`, whose first axis holds
-    its coefficients: the coefficient of du^a dv^b is the derivative
-    d_u^(i+a) d_v^(j+b) X / (a! b!), and a! b! is 1 or 2 (times 0.5, exact)."""
-    for k, (a, b) in enumerate(MONOMIALS[:len(out)]):
-        if a == 2 or b == 2:
-            np.multiply(jet.derivs[i + a, j + b], 0.5, out=out[k])
-        else:
-            out[k] = jet.derivs[i + a, j + b]
+def _lift_into(out: np.ndarray, jet: Jet, i: int, j: int, directions=None) -> None:
+    """Write the series of X_a = d_u^i d_v^j X into `out`, whose first axis
+    holds its coefficients: X_a, then X_(a+u) and X_(a+v) for a chart
+    series, or L[0, c] X_(a+c), L[1, c] X_(a+c) and g^cd X_(a+c+d) for a
+    trace series along `directions` = (L, g^-1), where L[0, 1] = 0."""
+    d = jet.derivs
+    out[0] = d[i, j]
+    if len(out) == _SIZE[1]:
+        out[1], out[2] = d[i + 1, j], d[i, j + 1]
+    elif len(out) == _SIZE[2]:
+        L, ginv = directions
+        np.multiply(L[0, 0], d[i + 1, j], out=out[1])
+        np.multiply(L[1, 0], d[i + 1, j], out=out[2])
+        out[2] += L[1, 1] * d[i, j + 1]
+        np.multiply(ginv[0, 0], d[i + 2, j], out=out[3])
+        out[3] += (2.0 * ginv[0, 1]) * d[i + 1, j + 1]
+        out[3] += ginv[1, 1] * d[i, j + 2]
 
 
 def _quotient(num, den: Taylor) -> Taylor:
-    """q = num / den from sum over i + j = k of q_i den_j = num_k; `num` may
-    be a constant."""
+    """q = num / den from sum over the `_pairs` (i, j) of coefficient k of
+    q_i den_j = num_k; `num` may be a constant."""
     pairs = _pairs(len(den.c))
     q = []
     for k in range(len(den.c)):
@@ -998,23 +1040,35 @@ def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
 # the frame-free scalar field S
 # ---------------------------------------------------------------------------
 
-def second_norm_field(jet: Jet) -> Taylor:
+HESSIAN_SLOTS = ((2, 0), (1, 1), (0, 2))      # X_uu, X_uv, X_vv
+
+
+def second_norm_field(jet: Jet, slots: Taylor | None = None) -> Taylor:
     """S = |h|^2 without constructing a normal frame (gauge-free route), as a
-    degree-2 Taylor series in the chart offsets, from a jet of order >= 4.
+    trace series (`Taylor` of degree 2) along the `trace_directions` of the
+    jet's metric: the value at the points is `.c[0]`, and the other
+    coefficients carry all the Laplacian of S needs.
 
-    The value at the points is `.c[0]`; the degree-2 coefficients carry all
-    the Laplacian of S needs.
+    `slots` are the trace series of the Hessian slots,
+    `Taylor.lift(jet, HESSIAN_SLOTS, 2, directions)`, and are projected in
+    place.  Without them they are lifted here, from a jet of order >= 4.  A
+    caller that lifts them itself can free the order-4 derivatives, which
+    nothing else reads, before the projection, and pass a jet of order 3.
 
-    The Hessian slots X_uu, X_uv, X_vv are projected onto the normal space
-    one at a time, so no series carries two chart axes and the ambient axis
-    at once; S then needs only the six inner products of the normal parts.
-    The vectors are projected before any inner product is taken: subtracting
-    the radial and tangential parts from Gram entries of the raw jet instead
-    cancels catastrophically near the poles.
+    The slots are projected onto the normal space one at a time, so no
+    series carries two chart axes and the ambient axis at once; S then needs
+    only the six inner products of the normal parts.  The vectors are
+    projected before any inner product is taken: subtracting the radial and
+    tangential parts from Gram entries of the raw jet instead cancels
+    catastrophically near the poles.
     """
-    if jet.order < 4:
-        raise DomainError(f"second_norm_field needs a jet of order >= 4, got {jet.order}")
-    Xs = Taylor.lift(jet, ((0, 0), (1, 0), (0, 1)), 2)              # X, X_u, X_v
+    needs = 4 if slots is None else 3
+    if jet.order < needs:
+        raise DomainError(f"second_norm_field needs a jet of order >= {needs}, got {jet.order}")
+    directions = trace_directions(first_fundamental_form(jet))
+    if slots is None:
+        slots = Taylor.lift(jet, HESSIAN_SLOTS, 2, directions)
+    Xs = Taylor.lift(jet, ((0, 0), (1, 0), (0, 1)), 2, directions)   # X, X_u, X_v
     X, Xc = Xs[0], Xs[1:]                                            # Xc: [c, C]
     # the metric g_uu, g_uv = g_vu, g_vv and its inverse, by the adjugate
     Xu, Xv = Xc[0], Xc[1]
@@ -1023,19 +1077,18 @@ def second_norm_field(jet: Jet) -> Taylor:
     ginv = Taylor.stack([Taylor.stack([g_vv, minus_g_uv]), Taylor.stack([minus_g_uv, g_uu])]) \
         / (g_uu * g_vv - g_uv * g_uv)[None, None]
     del Xu, Xv, g_uu, g_uv, g_vv, minus_g_uv
-    K = []
-    for key in ((2, 0), (1, 1), (0, 2)):
-        T = Taylor.lift(jet, [key], 2)[0]                            # [C], private
+    for k in range(len(HESSIAN_SLOTS)):
+        T = slots[k]                                                 # [C], a view
         # K_s = T - <T, X> X - coeff_f X_f, coeff_f = <T, X_e> g^ef, each
         # product subtracted from T one coefficient at a time
         products = Taylor.einsum("x...,ex...->e...", T, Xs)         # <T, X>, <T, X_c>
         _subtract_product(T, np.multiply, products[:1], X)          # [1] broadcasts over C
         coeff = Taylor.einsum("e...,ef...->f...", products[1:], ginv)
         del products
-        K.append(_subtract_product(T, "f...,fx...->x...", coeff, Xc))
+        _subtract_product(T, "f...,fx...->x...", coeff, Xc)
         del coeff
     del Xs, X, Xc
-    Kuu, Kuv, Kvv = K
+    Kuu, Kuv, Kvv = slots[0], slots[1], slots[2]
     # S = g^ik g^jl <K_ij, K_kl> with K symmetric, written out in the entries
     # p, r, s of the symmetric g^-1
     p, r, s = ginv[0, 0], ginv[0, 1], ginv[1, 1]

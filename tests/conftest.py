@@ -33,6 +33,33 @@ MIXED_TORUS_DOC = {
 }
 
 
+LAWSON_13_DOC = {
+    # Lawson's tau_{1,3} (Ann. Math. 92, 1970), (cos u e^{iv}, sin u e^{3iv}):
+    # a minimal torus in S^3 with S in [2/9, 18] and |Lap S| up to 576
+    "name": "lawson_13",
+    "chart": "torus",
+    "ambient_dim": 4,
+    "euler_char": 0,
+    "components": [
+        [{"coeff": 0.5, "type": "cos", "freq": [1, 1]},
+         {"coeff": 0.5, "type": "cos", "freq": [1, -1]}],
+        [{"coeff": 0.5, "type": "sin", "freq": [1, 1]},
+         {"coeff": -0.5, "type": "sin", "freq": [1, -1]}],
+        [{"coeff": 0.5, "type": "sin", "freq": [1, 3]},
+         {"coeff": 0.5, "type": "sin", "freq": [1, -3]}],
+        [{"coeff": 0.5, "type": "cos", "freq": [1, -3]},
+         {"coeff": -0.5, "type": "cos", "freq": [1, 3]}],
+    ],
+}
+
+
+@pytest.fixture(scope="session")
+def lawson_torus():
+    from minimal_gap_lab.surfaces import parse_spec_dict
+
+    return parse_spec_dict(LAWSON_13_DOC)
+
+
 @pytest.fixture(scope="session")
 def mixed_torus():
     from minimal_gap_lab.surfaces import parse_spec_dict

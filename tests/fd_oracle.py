@@ -15,6 +15,7 @@ from minimal_gap_lab.surfaces import (
     eval_jet,
     first_fundamental_form,
     second_fundamental_form,
+    trace_directions,
 )
 
 from gram_oracle import h_stack
@@ -79,7 +80,8 @@ def laplace_beltrami(spec, scalar_field, u, v, step: float = 1e-3,
     v = np.asarray(v, dtype=float)
     step = step * 2 ** refinements
     jet = eval_jet(spec, (u, v), order=2)
-    ginv, gamma = _metric_christoffel(jet, first_fundamental_form(jet))
+    ginv = trace_directions(first_fundamental_form(jet))[1]
+    gamma = _metric_christoffel(jet, ginv)
 
     d1 = np.empty(u.shape + (2,))
     d2 = np.empty(u.shape + (2, 2))

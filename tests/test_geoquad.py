@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import weakref
 
 import mpmath
 import numpy as np
@@ -27,8 +28,11 @@ from minimal_gap_lab.geoquad import (
     reduce_tile,
 )
 from minimal_gap_lab.gaps import COUPLED_GAMMAS, PINCH_GAMMAS, calabi_S, calabi_constants
-from minimal_gap_lab.invariants import point_invariants
+from minimal_gap_lab.invariants import b1_simons, point_invariants
 from minimal_gap_lab.surfaces import (
+    CATALOG_NAMES,
+    JET_ORDER_MAX,
+    Jet,
     _catalog_sphere_entry,
     adapted_frame,
     catalog_entry,
@@ -173,6 +177,7 @@ def test_gauss_legendre_is_symmetric_and_exact(n):
 
 
 def test_gauss_legendre_raises_when_newton_does_not_converge(monkeypatch):
+    gauss_legendre.cache_clear()        # a cached rule is not solved again
     monkeypatch.setattr(geoquad, "NEWTON_MAX", 1)
     with pytest.raises(InvariantViolation, match="did not converge"):
         gauss_legendre(96)
@@ -180,6 +185,22 @@ def test_gauss_legendre_raises_when_newton_does_not_converge(monkeypatch):
 
 def _refuse(name, *args, **kwargs):
     raise AssertionError(f"{name} was called for a refused grid")
+
+
+def test_build_grid_reuses_the_gauss_legendre_rule_of_its_n(monkeypatch):
+    # the bench command builds two sphere grids at one resolution: the
+    # second reads the first one's rule, read-only, and gets the same bits
+    gauss_legendre.cache_clear()
+    first = build_grid(catalog_entry("calabi3"), (96, 192))
+    monkeypatch.setattr(geoquad, "_legendre", functools.partial(_refuse, "_legendre"))
+    second = build_grid(catalog_entry("calabi4"), (96, 192))
+    for axis in ("u_axis", "v_axis", "u_weight", "v_weight"):
+        assert getattr(second, axis).tobytes() == getattr(first, axis).tobytes()
+    x, w = gauss_legendre(96)
+    assert not (x.flags.writeable or w.flags.writeable)
+    monkeypatch.undo()
+    fresh = gauss_legendre.__wrapped__(96)
+    assert fresh[0].tobytes() == x.tobytes() and fresh[1].tobytes() == w.tobytes()
 
 
 def test_polar_nodes_inside_pole_margin_rejected(monkeypatch):
@@ -326,11 +347,12 @@ def test_evaluate_fields_memory_does_not_grow_with_the_grid():
 
 @pytest.mark.parametrize("name,degree,limit", [
     # C = 9: 5299 B/node while each vector Taylor product was built whole
-    # before it was subtracted, 4339 before S's slot loop freed each
-    # coefficient series after its subtraction, 4243 now
-    ("calabi4", 4, 4400),
-    # C = 17: 9715 B/node before, 7603 now
-    ("harmonic8", 8, 8600),
+    # before it was subtracted, 4243 while S ran on six-coefficient chart
+    # series with the order-4 derivatives alive, 3259 now, which the frame
+    # route sets (S's route peaks at 3195)
+    ("calabi4", 4, 3400),
+    # C = 17: 9715 B/node before, 7603 on chart series, 5819 now
+    ("harmonic8", 8, 6000),
 ])
 def test_tile_peak_bytes_per_node(name, degree, limit):
     # one 3072-node tile (rows 0:16 of the 96x192 grid) under tracemalloc
@@ -361,11 +383,11 @@ def test_tile_work_is_gated_by_call_counts(monkeypatch):
     # a deterministic gate on duplicated work: the calls one 3072-node
     # calabi4 tile makes to np.einsum and to the Taylor kernel
     # surfaces._apply, and those one reduce_tile makes to numpy's
-    # reductions, repeat exactly.  Each is at most its count when h and
-    # grad h were cut to the pairs i <= j, the Taylor self-products formed
-    # each term once and the tile reduced its fields stacked (220 einsum,
-    # 305 _apply and 128 reductions before; 198, 276 and 25 after).  A
-    # change that raises one has to say why
+    # reductions, repeat exactly.  Each is at most its count once S ran on
+    # four-coefficient trace series (198 einsum and 276 _apply calls on
+    # six-coefficient chart series; 158 and 189 now) and the tile reduced
+    # its fields stacked (128 reductions before, 25 after).  A change that
+    # raises one has to say why
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
     u, v = grid.u_axis[:16], grid.v_axis
@@ -373,10 +395,50 @@ def test_tile_work_is_gated_by_call_counts(monkeypatch):
     tile_counts = _counted(monkeypatch, np, ["einsum"]) | \
         _counted(monkeypatch, surfaces, ["_apply"])
     _fields_chunk(spec, u, v)
-    assert tile_counts["einsum"] <= 198 and tile_counts["_apply"] <= 276, tile_counts
+    assert tile_counts["einsum"] <= 158 and tile_counts["_apply"] <= 189, tile_counts
     reduction_counts = _counted(monkeypatch, np, REDUCTIONS)
     reduce_tile(fields, grid, (slice(0, 16), slice(0, 192)))
     assert sum(reduction_counts.values()) <= 25, reduction_counts
+
+
+def test_order4_derivatives_are_freed_before_the_simons_projection(monkeypatch):
+    # the Hessian slots are the only readers of the order-4 derivatives, so
+    # `_fields_chunk` lifts them and frees those derivatives (5 C doubles a
+    # node) before S's projection makes its first subtraction
+    spec = catalog_entry("calabi4")
+    grid = build_grid(spec, (96, 192))
+    refs, alive = [], []
+
+    def eval_jet_seen(*args, **kwargs):
+        jet = eval_jet(*args, **kwargs)
+        refs.extend(weakref.ref(d) for key, d in jet.derivs.items() if sum(key) == 4)
+        return jet
+
+    def first_subtraction(*args, _call=surfaces._subtract_product):
+        if not alive:
+            alive.append([ref() is not None for ref in refs])
+        return _call(*args)
+
+    monkeypatch.setattr(geoquad, "eval_jet", eval_jet_seen)
+    monkeypatch.setattr(surfaces, "_subtract_product", first_subtraction)
+    _fields_chunk(spec, grid.u_axis[:16], grid.v_axis)
+    assert len(refs) == 5 and alive == [[False] * 5]
+
+
+def test_the_benchmark_reads_the_layers_the_pipeline_runs(monkeypatch):
+    # perfbench's tracer wraps `second_norm_field` under the binding geoquad
+    # holds, and `invariants.b1_simons` by name: a tile reaches the first
+    # exactly once, and the second gives the tile's b1_simons bit for bit
+    spec = catalog_entry("calabi4")
+    grid = build_grid(spec, (96, 192))
+    u, v = grid.u_axis[:16], grid.v_axis
+    calls = _counted(monkeypatch, geoquad, ["second_norm_field"])
+    fields = _fields_chunk(spec, u, v)
+    assert calls == {"second_norm_field": 1}
+    tile = eval_jet(spec, (u[:, None], v[None, :]), order=JET_ORDER_MAX)
+    jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
+              {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
+    assert b1_simons(jet, fields.inv).b1.tobytes() == fields.b1_simons.tobytes()
 
 
 def test_integrate_rejects_nan(monkeypatch):
@@ -614,6 +676,12 @@ def test_b1_routes_agree_to_rounding(name, bundle):
     # both routes are exact up to rounding, so they agree far below the
     # b1_cross guard of 1e-4
     assert bundle(name).summary.max("b1_cross") <= 1e-9
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_laplacian_of_S_is_rounding_noise_on_the_catalog(name, bundle):
+    # S is constant on every catalog surface, so its Laplacian is rounding
+    assert bundle(name).summary.abs_max("delta_S") <= 1e-11
 
 
 def test_quadrature_convergence_on_synthetic_field():

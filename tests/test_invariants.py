@@ -1,11 +1,13 @@
 """Tests for pointwise invariants and the two-route B1 computation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from minimal_gap_lab.errors import DomainError, InvariantViolation
+from minimal_gap_lab.geoquad import build_grid
 from minimal_gap_lab.invariants import b1_simons, point_invariants
 from minimal_gap_lab.surfaces import (
     ShapePair,
@@ -17,9 +19,10 @@ from minimal_gap_lab.surfaces import (
     second_norm_field,
 )
 
+import simons_oracle
 from fd_oracle import laplace_beltrami
 from gram_oracle import commutator_sum, gram_tensor, h_stack, second_route_residuals
-from tile_fields import peak_bytes
+from tile_fields import grid_fields, grid_nodes, peak_bytes
 
 
 def _pair(a, b):
@@ -356,6 +359,27 @@ def test_taylor_laplacian_of_S_matches_fd_oracle(rotated_mixed_torus):
         spec, lambda U, V: second_norm_field(eval_jet(spec, (U, V))).c[0], u, v)
     assert np.max(np.abs(lap)) > 50.0
     assert np.max(np.abs(lap - fd) / np.maximum(1.0, np.abs(lap))) < 1e-6
+
+
+@pytest.mark.parametrize("fixture,shear", [("rotated_mixed_torus", False),
+                                           ("lawson_torus", False), ("lawson_torus", True)])
+def test_laplacian_of_S_matches_the_chart_series_oracle(fixture, shear, request):
+    # S is far from constant on both tori (|Lap S| reaches 96 and 576): the
+    # pipeline's trace-series Laplacian against the six-coefficient chart
+    # series of the same projection, at every node of the default grid.
+    # Both charts are orthogonal (F = 0); the shear (u, v) -> (u, u + v)
+    # makes F nonzero, so the direction d_2 mixes both chart derivatives
+    spec = request.getfixturevalue(fixture)
+    if shear:
+        spec = replace(spec, components=[[(c, kind, m + n, n) for c, kind, m, n in comp]
+                                         for comp in spec.components])
+    grid = build_grid(spec)
+    lap = grid_fields(spec, grid).delta_S
+    jet = eval_jet(spec, grid_nodes(grid))
+    oracle = simons_oracle.laplace_beltrami(jet, simons_oracle.second_norm_field(jet))
+    scale = max(1.0, float(np.max(np.abs(oracle))))
+    assert scale > 50.0
+    assert np.max(np.abs(lap - oracle)) <= 1e-13 * scale
 
 
 def test_laplacian_on_flat_torus():
