@@ -401,9 +401,10 @@ def _tune_malloc() -> None:
     """Keep the tile pool's freed pages mapped, in one arena, under glibc.
 
     By default glibc gives each pool thread its own arena and returns a
-    tile's ~13 MB (a 3072-node calabi4 tile's `tracemalloc` peak) to the
-    kernel when it is freed, to fault it in again for the next tile.  A fixed trim threshold alone turns off glibc's dynamic
-    mmap threshold, so both are set.  Call before any pool thread starts;
+    tile's 8.5 MiB (a 3072-node calabi4 tile's `tracemalloc` peak) to the
+    kernel when it is freed, to fault it in again for the next tile.  A
+    fixed trim threshold alone turns off glibc's dynamic mmap threshold, so
+    both are set.  Call before any pool thread starts;
     nothing changes off glibc or when the caller set any of `MALLOC_VARS`.
     """
     import ctypes           # here, so that `identities` never loads them

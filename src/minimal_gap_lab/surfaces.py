@@ -428,6 +428,7 @@ def _subtract_product(acc: "Taylor", op, x: "Taylor", y: "Taylor") -> "Taylor":
             for cross in _cross_terms(op, x, y):
                 term += cross
                 term += cross
+                del cross                 # before the next one is formed
         acc.c[k] -= term
     return acc
 
@@ -571,16 +572,18 @@ def _lift_into(out: np.ndarray, jet: Jet, i: int, j: int, directions=None) -> No
 
 def _quotient(num, den: Taylor) -> Taylor:
     """q = num / den from sum over the `_pairs` (i, j) of coefficient k of
-    q_i den_j = num_k; `num` may be a constant."""
+    q_i den_j = num_k; `num` may be a constant.  Each q_k is written into
+    the result as it is formed, so no list of them is stacked."""
     pairs = _pairs(len(den.c))
-    q = []
+    head = num.c[0] if isinstance(num, Taylor) else num
+    q = np.empty((len(den.c),) + np.broadcast_shapes(np.shape(head), den.c.shape[1:]))
     for k in range(len(den.c)):
         acc = num.c[k] if isinstance(num, Taylor) else (num if k == 0 else 0.0)
         for i, j in pairs[k]:
             if i != k:
                 acc = acc - q[i] * den.c[j]
-        q.append(acc / den.c[0])
-    return Taylor(np.stack(q))
+        np.divide(acc, den.c[0], out=q[k, ...])
+    return Taylor(q)
 
 
 # -- catalog ------------------------------------------------------------------
@@ -807,20 +810,30 @@ def load_immersion(source, validate: bool = True) -> ImmersionSpec:
 
 @dataclass
 class FrameData:
-    """Adapted orthonormal tangent frame {e1, e2} at a jet's points; the
-    position X is the jet's own `derivs[0, 0]`.  No basis of the normal
-    space is built: it is what X, e1 and e2 leave of R^C.
+    """Adapted orthonormal tangent frame {e1, e2} at a jet's points.  No
+    basis of the normal space is built: it is what X, e1 and e2 leave of
+    R^C.
 
-    Every field is a Taylor series of degree min(jet order - 1, 1) in the
-    chart offsets: `e1.c[0]` is the frame vector and `e1.c[1:]` its chart
-    derivatives.  Points last, like every per-node array: the value axes
-    come first and the jet's point axes after them.  `chart_to_frame` is the
-    2x2 matrix L with e_i = L[i, c] d_c X.
+    `basis` is the tangent basis the normal projections read: the position
+    X (the jet's own `derivs[0, 0]`), e1 and e2 on a first value axis, and
+    `e1`, `e2` are views of it.  Every field is a Taylor series of degree
+    min(jet order - 1, 1) in the chart offsets: `e1.c[0]` is the frame
+    vector and `e1.c[1:]` its chart derivatives.  Points last, like every
+    per-node array: the value axes come first and the jet's point axes
+    after them.  `chart_to_frame` is the 2x2 matrix L with
+    e_i = L[i, c] d_c X.
     """
 
-    e1: Taylor                      # value axes (C,)
-    e2: Taylor
+    basis: Taylor                   # value axes (3, C): X, e1, e2
     chart_to_frame: Taylor          # value axes (2, 2)
+
+    @property
+    def e1(self) -> Taylor:
+        return self.basis[1]
+
+    @property
+    def e2(self) -> Taylor:
+        return self.basis[2]
 
 
 def _dot(x: Taylor, y: Taylor) -> Taylor:
@@ -846,7 +859,8 @@ def adapted_frame(jet: Jet) -> FrameData:
     min(jet order - 1, 1); a plain frame is its degree-0 case.  From a jet
     of order >= 2 the degree-1 coefficients are the exact chart derivatives
     of the frame, which `_tangent_connection` turns into the connection
-    coefficients.
+    coefficients.  e1 and e2 are written into the frame's `basis` as they
+    are formed, and each chart series is freed at its last read.
     """
     if jet.order < 1:
         raise DomainError("adapted_frame needs a jet of order >= 1")
@@ -862,17 +876,23 @@ def adapted_frame(jet: Jet) -> FrameData:
         raise FrameError(f"{jet.spec.name}: not an immersion at (u, v) = ({jet.u[k]:.6g}, "
                          f"{jet.v[k]:.6g}): metric determinant {det[k]:.3e} <= 1e-14")
 
+    basis = Taylor(np.empty((_SIZE[degree], 3) + Xu.c.shape[1:]))
+    _lift_into(basis.c[:, 0], jet, 0, 0)
+    e1, e2 = basis[1], basis[2]
     sqrtE = E.sqrt()
-    e1 = Xu / sqrtE[None]
+    e1.c[:] = (Xu / sqrtE[None]).c
+    del Xu
     proj = F / sqrtE                      # <Xv, e1>
     w = Xv - proj[None] * e1
+    del Xv
     nw = _dot(w, w).sqrt()
-    e2 = w / nw[None]
+    e2.c[:] = (w / nw[None]).c
+    del w
 
     inv_sqrtE = 1.0 / sqrtE
     L = Taylor.stack([Taylor.stack([inv_sqrtE, 0.0 * inv_sqrtE]),
                       Taylor.stack([-F / (E * nw), 1.0 / nw])])
-    return FrameData(e1=e1, e2=e2, chart_to_frame=L)
+    return FrameData(basis=basis, chart_to_frame=L)
 
 
 # ---------------------------------------------------------------------------
@@ -897,17 +917,6 @@ class ShapePair:
                              "minimality residual of shape (*points)")
 
 
-def _tangent_basis(jet: Jet, frame: FrameData, degree: int) -> Taylor:
-    """X, e1, e2 on a first value axis: orthonormal, and spanning all of R^C
-    but the normal space (the jet needs order >= 1 + degree)."""
-    size = _SIZE[degree]
-    basis = np.empty((size, 3) + frame.e1.c.shape[1:])
-    _lift_into(basis[:, 0], jet, 0, 0)
-    basis[:, 1] = frame.e1.c[:size]
-    basis[:, 2] = frame.e2.c[:size]
-    return Taylor(basis)
-
-
 def _normal_part(v: Taylor, basis: Taylor, axes: str) -> Taylor:
     """v minus its components along the orthonormal rows of `basis`, in
     place (v must be a private array); v has the value axes `axes` then the
@@ -917,42 +926,55 @@ def _normal_part(v: Taylor, basis: Taylor, axes: str) -> Taylor:
     return _subtract_product(v, f"{axes}b...,bx...->{axes}x...", comps, basis)
 
 
+HESSIAN_SLOTS = ((2, 0), (1, 1), (0, 2))      # X_uu, X_uv, X_vv
+POSITION = ((0, 0), (1, 0), (0, 1))           # X, X_u, X_v
+
 # h and its derivatives are symmetric in (i, j) bit for bit, so only the
 # index pairs i <= j are computed: pair p = 0, 1, 2 is (i, j) = 11, 12, 22,
 # so entry (i, j) is pair i + j (`_symmetric_view`); these are its i and j
 PAIR_ROWS = ([0, 0, 1], [0, 1, 1])
 
 
-def _symmetric_view(pairs: np.ndarray) -> np.ndarray:
-    """The full [i, j, ...] array of a symmetric [p, ...] one, entry (i, j)
-    read from pair i + j: a read-only view, no copy."""
-    step = pairs.strides[0]
+def _symmetric_view(pairs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The full [..., i, j, ...] array of a symmetric [..., p, ...] one, p
+    on `axis`, entry (i, j) read from pair i + j: a read-only view, no
+    copy."""
+    step = pairs.strides[axis]
     return np.lib.stride_tricks.as_strided(
-        pairs, (2, 2) + pairs.shape[1:], (step, step) + pairs.strides[1:],
-        writeable=False)
+        pairs, pairs.shape[:axis] + (2, 2) + pairs.shape[axis + 1:],
+        pairs.strides[:axis] + (step, step) + pairs.strides[axis + 1:], writeable=False)
 
 
-def _h_series(jet: Jet, frame: FrameData, degree: int) -> Taylor:
+def _h_series(slots: Taylor, frame: FrameData) -> Taylor:
     """h_p = the normal part of D^2 X(e_i, e_j) for the pairs p = (i, j),
-    i <= j (`PAIR_ROWS`), an ambient C-vector each, as a series of the given
-    degree (the jet needs order >= 2 + degree); value axes [p, x].
+    i <= j (`PAIR_ROWS`), an ambient C-vector each, as a series of the
+    degree of `slots`, the chart series of the Hessian slots
+    (`HESSIAN_SLOTS`), which are projected and overwritten in place; value
+    axes [p, x].  The frame's series have at least that degree.  The jet is
+    not read, so a caller can free it first.
 
     Only the three distinct chart-Hessian slots K_s, s = uu, uv, vv, are
     projected; with e_i = L[i, c] d_c X, h_ij = sum_s W[s, i, j] K_s where
     W[s, i, j] = sum over c + d = s of L[i, c] L[j, d] is a scalar series.
     Each coefficient of h is formed whole, its terms added in `_product`'s
-    order, so no larger temporary is built.
+    order, and written over the normal parts it replaces, so no larger
+    temporary is built.
     """
-    slots = Taylor.lift(jet, ((2, 0), (1, 1), (0, 2)), degree)
-    normal = _normal_part(slots, _tangent_basis(jet, frame, degree), "s").c
+    degree = _SIZE.index(len(slots.c))
+    normal = _normal_part(slots, frame.basis.truncate(degree), "s").c
     L = frame.chart_to_frame.truncate(degree)
     LL = Taylor.einsum("pc...,pd...->cdp...", L[PAIR_ROWS[0]], L[PAIR_ROWS[1]])
     W = Taylor.stack([LL[0, 0], LL[0, 1] + LL[1, 0], LL[1, 1]]).c
     del L, LL
-    h = np.einsum("sp...,ksx...->kpx...", W[0], normal)
-    for k in range(1, len(h)):
-        h[k] += np.einsum("sp...,sx...->px...", W[k], normal[0])
-    return Taylor(h)
+    # h_k = W_0 normal_k + W_k normal_0 (k >= 1) and h_0 = W_0 normal_0,
+    # each over normal_k: normal_0 last, since every h_k reads it
+    for k in reversed(range(len(normal))):
+        h = np.einsum("sp...,sx...->px...", W[0], normal[k])
+        if k:
+            h += np.einsum("sp...,sx...->px...", W[k], normal[0])
+        normal[k] = h
+        del h
+    return Taylor(normal)
 
 
 def _shape_pair(h: np.ndarray) -> ShapePair:
@@ -965,7 +987,8 @@ def _shape_pair(h: np.ndarray) -> ShapePair:
 def second_fundamental_form(jet: Jet, frame: FrameData) -> ShapePair:
     if jet.order < 2:
         raise DomainError("second fundamental form needs a jet of order >= 2")
-    return _shape_pair(_h_series(jet, frame, 0).c[0])
+    slots = Taylor.lift(jet, HESSIAN_SLOTS, 0)
+    return _shape_pair(_h_series(slots, frame).c[0])
 
 
 @dataclass
@@ -999,16 +1022,20 @@ def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
     """
     if jet.order < 3:
         raise DomainError(f"covariant_grad_h needs a jet of order >= 3, got {jet.order}")
-    h = _h_series(jet, frame, 1)
-    L = frame.chart_to_frame.c[0]
     omega_t = _tangent_connection(frame)
+    slots = Taylor.lift(jet, HESSIAN_SLOTS, 1)
+    # the last read of the jet, and below of the frame: a caller that hands
+    # over its references frees both before grad h is assembled
+    del jet
+    h = _h_series(slots, frame)
+    del slots
 
     # e_k(h_p), normal part, for the pairs p = (i, j), i <= j: [p, k, x]
-    ekh = Taylor(np.einsum("kc...,cpx...->pkx...", L, h.c[1:])[None])
+    ekh = Taylor(np.einsum("kc...,cpx...->pkx...", frame.chart_to_frame.c[0], h.c[1:])[None])
     h0 = h.c[0].copy()
     del h
-    normal = _normal_part(ekh, _tangent_basis(jet, frame, 0), "pk").c[0]
-    del ekh
+    normal = _normal_part(ekh, frame.basis.truncate(0), "pk").c[0]
+    del ekh, frame
     # h_ijk = (normal + A_ijk) + B_ijk with the connection terms
     # A_ijk = h_mj omega[k, m, i] and B_ijk = h_im omega[k, m, j] = A_jik
     A = np.einsum("mjx...,kmi...->ijkx...", _symmetric_view(h0), omega_t)
@@ -1040,20 +1067,21 @@ def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
 # the frame-free scalar field S
 # ---------------------------------------------------------------------------
 
-HESSIAN_SLOTS = ((2, 0), (1, 1), (0, 2))      # X_uu, X_uv, X_vv
-
-
-def second_norm_field(jet: Jet, slots: Taylor | None = None) -> Taylor:
+def second_norm_field(jet: Jet, slots: Taylor | None = None,
+                      position: Taylor | None = None) -> Taylor:
     """S = |h|^2 without constructing a normal frame (gauge-free route), as a
     trace series (`Taylor` of degree 2) along the `trace_directions` of the
     jet's metric: the value at the points is `.c[0]`, and the other
     coefficients carry all the Laplacian of S needs.
 
-    `slots` are the trace series of the Hessian slots,
-    `Taylor.lift(jet, HESSIAN_SLOTS, 2, directions)`, and are projected in
-    place.  Without them they are lifted here, from a jet of order >= 4.  A
-    caller that lifts them itself can free the order-4 derivatives, which
-    nothing else reads, before the projection, and pass a jet of order 3.
+    `slots` and `position` are the trace series of the Hessian slots and of
+    X, X_u, X_v, `Taylor.lift(jet, HESSIAN_SLOTS or POSITION, 2,
+    directions)`; the slots are projected in place.  Those not passed are
+    lifted here, the slots from a jet of order >= 4.  A caller that lifts
+    the slots itself can free the order-4 derivatives, which nothing else
+    reads, before the projection, and pass a jet of order 3; one that lifts
+    both also keeps `position` for the Laplacian
+    (`invariants.laplace_beltrami`), and the jet is not read here.
 
     The slots are projected onto the normal space one at a time, so no
     series carries two chart axes and the ambient axis at once; S then needs
@@ -1065,33 +1093,38 @@ def second_norm_field(jet: Jet, slots: Taylor | None = None) -> Taylor:
     needs = 4 if slots is None else 3
     if jet.order < needs:
         raise DomainError(f"second_norm_field needs a jet of order >= {needs}, got {jet.order}")
-    directions = trace_directions(first_fundamental_form(jet))
-    if slots is None:
-        slots = Taylor.lift(jet, HESSIAN_SLOTS, 2, directions)
-    Xs = Taylor.lift(jet, ((0, 0), (1, 0), (0, 1)), 2, directions)   # X, X_u, X_v
-    X, Xc = Xs[0], Xs[1:]                                            # Xc: [c, C]
-    # the metric g_uu, g_uv = g_vu, g_vv and its inverse, by the adjugate
+    if slots is None or position is None:
+        directions = trace_directions(first_fundamental_form(jet))
+        if slots is None:
+            slots = Taylor.lift(jet, HESSIAN_SLOTS, 2, directions)
+        if position is None:
+            position = Taylor.lift(jet, POSITION, 2, directions)
+        del directions
+    X, Xc = position[0], position[1:]                                # Xc: [c, C]
+    # the metric g_uu, g_uv = g_vu, g_vv and the distinct entries uu, uv, vv
+    # of its inverse, by the adjugate; ginv[e, f] is a view of them
     Xu, Xv = Xc[0], Xc[1]
     g_uu, g_uv, g_vv = _dot(Xu, Xu), _dot(Xu, Xv), _dot(Xv, Xv)
-    minus_g_uv = -g_uv
-    ginv = Taylor.stack([Taylor.stack([g_vv, minus_g_uv]), Taylor.stack([minus_g_uv, g_uu])]) \
-        / (g_uu * g_vv - g_uv * g_uv)[None, None]
-    del Xu, Xv, g_uu, g_uv, g_vv, minus_g_uv
+    num, det = Taylor.stack([g_vv, -g_uv, g_uu]), g_uu * g_vv - g_uv * g_uv
+    del Xu, Xv, g_uu, g_uv, g_vv
+    pairs = num / det[None]
+    del num, det
+    ginv = Taylor(_symmetric_view(pairs.c, axis=1))
     for k in range(len(HESSIAN_SLOTS)):
         T = slots[k]                                                 # [C], a view
         # K_s = T - <T, X> X - coeff_f X_f, coeff_f = <T, X_e> g^ef, each
         # product subtracted from T one coefficient at a time
-        products = Taylor.einsum("x...,ex...->e...", T, Xs)         # <T, X>, <T, X_c>
+        products = Taylor.einsum("x...,ex...->e...", T, position)   # <T, X>, <T, X_c>
         _subtract_product(T, np.multiply, products[:1], X)          # [1] broadcasts over C
         coeff = Taylor.einsum("e...,ef...->f...", products[1:], ginv)
         del products
         _subtract_product(T, "f...,fx...->x...", coeff, Xc)
         del coeff
-    del Xs, X, Xc
+    del position, X, Xc, ginv
     Kuu, Kuv, Kvv = slots[0], slots[1], slots[2]
     # S = g^ik g^jl <K_ij, K_kl> with K symmetric, written out in the entries
     # p, r, s of the symmetric g^-1
-    p, r, s = ginv[0, 0], ginv[0, 1], ginv[1, 1]
+    p, r, s = pairs[0], pairs[1], pairs[2]
     return (p * p * _dot(Kuu, Kuu) + s * s * _dot(Kvv, Kvv)
             + 2.0 * (p * s + r * r) * _dot(Kuv, Kuv)
             + 4.0 * (p * r * _dot(Kuu, Kuv) + r * s * _dot(Kuv, Kvv))

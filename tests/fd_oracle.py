@@ -9,7 +9,6 @@ last two diagonal entries of the table estimates the remaining error.
 
 import numpy as np
 
-from minimal_gap_lab.invariants import _metric_christoffel
 from minimal_gap_lab.surfaces import (
     adapted_frame,
     eval_jet,
@@ -68,6 +67,18 @@ def mixed_derivative(sample2, step: float, refinements: int = 2):
     return richardson(estimates)
 
 
+def metric_christoffel(jet):
+    """g^-1 and the contracted Christoffel symbols g^cd Gamma^e_cd, from a
+    jet of order >= 2 alone: g^cd Gamma_{f,cd} = <g^cd X_cd, X_f>, with
+    g^cd X_cd formed here rather than read from a trace series."""
+    ginv = trace_directions(first_fundamental_form(jet))[1]
+    d = jet.derivs
+    trace = ginv[0, 0] * d[2, 0] + 2.0 * ginv[0, 1] * d[1, 1] + ginv[1, 1] * d[0, 2]
+    first_kind = np.stack([np.einsum("x...,x...->...", trace, d[1, 0]),
+                           np.einsum("x...,x...->...", trace, d[0, 1])])
+    return ginv, np.einsum("ef...,f...->e...", ginv, first_kind)
+
+
 def laplace_beltrami(spec, scalar_field, u, v, step: float = 1e-3,
                      refinements: int = 2):
     """Chart Laplace-Beltrami of scalar_field(U, V) at (u, v) by stencils.
@@ -79,9 +90,7 @@ def laplace_beltrami(spec, scalar_field, u, v, step: float = 1e-3,
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     step = step * 2 ** refinements
-    jet = eval_jet(spec, (u, v), order=2)
-    ginv = trace_directions(first_fundamental_form(jet))[1]
-    gamma = _metric_christoffel(jet, ginv)
+    ginv, gamma = metric_christoffel(eval_jet(spec, (u, v), order=2))
 
     d1 = np.empty(u.shape + (2,))
     d2 = np.empty(u.shape + (2, 2))

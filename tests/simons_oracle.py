@@ -15,12 +15,9 @@ import math
 
 import numpy as np
 
-from minimal_gap_lab.invariants import _metric_christoffel
-from minimal_gap_lab.surfaces import (
-    HESSIAN_SLOTS,
-    first_fundamental_form,
-    trace_directions,
-)
+from minimal_gap_lab.surfaces import HESSIAN_SLOTS
+
+from fd_oracle import metric_christoffel
 
 # exponents (a, b) of the monomials du^a dv^b, in coefficient-axis order
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -153,7 +150,6 @@ def laplace_beltrami(jet, field: Chart) -> np.ndarray:
     """g^cd f_cd - gamma^e f_e from a chart series: f_uu = 2 c[3],
     f_uv = c[4], f_vv = 2 c[5]."""
     f = field.c
-    ginv = trace_directions(first_fundamental_form(jet))[1]
-    gamma = _metric_christoffel(jet, ginv)
+    ginv, gamma = metric_christoffel(jet)
     return (2.0 * (ginv[0, 0] * f[3] + ginv[0, 1] * f[4] + ginv[1, 1] * f[5])
             - gamma[0] * f[1] - gamma[1] * f[2])

@@ -50,6 +50,7 @@ from tile_fields import (
     grid_nodes,
     peak_bytes,
     per_field_summary,
+    stage_peaks,
     summarize,
     tile_slices,
 )
@@ -348,11 +349,11 @@ def test_evaluate_fields_memory_does_not_grow_with_the_grid():
 @pytest.mark.parametrize("name,degree,limit", [
     # C = 9: 5299 B/node while each vector Taylor product was built whole
     # before it was subtracted, 4243 while S ran on six-coefficient chart
-    # series with the order-4 derivatives alive, 3259 now, which the frame
-    # route sets (S's route peaks at 3195)
-    ("calabi4", 4, 3400),
-    # C = 17: 9715 B/node before, 7603 on chart series, 5819 now
-    ("harmonic8", 8, 6000),
+    # series with the order-4 derivatives alive, 3259 while the frame route
+    # held the jet and the frame to its end, 2891 now, which S's route sets
+    ("calabi4", 4, 2950),
+    # C = 17: 9715 B/node before, 7603 on chart series, 5819, 5195 now
+    ("harmonic8", 8, 5300),
 ])
 def test_tile_peak_bytes_per_node(name, degree, limit):
     # one 3072-node tile (rows 0:16 of the 96x192 grid) under tracemalloc
@@ -362,6 +363,26 @@ def test_tile_peak_bytes_per_node(name, degree, limit):
     _fields_chunk(spec, u, v)
     per_node = peak_bytes(_fields_chunk, spec, u, v) / (u.size * v.size)
     assert per_node <= limit, f"{per_node:.0f} B/node"
+
+
+@pytest.mark.parametrize("name,degree,limits", [
+    # each array of a tile is freed at its last read: S's route peaks at
+    # 2891 B/node (3195 before) and the frame route at 2298 (3259)
+    ("calabi4", 4, {"simons": 2950, "frame": 2360}),
+    # C = 17: 5195 (5443) and 4218 (5819)
+    ("harmonic8", 8, {"simons": 5300, "frame": 4340}),
+], ids=["calabi4", "harmonic8"])
+def test_each_route_peak_bytes_per_node(name, degree, limits):
+    # each route of one 3072-node tile (rows 0:16 of the 96x192 grid) under
+    # tracemalloc, with what earlier stages left alive: either may set the
+    # tile's peak, so each is gated on its own
+    spec = _catalog_sphere_entry(name, degree)
+    grid = build_grid(spec, (96, 192))
+    peaks = stage_peaks(spec, grid.u_axis[:16], grid.v_axis)
+    assert list(peaks) == ["jet", "simons", "frame", "invariants"]
+    over = {stage: round(peaks[stage]) for stage, limit in limits.items()
+            if peaks[stage] > limit}
+    assert not over, f"B/node above the limits {limits}: {over}"
 
 
 def _counted(monkeypatch, owner, names) -> dict:
@@ -385,9 +406,10 @@ def test_tile_work_is_gated_by_call_counts(monkeypatch):
     # surfaces._apply, and those one reduce_tile makes to numpy's
     # reductions, repeat exactly.  Each is at most its count once S ran on
     # four-coefficient trace series (198 einsum and 276 _apply calls on
-    # six-coefficient chart series; 158 and 189 now) and the tile reduced
-    # its fields stacked (128 reductions before, 25 after).  A change that
-    # raises one has to say why
+    # six-coefficient chart series; 158 and 189 then), the Laplacian read
+    # the trace coefficient of X's series (157 einsum calls) and the tile
+    # reduced its fields stacked (128 reductions before, 25 after).  A
+    # change that raises one has to say why
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
     u, v = grid.u_axis[:16], grid.v_axis
@@ -395,7 +417,7 @@ def test_tile_work_is_gated_by_call_counts(monkeypatch):
     tile_counts = _counted(monkeypatch, np, ["einsum"]) | \
         _counted(monkeypatch, surfaces, ["_apply"])
     _fields_chunk(spec, u, v)
-    assert tile_counts["einsum"] <= 158 and tile_counts["_apply"] <= 189, tile_counts
+    assert tile_counts["einsum"] <= 157 and tile_counts["_apply"] <= 189, tile_counts
     reduction_counts = _counted(monkeypatch, np, REDUCTIONS)
     reduce_tile(fields, grid, (slice(0, 16), slice(0, 192)))
     assert sum(reduction_counts.values()) <= 25, reduction_counts
@@ -423,6 +445,37 @@ def test_order4_derivatives_are_freed_before_the_simons_projection(monkeypatch):
     monkeypatch.setattr(surfaces, "_subtract_product", first_subtraction)
     _fields_chunk(spec, grid.u_axis[:16], grid.v_axis)
     assert len(refs) == 5 and alive == [[False] * 5]
+
+
+def test_jet_and_frame_are_freed_before_grad_h_is_assembled(monkeypatch):
+    # covariant_grad_h is the last reader of the jet and of the frame, and
+    # `_fields_chunk` hands it the only references to both: the tile's jet
+    # derivatives (10 C doubles a node up to order 3) and the frame's series
+    # (X, e1, e2 and L) are freed before the connection terms and grad3,
+    # the two last `_symmetric_view` reads of the tile, are formed
+    spec = catalog_entry("calabi4")
+    grid = build_grid(spec, (96, 192))
+    refs, alive = [], []
+
+    def eval_jet_seen(*args, **kwargs):
+        jet = eval_jet(*args, **kwargs)
+        refs.extend(weakref.ref(d) for d in jet.derivs.values())
+        return jet
+
+    def adapted_frame_seen(jet):
+        frame = adapted_frame(jet)
+        refs.extend(weakref.ref(series.c) for series in (frame.basis, frame.chart_to_frame))
+        return frame
+
+    def symmetric_view_seen(*args, _call=surfaces._symmetric_view, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return _call(*args, **kwargs)
+
+    monkeypatch.setattr(geoquad, "eval_jet", eval_jet_seen)
+    monkeypatch.setattr(geoquad, "adapted_frame", adapted_frame_seen)
+    monkeypatch.setattr(surfaces, "_symmetric_view", symmetric_view_seen)
+    _fields_chunk(spec, grid.u_axis[:16], grid.v_axis)
+    assert len(refs) == 17 and alive[-2:] == [[False] * 17] * 2, alive[-2:]
 
 
 def test_the_benchmark_reads_the_layers_the_pipeline_runs(monkeypatch):

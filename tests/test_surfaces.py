@@ -587,7 +587,8 @@ def test_frame_covariance_under_tangent_rotation():
     sp0 = second_fundamental_form(jet, base)
     theta = 0.37
     ct, st = math.cos(theta), math.sin(theta)
-    rot = FrameData(e1=ct * base.e1 + st * base.e2, e2=-st * base.e1 + ct * base.e2,
+    rot = FrameData(basis=Taylor.stack([base.basis[0], ct * base.e1 + st * base.e2,
+                                        -st * base.e1 + ct * base.e2]),
                     chart_to_frame=Taylor.einsum("ij,jc...->ic...",
                                                  np.array([[ct, st], [-st, ct]]),
                                                  base.chart_to_frame))
@@ -629,18 +630,22 @@ def test_second_norm_field_memory_is_a_few_jets():
     # coefficient at a time: the working set stays a small multiple of the
     # jet itself (about 10x while all three slots were built at once, 3.87x
     # while each product was built whole before it was subtracted, 2.91x on
-    # six-coefficient chart series, 2.19x on trace series)
+    # six-coefficient chart series, 2.19x on trace series, 1.94x with g^-1
+    # from its three distinct entries and each temporary freed at its last
+    # read)
     jet, jet_bytes = _calabi4_jet(JET_ORDER_MAX)
     second_norm_field(jet)
     peak = peak_bytes(second_norm_field, jet)
-    assert peak <= 2.3 * jet_bytes, f"peak {peak / jet_bytes:.2f}x the jet"
+    assert peak <= 2.0 * jet_bytes, f"peak {peak / jet_bytes:.2f}x the jet"
 
 
 def test_frame_and_grad_h_memory_is_a_few_jets():
     # the projections onto the normal space subtract their products in
     # place, and h and grad h are computed on the pairs i <= j alone, h's
     # coefficients one at a time: 5.51x the order-3 jet while each product
-    # was built whole, 4.61x on all four (i, j), 3.48x now
+    # was built whole, 4.61x on all four (i, j), 3.48x while the tangent
+    # basis was stacked at each read and h built beside its normal parts,
+    # 3.18x now (the caller here keeps the jet alive throughout)
     jet, jet_bytes = _calabi4_jet(3)
 
     def frame_route(jet):
@@ -648,7 +653,7 @@ def test_frame_and_grad_h_memory_is_a_few_jets():
 
     frame_route(jet)
     peak = peak_bytes(frame_route, jet)
-    assert peak <= 3.8 * jet_bytes, f"peak {peak / jet_bytes:.2f}x the jet"
+    assert peak <= 3.25 * jet_bytes, f"peak {peak / jet_bytes:.2f}x the jet"
 
 
 def _tile_jet(spec, u_rows, v_cols, order=3):

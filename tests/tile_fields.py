@@ -1,5 +1,5 @@
 """Per-node fields of a whole grid, for tests that read them node by node,
-and the `tracemalloc` peak of a call.
+and the `tracemalloc` peak of a call and of each stage of a tile.
 
 `geoquad.evaluate_fields` reduces each tile as soon as it is evaluated and
 keeps no per-node array.  These helpers concatenate `_fields_chunk` over
@@ -13,9 +13,11 @@ import functools
 import math
 import tracemalloc
 from dataclasses import fields as dc_fields
+from unittest import mock
 
 import numpy as np
 
+from minimal_gap_lab import geoquad
 from minimal_gap_lab.gaps import CAP_REL_TOL, COUPLED_GAMMAS, PINCH_GAMMAS
 from minimal_gap_lab.geoquad import (
     FIELD_NAMES,
@@ -57,6 +59,47 @@ def peak_bytes(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# the stages of `_fields_chunk`, each begun by the first call of a function
+# under the name geoquad binds it by: the tile's jet and metric, the Simons
+# route (S's trace series, their projection and the Laplacian of S), the
+# frame route (the frame, h and grad h), and the pointwise invariants and B1
+STAGE_MARKERS = {"eval_jet": "jet", "trace_directions": "simons",
+                 "adapted_frame": "frame", "point_invariants": "invariants"}
+
+
+def stage_peaks(spec, u, v) -> dict:
+    """Stage name (`STAGE_MARKERS`) -> the `tracemalloc` peak of that stage
+    of one `_fields_chunk` call on the tile u x v, in bytes per node: the
+    most the call held at once from its stage's first call to the next
+    stage's, arrays left by earlier stages included, so the tile's peak is
+    the largest of them.  The tile is evaluated once untraced first."""
+    _fields_chunk(spec, u, v)
+    peaks = {}
+
+    def close_stage():
+        if peaks:
+            peaks[next(reversed(peaks))] = tracemalloc.get_traced_memory()[1] / (u.size * v.size)
+        tracemalloc.reset_peak()
+
+    def marked(name, call):
+        def run(*args, **kwargs):
+            if STAGE_MARKERS[name] not in peaks:
+                close_stage()
+                peaks[STAGE_MARKERS[name]] = None
+            return call(*args, **kwargs)
+        return run
+
+    with mock.patch.multiple(geoquad, **{name: marked(name, getattr(geoquad, name))
+                                         for name in STAGE_MARKERS}):
+        tracemalloc.start()
+        try:
+            _fields_chunk(spec, u, v)
+            close_stage()
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def tile_slices(grid):
