@@ -49,7 +49,7 @@ for name in CATALOG_NAMES:
     sp = second_fundamental_form(jet, frame)
     # X, e1, e2 stacked along the first axis, points last; h is an ambient
     # vector, normal to all three, and its slots are a, b, b, -a
-    full = np.stack([jet.derivs[0, 0], frame.e1.c[0], frame.e2.c[0]])
+    full = np.stack([jet.derivative(0, 0), frame.e1.c[0], frame.e2.c[0]])
     gram = np.einsum("icn,jcn->nij", full, full)
     worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(3)))))
     worst_tan = max(worst_tan, float(np.max(np.abs(

@@ -186,8 +186,23 @@ def cmd_identities(config: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_surface(source, config: RunConfig, tols: dict):
-    spec = surfaces.load_immersion(source, validate=False)
+def _load_surfaces(sources) -> list:
+    """The spec of every `--surface` source, each parsed before any is
+    validated or evaluated.  The report keys each surface by its spec's
+    name, so two sources that give one name are refused."""
+    specs, named = [], {}
+    for source in sources:
+        spec = surfaces.load_immersion(source, validate=False)
+        if spec.name in named:
+            raise ParseError("--surface", (
+                f"{named[spec.name]!r} and {str(source)!r} both name the surface "
+                f"{spec.name!r}; the report keys each surface by its name"))
+        named[spec.name] = str(source)
+        specs.append(spec)
+    return specs
+
+
+def _verify_surface(spec, config: RunConfig, tols: dict):
     validation = surfaces.validate_spec(
         spec, unit_tol=tols["unit_norm"], minimality_tol=tols["minimality"])
     grid = geoquad.build_grid(spec, config.resolution)
@@ -266,8 +281,8 @@ def cmd_verify(config: RunConfig) -> int:
     tols = config.effective_tolerances()
     surfaces_tree = {}
     exit_code = EXIT_OK
-    for source in config.surfaces:
-        name, tree, distrust = _verify_surface(source, config, tols)
+    for spec in _load_surfaces(config.surfaces):
+        name, tree, distrust = _verify_surface(spec, config, tols)
         surfaces_tree[name] = tree
         if distrust:
             print(distrust, file=sys.stderr)
@@ -401,7 +416,7 @@ def _tune_malloc() -> None:
     """Keep the tile pool's freed pages mapped, in one arena, under glibc.
 
     By default glibc gives each pool thread its own arena and returns a
-    tile's 8.5 MiB (a 3072-node calabi4 tile's `tracemalloc` peak) to the
+    tile's 6.7 MiB (a 3072-node calabi4 tile's `tracemalloc` peak) to the
     kernel when it is freed, to fault it in again for the next tile.  A
     fixed trim threshold alone turns off glibc's dynamic mmap threshold, so
     both are set.  Call before any pool thread starts;

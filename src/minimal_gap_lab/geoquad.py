@@ -17,7 +17,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -43,9 +43,8 @@ from minimal_gap_lab.surfaces import (
     POSITION,
     SPHERE,
     ImmersionSpec,
-    Jet,
     Taylor,
-    adapted_frame,
+    column_factor,
     covariant_grad_h,
     eval_jet,
     first_fundamental_form,
@@ -61,6 +60,7 @@ GAP_NONNEG_TOL = 1e-6
 # peaked at 41.8 against 51.0 MB RSS, but took 0.62 against 0.51 s of CPU,
 # with about 9,300 against 2,900 voluntary context switches.
 NODE_CHUNK = 3072       # nodes per tile at most: bounds the per-tile arrays
+COLUMN_BYTES = 2 ** 25  # a segment's column factor at most, unless one column is more
 MAX_NODES = 2 ** 20     # grid nodes at most (1024x1024): bounds the work of a run
 BESSEL_J0_ZERO = 2.404825557695773     # j_{0,1}, the first zero of J_0
 NEWTON_MAX = 16         # Newton steps per Gauss-Legendre solve; 4-5 suffice
@@ -198,34 +198,30 @@ class SurfaceFields:
     sqrt_det_g: np.ndarray        # the area element
 
 
-def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray,
-                  v_cols: np.ndarray) -> SurfaceFields:
-    """The fields on the tile u_rows x v_cols, its nodes in row-major order."""
-    # one jet serves every layer: the Hessian slots of the Simons route read
-    # it to order 4, the rest of S's trace series, the frame, h and grad h
-    # to order 3, the area element to order 1.  The slots are lifted first
-    # and the order-4 derivatives, which only they read, are freed before
-    # S's projection runs.  Every array is freed at its last read: the
-    # trace series of X serve S and its Laplacian, and covariant_grad_h is
-    # handed the only references to the jet and the frame, which it frees
-    # before it assembles grad h; of grad h only the fields below outlive it.
-    tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=JET_ORDER_MAX)
-    jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
-              {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
+def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray, v_cols: np.ndarray,
+                  columns: tuple | None = None) -> SurfaceFields:
+    """The fields on the tile u_rows x v_cols, its nodes in row-major order;
+    `columns` is the tile's part of its grid's `column_factor`, formed here
+    when not passed."""
+    # the tile's jet is its row factor and the grid's column factor, and no
+    # derivative outlives the call that reads it.  Each route lifts its
+    # series in one pass, which forms each derivative once and frees it
+    # after its last write (`Taylor.lift`): the Simons route lifts the
+    # trace series of the Hessian slots and of X, the frame route, inside
+    # covariant_grad_h, the chart series of X and of the slots.  Every array
+    # is freed at its last read; of grad h only the fields below outlive it.
+    tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), JET_ORDER_MAX, columns)
+    jet = replace(tile, u=tile.u.ravel(), v=tile.v.ravel())
     del tile
     E, F, G = metric = first_fundamental_form(jet)
     directions = trace_directions(metric)
     sqrt_det_g = np.sqrt(E * G - F * F)
     del E, F, G, metric
-    slots = Taylor.lift(jet, HESSIAN_SLOTS, 2, directions)
-    jet = Jet(spec, jet.u, jet.v, 3,
-              {key: d for key, d in jet.derivs.items() if sum(key) <= 3})
-    position = Taylor.lift(jet, POSITION, 2, directions)
+    slots, position = Taylor.lift(jet, [(HESSIAN_SLOTS, 2), (POSITION, 2)], directions)
     laplacian_S = laplace_beltrami(position, second_norm_field(jet, slots, position),
                                    directions)
     del slots, position, directions
-    jet = [jet]            # popped as it is passed: the call holds the only references
-    grad = covariant_grad_h(jet[0], adapted_frame(jet.pop()))
+    grad = covariant_grad_h(jet)
     b1_direct, codazzi_residual, shape = grad.b1_direct, grad.codazzi_residual, grad.shape
     del grad
     inv = point_invariants(shape)
@@ -472,22 +468,34 @@ def _even_split(n: int, parts: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def grid_tiles(resolution) -> list[tuple[slice, slice]]:
+def grid_tiles(resolution, width: int | None = None) -> list[tuple[slice, slice]]:
     """The tiles of an (n_u, n_v) grid as (rows, cols) slices, in node order.
 
-    A tile is a block of whole u-rows, or one row cut into column segments
-    when a row alone exceeds the budget; either way it has at most
-    `NODE_CHUNK` nodes.  The resolution alone fixes the tiles, never the
-    worker or CPU count, so each node is computed in the same tile whatever
-    runs it.
+    A tile is a block of whole u-rows, or one row cut into even column
+    segments of at most `width` columns (by default `NODE_CHUNK`) when a row
+    alone is wider; either way it has at most `NODE_CHUNK` nodes.  The
+    resolution and the width alone fix the tiles, never the worker or CPU
+    count, so each node is computed in the same tile whatever runs it.
     """
     n_u, n_v = resolution
-    if n_v <= NODE_CHUNK:
+    width = min(NODE_CHUNK, width or NODE_CHUNK)
+    if n_v <= width:
         rows_per_tile = NODE_CHUNK // n_v
         return [(rows, slice(0, n_v))
                 for rows in _even_split(n_u, math.ceil(n_u / rows_per_tile))]
-    segments = _even_split(n_v, math.ceil(n_v / NODE_CHUNK))
+    segments = _even_split(n_v, math.ceil(n_v / width))
     return [(slice(i, i + 1), cols) for i in range(n_u) for cols in segments]
+
+
+def segment_width(spec: ImmersionSpec) -> int:
+    """The widest column segment of `spec`'s tiles: its column factor
+    (`surfaces.column_factor`), C x P x columns x (JET_ORDER_MAX + 1)
+    doubles, stays within `COLUMN_BYTES`, or is one column when one column
+    is more.  Every catalog surface has NODE_CHUNK; only a spec with a wide
+    u-basis in many components gets narrower segments."""
+    n_comp, n_u, _ = spec.coef.shape
+    column = n_comp * n_u * (JET_ORDER_MAX + 1) * 8
+    return max(1, min(NODE_CHUNK, COLUMN_BYTES // column))
 
 
 def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
@@ -500,19 +508,39 @@ def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
     Each tile is reduced as soon as it is evaluated, the tile summaries are
     merged in node order, and at most `pool_size` threads run the tiles.
     The tiles do not depend on the worker count, so neither does the result.
-    """
-    tiles = grid_tiles(grid.resolution)
-    threads = pool_size(max(1, int(workers)), len(tiles))
 
-    def run(tile):
+    The tiles of one column segment, which are all the tiles when a tile is
+    whole rows, share the column half of their jets
+    (`surfaces.column_factor`): it is formed once per segment, before that
+    segment's tiles run, and one segment's at a time.  The segments are
+    `segment_width(spec)` columns at most, so that factor stays within
+    `COLUMN_BYTES` whatever the spec and the grid.
+    """
+    tiles = grid_tiles(grid.resolution, segment_width(spec))
+    threads = pool_size(max(1, int(workers)), len(tiles))
+    segments = {}
+    for index, (_, cols) in enumerate(tiles):
+        segments.setdefault((cols.start, cols.stop), []).append(index)
+
+    def run(columns, tile):
         rows, cols = tile
-        fields = _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols])
+        fields = _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols], columns)
         return reduce_tile(fields, grid, tile, tols)
 
+    def summarize(map_tiles):
+        summaries = [None] * len(tiles)
+        for (start, stop), indices in segments.items():
+            columns = column_factor(spec, grid.v_axis[start:stop], JET_ORDER_MAX)
+            for index, summary in zip(indices, map_tiles(functools.partial(run, columns),
+                                                         [tiles[i] for i in indices])):
+                summaries[index] = summary
+            del columns
+        return functools.reduce(FieldSummary.merge, summaries)
+
     if threads == 1:
-        return functools.reduce(FieldSummary.merge, map(run, tiles))
+        return summarize(map)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return functools.reduce(FieldSummary.merge, pool.map(run, tiles))
+        return summarize(pool.map)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def laplace_beltrami(position: Taylor, field: Taylor, directions) -> np.ndarray:
     `field` is the field's trace series (f, d_1 f, d_2 f, T f) along
     `directions` = (L, g^-1), the `trace_directions` of the metric, and
     `position` those of X, X_u, X_v at the same points
-    (`Taylor.lift(jet, surfaces.POSITION, 2, directions)`, from a jet of
+    (`Taylor.lift(jet, [(surfaces.POSITION, 2)], directions)`, from a jet of
     order >= 3): T f is g^cd f_cd, and f_u, f_v follow from
     d_i f = L[i, c] f_c with L lower triangular.  The metric terms come
     exactly from the jet, so no step size or truncation error enters.
@@ -162,6 +162,6 @@ def b1_simons(jet: Jet, invariants: PointInvariants) -> SimonsB1:
     if jet.order < 4:
         raise DomainError(f"b1_simons needs a jet of order >= 4, got {jet.order}")
     directions = trace_directions(first_fundamental_form(jet))
-    slots, position = (Taylor.lift(jet, keys, 2, directions) for keys in (HESSIAN_SLOTS, POSITION))
+    slots, position = Taylor.lift(jet, [(HESSIAN_SLOTS, 2), (POSITION, 2)], directions)
     laplacian = laplace_beltrami(position, second_norm_field(jet, slots, position), directions)
     return b1_from_laplacian(laplacian, invariants)

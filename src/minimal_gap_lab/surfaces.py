@@ -56,7 +56,6 @@ MAX_DEGREE = 64              # sphere term degree at most: bounds the power tabl
 MAX_FREQUENCY = 64           # torus |frequency| at most: keeps every phase a float
 MAX_TERMS = 40_000           # spec terms in all at most: bounds parsing
 MAX_COEFFICIENTS = 2 ** 21   # spec coefficient array entries at most: bounds its memory
-STAGE_ROWS = 1024            # (component, u-basis) rows of eval_jet's inner sum at once
 UNIT_GRID = (64, 64)         # validation nodes for |X| = 1
 MINIMALITY_GRID = (8, 12)    # validation nodes for |H| = 0
 
@@ -216,31 +215,74 @@ class ImmersionSpec:
         return self.ambient_dim - 3
 
 
+def jet_keys(order: int) -> list:
+    """The (i, j) of every chart derivative d_u^i d_v^j X with i + j <=
+    `order`, by total order ascending and by i descending within one: the
+    order `Taylor.lift` forms them in."""
+    return [(n - j, j) for n in range(order + 1) for j in range(n + 1)]
+
+
+def column_factor(spec: ImmersionSpec, v: np.ndarray, order: int = JET_ORDER_MAX) -> tuple:
+    """The column half of a `Jet` at the angles v (1-D): for j = 0..order,
+    sum_q coef[k, p, q] V_q^(j)(v) as a read-only (C, P, len(v)) array, one
+    contraction over q per nonzero block of coef (`ImmersionSpec.blocks`).
+    A tile of a grid is whole rows or a column segment of one row, so all
+    the tiles of a segment share it: `geoquad.evaluate_fields` forms it
+    once per segment, and each tile's `Jet` reads it as its column half."""
+    n_comp, n_u, _ = spec.coef.shape
+    factor = []
+    for V in _basis_derivatives(spec.chart, spec.v_exps, v, order):
+        inner = np.empty((n_comp, n_u, V.shape[1]))
+        for us, vs in spec.blocks:
+            np.einsum("kpq,qs->kps", spec.coef[:, us, vs], V[vs], out=inner[:, us])
+        factor.append(_read_only(inner))
+    return tuple(factor)
+
+
 @dataclass
 class Jet:
-    """Chart-parameter Taylor data of the immersion at one or many points."""
+    """Chart-parameter Taylor data of the immersion at one or many points,
+    kept as the two halves of a sum factorization: no derivative is stored.
+
+    With U and V the bases of u and v (`ImmersionSpec`), d_u^i d_v^j X is
+    sum_p U_p^(i) (sum_q coef V_q^(j)) (Orszag, J. Comput. Phys. 37, 1980).
+    `rows[i]` is U^(i) at the points' rows, (rows, P), and `columns[j]` the
+    `column_factor` at their columns, (C, P, columns).  On a tile the points
+    are every row with every column; elsewhere point n is row n with column
+    n.  `derivative` forms one d_u^i d_v^j X from them.
+    """
 
     spec: ImmersionSpec
     u: np.ndarray
     v: np.ndarray
     order: int
-    derivs: dict                    # {(i, j): d_u^i d_v^j X, shape (ambient_dim, *points)}
+    rows: tuple
+    columns: tuple
+    tile: bool
+
+    def derivative(self, i: int, j: int) -> np.ndarray:
+        """d_u^i d_v^j X at the points, shape (C, *points), formed anew at
+        each call by one contraction over p.  It is an einsum, which adds the
+        products in index order whatever the point shape, so a tile gets the
+        bits of its flattened points (a BLAS matmul fuses its multiply-adds
+        differently for different shapes)."""
+        if i + j > self.order:
+            raise DomainError(f"d_u^{i} d_v^{j} X is above the jet order {self.order}")
+        d = np.einsum("rp,kps->krs" if self.tile else "np,kpn->kn",
+                      self.rows[i], self.columns[j])
+        return d.reshape(d.shape[:1] + self.u.shape)
 
 
-def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
+def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX,
+             columns: tuple | None = None) -> Jet:
     """Exact-calculus jet at chart parameters; no finite differencing here.
 
     `point` = (u, v) may be scalars or arrays whose shapes broadcast, and
-    the jet has their broadcast shape.  With U and V the bases of u and v
-    (`ImmersionSpec`), d_u^i d_v^j X is sum_p U_p^(i) (sum_q coef V_q^(j))
-    (sum factorization; Orszag, J. Comput. Phys. 37, 1980): one contraction
-    over q per v-order j and nonzero block of coef, then one over p per
-    (i, j).  A tile of a tensor grid, passed as (u_rows[:, None],
-    v_cols[None, :]), evaluates the bases on its rows and its columns
-    alone; other points evaluate them point by point.  Both contractions
-    are einsums, which add the products in index order whatever the point
-    shape, so a tile gets the bits of its flattened points (a BLAS matmul
-    fuses its multiply-adds differently for different shapes).
+    the jet has their broadcast shape.  A tile of a tensor grid, passed as
+    (u_rows[:, None], v_cols[None, :]), evaluates the bases on its rows and
+    its columns alone; other points evaluate them point by point.  A tile
+    may be given its `columns`, the `column_factor` at v_cols to order
+    `order` or above, so that only its row factor is formed here.
     """
     if order > JET_ORDER_MAX:
         raise DomainError(f"jet order {order} exceeds maximum {JET_ORDER_MAX}")
@@ -256,35 +298,19 @@ def eval_jet(spec: ImmersionSpec, point, order: int = JET_ORDER_MAX) -> Jet:
                 f"pole (margin violated by {worst:g})")
     tile = u.ndim == v.ndim == 2 and u.shape[1] == 1 and v.shape[0] == 1
     if tile:
-        u_axis, v_axis, contract = u[:, 0], v[0], "rp,kps->krs"
+        u_axis, v_axis = u[:, 0], v[0]
     else:
         u_axis, v_axis = (np.broadcast_to(a, shape).ravel() for a in (u, v))
-        contract = "np,kpn->kn"
-    n_comp, n_u, n_v = spec.coef.shape
-    U = [np.ascontiguousarray(d.T) for d in
-         _basis_derivatives(spec.chart, spec.u_exps, u_axis, order)]
-    # components per pass: sum_q coef V_q^(j) keeps at most
-    # max(STAGE_ROWS, n_u) rows, whatever the spec
-    block = max(1, STAGE_ROWS // max(n_u, 1))
-    derivs = {}
-    for j, V in enumerate(_basis_derivatives(spec.chart, spec.v_exps, v_axis, order)):
-        for i in range(order + 1 - j):
-            derivs[i, j] = np.empty((n_comp,) + (shape if tile else (len(u_axis),)))
-        for start in range(0, n_comp, block):
-            ks = slice(start, min(start + block, n_comp))
-            inner = np.empty((ks.stop - start, n_u, V.shape[1]))
-            for us, vs in spec.blocks:
-                np.einsum("kpq,qs->kps", spec.coef[ks, us, vs], V[vs], out=inner[:, us])
-            for i in range(order + 1 - j):
-                np.einsum(contract, U[i], inner, out=derivs[i, j][ks])
-    if not tile:
-        derivs = {key: d.reshape((n_comp,) + shape) for key, d in derivs.items()}
-    return Jet(spec, *np.broadcast_arrays(u, v), order, derivs)
+    if columns is None:
+        columns = column_factor(spec, v_axis, order)
+    rows = tuple(np.ascontiguousarray(d.T) for d in
+                 _basis_derivatives(spec.chart, spec.u_exps, u_axis, order))
+    return Jet(spec, *np.broadcast_arrays(u, v), order, rows, tuple(columns[:order + 1]), tile)
 
 
 def first_fundamental_form(jet: Jet):
     """E, F, G = <X_u, X_u>, <X_u, X_v>, <X_v, X_v> at the jet's points."""
-    Xu, Xv = jet.derivs[1, 0], jet.derivs[0, 1]
+    Xu, Xv = jet.derivative(1, 0), jet.derivative(0, 1)
     return (np.einsum("x...,x...->...", Xu, Xu),
             np.einsum("x...,x...->...", Xu, Xv),
             np.einsum("x...,x...->...", Xv, Xv))
@@ -464,16 +490,32 @@ class Taylor:
         self.c = c
 
     @classmethod
-    def lift(cls, jet: Jet, derivs, degree: int, directions=None) -> "Taylor":
-        """The series of the chart derivatives d_u^i d_v^j X, (i, j) in
-        `derivs`, read from the jet (of order >= i + j + degree) into one
-        array; value axes: the derivative, then the component.  A trace
-        series (degree 2) is lifted along `directions`, the
-        `trace_directions` of the jet's metric."""
-        out = np.empty((_SIZE[degree], len(derivs)) + jet.derivs[derivs[0]].shape)
-        for n, (i, j) in enumerate(derivs):
-            _lift_into(out[:, n], jet, i, j, directions)
-        return cls(out)
+    def lift(cls, jet: Jet, groups, directions=None) -> list:
+        """The series of the chart derivatives d_u^i d_v^j X of each group
+        (keys, degree) in `groups`, one array per group; value axes: the
+        key, then the component.  Trace series (degree 2) are lifted along
+        `directions`, the `trace_directions` of the jet's metric; the jet
+        has order >= i + j + degree.
+
+        One pass forms each derivative that the groups read once
+        (`Jet.derivative`, in `jet_keys` order), writes it into every
+        coefficient that reads it (`_scatter`) and frees it, so at most one
+        derivative is alive beside the series.
+        """
+        shape = (jet.spec.ambient_dim,) + jet.u.shape
+        out = [np.empty((_SIZE[degree], len(keys)) + shape) for keys, degree in groups]
+        reads = {}                  # derivative -> [(coefficients, offset)]
+        for series, (keys, degree) in zip(out, groups):
+            for n, (i, j) in enumerate(keys):
+                for a, b in _OFFSETS[degree]:
+                    reads.setdefault((i + a, j + b), []).append((series[:, n], (a, b)))
+        for key in jet_keys(max(i + j for i, j in reads)):
+            if key in reads:
+                d = jet.derivative(*key)
+                for coefficients, offset in reads.pop(key):
+                    _scatter(coefficients, offset, d, directions)
+                del d
+        return [cls(c) for c in out]
 
     @staticmethod
     def einsum(subscripts: str, x, y) -> "Taylor":
@@ -551,23 +593,36 @@ class Taylor:
         return Taylor(np.stack(r))
 
 
-def _lift_into(out: np.ndarray, jet: Jet, i: int, j: int, directions=None) -> None:
-    """Write the series of X_a = d_u^i d_v^j X into `out`, whose first axis
-    holds its coefficients: X_a, then X_(a+u) and X_(a+v) for a chart
-    series, or L[0, c] X_(a+c), L[1, c] X_(a+c) and g^cd X_(a+c+d) for a
-    trace series along `directions` = (L, g^-1), where L[0, 1] = 0."""
-    d = jet.derivs
-    out[0] = d[i, j]
-    if len(out) == _SIZE[1]:
-        out[1], out[2] = d[i + 1, j], d[i, j + 1]
-    elif len(out) == _SIZE[2]:
+# the derivatives X_(a+e) that the series of X_a reads, by their offsets e,
+# for a series of degree 0, 1 and 2
+_OFFSETS = (((0, 0),), ((0, 0), (1, 0), (0, 1)),
+            ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+
+
+def _scatter(out: np.ndarray, offset, d: np.ndarray, directions=None) -> None:
+    """Write d = X_(a+e), e = `offset`, into `out`, the coefficients of the
+    series of X_a: X_a, X_(a+u) and X_(a+v) for a chart series, or X_a,
+    L[0, c] X_(a+c), L[1, c] X_(a+c) and g^cd X_(a+c+d) for a trace series
+    along `directions` = (L, g^-1), where L[0, 1] = 0.  A sum's first term
+    is written and the others added, so its derivatives must come with the
+    u-derivatives first (`jet_keys`)."""
+    if offset == (0, 0):
+        out[0] = d
+    elif len(out) == _SIZE[1]:
+        out[_OFFSETS[1].index(offset)] = d
+    else:
         L, ginv = directions
-        np.multiply(L[0, 0], d[i + 1, j], out=out[1])
-        np.multiply(L[1, 0], d[i + 1, j], out=out[2])
-        out[2] += L[1, 1] * d[i, j + 1]
-        np.multiply(ginv[0, 0], d[i + 2, j], out=out[3])
-        out[3] += (2.0 * ginv[0, 1]) * d[i + 1, j + 1]
-        out[3] += ginv[1, 1] * d[i, j + 2]
+        if offset == (1, 0):
+            np.multiply(L[0, 0], d, out=out[1])
+            np.multiply(L[1, 0], d, out=out[2])
+        elif offset == (0, 1):
+            out[2] += L[1, 1] * d
+        elif offset == (2, 0):
+            np.multiply(ginv[0, 0], d, out=out[3])
+        elif offset == (1, 1):
+            out[3] += (2.0 * ginv[0, 1]) * d
+        else:
+            out[3] += ginv[1, 1] * d
 
 
 def _quotient(num, den: Taylor) -> Taylor:
@@ -770,7 +825,7 @@ def validate_spec(spec: ImmersionSpec,
                   minimality_tol: float = 1e-8) -> dict:
     """Check |X| = 1 and |H| = 0 on validation grids; reject on failure."""
     U, V = _validation_points(spec, *UNIT_GRID)
-    X = eval_jet(spec, (U, V), order=0).derivs[0, 0]
+    X = eval_jet(spec, (U, V), order=0).derivative(0, 0)
     unit_residual = float(np.max(np.abs(np.einsum("c...,c...->...", X, X) - 1.0)))
     if not unit_residual <= unit_tol:      # NaN fails too
         raise ValidationError(
@@ -815,13 +870,12 @@ class FrameData:
     R^C.
 
     `basis` is the tangent basis the normal projections read: the position
-    X (the jet's own `derivs[0, 0]`), e1 and e2 on a first value axis, and
-    `e1`, `e2` are views of it.  Every field is a Taylor series of degree
-    min(jet order - 1, 1) in the chart offsets: `e1.c[0]` is the frame
-    vector and `e1.c[1:]` its chart derivatives.  Points last, like every
-    per-node array: the value axes come first and the jet's point axes
-    after them.  `chart_to_frame` is the 2x2 matrix L with
-    e_i = L[i, c] d_c X.
+    X, e1 and e2 on a first value axis, and `e1`, `e2` are views of it.
+    Every field is a Taylor series of degree min(jet order - 1, 1) in the
+    chart offsets: `e1.c[0]` is the frame vector and `e1.c[1:]` its chart
+    derivatives.  Points last, like every per-node array: the value axes
+    come first and the jet's point axes after them.  `chart_to_frame` is
+    the 2x2 matrix L with e_i = L[i, c] d_c X.
     """
 
     basis: Taylor                   # value axes (3, C): X, e1, e2
@@ -852,20 +906,23 @@ def _tangent_connection(frame: FrameData) -> np.ndarray:
     return 0.5 * (omega - np.swapaxes(omega, 1, 2))
 
 
-def adapted_frame(jet: Jet) -> FrameData:
+def adapted_frame(jet: Jet, position: Taylor | None = None) -> FrameData:
     """Orthonormal tangent frame from a jet of order >= 1.
 
     The construction runs once, on Taylor series of degree
     min(jet order - 1, 1); a plain frame is its degree-0 case.  From a jet
     of order >= 2 the degree-1 coefficients are the exact chart derivatives
     of the frame, which `_tangent_connection` turns into the connection
-    coefficients.  e1 and e2 are written into the frame's `basis` as they
-    are formed, and each chart series is freed at its last read.
+    coefficients.  `position` holds the chart series of X, X_u, X_v of that
+    degree (`Taylor.lift(jet, [(POSITION, degree)])`), lifted here when not
+    passed.  e1 and e2 are written over X_u and X_v as they are formed, at
+    their last reads, so the frame's `basis` is that series itself.
     """
     if jet.order < 1:
         raise DomainError("adapted_frame needs a jet of order >= 1")
-    degree = min(jet.order - 1, 1)
-    Xu, Xv = (Taylor.lift(jet, [key], degree)[0] for key in ((1, 0), (0, 1)))
+    if position is None:
+        position, = Taylor.lift(jet, [(POSITION, min(jet.order - 1, 1))])
+    Xu, Xv = position[1], position[2]
 
     E = _dot(Xu, Xu)
     F = _dot(Xu, Xv)
@@ -876,15 +933,11 @@ def adapted_frame(jet: Jet) -> FrameData:
         raise FrameError(f"{jet.spec.name}: not an immersion at (u, v) = ({jet.u[k]:.6g}, "
                          f"{jet.v[k]:.6g}): metric determinant {det[k]:.3e} <= 1e-14")
 
-    basis = Taylor(np.empty((_SIZE[degree], 3) + Xu.c.shape[1:]))
-    _lift_into(basis.c[:, 0], jet, 0, 0)
-    e1, e2 = basis[1], basis[2]
+    e1, e2 = Xu, Xv                       # written over them: views of `position`
     sqrtE = E.sqrt()
     e1.c[:] = (Xu / sqrtE[None]).c
-    del Xu
     proj = F / sqrtE                      # <Xv, e1>
     w = Xv - proj[None] * e1
-    del Xv
     nw = _dot(w, w).sqrt()
     e2.c[:] = (w / nw[None]).c
     del w
@@ -892,7 +945,7 @@ def adapted_frame(jet: Jet) -> FrameData:
     inv_sqrtE = 1.0 / sqrtE
     L = Taylor.stack([Taylor.stack([inv_sqrtE, 0.0 * inv_sqrtE]),
                       Taylor.stack([-F / (E * nw), 1.0 / nw])])
-    return FrameData(basis=basis, chart_to_frame=L)
+    return FrameData(basis=position, chart_to_frame=L)
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +1040,7 @@ def _shape_pair(h: np.ndarray) -> ShapePair:
 def second_fundamental_form(jet: Jet, frame: FrameData) -> ShapePair:
     if jet.order < 2:
         raise DomainError("second fundamental form needs a jet of order >= 2")
-    slots = Taylor.lift(jet, HESSIAN_SLOTS, 0)
+    slots, = Taylor.lift(jet, [(HESSIAN_SLOTS, 0)])
     return _shape_pair(_h_series(slots, frame).c[0])
 
 
@@ -1010,7 +1063,7 @@ class CovariantGradH:
 CODAZZI_TOL = 1e-6
 
 
-def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
+def covariant_grad_h(jet: Jet, frame: FrameData | None = None) -> CovariantGradH:
     """Assemble h_ijk from the normal part of the chart derivatives of the
     ambient h plus the tangent connection terms, all from one jet of order
     >= 3 and its adapted frame; the projection carries the normal connection
@@ -1019,14 +1072,19 @@ def covariant_grad_h(jet: Jet, frame: FrameData) -> CovariantGradH:
     The chart derivatives of h, e_1 and e_2 are the degree-1 coefficients of
     their Taylor series.  h_ijk = h_jik bit for bit, so the normal parts are
     projected for the six components i <= j alone; grad3 holds all eight.
+    Without a `frame` it is built here (`adapted_frame`), its chart series
+    lifted in one pass with those of the Hessian slots, and both are freed
+    at their last reads, before grad h is assembled.
     """
     if jet.order < 3:
         raise DomainError(f"covariant_grad_h needs a jet of order >= 3, got {jet.order}")
+    if frame is None:
+        position, slots = Taylor.lift(jet, [(POSITION, 1), (HESSIAN_SLOTS, 1)])
+        frame = adapted_frame(jet, position)
+        del position
+    else:
+        slots, = Taylor.lift(jet, [(HESSIAN_SLOTS, 1)])
     omega_t = _tangent_connection(frame)
-    slots = Taylor.lift(jet, HESSIAN_SLOTS, 1)
-    # the last read of the jet, and below of the frame: a caller that hands
-    # over its references frees both before grad h is assembled
-    del jet
     h = _h_series(slots, frame)
     del slots
 
@@ -1074,14 +1132,12 @@ def second_norm_field(jet: Jet, slots: Taylor | None = None,
     jet's metric: the value at the points is `.c[0]`, and the other
     coefficients carry all the Laplacian of S needs.
 
-    `slots` and `position` are the trace series of the Hessian slots and of
-    X, X_u, X_v, `Taylor.lift(jet, HESSIAN_SLOTS or POSITION, 2,
-    directions)`; the slots are projected in place.  Those not passed are
-    lifted here, the slots from a jet of order >= 4.  A caller that lifts
-    the slots itself can free the order-4 derivatives, which nothing else
-    reads, before the projection, and pass a jet of order 3; one that lifts
-    both also keeps `position` for the Laplacian
-    (`invariants.laplace_beltrami`), and the jet is not read here.
+    `slots` and `position`, passed together, are the trace series of the
+    Hessian slots and of X, X_u, X_v, `Taylor.lift(jet, [(HESSIAN_SLOTS,
+    2), (POSITION, 2)], directions)`; the slots are projected in place, and
+    the jet is not read, so a caller that lifts both keeps `position` for
+    the Laplacian (`invariants.laplace_beltrami`).  Without them both are
+    lifted here, in one pass, from a jet of order >= 4.
 
     The slots are projected onto the normal space one at a time, so no
     series carries two chart axes and the ambient axis at once; S then needs
@@ -1090,15 +1146,15 @@ def second_norm_field(jet: Jet, slots: Taylor | None = None,
     tangential parts from Gram entries of the raw jet instead cancels
     catastrophically near the poles.
     """
+    if (slots is None) != (position is None):
+        raise DomainError("second_norm_field takes the slots and position series "
+                          "together, or neither")
     needs = 4 if slots is None else 3
     if jet.order < needs:
         raise DomainError(f"second_norm_field needs a jet of order >= {needs}, got {jet.order}")
-    if slots is None or position is None:
+    if slots is None:
         directions = trace_directions(first_fundamental_form(jet))
-        if slots is None:
-            slots = Taylor.lift(jet, HESSIAN_SLOTS, 2, directions)
-        if position is None:
-            position = Taylor.lift(jet, POSITION, 2, directions)
+        slots, position = Taylor.lift(jet, [(HESSIAN_SLOTS, 2), (POSITION, 2)], directions)
         del directions
     X, Xc = position[0], position[1:]                                # Xc: [c, C]
     # the metric g_uu, g_uv = g_vu, g_vv and the distinct entries uu, uv, vv

@@ -13,6 +13,7 @@ from minimal_gap_lab.surfaces import (
     adapted_frame,
     eval_jet,
     first_fundamental_form,
+    jet_keys,
     second_fundamental_form,
     trace_directions,
 )
@@ -72,7 +73,7 @@ def metric_christoffel(jet):
     jet of order >= 2 alone: g^cd Gamma_{f,cd} = <g^cd X_cd, X_f>, with
     g^cd X_cd formed here rather than read from a trace series."""
     ginv = trace_directions(first_fundamental_form(jet))[1]
-    d = jet.derivs
+    d = {key: jet.derivative(*key) for key in jet_keys(2)}
     trace = ginv[0, 0] * d[2, 0] + 2.0 * ginv[0, 1] * d[1, 1] + ginv[1, 1] * d[0, 2]
     first_kind = np.stack([np.einsum("x...,x...->...", trace, d[1, 0]),
                            np.einsum("x...,x...->...", trace, d[0, 1])])
@@ -139,7 +140,7 @@ def frozen_frame_grad3(spec, point, step: float = 1e-4, refinements: int = 2):
         np.stack([chart_derivative(slot, c) for c in (0, 1)]) for slot in range(3))
     L = base.chart_to_frame.c[0]
     de = np.stack([d_e1, d_e2], axis=1)                # (c, m, C, ...)
-    basis = np.stack([base_jet.derivs[0, 0], base.e1.c[0], base.e2.c[0]])
+    basis = np.stack([base_jet.derivative(0, 0), base.e1.c[0], base.e2.c[0]])
     ee = basis[1:]                                     # (i, C, ...)
     omega_t = np.einsum("lk...,kmi...->lmi...", L,
                         np.einsum("kmc...,ic...->kmi...", de, ee))

@@ -22,13 +22,13 @@ from minimal_gap_lab.surfaces import (
 
 def _tangent_basis(jet, frame, degree: int) -> Taylor:
     """X, e1, e2 on a first value axis, each lifted and then stacked."""
-    X = Taylor.lift(jet, [(0, 0)], degree)[0]
+    X = Taylor.lift(jet, [([(0, 0)], degree)])[0][0]
     return Taylor.stack([X, frame.e1.truncate(degree), frame.e2.truncate(degree)])
 
 
 def h_series(jet, frame, degree: int) -> Taylor:
     """h[i, j, x] for all four (i, j), as a series of the given degree."""
-    slots = Taylor.stack([Taylor.lift(jet, [key], degree)[0]
+    slots = Taylor.stack([Taylor.lift(jet, [([key], degree)])[0][0]
                           for key in ((2, 0), (1, 1), (0, 2))])
     normal = _normal_part(slots, _tangent_basis(jet, frame, degree), "s")
     L = frame.chart_to_frame.truncate(degree)

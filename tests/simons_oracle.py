@@ -45,7 +45,7 @@ class Chart:
         `derivs`, from a jet of order >= i + j + 2; value axes: the
         derivative, then the component."""
         return cls(np.stack([
-            np.stack([jet.derivs[i + a, j + b] / (math.factorial(a) * math.factorial(b))
+            np.stack([jet.derivative(i + a, j + b) / (math.factorial(a) * math.factorial(b))
                       for a, b in MONOMIALS])
             for i, j in derivs], axis=1))
 

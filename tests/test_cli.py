@@ -121,6 +121,34 @@ def test_verify_rejects_malformed_spec(capsys, tmp_path):
     assert "missing required field" in err
 
 
+@pytest.mark.parametrize("case", ["spec_files", "catalog_name"])
+def test_two_sources_of_one_surface_name_exit_two_before_any_grid(
+        capsys, monkeypatch, tmp_path, case):
+    # the report keys each surface by its spec's name: two sources that
+    # gave one name once exited 0 with one report, the second source's (a
+    # "clifford" whose spec was the Veronese sphere), and a catalog name
+    # given twice was evaluated twice and reported once
+    if case == "spec_files":
+        torus, sphere = tmp_path / "a.json", tmp_path / "b.json"
+        torus.write_text(serialize_spec(catalog_entry("clifford")))
+        doc = json.loads(serialize_spec(catalog_entry("veronese")))
+        sphere.write_text(json.dumps(dict(doc, name="clifford")))
+        sources, name = [str(torus), str(sphere)], "clifford"
+    else:
+        sources, name = ["calabi4", "calabi4"], "calabi4"
+
+    def not_started(*args, **kwargs):
+        raise AssertionError("no grid may be built")
+
+    monkeypatch.setattr(geoquad, "build_grid", not_started)
+    code, out, err = run_cli(capsys, "verify", "--surface", sources[0],
+                             "--surface", sources[1], "--resolution", "16x16")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --surface: {sources[0]!r} and {sources[1]!r} both name the "
+                   f"surface {name!r}; the report keys each surface by its name\n")
+
+
 def test_verify_unknown_tolerance_key(capsys):
     code, _, err = run_cli(capsys, "verify", "--surface", "clifford",
                            "--tol", "nope=1")
@@ -397,8 +425,8 @@ def test_distrust_line_equals_a_per_node_recomputation(capsys, monkeypatch, work
     assert [nodes.stop - nodes.start for _, nodes in tiles] == [16] * 4
     real_chunk = geoquad._fields_chunk
 
-    def forged_chunk(spec, u_rows, v_cols):
-        fields = real_chunk(spec, u_rows, v_cols)
+    def forged_chunk(spec, u_rows, v_cols, columns=None):
+        fields = real_chunk(spec, u_rows, v_cols, columns)
         tile = int(np.searchsorted(grid.u_axis, u_rows[0])) // 2
         local = np.arange(fields.b1_cross.size)
         fields.b1_cross = np.where((local % 5 == 0) & (tile > 0), 7e-4, 1e-6 * tile)

@@ -1,9 +1,11 @@
 """Tests for quadrature grids, integration, and the integral identities."""
 
 import functools
+import json
 import math
 import os
 import weakref
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -24,6 +26,7 @@ from minimal_gap_lab.geoquad import (
     gauss_legendre,
     grid_tiles,
     integral_report,
+    segment_width,
     pool_size,
     reduce_tile,
 )
@@ -32,11 +35,14 @@ from minimal_gap_lab.invariants import b1_simons, point_invariants
 from minimal_gap_lab.surfaces import (
     CATALOG_NAMES,
     JET_ORDER_MAX,
-    Jet,
     _catalog_sphere_entry,
     adapted_frame,
     catalog_entry,
+    column_factor,
     eval_jet,
+    jet_keys,
+    parse_spec_dict,
+    serialize_spec,
     second_fundamental_form,
 )
 
@@ -309,9 +315,9 @@ def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
     assert [rows.stop - rows.start for rows, _ in grid_tiles(grid.resolution)] == [16] * 6
     calls = []
 
-    def recording_chunk(spec, u_rows, v_cols):
+    def recording_chunk(spec, u_rows, v_cols, columns):
         calls.append((u_rows.tobytes(), v_cols.tobytes()))
-        return _fields_chunk(spec, u_rows, v_cols)
+        return _fields_chunk(spec, u_rows, v_cols, columns)
 
     monkeypatch.setattr("minimal_gap_lab.geoquad._fields_chunk", recording_chunk)
     results = {}
@@ -350,27 +356,32 @@ def test_evaluate_fields_memory_does_not_grow_with_the_grid():
     # C = 9: 5299 B/node while each vector Taylor product was built whole
     # before it was subtracted, 4243 while S ran on six-coefficient chart
     # series with the order-4 derivatives alive, 3259 while the frame route
-    # held the jet and the frame to its end, 2891 now, which S's route sets
-    ("calabi4", 4, 2950),
-    # C = 17: 9715 B/node before, 7603 on chart series, 5819, 5195 now
-    ("harmonic8", 8, 5300),
-])
+    # held the jet and the frame to its end, 2891 while the Simons route
+    # held the order-3 jet, 2276 now that no tile holds a jet, which the
+    # frame route sets
+    ("calabi4", 4, 2321),
+    # C = 17: 9715 B/node before, 7603 on chart series, 5819, 5195, 3867 now
+    ("harmonic8", 8, 3944),
+], ids=["calabi4", "harmonic8"])
 def test_tile_peak_bytes_per_node(name, degree, limit):
-    # one 3072-node tile (rows 0:16 of the 96x192 grid) under tracemalloc
+    # one 3072-node tile (rows 0:16 of the 96x192 grid) under tracemalloc,
+    # reading the column factor that evaluate_fields forms once per grid
     spec = _catalog_sphere_entry(name, degree)
     grid = build_grid(spec, (96, 192))
     u, v = grid.u_axis[:16], grid.v_axis
-    _fields_chunk(spec, u, v)
-    per_node = peak_bytes(_fields_chunk, spec, u, v) / (u.size * v.size)
+    columns = column_factor(spec, v)
+    _fields_chunk(spec, u, v, columns)
+    per_node = peak_bytes(_fields_chunk, spec, u, v, columns) / (u.size * v.size)
     assert per_node <= limit, f"{per_node:.0f} B/node"
 
 
 @pytest.mark.parametrize("name,degree,limits", [
-    # each array of a tile is freed at its last read: S's route peaks at
-    # 2891 B/node (3195 before) and the frame route at 2298 (3259)
-    ("calabi4", 4, {"simons": 2950, "frame": 2360}),
-    # C = 17: 5195 (5443) and 4218 (5819)
-    ("harmonic8", 8, {"simons": 5300, "frame": 4340}),
+    # each array of a tile is freed at its last read and no tile holds a
+    # jet: S's route peaks at 2171 B/node (2891 while it held the order-3
+    # jet) and the frame route at 2275 (2298)
+    ("calabi4", 4, {"simons": 2215, "frame": 2321}),
+    # C = 17: 3836 (5195) and 3867 (4218)
+    ("harmonic8", 8, {"simons": 3913, "frame": 3944}),
 ], ids=["calabi4", "harmonic8"])
 def test_each_route_peak_bytes_per_node(name, degree, limits):
     # each route of one 3072-node tile (rows 0:16 of the 96x192 grid) under
@@ -404,94 +415,259 @@ def test_tile_work_is_gated_by_call_counts(monkeypatch):
     # a deterministic gate on duplicated work: the calls one 3072-node
     # calabi4 tile makes to np.einsum and to the Taylor kernel
     # surfaces._apply, and those one reduce_tile makes to numpy's
-    # reductions, repeat exactly.  Each is at most its count once S ran on
-    # four-coefficient trace series (198 einsum and 276 _apply calls on
-    # six-coefficient chart series; 158 and 189 then), the Laplacian read
-    # the trace coefficient of X's series (157 einsum calls) and the tile
-    # reduced its fields stacked (128 reductions before, 25 after).  A
-    # change that raises one has to say why
+    # reductions, repeat exactly.  The tile made 198 einsum and 276 _apply
+    # calls on six-coefficient chart series, 158 and 189 on trace series,
+    # 157 once the Laplacian read the trace coefficient of X's series, and
+    # 144 now: it forms 27 derivatives from the grid's column factor (the
+    # metric's 2, the Simons route's 15, the frame route's 10) instead of
+    # 15 from its own 25 column contractions.  reduce_tile made 128
+    # reductions before it reduced its fields stacked.  A change that moves
+    # one has to say why
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
     u, v = grid.u_axis[:16], grid.v_axis
-    fields = _fields_chunk(spec, u, v)
-    tile_counts = _counted(monkeypatch, np, ["einsum"]) | \
-        _counted(monkeypatch, surfaces, ["_apply"])
-    _fields_chunk(spec, u, v)
-    assert tile_counts["einsum"] <= 157 and tile_counts["_apply"] <= 189, tile_counts
+    columns = column_factor(spec, v)
+    fields = _fields_chunk(spec, u, v, columns)
+    einsum_counts = _counted(monkeypatch, np, ["einsum"])
+    apply_counts = _counted(monkeypatch, surfaces, ["_apply"])
+    _fields_chunk(spec, u, v, columns)
+    assert einsum_counts | apply_counts == {"einsum": 144, "_apply": 189}
     reduction_counts = _counted(monkeypatch, np, REDUCTIONS)
     reduce_tile(fields, grid, (slice(0, 16), slice(0, 192)))
-    assert sum(reduction_counts.values()) <= 25, reduction_counts
+    assert sum(reduction_counts.values()) == 25, reduction_counts
+
+
+def _derivatives_seen(monkeypatch):
+    # weakrefs to every derivative `Jet.derivative` forms and to its base,
+    # keyed by (i, j) in the order they are formed
+    formed = []
+
+    def derivative_seen(jet, i, j, _call=surfaces.Jet.derivative):
+        d = _call(jet, i, j)
+        formed.append(((i, j), weakref.ref(d), weakref.ref(d.base)))
+        return d
+
+    monkeypatch.setattr(surfaces.Jet, "derivative", derivative_seen)
+    return formed
+
+
+def _is_alive(refs):
+    return any(ref() is not None for ref in refs)
+
+
+def test_every_derivative_a_tile_forms_is_freed_when_its_reader_returns(monkeypatch):
+    # no tile holds a jet: each derivative d_u^i d_v^j X is formed inside
+    # the one call that reads it, the metric (X_u, X_v) or a route's lift
+    # (every derivative once, in `jet_keys` order: 15 for the Simons
+    # route's trace series, 10 for the frame route's chart series), and is
+    # dead when that call returns
+    spec = catalog_entry("calabi4")
+    grid = build_grid(spec, (96, 192))
+    formed = _derivatives_seen(monkeypatch)
+    alive = []
+
+    def reader_seen(call):
+        def run(*args, **kwargs):
+            result = call(*args, **kwargs)
+            alive.append([key for key, *refs in formed if _is_alive(refs)])
+            return result
+        return run
+
+    monkeypatch.setattr(surfaces.Taylor, "lift",
+                        classmethod(reader_seen(surfaces.Taylor.lift.__func__)))
+    monkeypatch.setattr(geoquad, "first_fundamental_form",
+                        reader_seen(geoquad.first_fundamental_form))
+    _fields_chunk(spec, grid.u_axis[:16], grid.v_axis)
+    assert [key for key, *_ in formed] == [(1, 0), (0, 1)] + jet_keys(4) + jet_keys(3)
+    assert alive == [[], [], []]
 
 
 def test_order4_derivatives_are_freed_before_the_simons_projection(monkeypatch):
     # the Hessian slots are the only readers of the order-4 derivatives, so
-    # `_fields_chunk` lifts them and frees those derivatives (5 C doubles a
-    # node) before S's projection makes its first subtraction
+    # they are formed inside the Simons route's lift and are dead (5 C
+    # doubles a node) before S's projection makes its first subtraction
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
-    refs, alive = [], []
-
-    def eval_jet_seen(*args, **kwargs):
-        jet = eval_jet(*args, **kwargs)
-        refs.extend(weakref.ref(d) for key, d in jet.derivs.items() if sum(key) == 4)
-        return jet
+    formed = _derivatives_seen(monkeypatch)
+    alive = []
 
     def first_subtraction(*args, _call=surfaces._subtract_product):
         if not alive:
-            alive.append([ref() is not None for ref in refs])
+            alive.append([_is_alive(refs) for key, *refs in formed if sum(key) == 4])
         return _call(*args)
 
-    monkeypatch.setattr(geoquad, "eval_jet", eval_jet_seen)
     monkeypatch.setattr(surfaces, "_subtract_product", first_subtraction)
     _fields_chunk(spec, grid.u_axis[:16], grid.v_axis)
-    assert len(refs) == 5 and alive == [[False] * 5]
+    assert sum(sum(key) == 4 for key, *_ in formed) == 5 and alive == [[False] * 5]
 
 
 def test_jet_and_frame_are_freed_before_grad_h_is_assembled(monkeypatch):
-    # covariant_grad_h is the last reader of the jet and of the frame, and
-    # `_fields_chunk` hands it the only references to both: the tile's jet
-    # derivatives (10 C doubles a node up to order 3) and the frame's series
-    # (X, e1, e2 and L) are freed before the connection terms and grad3,
-    # the two last `_symmetric_view` reads of the tile, are formed
+    # covariant_grad_h is the last reader of the jet and builds the frame
+    # itself: every derivative the tile forms (27, up to order 4) and the
+    # frame's series (X, e1, e2 and L) are dead before the connection terms
+    # and grad3, the tile's two last `_symmetric_view` reads, are formed
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
-    refs, alive = [], []
+    formed = _derivatives_seen(monkeypatch)
+    frame_refs, alive = [], []
 
-    def eval_jet_seen(*args, **kwargs):
-        jet = eval_jet(*args, **kwargs)
-        refs.extend(weakref.ref(d) for d in jet.derivs.values())
-        return jet
-
-    def adapted_frame_seen(jet):
-        frame = adapted_frame(jet)
-        refs.extend(weakref.ref(series.c) for series in (frame.basis, frame.chart_to_frame))
+    def adapted_frame_seen(*args, _call=surfaces.adapted_frame):
+        frame = _call(*args)
+        frame_refs.extend(weakref.ref(series.c) for series in (frame.basis, frame.chart_to_frame))
         return frame
 
     def symmetric_view_seen(*args, _call=surfaces._symmetric_view, **kwargs):
-        alive.append([ref() is not None for ref in refs])
+        alive.append([_is_alive(refs) for _, *refs in formed]
+                     + [ref() is not None for ref in frame_refs])
         return _call(*args, **kwargs)
 
-    monkeypatch.setattr(geoquad, "eval_jet", eval_jet_seen)
-    monkeypatch.setattr(geoquad, "adapted_frame", adapted_frame_seen)
+    monkeypatch.setattr(surfaces, "adapted_frame", adapted_frame_seen)
     monkeypatch.setattr(surfaces, "_symmetric_view", symmetric_view_seen)
     _fields_chunk(spec, grid.u_axis[:16], grid.v_axis)
-    assert len(refs) == 17 and alive[-2:] == [[False] * 17] * 2, alive[-2:]
+    assert len(formed) == 27 and len(frame_refs) == 2
+    assert alive[-2:] == [[False] * 29] * 2, alive[-2:]
 
 
 def test_the_benchmark_reads_the_layers_the_pipeline_runs(monkeypatch):
-    # perfbench's tracer wraps `second_norm_field` under the binding geoquad
-    # holds, and `invariants.b1_simons` by name: a tile reaches the first
-    # exactly once, and the second gives the tile's b1_simons bit for bit
+    # perfbench's tracer wraps `eval_jet` and `second_norm_field` under the
+    # bindings geoquad holds, and `invariants.b1_simons` by name: each tile
+    # reaches the first two exactly once, and the third gives a tile's
+    # b1_simons bit for bit
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
     u, v = grid.u_axis[:16], grid.v_axis
-    calls = _counted(monkeypatch, geoquad, ["second_norm_field"])
+    calls = _counted(monkeypatch, geoquad, ["eval_jet", "second_norm_field"])
+    evaluate_fields(spec, grid, workers=2)
+    tiles = len(grid_tiles(grid.resolution))
+    assert tiles == 6 and calls == {"eval_jet": tiles, "second_norm_field": tiles}
     fields = _fields_chunk(spec, u, v)
-    assert calls == {"second_norm_field": 1}
     tile = eval_jet(spec, (u[:, None], v[None, :]), order=JET_ORDER_MAX)
-    jet = Jet(spec, tile.u.ravel(), tile.v.ravel(), tile.order,
-              {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
+    jet = replace(tile, u=tile.u.ravel(), v=tile.v.ravel())
     assert b1_simons(jet, fields.inv).b1.tobytes() == fields.b1_simons.tobytes()
+
+
+@pytest.mark.parametrize("name", ["clifford", "calabi4"])
+def test_column_segment_tiles_read_their_segments_column_factor_bit_for_bit(monkeypatch, name):
+    # above NODE_CHUNK columns each tile is a column segment of one row and
+    # reads the column factor that evaluate_fields forms once for the
+    # segment's tiles; every per-node field has the bits of the tile
+    # evaluated from its own columns alone
+    spec = catalog_entry(name)
+    grid = build_grid(spec, (8, 4096))
+    tiles = grid_tiles(grid.resolution)
+    assert len(tiles) == 16 and all(cols.stop - cols.start == 2048 for _, cols in tiles)
+    evaluated = {}
+
+    def chunk(spec, u_rows, v_cols, columns):
+        assert all(c.shape[2] == v_cols.size for c in columns)
+        fields = _fields_chunk(spec, u_rows, v_cols, columns)
+        evaluated[u_rows.tobytes(), v_cols.tobytes()] = fields
+        return fields
+
+    monkeypatch.setattr(geoquad, "_fields_chunk", chunk)
+    evaluate_fields(spec, grid, workers=2)
+    monkeypatch.undo()
+    got = grid_fields(spec, grid, lambda spec, u, v: evaluated[u.tobytes(), v.tobytes()])
+    expected = grid_fields(spec, grid)
+    for name in NODE_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    for name in INVARIANT_NAMES:
+        assert getattr(got.inv, name).tobytes() == getattr(expected.inv, name).tobytes(), name
+
+
+def test_narrow_column_segments_keep_each_factor_within_its_budget(monkeypatch):
+    # segment_width cuts a grid's rows into column segments whose column
+    # factor, C x P x columns x (JET_ORDER_MAX + 1) doubles, stays within
+    # COLUMN_BYTES.  Every catalog surface keeps NODE_CHUNK-wide segments;
+    # under a budget of 40 calabi4 columns, 16x192 becomes 80 one-row tiles
+    # in 5 segments, each factor that evaluate_fields forms is within the
+    # budget, and every per-node field keeps the bits of whole-row tiles
+    assert {segment_width(catalog_entry(name)) for name in CATALOG_NAMES} == {NODE_CHUNK}
+    spec = catalog_entry("calabi4")
+    column = 9 * 5 * (JET_ORDER_MAX + 1) * 8
+    assert spec.coef.shape[:2] == (9, 5)
+    monkeypatch.setattr(geoquad, "COLUMN_BYTES", 40 * column + column - 1)
+    assert segment_width(spec) == 40
+    grid = build_grid(spec, (16, 192))
+    tiles = grid_tiles(grid.resolution, 40)
+    assert len(tiles) == 80 and {cols.stop - cols.start for _, cols in tiles} == {38, 39}
+    factors, evaluated = [], {}
+
+    def factor(spec, v, order=JET_ORDER_MAX, _call=column_factor):
+        columns = _call(spec, v, order)
+        factors.append(sum(c.nbytes for c in columns))
+        return columns
+
+    def chunk(spec, u_rows, v_cols, columns):
+        fields = _fields_chunk(spec, u_rows, v_cols, columns)
+        evaluated[u_rows.tobytes(), v_cols.tobytes()] = fields
+        return fields
+
+    monkeypatch.setattr(geoquad, "column_factor", factor)
+    monkeypatch.setattr(geoquad, "_fields_chunk", chunk)
+    evaluate_fields(spec, grid, workers=2)
+    monkeypatch.undo()
+    assert len(factors) == 5 and max(factors) <= 40 * column
+    got = grid_fields(spec, grid, lambda spec, u, v: evaluated[u.tobytes(), v.tobytes()],
+                      width=40)
+    expected = grid_fields(spec, grid)
+    for name in NODE_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    for name in INVARIANT_NAMES:
+        assert getattr(got.inv, name).tobytes() == getattr(expected.inv, name).tobytes(), name
+
+
+def _wide_torus():
+    # the Clifford torus in R^64 with 1e-20 terms in cos and sin of m u,
+    # m <= 64, in every component: C x P x Q = 64 x 129 x 3, a spec the CLI
+    # accepts whose column factor takes 330 kB a column
+    doc = json.loads(serialize_spec(catalog_entry("clifford")))
+    doc["ambient_dim"] = 64
+    doc["components"] += [[] for _ in range(60)]
+    for terms in doc["components"]:
+        terms += [{"coeff": 1e-20, "type": kind, "freq": [m, 0]}
+                  for m in range(65) for kind in ("cos", "sin") if (m, kind) != (0, "sin")]
+    return parse_spec_dict(doc)
+
+
+def test_a_wide_basis_evaluates_within_the_column_budget():
+    # the wide torus at 8x256 gets 3 segments of at most 101 columns, and
+    # evaluate_fields holds one segment's factor (27 MiB) and one small tile
+    # at once, where a factor over whole rows would hold 81 MiB
+    spec = _wide_torus()
+    assert spec.coef.shape == (64, 129, 3) and segment_width(spec) == 101
+    grid = build_grid(spec, (8, 256))
+    assert len(grid_tiles(grid.resolution, segment_width(spec))) == 8 * 3
+    peak = peak_bytes(evaluate_fields, spec, grid)
+    assert peak <= geoquad.COLUMN_BYTES + 2 ** 23, f"{peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("resolution,tiles,segments", [
+    ((16, 32), 1, 1), ((96, 192), 6, 1), ((8, 4096), 16, 2), ((8, 3 * NODE_CHUNK), 24, 3),
+], ids=["16x32", "96x192", "8x4096", "8x9216"])
+def test_the_v_basis_is_evaluated_once_per_column_segment(monkeypatch, resolution, tiles,
+                                                          segments):
+    # the column half of the jets, which the v-basis feeds, is the same for
+    # every tile of a column segment: evaluate_fields forms it once per
+    # segment, so once per grid whose rows fit a tile, whatever the tiles
+    # or the workers, and each tile evaluates its own u-basis
+    spec = catalog_entry("calabi4")
+    grid = build_grid(spec, resolution)
+    assert len(grid_tiles(resolution)) == tiles
+    assert len({(cols.start, cols.stop) for _, cols in grid_tiles(resolution)}) == segments
+    axes = []
+
+    def basis_seen(chart, exps, x, order, _call=surfaces._basis_derivatives):
+        axes.append(("v", x.size) if exps is spec.v_exps else ("u", x.size))
+        return _call(chart, exps, x, order)
+
+    monkeypatch.setattr(surfaces, "_basis_derivatives", basis_seen)
+    for workers in (1, 2):
+        axes.clear()
+        evaluate_fields(spec, grid, workers=workers)
+        v_sizes = [size for axis, size in axes if axis == "v"]
+        assert len(v_sizes) == segments and sum(v_sizes) == resolution[1], workers
+        assert len(axes) - len(v_sizes) == tiles, workers
 
 
 def test_integrate_rejects_nan(monkeypatch):
@@ -508,8 +684,8 @@ def test_integrate_rejects_nan(monkeypatch):
     u, v = grid.node(node)
     assert (u, v) == (grid.u_axis[4], grid.v_axis[5])
     for field in ("K", "delta_S"):
-        def chunk(spec, u_rows, v_cols):
-            fields = _fields_chunk(spec, u_rows, v_cols)
+        def chunk(spec, u_rows, v_cols, columns):
+            fields = _fields_chunk(spec, u_rows, v_cols, columns)
             if u_rows[0] == grid.u_axis[rows.start]:
                 holder = fields.inv if field in INVARIANT_NAMES else fields
                 getattr(holder, field)[node - nodes.start] = np.nan

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -13,10 +14,11 @@ from minimal_gap_lab.errors import DomainError, ParseError, ValidationError
 from minimal_gap_lab.geoquad import build_grid, grid_tiles
 from minimal_gap_lab.surfaces import (
     CATALOG_NAMES,
+    HESSIAN_SLOTS,
     JET_ORDER_MAX,
     MAX_AMBIENT_DIM,
+    POSITION,
     FrameData,
-    Jet,
     Taylor,
     _catalog_sphere_entry,
     _product,
@@ -28,6 +30,7 @@ from minimal_gap_lab.surfaces import (
     covariant_grad_h,
     eval_jet,
     first_fundamental_form,
+    jet_keys,
     load_immersion,
     parse_spec_dict,
     parse_spec_text,
@@ -78,7 +81,7 @@ def test_catalog_equator_is_identity_embedding():
     spec = catalog_entry("equator")
     # degree-1 harmonics give the identity embedding, up to a rotation;
     # here the construction lands exactly on (x, y, z)
-    X = eval_jet(spec, SPHERE_PTS, order=0).derivs[0, 0]
+    X = eval_jet(spec, SPHERE_PTS, order=0).derivative(0, 0)
     th, ph = SPHERE_PTS
     xyz = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                     np.cos(th)])
@@ -109,7 +112,7 @@ def test_unit_image_on_dense_grid(name):
         u = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     v = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     U, V = np.meshgrid(u, v, indexing="ij")
-    X = eval_jet(spec, (U, V), order=0).derivs[0, 0]
+    X = eval_jet(spec, (U, V), order=0).derivative(0, 0)
     assert np.max(np.abs(np.einsum("c...,c...->...", X, X) - 1.0)) < 1e-12
 
 
@@ -156,7 +159,7 @@ def test_clifford_first_derivatives_have_norm_inv_sqrt2():
     spec = catalog_entry("clifford")
     jet = eval_jet(spec, TORUS_PTS, order=1)
     for d in ((1, 0), (0, 1)):
-        norms = np.sqrt(np.einsum("cn,cn->n", jet.derivs[d], jet.derivs[d]))
+        norms = np.sqrt(np.einsum("cn,cn->n", jet.derivative(*d), jet.derivative(*d)))
         assert np.allclose(norms, 1 / math.sqrt(2), atol=1e-15)
 
 
@@ -166,13 +169,13 @@ def test_jet_derivatives_match_finite_differences():
     h = 1e-4
 
     def X(du, dv):
-        return eval_jet(spec, (u0 + du, v0 + dv), order=0).derivs[0, 0]
+        return eval_jet(spec, (u0 + du, v0 + dv), order=0).derivative(0, 0)
 
     jet = eval_jet(spec, (u0, v0), order=2)
     fd_u = (X(h, 0) - X(-h, 0)) / (2 * h)
     fd_uv = (X(h, h) - X(h, -h) - X(-h, h) + X(-h, -h)) / (4 * h * h)
-    assert np.max(np.abs(fd_u - jet.derivs[1, 0])) < 1e-7
-    assert np.max(np.abs(fd_uv - jet.derivs[1, 1])) < 1e-6
+    assert np.max(np.abs(fd_u - jet.derivative(1, 0))) < 1e-7
+    assert np.max(np.abs(fd_uv - jet.derivative(1, 1))) < 1e-6
 
 
 def test_jet_pole_margin_enforced():
@@ -195,9 +198,9 @@ def test_tile_jet_matches_flat_points(name, rotated_mixed_torus):
     U, V = np.meshgrid(u, v, indexing="ij")
     tile = eval_jet(spec, (u[:, None], v[None, :]), order=JET_ORDER_MAX)
     flat = eval_jet(spec, (U.ravel(), V.ravel()), order=JET_ORDER_MAX)
-    assert set(tile.derivs) == set(flat.derivs)
-    for key, d in flat.derivs.items():
-        got = tile.derivs[key].reshape(d.shape)
+    for key in jet_keys(JET_ORDER_MAX):
+        d = flat.derivative(*key)
+        got = tile.derivative(*key).reshape(d.shape)
         if spec.chart == "torus":
             assert np.array_equal(got, d), key
         else:
@@ -228,7 +231,8 @@ def test_jets_match_sympy_derivatives(name, rotated_mixed_torus):
     pts = _points(spec)
     jet = eval_jet(spec, pts, order=JET_ORDER_MAX)
     u, v, exprs = _sympy_components(spec)
-    for (i, j), got in jet.derivs.items():
+    for i, j in jet_keys(JET_ORDER_MAX):
+        got = jet.derivative(i, j)
         funcs = [sympy.lambdify((u, v), sympy.diff(e, u, i, v, j) if i + j else e, "mpmath")
                  for e in exprs]
         with mpmath.workdps(30):
@@ -244,7 +248,7 @@ def test_veronese_jets_satisfy_eigenmap_identity():
     v = np.array([0.3, 2.5])
     for comp in range(spec.ambient_dim):
         def f(U, V, comp=comp):
-            return eval_jet(spec, (U, V), order=0).derivs[0, 0][comp]
+            return eval_jet(spec, (U, V), order=0).derivative(0, 0)[comp]
 
         lap, _ = laplace_beltrami(spec, f, u, v)
         assert np.max(np.abs(lap + 2.0 * f(u, v))) < 1e-9
@@ -290,12 +294,12 @@ def test_taylor_subtraction_and_lift_are_bitwise_the_plain_formulas():
     # a chart lift copies the derivatives, and a trace lift forms each
     # coefficient by its plain formula, which must not change a bit
     jet = eval_jet(catalog_entry("calabi3"), SPHERE_PTS, order=JET_ORDER_MAX)
-    d = jet.derivs
-    chart = Taylor.lift(jet, [(1, 1)], 1).c[:, 0]
+    d = {key: jet.derivative(*key) for key in jet_keys(JET_ORDER_MAX)}
+    chart = Taylor.lift(jet, [([(1, 1)], 1)])[0].c[:, 0]
     for series, expected in zip(chart, (d[1, 1], d[2, 1], d[1, 2])):
         assert np.array_equal(series, expected)
     L, ginv = directions = trace_directions(first_fundamental_form(jet))
-    trace = Taylor.lift(jet, [(1, 1)], 2, directions).c[:, 0]
+    trace = Taylor.lift(jet, [([(1, 1)], 2)], directions)[0].c[:, 0]
     for series, expected in zip(trace, (
             d[1, 1], L[0, 0] * d[2, 1], L[1, 0] * d[2, 1] + L[1, 1] * d[1, 2],
             ginv[0, 0] * d[3, 1] + 2.0 * ginv[0, 1] * d[2, 2] + ginv[1, 1] * d[1, 3])):
@@ -522,7 +526,7 @@ def test_frame_gram_matrix_is_identity(name):
     spec = catalog_entry(name)
     jet = eval_jet(spec, _points(spec), order=2)
     fr = adapted_frame(jet)
-    full = np.stack([jet.derivs[0, 0], fr.e1.c[0], fr.e2.c[0]])
+    full = np.stack([jet.derivative(0, 0), fr.e1.c[0], fr.e2.c[0]])
     gram = np.einsum("icn,jcn->nij", full, full)
     assert np.max(np.abs(gram - np.eye(3))) < 1e-10
     # the ambient h has no part along X, e1 or e2
@@ -542,7 +546,9 @@ def test_degenerate_metric_raises():
 
     spec = catalog_entry("clifford")
     jet = eval_jet(spec, (0.3, 0.8), order=2)
-    jet.derivs[0, 1] = jet.derivs[1, 0].copy()   # make d_v X parallel to d_u X
+    derivative = jet.derivative
+    # make d_v X parallel to d_u X
+    jet.derivative = lambda i, j: derivative(*((1, 0) if (i, j) == (0, 1) else (i, j)))
     where = r"clifford: not an immersion at \(u, v\) = \(0\.3, 0\.8\)"
     with pytest.raises(FrameError, match=where):
         adapted_frame(jet)
@@ -617,12 +623,28 @@ def test_second_norm_field_matches_frame_route():
         assert np.max(np.abs(S_frame - second_norm_field(jet).c[0])) < 1e-12
 
 
+def test_second_norm_field_takes_both_lifted_series_or_neither():
+    # given both trace series it reads nothing of the jet, so an order-3 jet
+    # serves; given one of them it refuses, naming the rule, rather than
+    # lift the other from a jet that may be too short for it
+    spec = catalog_entry("calabi4")
+    jet = eval_jet(spec, _points(spec))
+    directions = trace_directions(first_fundamental_form(jet))
+    slots, position = Taylor.lift(jet, [(HESSIAN_SLOTS, 2), (POSITION, 2)], directions)
+    short = eval_jet(spec, _points(spec), order=3)
+    whole = second_norm_field(jet).c[0]
+    for passed in ({"slots": slots}, {"position": position}):
+        with pytest.raises(DomainError, match="together, or neither"):
+            second_norm_field(short, **passed)
+    assert second_norm_field(short, slots, position).c[0].tobytes() == whole.tobytes()
+
+
 def _calabi4_jet(order):
     """A calabi4 jet at 2048 seeded points, and its bytes."""
     rng = np.random.default_rng(4)
     pts = (rng.uniform(0.1, math.pi - 0.1, 2048), rng.uniform(0.0, 2 * math.pi, 2048))
     jet = eval_jet(catalog_entry("calabi4"), pts, order=order)
-    return jet, sum(d.nbytes for d in jet.derivs.values())
+    return jet, sum(jet.derivative(*key).nbytes for key in jet_keys(order))
 
 
 def test_second_norm_field_memory_is_a_few_jets():
@@ -660,8 +682,7 @@ def _tile_jet(spec, u_rows, v_cols, order=3):
     """The order-3 jet of a tile, its points flattened, as the pipeline
     builds it."""
     tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), order=order)
-    return Jet(spec, tile.u.ravel(), tile.v.ravel(), order,
-               {key: d.reshape(len(d), -1) for key, d in tile.derivs.items()})
+    return replace(tile, u=tile.u.ravel(), v=tile.v.ravel())
 
 
 def _oracle_tiles():

@@ -31,6 +31,7 @@ from minimal_gap_lab.geoquad import (
     reduce_tile,
 )
 from minimal_gap_lab.invariants import PointInvariants
+from minimal_gap_lab.surfaces import column_factor
 
 INVARIANT_NAMES = [f.name for f in dc_fields(PointInvariants)]
 NODE_ARRAYS = [f.name for f in dc_fields(SurfaceFields) if f.name != "inv"]
@@ -64,9 +65,10 @@ def peak_bytes(fn, *args) -> int:
 # the stages of `_fields_chunk`, each begun by the first call of a function
 # under the name geoquad binds it by: the tile's jet and metric, the Simons
 # route (S's trace series, their projection and the Laplacian of S), the
-# frame route (the frame, h and grad h), and the pointwise invariants and B1
+# frame route (the chart series, the frame, h and grad h), and the pointwise
+# invariants and B1
 STAGE_MARKERS = {"eval_jet": "jet", "trace_directions": "simons",
-                 "adapted_frame": "frame", "point_invariants": "invariants"}
+                 "covariant_grad_h": "frame", "point_invariants": "invariants"}
 
 
 def stage_peaks(spec, u, v) -> dict:
@@ -74,8 +76,11 @@ def stage_peaks(spec, u, v) -> dict:
     of one `_fields_chunk` call on the tile u x v, in bytes per node: the
     most the call held at once from its stage's first call to the next
     stage's, arrays left by earlier stages included, so the tile's peak is
-    the largest of them.  The tile is evaluated once untraced first."""
-    _fields_chunk(spec, u, v)
+    the largest of them.  The tile reads its `column_factor`, formed before
+    the trace as `evaluate_fields` forms it before the tiles run, and is
+    evaluated once untraced first."""
+    columns = column_factor(spec, v)
+    _fields_chunk(spec, u, v, columns)
     peaks = {}
 
     def close_stage():
@@ -95,7 +100,7 @@ def stage_peaks(spec, u, v) -> dict:
                                          for name in STAGE_MARKERS}):
         tracemalloc.start()
         try:
-            _fields_chunk(spec, u, v)
+            _fields_chunk(spec, u, v, columns)
             close_stage()
         finally:
             tracemalloc.stop()
@@ -119,11 +124,12 @@ def grid_nodes(grid):
     return np.repeat(grid.u_axis, n_v), np.tile(grid.v_axis, n_u)
 
 
-def grid_fields(spec, grid, chunk=_fields_chunk) -> SurfaceFields:
+def grid_fields(spec, grid, chunk=_fields_chunk, width=None) -> SurfaceFields:
     """The fields at every node of the grid: `chunk` (by default
-    `_fields_chunk`) of each tile, concatenated in node order."""
+    `_fields_chunk`) of each of its `grid_tiles` at `width`, concatenated
+    in node order."""
     tiles = [chunk(spec, grid.u_axis[rows], grid.v_axis[cols])
-             for rows, cols in grid_tiles(grid.resolution)]
+             for rows, cols in grid_tiles(grid.resolution, width)]
     return _rebuild(tiles, np.concatenate)
 
 
