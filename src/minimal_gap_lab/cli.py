@@ -305,6 +305,28 @@ def cmd_verify(config: RunConfig) -> int:
 # thresholds
 # ---------------------------------------------------------------------------
 
+def _check_table_flags(config: RunConfig) -> None:
+    """Refuse a thresholds grid that the tables cannot be built on, naming
+    the flag and the value given, before any table is built."""
+    for flag, points in (("--tau-points", config.tau_points),
+                         ("--gamma-points", config.gamma_points)):
+        if points > gaps.TABLE_POINTS_MAX:
+            raise DomainError(f"{flag} {points} is above the limit "
+                              f"{gaps.TABLE_POINTS_MAX}")
+        if points < 2:
+            raise DomainError(f"{flag} {points}: a table needs at least 2 grid points")
+    for flag, tau in (("--tau-lo", config.tau_lo), ("--tau-hi", config.tau_hi)):
+        if tau is not None:
+            try:
+                gaps.threshold_T(tau)
+            except DomainError as exc:
+                raise DomainError(f"{flag} {tau!r}: {exc}") from exc
+    lo = gaps.TAU_STAR if config.tau_lo is None else config.tau_lo
+    if lo > config.tau_hi:
+        raise DomainError(f"--tau-lo {lo!r}, --tau-hi {config.tau_hi!r}: tau interval "
+                          f"[{lo!r}, {config.tau_hi!r}] is reversed: lo must not exceed hi")
+
+
 def cmd_thresholds(config: RunConfig) -> int:
     lo = gaps.TAU_STAR if config.tau_lo is None else config.tau_lo
     table = gaps.threshold_table(config.tau_points, lo=lo, hi=config.tau_hi)
@@ -416,7 +438,7 @@ def _tune_malloc() -> None:
     """Keep the tile pool's freed pages mapped, in one arena, under glibc.
 
     By default glibc gives each pool thread its own arena and returns a
-    tile's 6.7 MiB (a 3072-node calabi4 tile's `tracemalloc` peak) to the
+    tile's 5.7 MiB (a 3072-node calabi4 tile's `tracemalloc` peak) to the
     kernel when it is freed, to fault it in again for the next tile.  A
     fixed trim threshold alone turns off glibc's dynamic mmap threshold, so
     both are set.  Call before any pool thread starts;
@@ -471,11 +493,7 @@ def main(argv=None) -> int:
                 tau_hi=args.tau_hi, gamma_points=args.gamma_points,
                 csv_prefix=args.csv_prefix, json_path=args.json_path,
             )
-            for flag, points in (("--tau-points", config.tau_points),
-                                 ("--gamma-points", config.gamma_points)):
-                if points > gaps.TABLE_POINTS_MAX:
-                    raise DomainError(f"{flag} {points} is above the limit "
-                                      f"{gaps.TABLE_POINTS_MAX}")
+            _check_table_flags(config)
             _check_output_paths(config)
             return cmd_thresholds(config)
         if args.command == "catalog":

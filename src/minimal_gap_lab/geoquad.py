@@ -38,12 +38,9 @@ from minimal_gap_lab.invariants import (
 )
 from minimal_gap_lab.surfaces import (
     CODAZZI_TOL,
-    HESSIAN_SLOTS,
     JET_ORDER_MAX,
-    POSITION,
     SPHERE,
     ImmersionSpec,
-    Taylor,
     column_factor,
     covariant_grad_h,
     eval_jet,
@@ -206,8 +203,9 @@ def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray, v_cols: np.ndarray,
     # the tile's jet is its row factor and the grid's column factor, and no
     # derivative outlives the call that reads it.  Each route lifts its
     # series in one pass, which forms each derivative once and frees it
-    # after its last write (`Taylor.lift`): the Simons route lifts the
-    # trace series of the Hessian slots and of X, the frame route, inside
+    # after its last write (`Taylor.lift`): the Simons route, inside
+    # second_norm_field, the trace series of the Hessian slots and the part
+    # of X's it cannot form from them, the frame route, inside
     # covariant_grad_h, the chart series of X and of the slots.  Every array
     # is freed at its last read; of grad h only the fields below outlive it.
     tile = eval_jet(spec, (u_rows[:, None], v_cols[None, :]), JET_ORDER_MAX, columns)
@@ -217,10 +215,9 @@ def _fields_chunk(spec: ImmersionSpec, u_rows: np.ndarray, v_cols: np.ndarray,
     directions = trace_directions(metric)
     sqrt_det_g = np.sqrt(E * G - F * F)
     del E, F, G, metric
-    slots, position = Taylor.lift(jet, [(HESSIAN_SLOTS, 2), (POSITION, 2)], directions)
-    laplacian_S = laplace_beltrami(position, second_norm_field(jet, slots, position),
-                                   directions)
-    del slots, position, directions
+    S, gamma = second_norm_field(jet, directions)
+    laplacian_S = laplace_beltrami(S, gamma, directions)
+    del S, gamma, directions
     grad = covariant_grad_h(jet)
     b1_direct, codazzi_residual, shape = grad.b1_direct, grad.codazzi_residual, grad.shape
     del grad

@@ -28,8 +28,6 @@ import numpy as np
 
 from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.surfaces import (
-    HESSIAN_SLOTS,
-    POSITION,
     Jet,
     ShapePair,
     Taylor,
@@ -104,33 +102,19 @@ def point_invariants(sp: ShapePair) -> PointInvariants:
 # Laplace-Beltrami of scalar fields and the Simons route to B1
 # ---------------------------------------------------------------------------
 
-def _metric_christoffel(position: Taylor, ginv: np.ndarray) -> np.ndarray:
-    """Contracted Christoffel symbols gamma^e = g^cd Gamma^e_cd (what the
-    Laplacian needs beyond g^cd), points last, exact from `position`, the
-    trace series of X, X_u, X_v (`surfaces.POSITION`), and the inverse
-    metric it was lifted with."""
-    # g^cd Gamma_{f,cd} = <g^cd d_c d_d X, d_f X>, and g^cd d_c d_d X is the
-    # trace coefficient of X's series
-    trace, Xu, Xv = position.c[3, 0], position.c[0, 1], position.c[0, 2]
-    first_kind = np.stack([np.einsum("x...,x...->...", trace, Xu),
-                           np.einsum("x...,x...->...", trace, Xv)])
-    return np.einsum("ef...,f...->e...", ginv, first_kind)
-
-
-def laplace_beltrami(position: Taylor, field: Taylor, directions) -> np.ndarray:
+def laplace_beltrami(field: Taylor, gamma: np.ndarray, directions) -> np.ndarray:
     """Chart Laplace-Beltrami g^cd f_cd - gamma^e f_e of a scalar field.
 
     `field` is the field's trace series (f, d_1 f, d_2 f, T f) along
     `directions` = (L, g^-1), the `trace_directions` of the metric, and
-    `position` those of X, X_u, X_v at the same points
-    (`Taylor.lift(jet, [(surfaces.POSITION, 2)], directions)`, from a jet of
-    order >= 3): T f is g^cd f_cd, and f_u, f_v follow from
-    d_i f = L[i, c] f_c with L lower triangular.  The metric terms come
-    exactly from the jet, so no step size or truncation error enters.
+    `gamma` the contracted Christoffel symbols at the same points (both as
+    `surfaces.second_norm_field` returns them): T f is g^cd f_cd, and
+    f_u, f_v follow from d_i f = L[i, c] f_c with L lower triangular.  The
+    metric terms come exactly from the jet, so no step size or truncation
+    error enters.
     """
     f = field.c
-    L, ginv = directions
-    gamma = _metric_christoffel(position, ginv)
+    L, _ = directions
     f_u = f[1] / L[0, 0]
     f_v = (f[2] - L[1, 0] * f_u) / L[1, 1]
     return f[3] - gamma[0] * f_u - gamma[1] * f_v
@@ -162,6 +146,5 @@ def b1_simons(jet: Jet, invariants: PointInvariants) -> SimonsB1:
     if jet.order < 4:
         raise DomainError(f"b1_simons needs a jet of order >= 4, got {jet.order}")
     directions = trace_directions(first_fundamental_form(jet))
-    slots, position = Taylor.lift(jet, [(HESSIAN_SLOTS, 2), (POSITION, 2)], directions)
-    laplacian = laplace_beltrami(position, second_norm_field(jet, slots, position), directions)
+    laplacian = laplace_beltrami(*second_norm_field(jet, directions), directions)
     return b1_from_laplacian(laplacian, invariants)

@@ -320,7 +320,8 @@ def first_fundamental_form(jet: Jet):
 # truncated series in the chart offsets: chart series and trace series
 # ---------------------------------------------------------------------------
 
-_SIZE = (1, 3, 4)            # coefficient count of a series of degree 0, 1, 2
+_SIZE = (1, 3, 4, 1)         # coefficient count of a series of degree 0, 1, 2, TRACE
+TRACE = 3                    # lift only the trace coefficient of a trace series
 # the first-order pairs of a trace coefficient, each added twice:
 # T(fg) = Tf g0 + f0 Tg + 2 (f1 g1 + f2 g2)
 TRACE_CROSS = ((1, 1), (2, 2))
@@ -351,7 +352,7 @@ def trace_directions(metric):
     L[0, 0] = 1.0 / sqrtE
     L[1, 0] = -F / (sqrtE * sqrtD)
     L[1, 1] = sqrtE / sqrtD
-    ginv = np.stack([np.stack([G, -F]), np.stack([-F, E])]) / D
+    ginv = _symmetric_view(np.stack([G, -F, E]) / D)
     return L, ginv
 
 
@@ -434,19 +435,21 @@ def _square(op, x: "Taylor") -> "Taylor":
     return Taylor(out)
 
 
-def _subtract_product(acc: "Taylor", op, x: "Taylor", y: "Taylor") -> "Taylor":
+def _subtract_product(acc: "Taylor", op, x: "Taylor", y: "Taylor",
+                      coefficients=None) -> "Taylor":
     """acc -= op(x, y) in place, bit for bit as acc - _product(op, x, y).
 
     Each coefficient of the product is formed whole, its terms added in
     `_product`'s order (x0 y_k, then x_k y0, then a trace coefficient's
     cross terms), and subtracted at once, so no array of the product's size
     is built; `acc` must be a private array of the result's shape (or a
-    view into one).
+    view into one).  Only the `coefficients` given are updated, all of
+    them by default; each is independent of the others.
     """
     if len(x.c) != len(y.c) or len(x.c) != len(acc.c):
         raise ValueError(f"Taylor operands of mixed degree: sizes "
                          f"{len(acc.c)}, {len(x.c)}, {len(y.c)}")
-    for k in range(len(acc.c)):
+    for k in range(len(acc.c)) if coefficients is None else coefficients:
         term = _apply(op, x.c[0], y.c[k])
         if k:
             term += _apply(op, x.c[k], y.c[0])
@@ -457,6 +460,27 @@ def _subtract_product(acc: "Taylor", op, x: "Taylor", y: "Taylor") -> "Taylor":
                 del cross                 # before the next one is formed
         acc.c[k] -= term
     return acc
+
+
+def _product_by_coefficient(op, x: "Taylor", y: "Taylor") -> "Taylor":
+    """op(x, y) of two trace series, bit for bit as `_product`, reading
+    each coefficient of y once (y's may be `_Formed`, and y may be x): the
+    cross terms of the trace coefficient are kept, as results, from the
+    reads of coefficients 1 and 2."""
+    out, cross = [], []
+    for k in range(_SIZE[2]):
+        xk = x.c[k]
+        yk = xk if y is x else y.c[k]
+        out.append(_apply(op, x.c[0], yk))
+        if k:
+            out[k] += _apply(op, xk, y.c[0])
+        if k in (1, 2):
+            cross.append(_apply(op, xk, yk))
+        del xk, yk
+    for term in cross:
+        out[3] += term
+        out[3] += term
+    return Taylor(np.stack(out))
 
 
 class Taylor:
@@ -594,18 +618,19 @@ class Taylor:
 
 
 # the derivatives X_(a+e) that the series of X_a reads, by their offsets e,
-# for a series of degree 0, 1 and 2
+# for a series of degree 0, 1, 2 and TRACE
 _OFFSETS = (((0, 0),), ((0, 0), (1, 0), (0, 1)),
-            ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+            ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), ((2, 0), (1, 1), (0, 2)))
 
 
 def _scatter(out: np.ndarray, offset, d: np.ndarray, directions=None) -> None:
     """Write d = X_(a+e), e = `offset`, into `out`, the coefficients of the
     series of X_a: X_a, X_(a+u) and X_(a+v) for a chart series, or X_a,
     L[0, c] X_(a+c), L[1, c] X_(a+c) and g^cd X_(a+c+d) for a trace series
-    along `directions` = (L, g^-1), where L[0, 1] = 0.  A sum's first term
-    is written and the others added, so its derivatives must come with the
-    u-derivatives first (`jet_keys`)."""
+    along `directions` = (L, g^-1), where L[0, 1] = 0, or the last alone
+    (`TRACE`).  A sum's first term is written and the others added, so its
+    derivatives must come with the u-derivatives first (`jet_keys`);
+    `_form_coefficient` forms one coefficient by the same arithmetic."""
     if offset == (0, 0):
         out[0] = d
     elif len(out) == _SIZE[1]:
@@ -618,20 +643,57 @@ def _scatter(out: np.ndarray, offset, d: np.ndarray, directions=None) -> None:
         elif offset == (0, 1):
             out[2] += L[1, 1] * d
         elif offset == (2, 0):
-            np.multiply(ginv[0, 0], d, out=out[3])
+            np.multiply(ginv[0, 0], d, out=out[-1])
         elif offset == (1, 1):
-            out[3] += (2.0 * ginv[0, 1]) * d
+            out[-1] += (2.0 * ginv[0, 1]) * d
         else:
-            out[3] += ginv[1, 1] * d
+            out[-1] += ginv[1, 1] * d
 
 
-def _quotient(num, den: Taylor) -> Taylor:
+def _form_coefficient(out, k, a, derivative, directions) -> None:
+    """Write coefficient k >= 1 of the trace series of X_a along
+    `directions` into `out`, from `derivative(key)` = X_key, by the
+    arithmetic `_scatter` writes it with, so its bits are the lifted ones."""
+    L, ginv = directions
+    i, j = a
+    if k == 1:
+        np.multiply(L[0, 0], derivative((i + 1, j)), out=out)
+    elif k == 2:
+        np.multiply(L[1, 0], derivative((i + 1, j)), out=out)
+        out += L[1, 1] * derivative((i, j + 1))
+    else:
+        np.multiply(ginv[0, 0], derivative((i + 2, j)), out=out)
+        out += (2.0 * ginv[0, 1]) * derivative((i + 1, j + 1))
+        out += ginv[1, 1] * derivative((i, j + 2))
+
+
+class _Formed:
+    """The coefficients of a trace series, each formed anew at its read by
+    `form(k)` and stored nowhere: a `Taylor` over it serves the kernels that
+    read one coefficient at a time (`_subtract_product`,
+    `_product_by_coefficient`)."""
+
+    __slots__ = ("form",)
+
+    def __init__(self, form):
+        self.form = form
+
+    def __len__(self) -> int:
+        return _SIZE[2]
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.form(k)
+
+
+def _quotient(num, den: Taylor, out: np.ndarray | None = None) -> Taylor:
     """q = num / den from sum over the `_pairs` (i, j) of coefficient k of
     q_i den_j = num_k; `num` may be a constant.  Each q_k is written into
-    the result as it is formed, so no list of them is stacked."""
+    the result as it is formed, so no list of them is stacked; `out` may be
+    num's own coefficients, since each num_k is read before q_k is written."""
     pairs = _pairs(len(den.c))
     head = num.c[0] if isinstance(num, Taylor) else num
-    q = np.empty((len(den.c),) + np.broadcast_shapes(np.shape(head), den.c.shape[1:]))
+    q = np.empty((len(den.c),) + np.broadcast_shapes(np.shape(head), den.c.shape[1:])) \
+        if out is None else out
     for k in range(len(den.c)):
         acc = num.c[k] if isinstance(num, Taylor) else (num if k == 0 else 0.0)
         for i, j in pairs[k]:
@@ -899,8 +961,7 @@ def _tangent_connection(frame: FrameData) -> np.ndarray:
     of the frame (from a jet of order >= 2), which are its chart derivatives
     d_u, d_v; exactly skew, points last."""
     L = frame.chart_to_frame.c[0]
-    de = np.stack([frame.e1.c[1:], frame.e2.c[1:]], axis=1)      # [c, m, C]
-    ee = np.stack([frame.e1.c[0], frame.e2.c[0]])                # [i, C]
+    de, ee = frame.basis.c[1:, 1:], frame.basis.c[0, 1:]         # [c, m, C], [i, C]: views
     omega = np.einsum("kc...,cmi...->kmi...", L,
                       np.einsum("cmx...,ix...->cmi...", de, ee))
     return 0.5 * (omega - np.swapaxes(omega, 1, 2))
@@ -915,8 +976,9 @@ def adapted_frame(jet: Jet, position: Taylor | None = None) -> FrameData:
     of the frame, which `_tangent_connection` turns into the connection
     coefficients.  `position` holds the chart series of X, X_u, X_v of that
     degree (`Taylor.lift(jet, [(POSITION, degree)])`), lifted here when not
-    passed.  e1 and e2 are written over X_u and X_v as they are formed, at
-    their last reads, so the frame's `basis` is that series itself.
+    passed.  e1, w = X_v - <X_v, e1> e1 and e2 are written over X_u and
+    X_v as they are formed, at their last reads, so the frame's `basis` is
+    that series itself and no series of its size is built beside it.
     """
     if jet.order < 1:
         raise DomainError("adapted_frame needs a jet of order >= 1")
@@ -933,13 +995,12 @@ def adapted_frame(jet: Jet, position: Taylor | None = None) -> FrameData:
         raise FrameError(f"{jet.spec.name}: not an immersion at (u, v) = ({jet.u[k]:.6g}, "
                          f"{jet.v[k]:.6g}): metric determinant {det[k]:.3e} <= 1e-14")
 
-    e1, e2 = Xu, Xv                       # written over them: views of `position`
     sqrtE = E.sqrt()
-    e1.c[:] = (Xu / sqrtE[None]).c
+    e1 = _quotient(Xu, sqrtE[None], out=Xu.c)             # views of `position`
     proj = F / sqrtE                      # <Xv, e1>
-    w = Xv - proj[None] * e1
+    w = _subtract_product(Xv, np.multiply, proj[None], e1)
     nw = _dot(w, w).sqrt()
-    e2.c[:] = (w / nw[None]).c
+    _quotient(w, nw[None], out=w.c)       # e2
     del w
 
     inv_sqrtE = 1.0 / sqrtE
@@ -1007,27 +1068,42 @@ def _h_series(slots: Taylor, frame: FrameData) -> Taylor:
     not read, so a caller can free it first.
 
     Only the three distinct chart-Hessian slots K_s, s = uu, uv, vv, are
-    projected; with e_i = L[i, c] d_c X, h_ij = sum_s W[s, i, j] K_s where
-    W[s, i, j] = sum over c + d = s of L[i, c] L[j, d] is a scalar series.
-    Each coefficient of h is formed whole, its terms added in `_product`'s
-    order, and written over the normal parts it replaces, so no larger
-    temporary is built.
+    projected, one at a time; with e_i = L[i, c] d_c X, h_ij = sum_s
+    W[s, i, j] K_s where W[s, i, j] = sum over c + d = s of L[i, c] L[j, d]
+    is a scalar series, formed here from L's entries, one pair and one
+    coefficient at a time.  Each coefficient of h is formed whole, its
+    terms added in `_product`'s order, and written over the normal parts
+    it replaces, so the largest temporary is one coefficient of h.
     """
     degree = _SIZE.index(len(slots.c))
-    normal = _normal_part(slots, frame.basis.truncate(degree), "s").c
-    L = frame.chart_to_frame.truncate(degree)
-    LL = Taylor.einsum("pc...,pd...->cdp...", L[PAIR_ROWS[0]], L[PAIR_ROWS[1]])
-    W = Taylor.stack([LL[0, 0], LL[0, 1] + LL[1, 0], LL[1, 1]]).c
-    del L, LL
+    basis = frame.basis.truncate(degree)
+    for slot in range(len(HESSIAN_SLOTS)):
+        _normal_part(slots[slot], basis, "")
+    normal = slots.c
+    L = frame.chart_to_frame.c
     # h_k = W_0 normal_k + W_k normal_0 (k >= 1) and h_0 = W_0 normal_0,
     # each over normal_k: normal_0 last, since every h_k reads it
+    h = np.empty(normal.shape[1:])
     for k in reversed(range(len(normal))):
-        h = np.einsum("sp...,sx...->px...", W[0], normal[k])
-        if k:
-            h += np.einsum("sp...,sx...->px...", W[k], normal[0])
+        for pair, ij in enumerate(zip(*PAIR_ROWS)):
+            np.einsum("s...,sx...->x...", _weights(L, 0, *ij), normal[k], out=h[pair])
+            if k:
+                h[pair] += np.einsum("s...,sx...->x...", _weights(L, k, *ij), normal[0])
         normal[k] = h
-        del h
     return Taylor(normal)
+
+
+def _weights(L: np.ndarray, k: int, i: int, j: int) -> np.ndarray:
+    """Coefficient k of h's weights W[s, i, j], s = uu, uv, vv, from the
+    coefficients L[k, i, c] of the chart-to-frame series: the products
+    L[i, c] L[j, d] of the series, added over c + d = s."""
+    LL = np.einsum("c...,d...->cd...", L[0, i], L[k, j])
+    if k:
+        LL += np.einsum("c...,d...->cd...", L[k, i], L[0, j])
+    W = np.empty((len(HESSIAN_SLOTS),) + LL.shape[2:])
+    W[0], W[2] = LL[0, 0], LL[1, 1]
+    np.add(LL[0, 1], LL[1, 0], out=W[1])
+    return W
 
 
 def _shape_pair(h: np.ndarray) -> ShapePair:
@@ -1088,20 +1164,26 @@ def covariant_grad_h(jet: Jet, frame: FrameData | None = None) -> CovariantGradH
     h = _h_series(slots, frame)
     del slots
 
-    # e_k(h_p), normal part, for the pairs p = (i, j), i <= j: [p, k, x]
-    ekh = Taylor(np.einsum("kc...,cpx...->pkx...", frame.chart_to_frame.c[0], h.c[1:])[None])
-    h0 = h.c[0].copy()
-    del h
-    normal = _normal_part(ekh, frame.basis.truncate(0), "pk").c[0]
-    del ekh, frame
+    # e_k(h_p), normal part, for the pairs p = (i, j), i <= j, written over
+    # the chart derivatives of h_p, one pair at a time: [k, p, x]
+    h0, normal = h.c[0], h.c[1:]
+    basis = frame.basis.truncate(0)
+    for pair in range(normal.shape[1]):
+        normal[:, pair] = np.einsum("kc...,cx...->kx...", frame.chart_to_frame.c[0],
+                                    normal[:, pair])
+        _normal_part(Taylor(normal[None, :, pair]), basis, "k")
+    del h, basis, frame
     # h_ijk = (normal + A_ijk) + B_ijk with the connection terms
-    # A_ijk = h_mj omega[k, m, i] and B_ijk = h_im omega[k, m, j] = A_jik
-    A = np.einsum("mjx...,kmi...->ijkx...", _symmetric_view(h0), omega_t)
-    # stored k first, [k, i, j, x] in memory: the order b1_direct sums in
-    grad3 = np.moveaxis(np.empty((2,) + A.shape[:2] + A.shape[3:]), 0, 2)
-    np.add(_symmetric_view(normal), A, out=grad3)
-    grad3 += np.swapaxes(A, 0, 1)
-    del A, normal
+    # A_ijk = h_mj omega[k, m, i] and B_ijk = h_im omega[k, m, j] = A_jik,
+    # one k at a time; stored k first, [k, i, j, x] in memory: the order
+    # b1_direct sums in
+    grad3 = np.moveaxis(np.empty((2, 2, 2) + h0.shape[1:]), 0, 2)
+    for k in range(len(grad3)):
+        A = np.einsum("mjx...,mi...->ijx...", _symmetric_view(h0), omega_t[k])
+        np.add(_symmetric_view(normal[k]), A, out=grad3[:, :, k])
+        grad3[:, :, k] += np.swapaxes(A, 0, 1)
+        del A
+    del normal
     shape = _shape_pair(h0)
     del h0
 
@@ -1125,19 +1207,33 @@ def covariant_grad_h(jet: Jet, frame: FrameData | None = None) -> CovariantGradH
 # the frame-free scalar field S
 # ---------------------------------------------------------------------------
 
-def second_norm_field(jet: Jet, slots: Taylor | None = None,
-                      position: Taylor | None = None) -> Taylor:
-    """S = |h|^2 without constructing a normal frame (gauge-free route), as a
-    trace series (`Taylor` of degree 2) along the `trace_directions` of the
-    jet's metric: the value at the points is `.c[0]`, and the other
-    coefficients carry all the Laplacian of S needs.
+def _contracted_christoffel(trace: np.ndarray, Xu: np.ndarray, Xv: np.ndarray,
+                            ginv: np.ndarray) -> np.ndarray:
+    """Contracted Christoffel symbols gamma^e = g^cd Gamma^e_cd (what a
+    Laplacian needs beyond g^cd), points last, from `trace` = g^cd X_cd,
+    the trace coefficient of X's trace series, X_u, X_v and the inverse
+    metric: g^cd Gamma_{f,cd} = <g^cd X_cd, X_f>."""
+    first_kind = np.stack([np.einsum("x...,x...->...", trace, Xu),
+                           np.einsum("x...,x...->...", trace, Xv)])
+    return np.einsum("ef...,f...->e...", ginv, first_kind)
 
-    `slots` and `position`, passed together, are the trace series of the
-    Hessian slots and of X, X_u, X_v, `Taylor.lift(jet, [(HESSIAN_SLOTS,
-    2), (POSITION, 2)], directions)`; the slots are projected in place, and
-    the jet is not read, so a caller that lifts both keeps `position` for
-    the Laplacian (`invariants.laplace_beltrami`).  Without them both are
-    lifted here, in one pass, from a jet of order >= 4.
+
+def second_norm_field(jet: Jet, directions=None) -> tuple:
+    """S = |h|^2 without constructing a normal frame (gauge-free route), as a
+    trace series (`Taylor` of degree 2) along `directions`, the
+    `trace_directions` of the jet's metric (formed here when not passed),
+    and the contracted Christoffel symbols gamma^e its Laplacian reads
+    (`invariants.laplace_beltrami`).  The value at the points is
+    `S.c[0]`, and the other coefficients carry all the Laplacian needs.
+
+    One pass of a jet of order >= 4 lifts the trace series of the Hessian
+    slots, the values X, X_u, X_v and the trace coefficients T X_u, T X_v
+    (`Taylor.lift`).  The other seven coefficients of the trace series of
+    X, X_u, X_v are L or g^-1 times X_u, X_v and the slot values, so they
+    are formed at each read (`_form_coefficient`, bit for bit as lifted)
+    and never stored.  A slot's own value is read from its unprojected
+    series, and copied only when a later slot still reads it.  gamma is
+    taken before S is assembled, so no position series is alive then.
 
     The slots are projected onto the normal space one at a time, so no
     series carries two chart axes and the ambient axis at once; S then needs
@@ -1146,42 +1242,70 @@ def second_norm_field(jet: Jet, slots: Taylor | None = None,
     tangential parts from Gram entries of the raw jet instead cancels
     catastrophically near the poles.
     """
-    if (slots is None) != (position is None):
-        raise DomainError("second_norm_field takes the slots and position series "
-                          "together, or neither")
-    needs = 4 if slots is None else 3
-    if jet.order < needs:
-        raise DomainError(f"second_norm_field needs a jet of order >= {needs}, got {jet.order}")
-    if slots is None:
+    if jet.order < 4:
+        raise DomainError(f"second_norm_field needs a jet of order >= 4, got {jet.order}")
+    if directions is None:
         directions = trace_directions(first_fundamental_form(jet))
-        slots, position = Taylor.lift(jet, [(HESSIAN_SLOTS, 2), (POSITION, 2)], directions)
-        del directions
-    X, Xc = position[0], position[1:]                                # Xc: [c, C]
-    # the metric g_uu, g_uv = g_vu, g_vv and the distinct entries uu, uv, vv
-    # of its inverse, by the adjugate; ginv[e, f] is a view of them
-    Xu, Xv = Xc[0], Xc[1]
-    g_uu, g_uv, g_vv = _dot(Xu, Xu), _dot(Xu, Xv), _dot(Xv, Xv)
+    slots, values, traces = Taylor.lift(
+        jet, [(HESSIAN_SLOTS, 2), (POSITION, 0), (POSITION[1:], TRACE)], directions)
+    values, traces = values.c[0], traces.c[0]                       # [a, C]
+    raw = list(slots.c[0])                  # X_uu, X_uv, X_vv: views until projected
+
+    def derivative(key):
+        return values[POSITION.index(key)] if key in POSITION else raw[HESSIAN_SLOTS.index(key)]
+
+    def series(index) -> Taylor:
+        """The trace series of POSITION[index], an int or slice(1, 3) (X_u
+        and X_v on a key axis), its coefficients formed at their reads."""
+        keys = POSITION[index] if isinstance(index, slice) else (POSITION[index],)
+
+        def form(k):
+            if k == 0:
+                return values[index]
+            if k == 3 and (0, 0) not in keys:                        # T X_u, T X_v: lifted
+                return traces[index - 1] if isinstance(index, int) else traces
+            out = np.empty(values[index].shape)
+            for row, a in zip(out.reshape((len(keys),) + values.shape[1:]), keys):
+                _form_coefficient(row, k, a, derivative, directions)
+            return out
+        return Taylor(_Formed(form))
+
+    X, Xc = series(0), series(slice(1, 3))
+    # the metric g_ef = <X_e, X_f> and the distinct entries uu, uv, vv of
+    # its inverse, by the adjugate; ginv[e, f] is a view of them
+    gram = _product_by_coefficient("ex...,fx...->ef...", Xc, Xc)
+    g_uu, g_uv, g_vv = gram[0, 0], gram[0, 1], gram[1, 1]
     num, det = Taylor.stack([g_vv, -g_uv, g_uu]), g_uu * g_vv - g_uv * g_uv
-    del Xu, Xv, g_uu, g_uv, g_vv
+    del gram, g_uu, g_uv, g_vv
     pairs = num / det[None]
     del num, det
     ginv = Taylor(_symmetric_view(pairs.c, axis=1))
-    for k in range(len(HESSIAN_SLOTS)):
-        T = slots[k]                                                 # [C], a view
+    position = [X, series(1), series(2)]
+    for s in range(len(HESSIAN_SLOTS)):
+        T = slots[s]                                                 # [C], a view
         # K_s = T - <T, X> X - coeff_f X_f, coeff_f = <T, X_e> g^ef, each
-        # product subtracted from T one coefficient at a time
-        products = Taylor.einsum("x...,ex...->e...", T, position)   # <T, X>, <T, X_c>
-        _subtract_product(T, np.multiply, products[:1], X)          # [1] broadcasts over C
+        # product subtracted from T one coefficient at a time, T's value
+        # last: until then it is the raw slot value the formed series read
+        products = Taylor(np.stack([_product_by_coefficient("x...,x...->...", T, Xe).c
+                                    for Xe in position], axis=1))          # <T, X_e>
+        radial = Taylor(products.c[:, :1].copy())                    # <T, X>
         coeff = Taylor.einsum("e...,ef...->f...", products[1:], ginv)
         del products
-        _subtract_product(T, "f...,fx...->x...", coeff, Xc)
-        del coeff
-    del position, X, Xc, ginv
+        for k in (1, 2, 3, 0):
+            if k == 0 and s < len(HESSIAN_SLOTS) - 1:
+                raw[s] = raw[s].copy()
+            elif k == 0:                    # the last read of X's trace coefficient
+                gamma = _contracted_christoffel(X.c[3], values[1], values[2], directions[1])
+            _subtract_product(T, np.multiply, radial, X, (k,))      # [1] broadcasts over C
+            _subtract_product(T, "f...,fx...->x...", coeff, Xc, (k,))
+        del radial, coeff
+    del position, X, Xc, ginv, values, traces, raw
     Kuu, Kuv, Kvv = slots[0], slots[1], slots[2]
     # S = g^ik g^jl <K_ij, K_kl> with K symmetric, written out in the entries
     # p, r, s of the symmetric g^-1
     p, r, s = pairs[0], pairs[1], pairs[2]
-    return (p * p * _dot(Kuu, Kuu) + s * s * _dot(Kvv, Kvv)
-            + 2.0 * (p * s + r * r) * _dot(Kuv, Kuv)
-            + 4.0 * (p * r * _dot(Kuu, Kuv) + r * s * _dot(Kuv, Kvv))
-            + 2.0 * r * r * _dot(Kuu, Kvv))
+    S = (p * p * _dot(Kuu, Kuu) + s * s * _dot(Kvv, Kvv)
+         + 2.0 * (p * s + r * r) * _dot(Kuv, Kuv)
+         + 4.0 * (p * r * _dot(Kuu, Kuv) + r * s * _dot(Kuv, Kvv))
+         + 2.0 * r * r * _dot(Kuu, Kvv))
+    return S, gamma

@@ -511,6 +511,27 @@ def test_thresholds_rejects_reversed_tau_interval(capsys):
 
 
 
+@pytest.mark.parametrize("argv,head", [
+    (("--tau-points", "0"), "error: --tau-points 0: a table needs at least 2 grid points"),
+    (("--gamma-points", "1"), "error: --gamma-points 1: a table needs at least 2 grid points"),
+    (("--tau-lo", "0.5"), "error: --tau-lo 0.5: tau=0.5 outside"),
+    (("--tau-lo", "1", "--tau-hi", "0"), "error: --tau-hi 0.0: tau=0.0 outside"),
+    (("--tau-lo", "1", "--tau-hi", "0.995"), "error: --tau-lo 1.0, --tau-hi 0.995: "),
+])
+def test_thresholds_domain_errors_name_their_flag(capsys, monkeypatch, argv, head):
+    # each domain error names the flag and the value given, and no table is
+    # built (ROADMAP aim 3: the message names the real cause)
+    def not_started(*args, **kwargs):
+        raise AssertionError("no table may be built")
+
+    monkeypatch.setattr(gaps, "threshold_table", not_started)
+    monkeypatch.setattr(gaps, "pinching_table", not_started)
+    code, out, err = run_cli(capsys, "thresholds", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(head), err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_verify_nonpositive_workers_exit_two(capsys, monkeypatch, workers):
     def not_started(*args, **kwargs):

@@ -50,6 +50,7 @@ from gram_oracle import second_route_residuals
 from tile_fields import (
     INVARIANT_NAMES,
     NODE_ARRAYS,
+    SUBSTAGE_MARKERS,
     forged_fields,
     fsum_partials,
     grid_fields,
@@ -357,12 +358,15 @@ def test_evaluate_fields_memory_does_not_grow_with_the_grid():
     # before it was subtracted, 4243 while S ran on six-coefficient chart
     # series with the order-4 derivatives alive, 3259 while the frame route
     # held the jet and the frame to its end, 2891 while the Simons route
-    # held the order-3 jet, 2276 now that no tile holds a jet, which the
-    # frame route sets
-    ("calabi4", 4, 2321),
-    # C = 17: 9715 B/node before, 7603 on chart series, 5819, 5195, 3867 now
-    ("harmonic8", 8, 3944),
-], ids=["calabi4", "harmonic8"])
+    # held the order-3 jet, 2276 while the frame route built h's weights
+    # from copies of L, and 1949 now that the Simons route forms seven of
+    # the twelve coefficients of X's series at their reads
+    ("calabi4", 4, 1988),
+    # C = 17: 9715 B/node before, 7603 on chart series, 5819, 5195, 3867, 3421
+    ("harmonic8", 8, 3489),
+    # C = 7: 1987 while the frame route built h's weights from copies, 1580
+    ("calabi3", 3, 1612),
+], ids=["calabi4", "harmonic8", "calabi3"])
 def test_tile_peak_bytes_per_node(name, degree, limit):
     # one 3072-node tile (rows 0:16 of the 96x192 grid) under tracemalloc,
     # reading the column factor that evaluate_fields forms once per grid
@@ -377,12 +381,16 @@ def test_tile_peak_bytes_per_node(name, degree, limit):
 
 @pytest.mark.parametrize("name,degree,limits", [
     # each array of a tile is freed at its last read and no tile holds a
-    # jet: S's route peaks at 2171 B/node (2891 while it held the order-3
-    # jet) and the frame route at 2275 (2298)
-    ("calabi4", 4, {"simons": 2215, "frame": 2321}),
-    # C = 17: 3836 (5195) and 3867 (4218)
-    ("harmonic8", 8, {"simons": 3913, "frame": 3944}),
-], ids=["calabi4", "harmonic8"])
+    # jet: S's route peaks at 1949 B/node (2171 while it stored all twelve
+    # coefficients of X's series, 2891 while it held the order-3 jet) and
+    # the frame route at 1803 (2275 while h's weights were built from
+    # copies of L, 2298)
+    ("calabi4", 4, {"simons": 1988, "frame": 1839}),
+    # C = 17: 3421 (3836, 5195) and 3212 (3867, 4218)
+    ("harmonic8", 8, {"simons": 3489, "frame": 3276}),
+    # C = 7: 1580 (1817) and 1451 (1987)
+    ("calabi3", 3, {"simons": 1612, "frame": 1480}),
+], ids=["calabi4", "harmonic8", "calabi3"])
 def test_each_route_peak_bytes_per_node(name, degree, limits):
     # each route of one 3072-node tile (rows 0:16 of the 96x192 grid) under
     # tracemalloc, with what earlier stages left alive: either may set the
@@ -391,6 +399,33 @@ def test_each_route_peak_bytes_per_node(name, degree, limits):
     grid = build_grid(spec, (96, 192))
     peaks = stage_peaks(spec, grid.u_axis[:16], grid.v_axis)
     assert list(peaks) == ["jet", "simons", "frame", "invariants"]
+    over = {stage: round(peaks[stage]) for stage, limit in limits.items()
+            if peaks[stage] > limit}
+    assert not over, f"B/node above the limits {limits}: {over}"
+
+
+@pytest.mark.parametrize("name,degree,limits", [
+    # the sub-stages of each route on one 3072-node tile, each with what
+    # earlier stages left alive, about 2% above what they read now
+    ("calabi4", 4, {"jet": 190, "simons.lift": 1506, "simons.ginv": 1668,
+                    "simons.projection": 1988, "simons.assembly": 1285,
+                    "simons.laplacian": 175, "frame.lift": 1432, "frame.frame": 1733,
+                    "frame.connection": 1651, "frame.h": 1839, "frame.grad_h": 1733,
+                    "invariants": 340}),
+    ("harmonic8", 8, {"jet": 321, "simons.lift": 2747, "simons.ginv": 2974,
+                      "simons.projection": 3489, "simons.assembly": 2069,
+                      "simons.laplacian": 175, "frame.lift": 2673, "frame.frame": 2966,
+                      "frame.connection": 2826, "frame.h": 3276, "frame.grad_h": 3040,
+                      "invariants": 471}),
+], ids=["calabi4", "harmonic8"])
+def test_each_substage_peak_bytes_per_node(name, degree, limits):
+    # the Simons route's lift, g^-1, projection, assembly and Laplacian and
+    # the frame route's lift, frame, connection, h and grad h, each gated on
+    # its own, so a memory change sees which of them binds
+    spec = _catalog_sphere_entry(name, degree)
+    grid = build_grid(spec, (96, 192))
+    peaks = stage_peaks(spec, grid.u_axis[:16], grid.v_axis, SUBSTAGE_MARKERS)
+    assert list(peaks) == list(limits)
     over = {stage: round(peaks[stage]) for stage, limit in limits.items()
             if peaks[stage] > limit}
     assert not over, f"B/node above the limits {limits}: {over}"
@@ -420,7 +455,12 @@ def test_tile_work_is_gated_by_call_counts(monkeypatch):
     # 157 once the Laplacian read the trace coefficient of X's series, and
     # 144 now: it forms 27 derivatives from the grid's column factor (the
     # metric's 2, the Simons route's 15, the frame route's 10) instead of
-    # 15 from its own 25 column contractions.  reduce_tile made 128
+    # 15 from its own 25 column contractions.  Now 262 and 276: the Simons
+    # route forms seven coefficients of X's series at their reads, so its
+    # products read one coefficient (`_product_by_coefficient`) and one key
+    # at a time instead of all at once, and the frame route projects its
+    # slots, forms h's weights and grad h's connection terms one slot, pair
+    # or k at a time, each a smaller call.  reduce_tile made 128
     # reductions before it reduced its fields stacked.  A change that moves
     # one has to say why
     spec = catalog_entry("calabi4")
@@ -431,7 +471,7 @@ def test_tile_work_is_gated_by_call_counts(monkeypatch):
     einsum_counts = _counted(monkeypatch, np, ["einsum"])
     apply_counts = _counted(monkeypatch, surfaces, ["_apply"])
     _fields_chunk(spec, u, v, columns)
-    assert einsum_counts | apply_counts == {"einsum": 144, "_apply": 189}
+    assert einsum_counts | apply_counts == {"einsum": 262, "_apply": 276}
     reduction_counts = _counted(monkeypatch, np, REDUCTIONS)
     reduce_tile(fields, grid, (slice(0, 16), slice(0, 192)))
     assert sum(reduction_counts.values()) == 25, reduction_counts

@@ -356,7 +356,7 @@ def test_taylor_laplacian_of_S_matches_fd_oracle(rotated_mixed_torus):
     v = rng.uniform(0.0, 2.0 * math.pi, 40)
     lap = _b1_routes(eval_jet(spec, (u, v)))[0].laplacian_S
     fd, _ = laplace_beltrami(
-        spec, lambda U, V: second_norm_field(eval_jet(spec, (U, V))).c[0], u, v)
+        spec, lambda U, V: second_norm_field(eval_jet(spec, (U, V)))[0].c[0], u, v)
     assert np.max(np.abs(lap)) > 50.0
     assert np.max(np.abs(lap - fd) / np.maximum(1.0, np.abs(lap))) < 1e-6
 

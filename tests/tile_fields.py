@@ -9,6 +9,7 @@ recomputation; `per_field_summary` is `reduce_tile` written one field and
 one gamma at a time.
 """
 
+import contextlib
 import functools
 import math
 import tracemalloc
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 
-from minimal_gap_lab import geoquad
+from minimal_gap_lab import geoquad, surfaces
 from minimal_gap_lab.gaps import CAP_REL_TOL, COUPLED_GAMMAS, PINCH_GAMMAS
 from minimal_gap_lab.geoquad import (
     FIELD_NAMES,
@@ -62,46 +63,71 @@ def peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-# the stages of `_fields_chunk`, each begun by the first call of a function
-# under the name geoquad binds it by: the tile's jet and metric, the Simons
+# the stages of `_fields_chunk`: the tile's jet and metric, the Simons
 # route (S's trace series, their projection and the Laplacian of S), the
 # frame route (the chart series, the frame, h and grad h), and the pointwise
-# invariants and B1
-STAGE_MARKERS = {"eval_jet": "jet", "trace_directions": "simons",
-                 "covariant_grad_h": "frame", "point_invariants": "invariants"}
+# invariants and B1.  Each is begun by the first call of a function under
+# the name its owner binds it by, once the stage before it has begun, or by
+# that function's return when the edge is "return".
+STAGE_MARKERS = (("jet", geoquad, "eval_jet", "call"),
+                 ("simons", geoquad, "trace_directions", "call"),
+                 ("frame", geoquad, "covariant_grad_h", "call"),
+                 ("invariants", geoquad, "point_invariants", "call"))
+# the same, with each route cut into its sub-stages
+SUBSTAGE_MARKERS = (
+    ("jet", geoquad, "eval_jet", "call"),
+    ("simons.lift", geoquad, "trace_directions", "call"),
+    ("simons.ginv", surfaces, "_product_by_coefficient", "call"),
+    ("simons.projection", surfaces, "_symmetric_view", "call"),
+    ("simons.assembly", surfaces, "_dot", "call"),
+    ("simons.laplacian", geoquad, "laplace_beltrami", "call"),
+    ("frame.lift", geoquad, "covariant_grad_h", "call"),
+    ("frame.frame", surfaces, "adapted_frame", "call"),
+    ("frame.connection", surfaces, "_tangent_connection", "call"),
+    ("frame.h", surfaces, "_h_series", "call"),
+    ("frame.grad_h", surfaces, "_h_series", "return"),
+    ("invariants", geoquad, "point_invariants", "call"),
+)
 
 
-def stage_peaks(spec, u, v) -> dict:
-    """Stage name (`STAGE_MARKERS`) -> the `tracemalloc` peak of that stage
-    of one `_fields_chunk` call on the tile u x v, in bytes per node: the
-    most the call held at once from its stage's first call to the next
-    stage's, arrays left by earlier stages included, so the tile's peak is
-    the largest of them.  The tile reads its `column_factor`, formed before
-    the trace as `evaluate_fields` forms it before the tiles run, and is
+def stage_peaks(spec, u, v, markers=STAGE_MARKERS) -> dict:
+    """Stage name (`markers`) -> the `tracemalloc` peak of that stage of
+    one `_fields_chunk` call on the tile u x v, in bytes per node: the most
+    the call held at once from its stage's beginning to the next stage's,
+    arrays left by earlier stages included, so the tile's peak is the
+    largest of them.  The tile reads its `column_factor`, formed before the
+    trace as `evaluate_fields` forms it before the tiles run, and is
     evaluated once untraced first."""
     columns = column_factor(spec, v)
     _fields_chunk(spec, u, v, columns)
     peaks = {}
+    pending = list(markers)
 
-    def close_stage():
-        if peaks:
-            peaks[next(reversed(peaks))] = tracemalloc.get_traced_memory()[1] / (u.size * v.size)
-        tracemalloc.reset_peak()
+    def begin(owner, name, edge):
+        if pending and pending[0][1:] == (owner, name, edge):
+            if peaks:
+                peaks[next(reversed(peaks))] = \
+                    tracemalloc.get_traced_memory()[1] / (u.size * v.size)
+            tracemalloc.reset_peak()
+            peaks[pending.pop(0)[0]] = None
 
-    def marked(name, call):
+    def marked(owner, name, call):
         def run(*args, **kwargs):
-            if STAGE_MARKERS[name] not in peaks:
-                close_stage()
-                peaks[STAGE_MARKERS[name]] = None
-            return call(*args, **kwargs)
+            begin(owner, name, "call")
+            result = call(*args, **kwargs)
+            begin(owner, name, "return")
+            return result
         return run
 
-    with mock.patch.multiple(geoquad, **{name: marked(name, getattr(geoquad, name))
-                                         for name in STAGE_MARKERS}):
+    with contextlib.ExitStack() as stack:
+        for owner, name in dict.fromkeys((owner, name) for _, owner, name, _ in markers):
+            stack.enter_context(mock.patch.object(
+                owner, name, marked(owner, name, getattr(owner, name))))
         tracemalloc.start()
         try:
             _fields_chunk(spec, u, v, columns)
-            close_stage()
+            peaks[next(reversed(peaks))] = \
+                tracemalloc.get_traced_memory()[1] / (u.size * v.size)
         finally:
             tracemalloc.stop()
     return peaks
