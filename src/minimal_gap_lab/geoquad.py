@@ -146,7 +146,7 @@ def build_grid(spec: ImmersionSpec, resolution=None) -> QuadratureGrid:
         resolution = DEFAULT_RESOLUTION[spec.chart]
     n_u, n_v = resolution
     if n_u < 8 or n_v < 8:
-        raise DomainError("resolution must be at least 8 nodes per axis")
+        raise DomainError(f"--resolution {n_u}x{n_v}: at least 8 nodes per axis")
     if n_u * n_v > MAX_NODES:
         raise DomainError(f"--resolution {n_u}x{n_v} has {n_u * n_v} nodes, above "
                           f"the limit {MAX_NODES}")

@@ -380,107 +380,90 @@ def _apply(op, x, y, batched=(False, False)):
     return op(x, y)
 
 
-def _symmetric(op) -> bool:
-    """Whether op(a, b) is op(b, a) bit for bit: np.multiply, or einsum
-    subscripts that give both operands the same axes."""
-    if isinstance(op, str):
-        x, y = op.split("->")[0].split(",")
-        return x == y
-    return op is np.multiply
+def _product(op, x, y, out=None, subtract=False, coefficients=None) -> "Taylor":
+    """op(x, y), bilinear, truncated at the series degree: the one product
+    kernel of the series arithmetic.  Coefficient k adds its terms in one
+    order: x0 y_k, then x_k y0, then for the trace coefficient each
+    `TRACE_CROSS` term op(x_i, y_i), formed once and added twice.  A
+    symmetric op of a series with itself (np.multiply, or einsum subscripts
+    that give both operands the same axes) doubles x0 x_k instead, which is
+    the same, bit for bit.
 
-
-def _cross_terms(op, x: "Taylor", y: "Taylor"):
-    """The `TRACE_CROSS` terms op(x_i, y_i) of a trace coefficient, each
-    formed once: its caller adds each twice, which is the same, bit for bit,
-    as forming it twice."""
-    return (_apply(op, x.c[i], y.c[j]) for i, j in TRACE_CROSS)
-
-
-def _product(op, x, y) -> "Taylor":
-    """op(x, y), bilinear, truncated at the series degree.
-
-    With one series operand it is a single call over all its coefficients.
-    With two it runs on coefficient-axis slices, which are views: x0 * y[all]
-    gives out[k] = x0 y_k, x[1:] * y0 is added into out[1:], and a trace
-    series adds its cross terms (`_cross_terms`).  A symmetric op of a
-    series with itself (`_square`) forms each of those terms once.
+    A product with a constant is one call, and one of two series returned
+    whole runs on coefficient-axis slices, which are views: x0 * y[all],
+    then x[1:] * y0.  Otherwise the product is formed one coefficient at a
+    time and written into `out` (its coefficient axis first), or with
+    `subtract` subtracted from it in place, for the `coefficients` given,
+    all by default: the trace coefficient's first terms, then each
+    first-order one with its cross term, then the value.  So no array of
+    the product's size is built, and each coefficient of y is read once: y
+    may be a function k -> y_k that forms it at the read (of a trace
+    series), and x may be y; without `out` their product is stacked.
     """
-    if not (isinstance(x, Taylor) and isinstance(y, Taylor)):
+    lazy = callable(y)
+    if not (lazy or isinstance(x, Taylor) and isinstance(y, Taylor)):
         series = (isinstance(x, Taylor), isinstance(y, Taylor))
         return Taylor(_apply(op, *(a.c if s else a for a, s in zip((x, y), series)), series))
-    if len(x.c) != len(y.c):
-        raise ValueError(f"Taylor operands of mixed degree: sizes {len(x.c)}, {len(y.c)}")
-    if x is y and _symmetric(op):
-        return _square(op, x)
-    out = _apply(op, x.c[0], y.c, (False, True))
-    if len(out) > 1:
-        out[1:] += _apply(op, x.c[1:], y.c[0], (True, False))
-    if len(out) == _SIZE[2]:
-        for term in _cross_terms(op, x, y):
-            out[3] += term
-            out[3] += term
-    return Taylor(out)
+    read = y if lazy else y.c.__getitem__
+    square = x is y and (op is np.multiply or isinstance(op, str)
+                         and len(set(op.split("->")[0].split(","))) == 1)
+    y0 = read(0)
+    x0 = y0 if x is y else x.c[0]
+    if out is None and not lazy:
+        if len(x.c) != len(y.c):
+            raise ValueError(f"Taylor operands of mixed degree: sizes {len(x.c)}, {len(y.c)}")
+        out = _apply(op, x0, y.c, (False, True))
+        if square:
+            out[1:] *= 2.0
+        elif len(out) > 1:
+            out[1:] += _apply(op, x.c[1:], y0, (True, False))
+        for i, j in TRACE_CROSS if len(out) == _SIZE[2] else ():
+            cross = _apply(op, x.c[i], y.c[j])
+            out[3] += cross
+            out[3] += cross
+        return Taylor(out)
 
+    stack = out is None
+    if stack:
+        out = [None] * (len(x.c) if isinstance(x, Taylor) else _SIZE[2])
 
-def _square(op, x: "Taylor") -> "Taylor":
-    """op(x, x) for a symmetric op, bit for bit as `_product`: there
-    out[k] = x0 x_k + x_k x0 (k >= 1) adds a term to itself, which doubling
-    x0 x_k gives exactly."""
-    out = _apply(op, x.c[0], x.c, (False, True))
-    out[1:] *= 2.0
-    if len(out) == _SIZE[2]:
-        for term in _cross_terms(op, x, x):
-            out[3] += term
-            out[3] += term
-    return Taylor(out)
+    def write(k, t):
+        if subtract:
+            out[k] -= t
+        else:
+            out[k] = t
 
-
-def _subtract_product(acc: "Taylor", op, x: "Taylor", y: "Taylor",
-                      coefficients=None) -> "Taylor":
-    """acc -= op(x, y) in place, bit for bit as acc - _product(op, x, y).
-
-    Each coefficient of the product is formed whole, its terms added in
-    `_product`'s order (x0 y_k, then x_k y0, then a trace coefficient's
-    cross terms), and subtracted at once, so no array of the product's size
-    is built; `acc` must be a private array of the result's shape (or a
-    view into one).  Only the `coefficients` given are updated, all of
-    them by default; each is independent of the others.
-    """
-    if len(x.c) != len(y.c) or len(x.c) != len(acc.c):
-        raise ValueError(f"Taylor operands of mixed degree: sizes "
-                         f"{len(acc.c)}, {len(x.c)}, {len(y.c)}")
-    for k in range(len(acc.c)) if coefficients is None else coefficients:
-        term = _apply(op, x.c[0], y.c[k])
-        if k:
-            term += _apply(op, x.c[k], y.c[0])
-        if k == 3:
-            for cross in _cross_terms(op, x, y):
-                term += cross
-                term += cross
-                del cross                 # before the next one is formed
-        acc.c[k] -= term
-    return acc
-
-
-def _product_by_coefficient(op, x: "Taylor", y: "Taylor") -> "Taylor":
-    """op(x, y) of two trace series, bit for bit as `_product`, reading
-    each coefficient of y once (y's may be `_Formed`, and y may be x): the
-    cross terms of the trace coefficient are kept, as results, from the
-    reads of coefficients 1 and 2."""
-    out, cross = [], []
-    for k in range(_SIZE[2]):
-        xk = x.c[k]
-        yk = xk if y is x else y.c[k]
-        out.append(_apply(op, x.c[0], yk))
-        if k:
-            out[k] += _apply(op, xk, y.c[0])
-        if k in (1, 2):
-            cross.append(_apply(op, xk, yk))
-        del xk, yk
-    for term in cross:
-        out[3] += term
-        out[3] += term
-    return Taylor(np.stack(out))
+    ks = range(len(out)) if coefficients is None else coefficients
+    trace = len(out) == _SIZE[2] and 3 in ks
+    acc = None                                  # the trace coefficient, begun at k = 3
+    for k in (3, 1, 2):
+        if k >= len(out) or not (k in ks or trace):
+            continue
+        yk = read(k)
+        xk = yk if x is y else x.c[k]
+        if acc is not None:
+            cross = _apply(op, xk, yk)
+            acc += cross
+            acc += cross
+            del cross
+        if k in ks:
+            t = _apply(op, x0, yk)
+            yk = None                           # freed before the next term is formed
+            if square:
+                t *= 2.0
+            else:
+                t += _apply(op, xk, y0)
+            if k == 3:
+                acc = t
+            else:
+                write(k, t)
+            del t
+        xk = yk = None
+    if trace:
+        write(3, acc)
+    if 0 in ks:
+        write(0, _apply(op, x0, y0))
+    return Taylor(np.stack(out) if stack else out)
 
 
 class Taylor:
@@ -504,7 +487,9 @@ class Taylor:
     value axes, with a trailing `...` for the points.  numpy arrays and
     scalars enter as constants, and every product is truncated at the
     series' own degree (truncated Taylor arithmetic; Griewank & Walther,
-    Evaluating Derivatives, ch. 13).
+    Evaluating Derivatives, ch. 13).  Every product, returned whole or
+    written or subtracted one coefficient at a time, is formed by the one
+    kernel `_product`, which adds each coefficient's terms in one order.
     """
 
     __slots__ = ("c",)
@@ -630,7 +615,8 @@ def _scatter(out: np.ndarray, offset, d: np.ndarray, directions=None) -> None:
     along `directions` = (L, g^-1), where L[0, 1] = 0, or the last alone
     (`TRACE`).  A sum's first term is written and the others added, so its
     derivatives must come with the u-derivatives first (`jet_keys`);
-    `_form_coefficient` forms one coefficient by the same arithmetic."""
+    `_form_coefficient` forms one coefficient by the same arithmetic, for a
+    product that reads it without it being stored (`second_norm_field`)."""
     if offset == (0, 0):
         out[0] = d
     elif len(out) == _SIZE[1]:
@@ -665,24 +651,6 @@ def _form_coefficient(out, k, a, derivative, directions) -> None:
         np.multiply(ginv[0, 0], derivative((i + 2, j)), out=out)
         out += (2.0 * ginv[0, 1]) * derivative((i + 1, j + 1))
         out += ginv[1, 1] * derivative((i, j + 2))
-
-
-class _Formed:
-    """The coefficients of a trace series, each formed anew at its read by
-    `form(k)` and stored nowhere: a `Taylor` over it serves the kernels that
-    read one coefficient at a time (`_subtract_product`,
-    `_product_by_coefficient`)."""
-
-    __slots__ = ("form",)
-
-    def __init__(self, form):
-        self.form = form
-
-    def __len__(self) -> int:
-        return _SIZE[2]
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.form(k)
 
 
 def _quotient(num, den: Taylor, out: np.ndarray | None = None) -> Taylor:
@@ -953,7 +921,7 @@ class FrameData:
 
 
 def _dot(x: Taylor, y: Taylor) -> Taylor:
-    return Taylor.einsum("c...,c...->...", x, y)
+    return _product("c...,c...->...", x, y)
 
 
 def _tangent_connection(frame: FrameData) -> np.ndarray:
@@ -998,7 +966,7 @@ def adapted_frame(jet: Jet, position: Taylor | None = None) -> FrameData:
     sqrtE = E.sqrt()
     e1 = _quotient(Xu, sqrtE[None], out=Xu.c)             # views of `position`
     proj = F / sqrtE                      # <Xv, e1>
-    w = _subtract_product(Xv, np.multiply, proj[None], e1)
+    w = _product(np.multiply, proj[None], e1, out=Xv.c, subtract=True)
     nw = _dot(w, w).sqrt()
     _quotient(w, nw[None], out=w.c)       # e2
     del w
@@ -1036,8 +1004,8 @@ def _normal_part(v: Taylor, basis: Taylor, axes: str) -> Taylor:
     place (v must be a private array); v has the value axes `axes` then the
     ambient one.  The vectors are projected, never their Gram scalars, which
     cancel near the chart poles."""
-    comps = Taylor.einsum(f"{axes}x...,bx...->{axes}b...", v, basis)
-    return _subtract_product(v, f"{axes}b...,bx...->{axes}x...", comps, basis)
+    comps = _product(f"{axes}x...,bx...->{axes}b...", v, basis)
+    return _product(f"{axes}b...,bx...->{axes}x...", comps, basis, out=v.c, subtract=True)
 
 
 HESSIAN_SLOTS = ((2, 0), (1, 1), (0, 2))      # X_uu, X_uv, X_vv
@@ -1072,8 +1040,9 @@ def _h_series(slots: Taylor, frame: FrameData) -> Taylor:
     W[s, i, j] K_s where W[s, i, j] = sum over c + d = s of L[i, c] L[j, d]
     is a scalar series, formed here from L's entries, one pair and one
     coefficient at a time.  Each coefficient of h is formed whole, its
-    terms added in `_product`'s order, and written over the normal parts
-    it replaces, so the largest temporary is one coefficient of h.
+    terms added in the order of the product kernel `_product`, and written
+    over the normal parts it replaces, so the largest temporary is one
+    coefficient of h.
     """
     degree = _SIZE.index(len(slots.c))
     basis = frame.basis.truncate(degree)
@@ -1230,10 +1199,14 @@ def second_norm_field(jet: Jet, directions=None) -> tuple:
     slots, the values X, X_u, X_v and the trace coefficients T X_u, T X_v
     (`Taylor.lift`).  The other seven coefficients of the trace series of
     X, X_u, X_v are L or g^-1 times X_u, X_v and the slot values, so they
-    are formed at each read (`_form_coefficient`, bit for bit as lifted)
-    and never stored.  A slot's own value is read from its unprojected
-    series, and copied only when a later slot still reads it.  gamma is
-    taken before S is assembled, so no position series is alive then.
+    are formed where a product reads them (`_form_coefficient`, bit for bit
+    as lifted) and never stored: the product kernel reads each once per
+    call, so once for g, and per slot once for its products <T, X_e> and
+    once for each of the two subtractions.  The slot values are written
+    last, once the other coefficients of all three slots are done, so they
+    are the raw values the formed coefficients read and none is copied.
+    gamma is taken before S is assembled, so no position series is alive
+    then.
 
     The slots are projected onto the normal space one at a time, so no
     series carries two chart axes and the ambient axis at once; S then needs
@@ -1249,57 +1222,67 @@ def second_norm_field(jet: Jet, directions=None) -> tuple:
     slots, values, traces = Taylor.lift(
         jet, [(HESSIAN_SLOTS, 2), (POSITION, 0), (POSITION[1:], TRACE)], directions)
     values, traces = values.c[0], traces.c[0]                       # [a, C]
-    raw = list(slots.c[0])                  # X_uu, X_uv, X_vv: views until projected
+    raw = slots.c[0]                # X_uu, X_uv, X_vv: unprojected until the last writes
+    points = raw.shape[2:]
 
     def derivative(key):
         return values[POSITION.index(key)] if key in POSITION else raw[HESSIAN_SLOTS.index(key)]
 
-    def series(index) -> Taylor:
-        """The trace series of POSITION[index], an int or slice(1, 3) (X_u
-        and X_v on a key axis), its coefficients formed at their reads."""
+    def series(index):
+        """The trace series of POSITION[index], X (index 0), or X_u and X_v
+        (slice(1, 3)) or all three (slice(0, 3)) on a key axis, as the
+        function k -> its coefficient k that the product kernel reads, formed
+        at each call and stored nowhere."""
         keys = POSITION[index] if isinstance(index, slice) else (POSITION[index],)
 
-        def form(k):
+        def coefficient(k):
             if k == 0:
                 return values[index]
-            if k == 3 and (0, 0) not in keys:                        # T X_u, T X_v: lifted
-                return traces[index - 1] if isinstance(index, int) else traces
+            if k == 3 and index == slice(1, 3):                     # T X_u, T X_v: lifted
+                return traces
             out = np.empty(values[index].shape)
             for row, a in zip(out.reshape((len(keys),) + values.shape[1:]), keys):
-                _form_coefficient(row, k, a, derivative, directions)
+                if k == 3 and a != (0, 0):
+                    row[...] = traces[POSITION.index(a) - 1]
+                else:
+                    _form_coefficient(row, k, a, derivative, directions)
             return out
-        return Taylor(_Formed(form))
+        return coefficient
 
     X, Xc = series(0), series(slice(1, 3))
     # the metric g_ef = <X_e, X_f> and the distinct entries uu, uv, vv of
     # its inverse, by the adjugate; ginv[e, f] is a view of them
-    gram = _product_by_coefficient("ex...,fx...->ef...", Xc, Xc)
+    gram = _product("ex...,fx...->ef...", Xc, Xc)
     g_uu, g_uv, g_vv = gram[0, 0], gram[0, 1], gram[1, 1]
     num, det = Taylor.stack([g_vv, -g_uv, g_uu]), g_uu * g_vv - g_uv * g_uv
     del gram, g_uu, g_uv, g_vv
     pairs = num / det[None]
     del num, det
     ginv = Taylor(_symmetric_view(pairs.c, axis=1))
-    position = [X, series(1), series(2)]
+    # K_s = T - <T, X> X - coeff_f X_f, coeff_f = <T, X_e> g^ef, each product
+    # subtracted from T one coefficient at a time, and the values of all
+    # three slots last: until then each is the raw value the formed series
+    # read.  radial0 and coeff0 keep the value coefficients of <T, X> and
+    # coeff_f of each slot for that last subtraction
+    radial0 = np.empty((len(HESSIAN_SLOTS), 1) + points)
+    coeff0 = np.empty((len(HESSIAN_SLOTS), 2) + points)
     for s in range(len(HESSIAN_SLOTS)):
         T = slots[s]                                                 # [C], a view
-        # K_s = T - <T, X> X - coeff_f X_f, coeff_f = <T, X_e> g^ef, each
-        # product subtracted from T one coefficient at a time, T's value
-        # last: until then it is the raw slot value the formed series read
-        products = Taylor(np.stack([_product_by_coefficient("x...,x...->...", T, Xe).c
-                                    for Xe in position], axis=1))          # <T, X_e>
+        products = _product("x...,ex...->e...", T, series(slice(0, 3)))   # <T, X_e>
         radial = Taylor(products.c[:, :1].copy())                    # <T, X>
         coeff = Taylor.einsum("e...,ef...->f...", products[1:], ginv)
         del products
-        for k in (1, 2, 3, 0):
-            if k == 0 and s < len(HESSIAN_SLOTS) - 1:
-                raw[s] = raw[s].copy()
-            elif k == 0:                    # the last read of X's trace coefficient
-                gamma = _contracted_christoffel(X.c[3], values[1], values[2], directions[1])
-            _subtract_product(T, np.multiply, radial, X, (k,))      # [1] broadcasts over C
-            _subtract_product(T, "f...,fx...->x...", coeff, Xc, (k,))
+        _product(np.multiply, radial, X, out=T.c, subtract=True, coefficients=(1, 2, 3))
+        _product("f...,fx...->x...", coeff, Xc, out=T.c, subtract=True, coefficients=(1, 2, 3))
+        radial0[s], coeff0[s] = radial.c[0], coeff.c[0]
         del radial, coeff
-    del position, X, Xc, ginv, values, traces, raw
+    # the last read of X's trace coefficient, before the slot values change
+    gamma = _contracted_christoffel(X(3), values[1], values[2], directions[1])
+    _product(np.multiply, Taylor(radial0[None]), X, out=slots.c, subtract=True,
+             coefficients=(0,))                                     # [s, 1] broadcasts over C
+    _product("sf...,fx...->sx...", Taylor(coeff0[None]), Xc, out=slots.c, subtract=True,
+             coefficients=(0,))
+    del radial0, coeff0, X, Xc, ginv, values, traces, raw
     Kuu, Kuv, Kvv = slots[0], slots[1], slots[2]
     # S = g^ik g^jl <K_ij, K_kl> with K symmetric, written out in the entries
     # p, r, s of the symmetric g^-1

@@ -69,6 +69,16 @@ def test_verify_fine_polar_grid_near_the_pole_margin(capsys):
     assert "nodes: 4096" in out
 
 
+@pytest.mark.parametrize("resolution", ["0x8", "8x3", "-8x8"])
+def test_verify_rejects_a_resolution_below_8_nodes_per_axis(capsys, resolution):
+    # exit 2 before any node is evaluated, naming the flag and its value
+    code, out, err = run_cli(capsys, "verify", "--surface", "equator",
+                             f"--resolution={resolution}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --resolution {resolution}: at least 8 nodes per axis\n"
+
+
 def test_verify_calabi3_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--surface", "calabi3",
                            "--resolution", "16x32")

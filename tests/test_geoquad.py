@@ -359,12 +359,15 @@ def test_evaluate_fields_memory_does_not_grow_with_the_grid():
     # series with the order-4 derivatives alive, 3259 while the frame route
     # held the jet and the frame to its end, 2891 while the Simons route
     # held the order-3 jet, 2276 while the frame route built h's weights
-    # from copies of L, and 1949 now that the Simons route forms seven of
-    # the twelve coefficients of X's series at their reads
+    # from copies of L, 1949 once the Simons route formed seven of the
+    # twelve coefficients of X's series at their reads, and 1876 now that
+    # it projects the three slot values last instead of copying them
     ("calabi4", 4, 1988),
-    # C = 17: 9715 B/node before, 7603 on chart series, 5819, 5195, 3867, 3421
+    # C = 17: 9715 B/node before, 7603 on chart series, 5819, 5195, 3867,
+    # 3421, 3221
     ("harmonic8", 8, 3489),
-    # C = 7: 1987 while the frame route built h's weights from copies, 1580
+    # C = 7: 1987 while the frame route built h's weights from copies,
+    # 1580, 1540
     ("calabi3", 3, 1612),
 ], ids=["calabi4", "harmonic8", "calabi3"])
 def test_tile_peak_bytes_per_node(name, degree, limit):
@@ -381,14 +384,15 @@ def test_tile_peak_bytes_per_node(name, degree, limit):
 
 @pytest.mark.parametrize("name,degree,limits", [
     # each array of a tile is freed at its last read and no tile holds a
-    # jet: S's route peaks at 1949 B/node (2171 while it stored all twelve
+    # jet: S's route peaks at 1876 B/node (1949 while it copied each slot
+    # value before its projection, 2171 while it stored all twelve
     # coefficients of X's series, 2891 while it held the order-3 jet) and
     # the frame route at 1803 (2275 while h's weights were built from
     # copies of L, 2298)
     ("calabi4", 4, {"simons": 1988, "frame": 1839}),
-    # C = 17: 3421 (3836, 5195) and 3212 (3867, 4218)
+    # C = 17: 3221 (3421, 3836, 5195) and 3212 (3867, 4218)
     ("harmonic8", 8, {"simons": 3489, "frame": 3276}),
-    # C = 7: 1580 (1817) and 1451 (1987)
+    # C = 7: 1540 (1580, 1817) and 1451 (1987)
     ("calabi3", 3, {"simons": 1612, "frame": 1480}),
 ], ids=["calabi4", "harmonic8", "calabi3"])
 def test_each_route_peak_bytes_per_node(name, degree, limits):
@@ -448,30 +452,35 @@ REDUCTIONS = ("stack", "isfinite", "any", "all", "min", "max", "sum")
 
 def test_tile_work_is_gated_by_call_counts(monkeypatch):
     # a deterministic gate on duplicated work: the calls one 3072-node
-    # calabi4 tile makes to np.einsum and to the Taylor kernel
-    # surfaces._apply, and those one reduce_tile makes to numpy's
-    # reductions, repeat exactly.  The tile made 198 einsum and 276 _apply
-    # calls on six-coefficient chart series, 158 and 189 on trace series,
-    # 157 once the Laplacian read the trace coefficient of X's series, and
-    # 144 now: it forms 27 derivatives from the grid's column factor (the
-    # metric's 2, the Simons route's 15, the frame route's 10) instead of
-    # 15 from its own 25 column contractions.  Now 262 and 276: the Simons
-    # route forms seven coefficients of X's series at their reads, so its
-    # products read one coefficient (`_product_by_coefficient`) and one key
-    # at a time instead of all at once, and the frame route projects its
-    # slots, forms h's weights and grad h's connection terms one slot, pair
-    # or k at a time, each a smaller call.  reduce_tile made 128
-    # reductions before it reduced its fields stacked.  A change that moves
-    # one has to say why
+    # calabi4 tile makes to np.einsum, to the Taylor kernel surfaces._apply
+    # and to surfaces._form_coefficient, and those one reduce_tile makes to
+    # numpy's reductions, repeat exactly.  The tile made 198 einsum and 276
+    # _apply calls on six-coefficient chart series, 158 and 189 on trace
+    # series, 157 once the Laplacian read the trace coefficient of X's
+    # series, and 144 once it formed 27 derivatives from the grid's column
+    # factor (the metric's 2, the Simons route's 15, the frame route's 10)
+    # instead of 15 from its own 25 column contractions.  Then 262 and 276:
+    # the Simons route formed seven coefficients of X's series at each read
+    # (65 _form_coefficient calls), so its products read one coefficient and
+    # one key at a time, and the frame route projects its slots, forms h's
+    # weights and grad h's connection terms one slot, pair or k at a time,
+    # each a smaller call.  Now 206 and 218, and 47 _form_coefficient calls:
+    # the one product kernel reads each coefficient of X's series once per
+    # product (4 forms for g; per slot 7 for <T, X_e>, 3 for <T, X> X and 4
+    # for coeff_f X_f; 1 for gamma), <T, X_e> takes X, X_u and X_v on one
+    # key axis (9 calls a slot instead of 27), and the three slot values are
+    # projected together.  reduce_tile made 128 reductions before it reduced
+    # its fields stacked.  A change that moves one has to say why
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
     u, v = grid.u_axis[:16], grid.v_axis
     columns = column_factor(spec, v)
     fields = _fields_chunk(spec, u, v, columns)
     einsum_counts = _counted(monkeypatch, np, ["einsum"])
-    apply_counts = _counted(monkeypatch, surfaces, ["_apply"])
+    kernel_counts = _counted(monkeypatch, surfaces, ["_apply", "_form_coefficient"])
     _fields_chunk(spec, u, v, columns)
-    assert einsum_counts | apply_counts == {"einsum": 262, "_apply": 276}
+    assert einsum_counts | kernel_counts == {"einsum": 206, "_apply": 218,
+                                             "_form_coefficient": 47}
     reduction_counts = _counted(monkeypatch, np, REDUCTIONS)
     reduce_tile(fields, grid, (slice(0, 16), slice(0, 192)))
     assert sum(reduction_counts.values()) == 25, reduction_counts
@@ -531,12 +540,12 @@ def test_order4_derivatives_are_freed_before_the_simons_projection(monkeypatch):
     formed = _derivatives_seen(monkeypatch)
     alive = []
 
-    def first_subtraction(*args, _call=surfaces._subtract_product):
-        if not alive:
+    def first_subtraction(*args, _call=surfaces._product, **kwargs):
+        if kwargs.get("subtract") and not alive:
             alive.append([_is_alive(refs) for key, *refs in formed if sum(key) == 4])
-        return _call(*args)
+        return _call(*args, **kwargs)
 
-    monkeypatch.setattr(surfaces, "_subtract_product", first_subtraction)
+    monkeypatch.setattr(surfaces, "_product", first_subtraction)
     _fields_chunk(spec, grid.u_axis[:16], grid.v_axis)
     assert sum(sum(key) == 4 for key, *_ in formed) == 5 and alive == [[False] * 5]
 

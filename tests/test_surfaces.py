@@ -23,8 +23,6 @@ from minimal_gap_lab.surfaces import (
     _catalog_sphere_entry,
     _form_coefficient,
     _product,
-    _square,
-    _subtract_product,
     _tangent_connection,
     adapted_frame,
     catalog_entry,
@@ -389,9 +387,10 @@ SUBTRACTED_AXES = {"": (), "s": (2,), "ijk": (2, 2, 2)}
 @pytest.mark.parametrize("axes", list(SUBTRACTED_AXES))
 @pytest.mark.parametrize("op", ["multiply", "einsum"])
 def test_subtract_product_is_the_product_subtracted_bit_for_bit(degree, axes, op):
-    # the fused in-place subtraction against a - _product(op, x, y), with a
-    # NaN and, at point 1, signed zeros in acc and x: there the result is a
-    # zero whose sign depends on the order of the terms
+    # the kernel's in-place subtraction, one coefficient at a time, against
+    # a - _product(op, x, y) formed whole, with a NaN and, at point 1, signed
+    # zeros in acc and x: there the result is a zero whose sign depends on
+    # the order of the terms
     rng = np.random.default_rng(100 * degree + len(axes))
     size, C, points = SIZES[degree], 5, 7
     head = SUBTRACTED_AXES[axes]
@@ -410,7 +409,7 @@ def test_subtract_product_is_the_product_subtracted_bit_for_bit(degree, axes, op
     acc = series(*head, C, zeros=True)
     acc[(0,) * acc.ndim] = np.nan
     expected = (Taylor(acc) - _product(op, Taylor(x), Taylor(y))).c
-    got = _subtract_product(Taylor(acc.copy()), op, Taylor(x), Taylor(y)).c
+    got = _product(op, Taylor(x), Taylor(y), out=acc.copy(), subtract=True).c
     assert got.tobytes() == expected.tobytes()
     assert np.isnan(got[(0,) * got.ndim])
     zeros = got[..., 1]
@@ -420,9 +419,9 @@ def test_subtract_product_is_the_product_subtracted_bit_for_bit(degree, axes, op
 @pytest.mark.parametrize("degree", [0, 1, 2])
 @pytest.mark.parametrize("op", ["multiply", "c...,c...->...", "cx...,cx...->x..."])
 def test_square_is_the_product_of_a_copy_bit_for_bit(degree, op):
-    # op(x, x) forms x0 x_k once and doubles it; against `_product` of x
-    # and a copy of it (the general path), with a NaN and, at point 1,
-    # signed zeros: bitwise, no ulp moves
+    # op(x, x) forms x0 x_k once and doubles it, whole or one coefficient
+    # at a time; against the product of x and a copy of it (the general
+    # path), with a NaN and, at point 1, signed zeros: bitwise, no ulp moves
     rng = np.random.default_rng(10 * degree + len(op))
     c = rng.standard_normal((SIZES[degree], 3, 2, 7))
     c[..., 1] = np.where(rng.random(c.shape[:-1]) < 0.5, 0.0, -0.0)
@@ -430,14 +429,74 @@ def test_square_is_the_product_of_a_copy_bit_for_bit(degree, op):
     op = np.multiply if op == "multiply" else op
     x = Taylor(c)
     expected = _product(op, x, Taylor(c.copy())).c
-    got = _square(op, x).c
+    got = _product(op, x, x).c
     assert got.tobytes() == expected.tobytes()
-    assert _product(op, x, x).c.tobytes() == expected.tobytes()
+    by_coefficient = _product(op, x, x, out=np.empty_like(expected)).c
+    assert by_coefficient.tobytes() == expected.tobytes()
     assert np.isnan(got[(0,) * got.ndim])
     if op is np.multiply and degree:
         # x0 x0 is +0, but 2 (x0 x_k) is -0 where one factor is: both signs
         zeros = got[..., 1]
         assert np.all(zeros == 0.0) and np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+# (subscripts or ufunc name, value shape of x, of y) of the products the
+# kernel forms one coefficient at a time: <T, X_e>, g_ef = <X_e, X_f> and
+# the projections' coeff_f X_f and <T, X> X; "..." holds 7 points
+BY_COEFFICIENT = [
+    ("x...,ex...->e...", (5,), (3, 5)),
+    ("ex...,fx...->ef...", (2, 5), (2, 5)),
+    ("f...,fx...->x...", (2,), (2, 5)),
+    ("multiply", (1,), (5,)),
+    ("c...,c...->...", (5,), (5,)),
+]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("product", BY_COEFFICIENT, ids=[p[0] for p in BY_COEFFICIENT])
+def test_product_by_coefficient_is_the_whole_product_bit_for_bit(degree, product):
+    # the kernel's per-coefficient path against the product formed whole,
+    # with a NaN and, at point 1, signed zeros: y read through a function
+    # that forms each coefficient anew (read once each), the result stacked,
+    # written into an array, or written for one coefficient at a time, and
+    # x read through the same function as y (which the kernel takes for a
+    # trace series unless `out` gives the size).  Bytes are compared, which is
+    # stricter than np.array_equal: a zero keeps its sign
+    name, x_shape, y_shape = product
+    rng = np.random.default_rng(degree + len(name))
+
+    def series(*value_shape):
+        c = rng.standard_normal((SIZES[degree],) + value_shape + (7,))
+        c[..., 1] = np.where(rng.random(c.shape[:-1]) < 0.5, 0.0, -0.0)
+        c[(0,) * c.ndim] = np.nan
+        return Taylor(c)
+
+    op = np.multiply if name == "multiply" else name
+    x, y = series(*x_shape), series(*y_shape)
+    whole = _product(op, x, y).c
+    reads = []
+
+    def formed(k, source=y):
+        reads.append(k)
+        return source.c[k].copy()
+
+    assert _product(op, x, formed).c.tobytes() == whole.tobytes()
+    assert sorted(reads) == list(range(SIZES[degree]))
+    assert _product(op, x, y, out=np.empty_like(whole)).c.tobytes() == whole.tobytes()
+    for k in range(SIZES[degree]):
+        one = np.full_like(whole, 7.0)
+        _product(op, x, formed, out=one, coefficients=(k,))
+        assert one[k].tobytes() == whole[k].tobytes()
+        assert np.all(np.delete(one, k, axis=0) == 7.0)
+    if x_shape == y_shape:
+        def formed_x(k):
+            return formed(k, x)
+
+        expected = _product(op, x, Taylor(x.c.copy())).c
+        got = _product(op, formed_x, formed_x, out=np.empty_like(expected)).c
+        assert got.tobytes() == expected.tobytes()
+        if degree == 2:               # a trace series' product stacked, as g's is
+            assert _product(op, formed_x, formed_x).c.tobytes() == expected.tobytes()
 
 
 # the largest normwise error of a trace-series operation against the chart
@@ -480,7 +539,7 @@ def _algebra_error(operation: str, seed: int) -> float:
         got, ref = trace(x).sqrt(), x.sqrt()
     else:
         acc, x, y = chart(3), chart(2), chart(2, 3)
-        got = _subtract_product(trace(acc), subscripts, trace(x), trace(y))
+        got = _product(subscripts, trace(x), trace(y), out=trace(acc).c, subtract=True)
         ref = acc - simons_oracle.Chart.einsum(subscripts, x, y)
     want = simons_oracle.to_trace(ref.c, directions)
     return float(np.max(np.abs(got.c - want))) / max(1.0, float(np.max(np.abs(want))))

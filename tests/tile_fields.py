@@ -77,7 +77,7 @@ STAGE_MARKERS = (("jet", geoquad, "eval_jet", "call"),
 SUBSTAGE_MARKERS = (
     ("jet", geoquad, "eval_jet", "call"),
     ("simons.lift", geoquad, "trace_directions", "call"),
-    ("simons.ginv", surfaces, "_product_by_coefficient", "call"),
+    ("simons.ginv", surfaces, "_product", "call"),          # g, the route's first product
     ("simons.projection", surfaces, "_symmetric_view", "call"),
     ("simons.assembly", surfaces, "_dot", "call"),
     ("simons.laplacian", geoquad, "laplace_beltrami", "call"),
@@ -97,7 +97,9 @@ def stage_peaks(spec, u, v, markers=STAGE_MARKERS) -> dict:
     arrays left by earlier stages included, so the tile's peak is the
     largest of them.  The tile reads its `column_factor`, formed before the
     trace as `evaluate_fields` forms it before the tiles run, and is
-    evaluated once untraced first."""
+    evaluated once untraced first.  A marker that never fires, as when the
+    function it names is no longer called there, raises an AssertionError
+    that names its stage."""
     columns = column_factor(spec, v)
     _fields_chunk(spec, u, v, columns)
     peaks = {}
@@ -130,6 +132,10 @@ def stage_peaks(spec, u, v, markers=STAGE_MARKERS) -> dict:
                 tracemalloc.get_traced_memory()[1] / (u.size * v.size)
         finally:
             tracemalloc.stop()
+    if pending:
+        stage, owner, name, edge = pending[0]
+        raise AssertionError(f"stage {stage!r} never began: no {edge} of "
+                             f"{owner.__name__}.{name} after the stages {list(peaks)}")
     return peaks
 
 
