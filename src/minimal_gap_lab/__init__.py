@@ -53,8 +53,6 @@ def _register_lazily(name: str):
     return module
 
 
-# LazyLoader is not thread-safe: a module that worker threads reach must be
-# materialised in the main thread first (see the imports of `geoquad`).
 # `cli` is left to a plain import by whoever runs it: `python -m
 # minimal_gap_lab.cli` warns when the module is in sys.modules before it runs.
 for _name in (*_EXPORTS, "harmonics", "report"):

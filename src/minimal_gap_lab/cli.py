@@ -6,8 +6,8 @@ Commands: `identities`, `verify`, `thresholds`, `catalog list`.  Exit codes:
 
 The run report is written to stdout as a key-value tree with a fixed field
 order and 17-significant-digit floats; identical configurations produce
-byte-identical reports regardless of the worker count (which is therefore
-deliberately not echoed into the report).
+byte-identical reports.  `verify` runs its tiles in order in one thread;
+`--workers` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # glibc's own allocator settings: a caller who sets any keeps malloc as set
 MALLOC_VARS = ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
                "MALLOC_TOP_PAD_", "GLIBC_TUNABLES")
-# mallopt (parameter, value) pairs, from glibc's malloc.h: M_ARENA_MAX 1, one
-# arena for the tile threads; M_MMAP_THRESHOLD 32 MiB, glibc's 64-bit maximum,
-# so tiles come from the heap; M_TRIM_THRESHOLD 64 MiB, above two tiles, so
-# freed tile pages stay mapped
-MALLOC_TUNING = ((-8, 1), (-3, 32 << 20), (-1, 64 << 20))
+# mallopt (parameter, value) pairs, from glibc's malloc.h: M_MMAP_THRESHOLD
+# 32 MiB, glibc's 64-bit maximum, so tiles come from the heap;
+# M_TRIM_THRESHOLD 64 MiB, above two tiles, so freed tile pages stay mapped
+MALLOC_TUNING = ((-3, 32 << 20), (-1, 64 << 20))
 
 TOLERANCE_DEFAULTS = {
     "unit_norm": 1e-12,        # |X|^2 - 1 on the validation grid
@@ -64,7 +63,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     json_path: str | None = None
     csv_prefix: str | None = None
-    workers: int = 1
     tau_points: int = 1000
     tau_lo: float | None = None
     tau_hi: float = 1.0
@@ -206,7 +204,7 @@ def _verify_surface(spec, config: RunConfig, tols: dict):
     validation = surfaces.validate_spec(
         spec, unit_tol=tols["unit_norm"], minimality_tol=tols["minimality"])
     grid = geoquad.build_grid(spec, config.resolution)
-    summary = geoquad.evaluate_fields(spec, grid, workers=config.workers, tols=tols)
+    summary = geoquad.evaluate_fields(spec, grid, tols=tols)
     report = geoquad.integral_report(spec, grid, summary,
                                      nonneg_tol=tols["gap_nonneg"])
     cert = gaps.certify(spec, summary, report)
@@ -403,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--surface", action="append", default=None,
                        help="catalog name or spec file path (repeatable)")
     p_ver.add_argument("--resolution", default=None, help="NxM grid, e.g. 64x128")
-    p_ver.add_argument("--workers", type=int, default=1)
+    p_ver.add_argument("--workers", type=int, default=1,
+                       help="accepted; has no effect")
     p_ver.add_argument("--json", dest="json_path")
     p_ver.add_argument("--tol", action="append", default=None,
                        metavar="KEY=VAL", help="override a documented tolerance")
@@ -422,8 +421,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_resolution(argv: list) -> list:
+    """`--resolution -8x8` as `--resolution=-8x8`: argparse takes a word that
+    starts with '-' and a digit for an option, so the value would never
+    reach `build_grid`'s message."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--resolution" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _pin_blas_threads() -> None:
-    """Start numpy with one BLAS thread, so `--workers` sets the only pool.
+    """Start numpy with one BLAS thread: no step of `verify` gains from a
+    BLAS pool, whose threads would spin beside the one that runs the tiles.
 
     A BLAS reads these variables once, when numpy loads it, so this acts only
     before numpy is imported, and never when the caller has set any of them.
@@ -435,14 +448,13 @@ def _pin_blas_threads() -> None:
 
 
 def _tune_malloc() -> None:
-    """Keep the tile pool's freed pages mapped, in one arena, under glibc.
+    """Keep a freed tile's pages mapped for the next tile, under glibc.
 
-    By default glibc gives each pool thread its own arena and returns a
-    tile's 5.7 MiB (a 3072-node calabi4 tile's `tracemalloc` peak) to the
-    kernel when it is freed, to fault it in again for the next tile.  A
-    fixed trim threshold alone turns off glibc's dynamic mmap threshold, so
-    both are set.  Call before any pool thread starts;
-    nothing changes off glibc or when the caller set any of `MALLOC_VARS`.
+    By default glibc returns a tile's 5.7 MiB (a 3072-node calabi4 tile's
+    `tracemalloc` peak) to the kernel when it is freed, to fault it in
+    again for the next tile.  A fixed trim threshold alone turns off
+    glibc's dynamic mmap threshold, so both are set.  Nothing changes off
+    glibc or when the caller set any of `MALLOC_VARS`.
     """
     import ctypes           # here, so that `identities` never loads them
     import platform
@@ -460,7 +472,7 @@ def _tune_malloc() -> None:
 def main(argv=None) -> int:
     _pin_blas_threads()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_resolution(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "identities":
             config = RunConfig(command="identities", qmax=args.qmax,
@@ -478,12 +490,11 @@ def main(argv=None) -> int:
                 surfaces=args.surface or list(surfaces.CATALOG_NAMES),
                 resolution=_parse_resolution(args.resolution)
                 if args.resolution else None,
-                workers=args.workers,
                 json_path=args.json_path,
                 tolerances=_parse_tols(args.tol),
             )
-            if config.workers < 1:
-                raise DomainError(f"--workers must be >= 1, got {config.workers}")
+            if args.workers < 1:
+                raise DomainError(f"--workers must be >= 1, got {args.workers}")
             _check_output_paths(config)
             return cmd_verify(config)
         if args.command == "thresholds":

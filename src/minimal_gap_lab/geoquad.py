@@ -7,7 +7,7 @@ blocks of whole u-rows, which the resolution alone fixes, each evaluated from
 its 1-D axes.  Each tile is reduced at once to a fixed-size `FieldSummary`
 (extrema, node sums, guard counts, exact integral partials), and no array
 over the whole grid is ever built.  The integrals are exactly rounded sums,
-so they are bit-identical whatever the tiles or the worker count.
+so they are bit-identical whatever the tiles.
 """
 
 from __future__ import annotations
@@ -15,18 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-# The package loads its submodules lazily, and on Python 3.11 a lazy module
-# is not thread-safe while it loads.  These `from ... import` lines load
-# every module that the `evaluate_fields` pool threads reach (`surfaces`,
-# `invariants`, `gaps`, `harmonics`, `errors`) here, in the importing thread,
-# before any pool starts.  Keep them as name imports.
 from minimal_gap_lab.errors import DomainError, InvariantViolation, ValidationError
 from minimal_gap_lab.gaps import coupled_caps_hold, pinch_caps_hold
 from minimal_gap_lab.invariants import (
@@ -448,18 +441,6 @@ def reduce_tile(fields: SurfaceFields, grid: QuadratureGrid, tile,
     )
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where there is one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def pool_size(workers: int, chunks: int) -> int:
-    """Worker threads for `chunks` chunks: never more than the usable CPUs."""
-    return max(1, min(workers, usable_cpus(), chunks))
-
-
 def _even_split(n: int, parts: int) -> list[slice]:
     bounds = [n * k // parts for k in range(parts + 1)]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -471,8 +452,8 @@ def grid_tiles(resolution, width: int | None = None) -> list[tuple[slice, slice]
     A tile is a block of whole u-rows, or one row cut into even column
     segments of at most `width` columns (by default `NODE_CHUNK`) when a row
     alone is wider; either way it has at most `NODE_CHUNK` nodes.  The
-    resolution and the width alone fix the tiles, never the worker or CPU
-    count, so each node is computed in the same tile whatever runs it.
+    resolution and the width alone fix the tiles, so each node is computed
+    in the same tile in every run.
     """
     n_u, n_v = resolution
     width = min(NODE_CHUNK, width or NODE_CHUNK)
@@ -496,15 +477,14 @@ def segment_width(spec: ImmersionSpec) -> int:
 
 
 def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
-                    workers: int = 1, tols: dict | None = None) -> FieldSummary:
+                    tols: dict | None = None) -> FieldSummary:
     """The summary of every pointwise field on the grid, its guards at the
     tolerances `tols` (see `reduce_tile`).
 
-    Node evaluation is pure, so the grid is evaluated tile by tile
-    (`grid_tiles`), which bounds the memory of one tile whatever the grid.
-    Each tile is reduced as soon as it is evaluated, the tile summaries are
-    merged in node order, and at most `pool_size` threads run the tiles.
-    The tiles do not depend on the worker count, so neither does the result.
+    The grid is evaluated tile by tile (`grid_tiles`), in the calling
+    thread, which bounds the memory of one tile whatever the grid.  Each
+    tile is reduced as soon as it is evaluated, and the tile summaries are
+    merged in node order.
 
     The tiles of one column segment, which are all the tiles when a tile is
     whole rows, share the column half of their jets
@@ -514,30 +494,19 @@ def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
     `COLUMN_BYTES` whatever the spec and the grid.
     """
     tiles = grid_tiles(grid.resolution, segment_width(spec))
-    threads = pool_size(max(1, int(workers)), len(tiles))
     segments = {}
     for index, (_, cols) in enumerate(tiles):
         segments.setdefault((cols.start, cols.stop), []).append(index)
-
-    def run(columns, tile):
-        rows, cols = tile
-        fields = _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols], columns)
-        return reduce_tile(fields, grid, tile, tols)
-
-    def summarize(map_tiles):
-        summaries = [None] * len(tiles)
-        for (start, stop), indices in segments.items():
-            columns = column_factor(spec, grid.v_axis[start:stop], JET_ORDER_MAX)
-            for index, summary in zip(indices, map_tiles(functools.partial(run, columns),
-                                                         [tiles[i] for i in indices])):
-                summaries[index] = summary
-            del columns
-        return functools.reduce(FieldSummary.merge, summaries)
-
-    if threads == 1:
-        return summarize(map)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return summarize(pool.map)
+    summaries = [None] * len(tiles)
+    for (start, stop), indices in segments.items():
+        columns = column_factor(spec, grid.v_axis[start:stop], JET_ORDER_MAX)
+        for index in indices:
+            rows, cols = tile = tiles[index]
+            summaries[index] = reduce_tile(
+                _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols], columns),
+                grid, tile, tols)
+        del columns
+    return functools.reduce(FieldSummary.merge, summaries)
 
 
 # ---------------------------------------------------------------------------

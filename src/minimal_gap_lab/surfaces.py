@@ -166,8 +166,8 @@ class ImmersionSpec:
     torus charts cos or sin of (m times) each angle, exps (m, COS or SIN).
     coef is zero outside `blocks`: on sphere charts a term's u-part
     sin^(i+j) u pairs only with a v-part of degree i + j, one block per
-    degree.  The arrays are read-only, so evaluation (possibly from several
-    worker threads) only ever reads them.
+    degree.  The arrays are read-only, so evaluation only ever reads
+    them.
     """
 
     name: str

@@ -79,6 +79,18 @@ def test_verify_rejects_a_resolution_below_8_nodes_per_axis(capsys, resolution):
     assert err == f"error: --resolution {resolution}: at least 8 nodes per axis\n"
 
 
+@pytest.mark.parametrize("resolution", ["-8x8", "-1x16"])
+def test_verify_resolution_written_with_a_space_reaches_the_same_message(capsys,
+                                                                         resolution):
+    # argparse takes `-8x8` for an option; written with a space it still
+    # reaches build_grid's message, as it does written with '='
+    runs = [run_cli(capsys, "verify", "--surface", "equator", *flag)
+            for flag in (("--resolution", resolution), (f"--resolution={resolution}",))]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2
+    assert runs[0][2] == f"error: --resolution {resolution}: at least 8 nodes per axis\n"
+
+
 def test_verify_calabi3_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--surface", "calabi3",
                            "--resolution", "16x32")

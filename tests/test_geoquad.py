@@ -3,7 +3,6 @@
 import functools
 import json
 import math
-import os
 import weakref
 from dataclasses import replace
 
@@ -27,7 +26,6 @@ from minimal_gap_lab.geoquad import (
     grid_tiles,
     integral_report,
     segment_width,
-    pool_size,
     reduce_tile,
 )
 from minimal_gap_lab.gaps import COUPLED_GAMMAS, PINCH_GAMMAS, calabi_S, calabi_constants
@@ -256,29 +254,6 @@ def test_largest_polar_count_builds_in_linear_memory():
     assert peak_bytes(build_grid, spec, (2404, 8)) < 4 * 2 ** 20
 
 
-def test_pool_size_is_bounded(monkeypatch):
-    cpus = geoquad.usable_cpus()
-    assert pool_size(10 ** 6, 3) == min(cpus, 3)
-    assert pool_size(10 ** 6, 10 ** 6) == cpus
-    assert pool_size(1, 8) == 1
-    assert pool_size(0, 8) == 1
-    for cpus in (1, 64):
-        monkeypatch.setattr(geoquad, "usable_cpus", lambda cpus=cpus: cpus)
-        assert pool_size(10 ** 6, 10 ** 6) == cpus
-        assert pool_size(2, 6) == min(2, cpus)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                    reason="no CPU affinity on this platform")
-def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
-    # `taskset -c 0 ... --workers 2` runs one tile thread, however many
-    # CPUs the machine has
-    assert geoquad.usable_cpus() == len(os.sched_getaffinity(0))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert pool_size(2, 6) == 1
-
-
 @pytest.mark.parametrize("resolution", [
     (8, 8), (96, 192), (64, 128), (192, 384), (1024, 1024), (8, NODE_CHUNK),
     (9, NODE_CHUNK + 1), (8, 3 * NODE_CHUNK - 1), (4000, 8),
@@ -306,13 +281,13 @@ def test_grid_tiles_cover_the_grid_within_the_budget(resolution):
 
 
 def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
-    # the tiles are fixed by the resolution, never by --workers or the CPU
-    # count, so every tile and so the summary is bitwise the same for every
-    # split
+    # the tiles are fixed by the resolution alone, and evaluate_fields runs
+    # each of them once, in grid_tiles order, in the calling thread, so
+    # every tile and so the summary is bitwise the same in every run
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
-    expected = sorted((grid.u_axis[rows].tobytes(), grid.v_axis[cols].tobytes())
-                      for rows, cols in grid_tiles(grid.resolution))
+    expected = [(grid.u_axis[rows].tobytes(), grid.v_axis[cols].tobytes())
+                for rows, cols in grid_tiles(grid.resolution)]
     assert [rows.stop - rows.start for rows, _ in grid_tiles(grid.resolution)] == [16] * 6
     calls = []
 
@@ -321,16 +296,12 @@ def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
         return _fields_chunk(spec, u_rows, v_cols, columns)
 
     monkeypatch.setattr("minimal_gap_lab.geoquad._fields_chunk", recording_chunk)
-    results = {}
-    for workers, cpus in ((1, None), (2, None), (8, None), (400, None), (2, 1), (400, 64)):
-        if cpus is not None:
-            monkeypatch.setattr(geoquad, "usable_cpus", lambda cpus=cpus: cpus)
+    results = []
+    for _ in range(2):
         calls.clear()
-        results[workers, cpus] = evaluate_fields(spec, grid, workers=workers)
-        assert sorted(calls) == expected, (workers, cpus)
-    base = _summary_bits(results[1, None])
-    for summary in results.values():
-        assert _summary_bits(summary) == base
+        results.append(evaluate_fields(spec, grid))
+        assert calls == expected
+    assert _summary_bits(results[0]) == _summary_bits(results[1])
 
 
 def test_build_grid_memory_is_a_few_arrays_per_node():
@@ -340,6 +311,18 @@ def test_build_grid_memory_is_a_few_arrays_per_node():
     spec = catalog_entry("calabi4")
     build_grid(spec, (16, 32))          # loads the lazy modules untraced
     assert peak_bytes(build_grid, spec, (512, 1024)) / (512 * 1024) < 1.0
+
+
+def test_evaluate_fields_holds_one_tile_at_a_time():
+    # the tiles run one after another, so a whole 96x192 calabi4 grid peaks
+    # like one 3072-node tile and its column factor (1998 B/node; 3785-3858
+    # while two tile threads could each hold a tile)
+    spec = catalog_entry("calabi4")
+    grid = build_grid(spec, (96, 192))
+    evaluate_fields(spec, build_grid(spec, (16, 16)))   # loads the lazy modules
+    assert len(grid_tiles(grid.resolution)) == 6
+    per_node = peak_bytes(evaluate_fields, spec, grid) / NODE_CHUNK
+    assert per_node <= 2100, f"{per_node:.0f} B/node"
 
 
 def test_evaluate_fields_memory_does_not_grow_with_the_grid():
@@ -586,7 +569,7 @@ def test_the_benchmark_reads_the_layers_the_pipeline_runs(monkeypatch):
     grid = build_grid(spec, (96, 192))
     u, v = grid.u_axis[:16], grid.v_axis
     calls = _counted(monkeypatch, geoquad, ["eval_jet", "second_norm_field"])
-    evaluate_fields(spec, grid, workers=2)
+    evaluate_fields(spec, grid)
     tiles = len(grid_tiles(grid.resolution))
     assert tiles == 6 and calls == {"eval_jet": tiles, "second_norm_field": tiles}
     fields = _fields_chunk(spec, u, v)
@@ -614,7 +597,7 @@ def test_column_segment_tiles_read_their_segments_column_factor_bit_for_bit(monk
         return fields
 
     monkeypatch.setattr(geoquad, "_fields_chunk", chunk)
-    evaluate_fields(spec, grid, workers=2)
+    evaluate_fields(spec, grid)
     monkeypatch.undo()
     got = grid_fields(spec, grid, lambda spec, u, v: evaluated[u.tobytes(), v.tobytes()])
     expected = grid_fields(spec, grid)
@@ -654,7 +637,7 @@ def test_narrow_column_segments_keep_each_factor_within_its_budget(monkeypatch):
 
     monkeypatch.setattr(geoquad, "column_factor", factor)
     monkeypatch.setattr(geoquad, "_fields_chunk", chunk)
-    evaluate_fields(spec, grid, workers=2)
+    evaluate_fields(spec, grid)
     monkeypatch.undo()
     assert len(factors) == 5 and max(factors) <= 40 * column
     got = grid_fields(spec, grid, lambda spec, u, v: evaluated[u.tobytes(), v.tobytes()],
@@ -698,8 +681,8 @@ def test_the_v_basis_is_evaluated_once_per_column_segment(monkeypatch, resolutio
                                                           segments):
     # the column half of the jets, which the v-basis feeds, is the same for
     # every tile of a column segment: evaluate_fields forms it once per
-    # segment, so once per grid whose rows fit a tile, whatever the tiles
-    # or the workers, and each tile evaluates its own u-basis
+    # segment, so once per grid whose rows fit a tile, whatever the tiles,
+    # and each tile evaluates its own u-basis
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, resolution)
     assert len(grid_tiles(resolution)) == tiles
@@ -711,17 +694,15 @@ def test_the_v_basis_is_evaluated_once_per_column_segment(monkeypatch, resolutio
         return _call(chart, exps, x, order)
 
     monkeypatch.setattr(surfaces, "_basis_derivatives", basis_seen)
-    for workers in (1, 2):
-        axes.clear()
-        evaluate_fields(spec, grid, workers=workers)
-        v_sizes = [size for axis, size in axes if axis == "v"]
-        assert len(v_sizes) == segments and sum(v_sizes) == resolution[1], workers
-        assert len(axes) - len(v_sizes) == tiles, workers
+    evaluate_fields(spec, grid)
+    v_sizes = [size for axis, size in axes if axis == "v"]
+    assert len(v_sizes) == segments and sum(v_sizes) == resolution[1]
+    assert len(axes) - len(v_sizes) == tiles
 
 
 def test_integrate_rejects_nan(monkeypatch):
     # a NaN in a later tile names its global node and (u, v), whichever
-    # integrand it is in and whichever thread evaluates the tile
+    # integrand it is in
     spec = catalog_entry("clifford")
     grid = build_grid(spec, (8, 8))
     monkeypatch.setattr(geoquad, "NODE_CHUNK", 16)
@@ -741,10 +722,9 @@ def test_integrate_rejects_nan(monkeypatch):
             return fields
 
         monkeypatch.setattr(geoquad, "_fields_chunk", chunk)
-        for workers in (1, 2):
-            with pytest.raises(InvariantViolation) as err:
-                evaluate_fields(spec, grid, workers=workers)
-            assert f"node {node} (u={u:.6f}, v={v:.6f})" in str(err.value), (field, workers)
+        with pytest.raises(InvariantViolation) as err:
+            evaluate_fields(spec, grid)
+        assert f"node {node} (u={u:.6f}, v={v:.6f})" in str(err.value), field
 
 
 @pytest.mark.parametrize("case", ["signed_zeros", "subnormals", "cancelling"])
@@ -923,18 +903,16 @@ def test_fields_worker_chunking_is_exact(mixed_torus, monkeypatch):
     grid = build_grid(mixed_torus, (16, 16))
     tols = {"b1_cross": 1e-15}                  # flags some nodes
     f1 = grid_fields(mixed_torus, grid)
-    s1 = evaluate_fields(mixed_torus, grid, workers=1, tols=tols)
-    s3 = evaluate_fields(mixed_torus, grid, workers=3, tols=tols)
-    assert _summary_bits(s1) == _summary_bits(s3)
+    s1 = evaluate_fields(mixed_torus, grid, tols=tols)
     assert 0 < s1.flagged < grid.node_count
     per_node, summaries = [], []
-    # one worker, three chunks of the node budget; then each row cut into
-    # two column segments
+    # three chunks of the node budget; then each row cut into two column
+    # segments
     for chunk, tiles in ((100, 3), (10, 32)):
         monkeypatch.setattr("minimal_gap_lab.geoquad.NODE_CHUNK", chunk)
         assert len(grid_tiles(grid.resolution)) == tiles
         per_node.append(grid_fields(mixed_torus, grid))
-        summaries.append(evaluate_fields(mixed_torus, grid, workers=1, tols=tols))
+        summaries.append(evaluate_fields(mixed_torus, grid, tols=tols))
     for f in per_node:
         for name in INVARIANT_NAMES:
             assert np.array_equal(getattr(f1.inv, name), getattr(f.inv, name)), name

@@ -90,16 +90,6 @@ def test_identities_module_run_never_imports_numpy(module):
     assert "ctypes" not in imported
 
 
-def test_verify_reports_identical_across_workers_in_fresh_interpreters():
-    # the pool threads of evaluate_fields must only reach layers that are
-    # already loaded: a lazy module is not thread-safe while it loads
-    outs = [_python("-m", "minimal_gap_lab", "verify", "--surface", "calabi3",
-                    "--resolution", "32x64", "--workers", workers).stdout
-            for workers in ("2", "1")]
-    assert outs[0] == outs[1]
-    assert b"exit_status: 0" in outs[0]
-
-
 def test_verify_never_runs_the_exact_engine():
     # every layer is registered in sys.modules when the package is imported,
     # so "loaded" means the module body ran: an "exec" audit event names the
@@ -153,9 +143,43 @@ _UNSET = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None,
           "MKL_NUM_THREADS": None}
 
 
+# Runs `verify --workers 2` in a fresh interpreter and prints, as its last
+# line, the threads alive at each `_fields_chunk` call: `threading`'s count
+# and the process's tasks (None without /proc).
+_TILE_THREAD_PROBE = """
+import json, os, threading
+from minimal_gap_lab import cli, geoquad
+
+cli._pin_blas_threads()                 # before geoquad loads numpy
+seen = []
+
+def chunk(*args, _call=geoquad._fields_chunk):
+    tasks = "/proc/self/task"
+    seen.append((threading.active_count(),
+                 len(os.listdir(tasks)) if os.path.isdir(tasks) else None))
+    return _call(*args)
+
+geoquad._fields_chunk = chunk
+code = cli.main(["verify", "--surface", "calabi3", "--surface", "calabi4",
+                 "--resolution", "96x192", "--workers", "2"])
+assert code == 0, code
+print(json.dumps(seen))
+"""
+
+
+def test_verify_runs_its_tiles_in_one_thread():
+    # --workers is accepted and has no effect: every tile runs in the thread
+    # that called verify, and no other thread exists while it does
+    done = _python("-c", _TILE_THREAD_PROBE, env_vars=_UNSET)
+    seen = json.loads(done.stdout.decode().splitlines()[-1])
+    assert len(seen) == 12                      # 6 tiles of each surface
+    assert {active for active, _ in seen} == {1}
+    assert {tasks for _, tasks in seen} <= {1, None}
+
+
 def test_cli_starts_numpy_with_one_blas_thread():
-    # --workers sets the only thread pool: a BLAS pool would busy-wait
-    # beside it after each LAPACK call
+    # verify runs in one thread: a BLAS pool would busy-wait beside it
+    # after each LAPACK call
     done = _python("-c", _THREAD_PROBE, env_vars=_UNSET)
     probe = json.loads(done.stdout.decode().splitlines()[-1])
     ones = dict.fromkeys(_UNSET, "1")
@@ -195,8 +219,8 @@ _VERIFY_SETUPS = {"tuned": ("tuned", {}), "untuned": ("untuned", {}),
 
 @pytest.fixture(scope="module")
 def verify_runs(tmp_path_factory):
-    """The calabi3 + calabi4 96x192 `--workers 2` verify of each
-    `_VERIFY_SETUPS` label, as (run, JSON bytes), run once."""
+    """The calabi3 + calabi4 96x192 verify of each `_VERIFY_SETUPS` label,
+    as (run, JSON bytes), run once."""
     runs = {}
 
     def get(label):
@@ -206,7 +230,7 @@ def verify_runs(tmp_path_factory):
             done = _python(
                 "-c", _VERIFY_RUN, mode, "verify",
                 "--surface", "calabi3", "--surface", "calabi4",
-                "--resolution", "96x192", "--workers", "2", "--json", str(path),
+                "--resolution", "96x192", "--json", str(path),
                 env_vars={var: None for var in MALLOC_VARS} | env_vars)
             runs[label] = done, path.read_bytes()
         return runs[label]
@@ -216,9 +240,9 @@ def verify_runs(tmp_path_factory):
 
 @_GLIBC
 def test_verify_keeps_freed_tile_pages_mapped(verify_runs):
-    # one arena and fixed thresholds keep a freed tile's pages for the next
-    # tile: measured ~16k against ~61k minor faults; the arithmetic and so
-    # every report byte stay the same
+    # fixed thresholds keep a freed tile's pages for the next tile: measured
+    # ~6.3k against ~34.3k minor faults; the arithmetic and so every report
+    # byte stay the same
     (tuned, tuned_json), (untuned, untuned_json) = (
         verify_runs("tuned"), verify_runs("untuned"))
     assert tuned.minflt <= untuned.minflt / 2, (tuned.minflt, untuned.minflt)

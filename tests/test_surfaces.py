@@ -116,7 +116,7 @@ def test_unit_image_on_dense_grid(name):
 
 
 def test_spec_arrays_are_built_read_only_at_construction(mixed_torus):
-    # evaluation (possibly from several worker threads) only reads the spec:
+    # evaluation only reads the spec:
     # the coefficient and basis-exponent arrays exist once it is built, and
     # nothing can write them
     for spec in (catalog_entry("calabi4"), mixed_torus):
