@@ -450,7 +450,7 @@ def _pin_blas_threads() -> None:
 def _tune_malloc() -> None:
     """Keep a freed tile's pages mapped for the next tile, under glibc.
 
-    By default glibc returns a tile's 5.7 MiB (a 3072-node calabi4 tile's
+    By default glibc returns a tile's 3.8 MiB (a 2048-node calabi4 tile's
     `tracemalloc` peak) to the kernel when it is freed, to fault it in
     again for the next tile.  A fixed trim threshold alone turns off
     glibc's dynamic mmap threshold, so both are set.  Nothing changes off

@@ -7,7 +7,8 @@ blocks of whole u-rows, which the resolution alone fixes, each evaluated from
 its 1-D axes.  Each tile is reduced at once to a fixed-size `FieldSummary`
 (extrema, node sums, guard counts, exact integral partials), and no array
 over the whole grid is ever built.  The integrals are exactly rounded sums,
-so they are bit-identical whatever the tiles.
+so they are bit-identical whatever the tiles, and so are the node sums,
+exactly rounded sums of row sums, whatever tiles of whole rows.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from minimal_gap_lab.surfaces import (
 
 DEFAULT_RESOLUTION = {"sphere": (64, 128), "torus": (64, 64)}
 GAP_NONNEG_TOL = 1e-6
-# Smaller tiles lower peak RSS but cost CPU, and the tiles fix the per-tile
-# sums behind the reported node means.  With 1536 nodes, `verify` of calabi3
-# and calabi4 at 96x192 with 2 workers (2 vCPUs, 10 alternating pairs)
-# peaked at 41.8 against 51.0 MB RSS, but took 0.62 against 0.51 s of CPU,
-# with about 9,300 against 2,900 voluntary context switches.
-NODE_CHUNK = 3072       # nodes per tile at most: bounds the per-tile arrays
+# Smaller tiles lower peak RSS but cost CPU; a report depends on them only
+# where they cut rows, on grids wider than NODE_CHUNK columns.
+# Against 3072 nodes, `verify` of calabi3 and calabi4 at 96x192 (2 vCPUs,
+# one thread, 40 alternating rounds) peaks at 35.1 against 37.3 MB RSS for
+# 1.1% more CPU.  Below 2048, a 64x64 torus would take more than the two
+# tiles that perfbench's tests pin.
+NODE_CHUNK = 2048       # nodes per tile at most: bounds the per-tile arrays
 COLUMN_BYTES = 2 ** 25  # a segment's column factor at most, unless one column is more
 MAX_NODES = 2 ** 20     # grid nodes at most (1024x1024): bounds the work of a run
 BESSEL_J0_ZERO = 2.404825557695773     # j_{0,1}, the first zero of J_0
@@ -325,22 +327,30 @@ class Guard(NamedTuple):
     worst: float
     node: int
 
-    def merge(self, later: "Guard") -> "Guard":
-        # a tie keeps the earlier node, as np.argmax does
-        worst = later if later.worst > self.worst else self
-        return Guard(self.count + later.count, worst.worst, worst.node)
+    def merge(self, other: "Guard") -> "Guard":
+        """The tally of both sets of nodes, in either order: the worst node
+        is the one np.argmax would pick over all of them, the earliest of a
+        tie, and a NaN above any number."""
+        first, last = sorted((self, other), key=lambda g: g.node)
+        worse = last.worst > first.worst or (math.isnan(last.worst)
+                                             and not math.isnan(first.worst))
+        worst = last if worse else first
+        return Guard(self.count + other.count, worst.worst, worst.node)
 
 
 @dataclass
 class FieldSummary:
-    """The fields of a grid, or of a run of its tiles, reduced to a fixed size.
+    """The fields of a grid, or of some of its tiles, reduced to a fixed size.
 
     `low`/`high` hold the extrema of each `_EXTREMA` field, `sums` the exact
-    partials of each reported field's per-tile `np.sum` (for its node mean),
+    partials of each reported field's per-row `np.sum` (for its node mean),
     `integrals` the exact partials of sum w sqrt(det g) f of each
     `_integrands` entry.  `pinch` and `coupled` say, for each gamma of
     `gaps.PINCH_GAMMAS` and `gaps.COUPLED_GAMMAS`, whether its rho_perp cap
-    holds at every node.
+    holds at every node.  Every part merges exactly and in any order, so a
+    grid's summary is the same whatever tiles of whole rows cut it; only an
+    extremum of 0 may take either sign, as np.minimum and np.min keep
+    either zero of a tie.
     """
 
     nodes: int
@@ -376,20 +386,20 @@ class FieldSummary:
     def flagged_fraction(self) -> float:
         return self.flagged / self.nodes
 
-    def merge(self, later: "FieldSummary") -> "FieldSummary":
-        """The summary of these nodes followed by `later`'s."""
+    def merge(self, other: "FieldSummary") -> "FieldSummary":
+        """The summary of these nodes and `other`'s, in either order."""
         return FieldSummary(
-            nodes=self.nodes + later.nodes,
+            nodes=self.nodes + other.nodes,
             # np.minimum/np.maximum keep a NaN, as np.min/np.max do
-            low=np.minimum(self.low, later.low),
-            high=np.maximum(self.high, later.high),
-            sums={k: _partials(v + later.sums[k]) for k, v in self.sums.items()},
-            integrals={k: _partials(v + later.integrals[k])
+            low=np.minimum(self.low, other.low),
+            high=np.maximum(self.high, other.high),
+            sums={k: _partials(v + other.sums[k]) for k, v in self.sums.items()},
+            integrals={k: _partials(v + other.integrals[k])
                        for k, v in self.integrals.items()},
-            flagged=self.flagged + later.flagged,
-            guards={k: g.merge(later.guards[k]) for k, g in self.guards.items()},
-            pinch=self.pinch & later.pinch,
-            coupled=self.coupled & later.coupled,
+            flagged=self.flagged + other.flagged,
+            guards={k: g.merge(other.guards[k]) for k, g in self.guards.items()},
+            pinch=self.pinch & other.pinch,
+            coupled=self.coupled & other.coupled,
         )
 
 
@@ -397,8 +407,9 @@ def reduce_tile(fields: SurfaceFields, grid: QuadratureGrid, tile,
                 tols: dict | None = None) -> FieldSummary:
     """The summary of one tile's fields; `tile` is its (rows, cols) slices
     of `grid`, and `tols` maps `GUARDS` keys to tolerances (a missing key
-    takes the default).  An integrand that is not finite raises, naming the
-    node."""
+    takes the default).  A node sum is kept as the exact partials of the
+    tile's row sums, so it is the same whatever rows share its tile.  An
+    integrand that is not finite raises, naming the node."""
     rows, cols = tile
     start = rows.start * grid.resolution[1] + cols.start
     integrands = _integrands(fields)
@@ -416,6 +427,8 @@ def reduce_tile(fields: SurfaceFields, grid: QuadratureGrid, tile,
                        + [getattr(fields, name) for name in FIELD_NAMES]
                        + [inv.lambda1 - inv.lambda2])
     reported = INVARIANT_NAMES + FIELD_NAMES
+    n_rows = rows.stop - rows.start
+    row_sums = np.sum(extrema[:len(reported)].reshape(len(reported), n_rows, -1), axis=-1)
     weight = np.outer(grid.u_weight[rows], grid.v_weight[cols]).ravel() * fields.sqrt_det_g
 
     tols = tols or {}
@@ -431,8 +444,7 @@ def reduce_tile(fields: SurfaceFields, grid: QuadratureGrid, tile,
         nodes=weight.size,
         low=np.min(extrema, axis=1),
         high=np.max(extrema, axis=1),
-        sums={name: [float(x)]
-              for name, x in zip(reported, np.sum(extrema[:len(reported)], axis=1))},
+        sums=dict(zip(reported, map(_partials, row_sums.tolist()))),
         integrals=dict(zip(integrands, _row_partials(values * weight))),
         flagged=int(flagged.sum()),
         guards=guards,
@@ -483,8 +495,9 @@ def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
 
     The grid is evaluated tile by tile (`grid_tiles`), in the calling
     thread, which bounds the memory of one tile whatever the grid.  Each
-    tile is reduced as soon as it is evaluated, and the tile summaries are
-    merged in node order.
+    tile is reduced as soon as it is evaluated, and its summary is merged
+    at once into the summary of the tiles before it, so no more than two
+    summaries are alive whatever the tile count.
 
     The tiles of one column segment, which are all the tiles when a tile is
     whole rows, share the column half of their jets
@@ -493,20 +506,22 @@ def evaluate_fields(spec: ImmersionSpec, grid: QuadratureGrid,
     `segment_width(spec)` columns at most, so that factor stays within
     `COLUMN_BYTES` whatever the spec and the grid.
     """
-    tiles = grid_tiles(grid.resolution, segment_width(spec))
     segments = {}
-    for index, (_, cols) in enumerate(tiles):
-        segments.setdefault((cols.start, cols.stop), []).append(index)
-    summaries = [None] * len(tiles)
-    for (start, stop), indices in segments.items():
-        columns = column_factor(spec, grid.v_axis[start:stop], JET_ORDER_MAX)
-        for index in indices:
-            rows, cols = tile = tiles[index]
-            summaries[index] = reduce_tile(
+    for rows, cols in grid_tiles(grid.resolution, segment_width(spec)):
+        segments.setdefault((cols.start, cols.stop), []).append(rows)
+    summary = None
+    for (start, stop), row_blocks in segments.items():
+        cols = slice(start, stop)
+        columns = column_factor(spec, grid.v_axis[cols], JET_ORDER_MAX)
+        for rows in row_blocks:
+            part = reduce_tile(
                 _fields_chunk(spec, grid.u_axis[rows], grid.v_axis[cols], columns),
-                grid, tile, tols)
+                grid, (rows, cols), tols)
+            # FieldSummary.merge takes its parts in any order, and the
+            # segments run one after another, not in node order
+            summary = part if summary is None else summary.merge(part)
         del columns
-    return functools.reduce(FieldSummary.merge, summaries)
+    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,24 @@ def test_verify_report_determinism_across_workers(capsys):
     assert out1 == out4
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["--surface", "calabi3", "--surface", "calabi4", "--resolution", "96x192"],
+], ids=["catalog", "bench"])
+def test_verify_report_does_not_depend_on_the_tiles(capsys, monkeypatch, tmp_path, argv):
+    # node sums are kept per grid row and every other part of a summary
+    # merges exactly, so stdout and --json are the same bytes with tiles of
+    # 3072 nodes, 2048 nodes and one row (of each 128-column sphere grid of
+    # the catalog; each 64-column torus grid then gets two rows a tile)
+    path = tmp_path / "verify.json"
+    reports = []
+    for chunk in (3072, 2048, 192 if argv else 128):
+        monkeypatch.setattr(geoquad, "NODE_CHUNK", chunk)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--json", str(path))
+        assert code == 0
+        reports.append((out, path.read_bytes()))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_verify_rejects_non_unit_spec(capsys, tmp_path):
     doc = json.loads(serialize_spec(catalog_entry("equator")))
     for comp in doc["components"]:
@@ -433,31 +451,32 @@ def test_verify_distrust_exit_code(capsys):
     assert 0.0 <= float(match[4]) < 2 * math.pi and 0.0 <= float(match[5]) < 2 * math.pi
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_distrust_line_equals_a_per_node_recomputation(capsys, monkeypatch, workers):
-    # four tiles of 16 nodes; the residuals are forged so that nodes are
-    # flagged in every tile, by both guards, and the largest b1_cross is
-    # tied in three tiles: the line names the earliest of those nodes
+@pytest.mark.parametrize("chunk", [16, 32])
+def test_distrust_line_equals_a_per_node_recomputation(capsys, monkeypatch, chunk):
+    # four tiles of 16 nodes, or two of 32; the residuals are forged from
+    # each node's index, so that nodes are flagged in every tile, by both
+    # guards, and the largest b1_cross is tied in three 16-node blocks: the
+    # line names the earliest of those nodes, the same line in both tilings
     from tile_fields import grid_fields, grid_nodes, tile_slices
 
     spec = catalog_entry("clifford")
     grid = geoquad.build_grid(spec, (8, 8))
-    monkeypatch.setattr(geoquad, "NODE_CHUNK", 16)
+    monkeypatch.setattr(geoquad, "NODE_CHUNK", chunk)
     tiles = tile_slices(grid)
-    assert [nodes.stop - nodes.start for _, nodes in tiles] == [16] * 4
+    assert [nodes.stop - nodes.start for _, nodes in tiles] == [chunk] * (64 // chunk)
     real_chunk = geoquad._fields_chunk
 
     def forged_chunk(spec, u_rows, v_cols, columns=None):
         fields = real_chunk(spec, u_rows, v_cols, columns)
-        tile = int(np.searchsorted(grid.u_axis, u_rows[0])) // 2
-        local = np.arange(fields.b1_cross.size)
-        fields.b1_cross = np.where((local % 5 == 0) & (tile > 0), 7e-4, 1e-6 * tile)
+        first = 8 * int(np.searchsorted(grid.u_axis, u_rows[0]))
+        block, local = np.divmod(first + np.arange(fields.b1_cross.size), 16)
+        fields.b1_cross = np.where((local % 5 == 0) & (block > 0), 7e-4, 1e-6 * block)
         fields.codazzi_residual = np.where(local % 7 == 3, 2e-6, 0.0)
         return fields
 
     monkeypatch.setattr(geoquad, "_fields_chunk", forged_chunk)
     code, _, err = run_cli(capsys, "verify", "--surface", "clifford",
-                           "--resolution", "8x8", "--workers", workers)
+                           "--resolution", "8x8")
     assert code == 3
 
     fields = grid_fields(spec, grid, forged_chunk)
@@ -466,7 +485,8 @@ def test_distrust_line_equals_a_per_node_recomputation(capsys, monkeypatch, work
             for key, (name, _) in geoquad.GUARDS.items()}
     flagged = over["codazzi"] | over["b1_cross"]
     ties = np.flatnonzero(fields.b1_cross == fields.b1_cross.max())
-    assert len({i // 16 for i in ties}) == 3 and len({i // 16 for i in np.flatnonzero(flagged)}) == 4
+    assert len({i // 16 for i in ties}) == 3
+    assert len({i // chunk for i in np.flatnonzero(flagged)}) == 64 // chunk
     counts = {key: int(mask.sum()) for key, mask in over.items()}
     worst = max(counts, key=counts.get)
     residual = getattr(fields, geoquad.GUARDS[worst][0])

@@ -1,6 +1,7 @@
 """Tests for quadrature grids, integration, and the integral identities."""
 
 import functools
+import itertools
 import json
 import math
 import weakref
@@ -16,6 +17,8 @@ from minimal_gap_lab.errors import DomainError, InvariantViolation
 from minimal_gap_lab.geoquad import (
     MAX_NODES,
     NODE_CHUNK,
+    FieldSummary,
+    Guard,
     QuadratureGrid,
     _fields_chunk,
     _partials,
@@ -57,6 +60,7 @@ from tile_fields import (
     per_field_summary,
     stage_peaks,
     summarize,
+    take,
     tile_slices,
 )
 
@@ -288,7 +292,7 @@ def test_tiles_and_fields_do_not_depend_on_workers(monkeypatch):
     grid = build_grid(spec, (96, 192))
     expected = [(grid.u_axis[rows].tobytes(), grid.v_axis[cols].tobytes())
                 for rows, cols in grid_tiles(grid.resolution)]
-    assert [rows.stop - rows.start for rows, _ in grid_tiles(grid.resolution)] == [16] * 6
+    assert len(expected) > 1
     calls = []
 
     def recording_chunk(spec, u_rows, v_cols, columns):
@@ -315,20 +319,25 @@ def test_build_grid_memory_is_a_few_arrays_per_node():
 
 def test_evaluate_fields_holds_one_tile_at_a_time():
     # the tiles run one after another, so a whole 96x192 calabi4 grid peaks
-    # like one 3072-node tile and its column factor (1998 B/node; 3785-3858
-    # while two tile threads could each hold a tile)
+    # like one NODE_CHUNK-node tile and its column factor (1959 B/node at
+    # 2048 nodes, 1998 at 3072; 3785-3858 while two tile threads could each
+    # hold a tile), and no more than 4 MiB in all (5.8 MiB with 3072-node
+    # tiles)
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, (96, 192))
     evaluate_fields(spec, build_grid(spec, (16, 16)))   # loads the lazy modules
-    assert len(grid_tiles(grid.resolution)) == 6
-    per_node = peak_bytes(evaluate_fields, spec, grid) / NODE_CHUNK
+    assert len(grid_tiles(grid.resolution)) > 1
+    peak = peak_bytes(evaluate_fields, spec, grid)
+    per_node = peak / NODE_CHUNK
     assert per_node <= 2100, f"{per_node:.0f} B/node"
+    assert peak <= 4 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_evaluate_fields_memory_does_not_grow_with_the_grid():
-    # each tile is reduced as soon as it is evaluated, so a grid of 32 tiles
-    # peaks like one of 4 (3072-node tiles on both; 27.8 against 10.5 MB
-    # when the fields of every node were kept)
+    # each tile is reduced and merged as soon as it is evaluated, so a grid
+    # of 64 tiles peaks like one of 7 (27.8 against 10.5 MB when the fields
+    # of every node were kept, 2.78 against 2.16 MB when every tile's
+    # summary was kept until the end)
     spec = catalog_entry("clifford")
     evaluate_fields(spec, build_grid(spec, (16, 16)))   # loads the lazy modules
     peaks = [peak_bytes(lambda r: evaluate_fields(spec, build_grid(spec, r)), resolution)
@@ -571,7 +580,7 @@ def test_the_benchmark_reads_the_layers_the_pipeline_runs(monkeypatch):
     calls = _counted(monkeypatch, geoquad, ["eval_jet", "second_norm_field"])
     evaluate_fields(spec, grid)
     tiles = len(grid_tiles(grid.resolution))
-    assert tiles == 6 and calls == {"eval_jet": tiles, "second_norm_field": tiles}
+    assert tiles > 1 and calls == {"eval_jet": tiles, "second_norm_field": tiles}
     fields = _fields_chunk(spec, u, v)
     tile = eval_jet(spec, (u[:, None], v[None, :]), order=JET_ORDER_MAX)
     jet = replace(tile, u=tile.u.ravel(), v=tile.v.ravel())
@@ -674,19 +683,18 @@ def test_a_wide_basis_evaluates_within_the_column_budget():
     assert peak <= geoquad.COLUMN_BYTES + 2 ** 23, f"{peak / 2 ** 20:.1f} MiB"
 
 
-@pytest.mark.parametrize("resolution,tiles,segments", [
-    ((16, 32), 1, 1), ((96, 192), 6, 1), ((8, 4096), 16, 2), ((8, 3 * NODE_CHUNK), 24, 3),
-], ids=["16x32", "96x192", "8x4096", "8x9216"])
-def test_the_v_basis_is_evaluated_once_per_column_segment(monkeypatch, resolution, tiles,
-                                                          segments):
+@pytest.mark.parametrize("resolution", [(16, 32), (96, 192), (8, 4096), (8, 9216)],
+                         ids=["16x32", "96x192", "8x4096", "8x9216"])
+def test_the_v_basis_is_evaluated_once_per_column_segment(monkeypatch, resolution):
     # the column half of the jets, which the v-basis feeds, is the same for
     # every tile of a column segment: evaluate_fields forms it once per
     # segment, so once per grid whose rows fit a tile, whatever the tiles,
     # and each tile evaluates its own u-basis
     spec = catalog_entry("calabi4")
     grid = build_grid(spec, resolution)
-    assert len(grid_tiles(resolution)) == tiles
-    assert len({(cols.start, cols.stop) for _, cols in grid_tiles(resolution)}) == segments
+    tiles = len(grid_tiles(resolution))
+    segments = len({(cols.start, cols.stop) for _, cols in grid_tiles(resolution)})
+    assert segments == math.ceil(resolution[1] / NODE_CHUNK)
     axes = []
 
     def basis_seen(chart, exps, x, order, _call=surfaces._basis_derivatives):
@@ -898,8 +906,8 @@ def test_main6_specialization_on_two_spheres(bundle):
 
 def test_fields_worker_chunking_is_exact(mixed_torus, monkeypatch):
     # every node's fields are bitwise the same in any tiling, and so is
-    # every part of the summary but the node means, whose per-tile sums
-    # follow the tiles
+    # every part of the summary but the node means of a tiling that cuts
+    # rows, whose row sums are then segment sums
     grid = build_grid(mixed_torus, (16, 16))
     tols = {"b1_cross": 1e-15}                  # flags some nodes
     f1 = grid_fields(mixed_torus, grid)
@@ -919,11 +927,82 @@ def test_fields_worker_chunking_is_exact(mixed_torus, monkeypatch):
         for name in NODE_ARRAYS:
             assert np.array_equal(getattr(f1, name), getattr(f, name)), name
     base = _summary_bits(s1)
-    for s in summaries:
-        bits = _summary_bits(s)
-        assert bits[:3] == base[:3] and bits[4:] == base[4:]
-        for name in s.sums:
-            assert s.mean(name) == pytest.approx(s1.mean(name), rel=1e-14, abs=1e-300)
+    assert _summary_bits(summaries[0]) == base
+    bits = _summary_bits(summaries[1])
+    assert bits[:3] == base[:3] and bits[4:] == base[4:]
+    for name in s1.sums:
+        assert summaries[1].mean(name) == pytest.approx(s1.mean(name), rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("name", ["mixed_torus", "calabi3"])
+def test_the_summary_does_not_depend_on_whole_row_tiles(name, request, monkeypatch):
+    # each node sum is kept as the exact partials of its row sums, and every
+    # other part merges exactly, so tiles of whole rows, even or not, give
+    # the summary of one tile over the whole grid, bit for bit
+    spec = request.getfixturevalue(name) if name == "mixed_torus" else catalog_entry(name)
+    grid = build_grid(spec, (16, 16))
+    tols = {"b1_cross": 1e-15}                  # flags some nodes
+    fields = grid_fields(spec, grid)
+    whole = reduce_tile(fields, grid, (slice(0, 16), slice(0, 16)), tols)
+    assert 0 < whole.flagged < grid.node_count
+    for cuts in ([0, 16], [0, 1, 16], [0, 5, 6, 13, 16], list(range(17))):
+        parts = [reduce_tile(take(fields, slice(16 * a, 16 * b)), grid,
+                             (slice(a, b), slice(0, 16)), tols)
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+        assert _summary_bits(functools.reduce(FieldSummary.merge, parts)) \
+            == _summary_bits(whole), cuts
+    for chunk in (16, 48, 100, NODE_CHUNK):
+        monkeypatch.setattr(geoquad, "NODE_CHUNK", chunk)
+        assert _summary_bits(evaluate_fields(spec, grid, tols)) == _summary_bits(whole), chunk
+
+
+def test_tile_summaries_merge_in_any_order(mixed_torus, monkeypatch):
+    # a wide grid's column segments run segment by segment, not in node
+    # order: the tile summaries fold to the same bits forward, in reverse
+    # and as evaluate_fields runs them, guards and their worst nodes
+    # included.  The b1_cross residual is forged to tie its maximum in three
+    # tiles of two segments, and the earliest node is the worst in every
+    # order, though evaluate_fields reaches node 19 (column segment 0)
+    # before node 13 (segment 1)
+    grid = build_grid(mixed_torus, (8, 8))
+    monkeypatch.setattr(geoquad, "NODE_CHUNK", 4)
+    tiles = grid_tiles(grid.resolution)
+    assert len(tiles) == 16 and all(cols.stop - cols.start == 4 for _, cols in tiles)
+    fields = grid_fields(mixed_torus, grid)
+    fields.b1_cross = np.where(np.isin(np.arange(64), [13, 19, 30, 31]), 1.0, 1e-6)
+    parts = [reduce_tile(take(fields, nodes), grid, tile, {"b1_cross": 1e-7})
+             for tile, nodes in tile_slices(grid)]
+    orders = [parts, parts[::-1], parts[0::2] + parts[1::2]]
+    bits = [_summary_bits(functools.reduce(FieldSummary.merge, order)) for order in orders]
+    assert bits[1] == bits[0] and bits[2] == bits[0]
+    summary = functools.reduce(FieldSummary.merge, parts)
+    assert summary.guards["b1_cross"] == (64, 1.0, 13)
+    monkeypatch.setattr(geoquad, "_fields_chunk",
+                        lambda spec, u, v, columns: take(fields, _nodes_of(grid, u, v)))
+    assert _summary_bits(evaluate_fields(mixed_torus, grid, {"b1_cross": 1e-7})) == bits[0]
+
+
+def _nodes_of(grid, u, v):
+    """The row-major indices of the nodes u x v of `grid`."""
+    rows = np.searchsorted(grid.u_axis, u)
+    cols = np.searchsorted(grid.v_axis, v)
+    return (rows[:, None] * grid.resolution[1] + cols[None, :]).ravel()
+
+
+@pytest.mark.parametrize("worsts", [(3.0, 3.0, 1.0), (math.nan, 3.0, math.nan),
+                                    (1.0, math.nan, 3.0)])
+def test_guard_merge_is_argmax_over_all_nodes_in_any_order(worsts):
+    # np.argmax over every node picks the earliest of a tie, and the
+    # earliest NaN above any number: so does Guard.merge, in every order
+    guards = [Guard(1, worst, node) for worst, node in zip(worsts, (40, 7, 19))]
+    residual = np.zeros(64)
+    for g in guards:
+        residual[g.node] = g.worst
+    i = int(np.argmax(residual))
+    for order in itertools.permutations(guards):
+        merged = functools.reduce(Guard.merge, order)
+        assert merged.node == i and merged.count == 3
+        assert np.array_equal([merged.worst], [residual[i]], equal_nan=True)
 
 
 @pytest.mark.parametrize("name", ["equator", "veronese", "calabi3", "calabi4",

@@ -172,7 +172,7 @@ def test_verify_runs_its_tiles_in_one_thread():
     # that called verify, and no other thread exists while it does
     done = _python("-c", _TILE_THREAD_PROBE, env_vars=_UNSET)
     seen = json.loads(done.stdout.decode().splitlines()[-1])
-    assert len(seen) == 12                      # 6 tiles of each surface
+    assert len(seen) == 2 * len(minimal_gap_lab.geoquad.grid_tiles((96, 192)))
     assert {active for active, _ in seen} == {1}
     assert {tasks for _, tasks in seen} <= {1, None}
 

@@ -180,7 +180,7 @@ def forged_fields(n: int, **values) -> SurfaceFields:
 
 def summarize(fields: SurfaceFields, grid, tols=None) -> FieldSummary:
     """`reduce_tile` of each tile's part of per-node `fields`, merged in node
-    order, as `evaluate_fields` merges its tiles."""
+    order."""
     parts = [reduce_tile(take(fields, nodes), grid, tile, tols)
              for tile, nodes in tile_slices(grid)]
     return functools.reduce(FieldSummary.merge, parts)
@@ -202,10 +202,11 @@ def fsum_partials(values) -> list[float]:
 
 
 def per_field_summary(fields: SurfaceFields, grid, tile, tols=None) -> FieldSummary:
-    """`reduce_tile` one field at a time: each extremum and node sum its own
-    numpy call, each integral by `fsum_partials`, and each gamma cap tested
-    at every node."""
+    """`reduce_tile` one field at a time: each extremum and row sum its own
+    numpy call, each node sum and integral by `fsum_partials`, and each
+    gamma cap tested at every node."""
     rows, cols = tile
+    n_rows = rows.stop - rows.start
     start = rows.start * grid.resolution[1] + cols.start
     inv = fields.inv
     reported = [getattr(inv, name) for name in INVARIANT_NAMES] + \
@@ -227,7 +228,7 @@ def per_field_summary(fields: SurfaceFields, grid, tile, tols=None) -> FieldSumm
         nodes=weight.size,
         low=np.array([np.min(x) for x in extrema]),
         high=np.array([np.max(x) for x in extrema]),
-        sums={name: [float(np.sum(x))]
+        sums={name: fsum_partials([np.sum(row) for row in x.reshape(n_rows, -1)])
               for name, x in zip(INVARIANT_NAMES + list(FIELD_NAMES), reported)},
         integrals={name: fsum_partials(weight * values)
                    for name, values in _integrands(fields).items()},
